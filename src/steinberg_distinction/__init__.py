@@ -8,6 +8,7 @@ from .characters import (
     SupportRule,
     minimal_orbit_analysis,
     orbit_supports,
+    supporting_coset_matrices,
 )
 from .cosets import (
     CaseTag,
@@ -68,6 +69,7 @@ __all__ = [
     "SupportRule",
     "SupportReport",
     "orbit_supports",
+    "supporting_coset_matrices",
     "minimal_orbit_analysis",
     "VerdictStatus",
     "DistinctionVerdict",

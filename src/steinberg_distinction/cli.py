@@ -76,15 +76,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     case = CaseTag(args.case)
     matrices = enumerate_coset_matrices(partition, case)
+    opens = [is_open(s) for s in matrices]
     payload = {
         "count": len(matrices),
         "matrices": [
-            {**s.to_json(), "open": is_open(s)} for s in matrices
+            {**s.to_json(), "open": o} for s, o in zip(matrices, opens)
         ],
     }
     lines = [f"{len(matrices)} coset matrices for partition {partition.parts} ({case.value})"]
-    for idx, s in enumerate(matrices):
-        tag = " open" if is_open(s) else ""
+    for idx, (s, o) in enumerate(zip(matrices, opens)):
+        tag = " open" if o else ""
         lines.append(f"  [{idx}] {list(list(r) for r in s.entries)}{tag}")
     _emit(payload, lines, args.format)
     return EXIT_OK

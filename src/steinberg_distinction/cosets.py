@@ -30,6 +30,7 @@ __all__ = [
     "ClosureRelation",
     "RootActionReport",
     "InvalidInputError",
+    "validate_m_d",
     "enumerate_coset_matrices",
     "fine_layout",
     "block_involution",
@@ -54,6 +55,16 @@ class CaseTag(Enum):
 
     EVEN = "even"
     ODD = "odd"
+
+
+def validate_m_d(case: CaseTag, m: int, d: int) -> None:
+    """Reject (m, d) outside the case: both positive, d of the case's parity."""
+    if m < 1 or d < 1:
+        raise InvalidInputError("m and d must be positive")
+    if case is CaseTag.EVEN and d % 2:
+        raise InvalidInputError("even case requires even d")
+    if case is CaseTag.ODD and d % 2 == 0:
+        raise InvalidInputError("odd case requires odd d")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ parabolic may support it through the coarsening of the open orbit.  A
 supporting next-to-minimal orbit other than that coarsening is outside
 the reach of the combinatorics and is surfaced as INCONCLUSIVE rather
 than guessed.
+
+Only the supporting next-to-minimal orbits are looked at: they are
+generated directly by ``characters.supporting_coset_matrices``, so the
+cost no longer grows with the number of orbits.  Enumerating every
+orbit with ``cosets.enumerate_coset_matrices`` and filtering it through
+``characters.orbit_supports`` is the brute-force oracle the tests check
+the engine against.
 """
 
 from __future__ import annotations
@@ -15,7 +22,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .characters import ChiToken, SupportReport, minimal_partition, orbit_supports
+from .characters import (
+    ChiToken,
+    SupportReport,
+    minimal_partition,
+    orbit_supports,
+    supporting_coset_matrices,
+)
 from .cosets import (
     CaseTag,
     CosetMatrix,
@@ -23,7 +36,7 @@ from .cosets import (
     Partition,
     anti_diagonal_matrix,
     coarsen,
-    enumerate_coset_matrices,
+    validate_m_d,
 )
 
 __all__ = [
@@ -74,15 +87,6 @@ class DistinctionVerdict:
         }
 
 
-def _validate(case: CaseTag, m: int, d: int) -> None:
-    if m < 1 or d < 1:
-        raise InvalidInputError("m and d must be positive")
-    if case is CaseTag.EVEN and d % 2:
-        raise InvalidInputError("even case requires even d")
-    if case is CaseTag.ODD and d % 2 == 0:
-        raise InvalidInputError("odd case requires odd d")
-
-
 def steinberg_decision(
     case: CaseTag, m: int, d: int, chi: ChiToken, kappa: Fraction = Fraction(1)
 ) -> DistinctionVerdict:
@@ -94,8 +98,15 @@ def steinberg_decision(
     kills distinction (the invariant form restricts non-trivially to the
     corresponding induced space), while any other supporting orbit is
     INCONCLUSIVE; (3) otherwise DISTINGUISHED with multiplicity one.
+
+    Step (2) visits only the orbits ``supporting_coset_matrices``
+    generates, plus the coarsening of the open orbit at its canonical
+    position, and reports each through ``orbit_supports``.  The trace
+    is the one the brute-force oracle gives: every supporting orbit and
+    the coarsening, in canonical order per partition.  A generated
+    orbit that ``orbit_supports`` rejects raises RuntimeError.
     """
-    _validate(case, m, d)
+    validate_m_d(case, m, d)
     n = 2 * m if case is CaseTag.EVEN else m
     minimal = minimal_partition(case, m)
     s0 = anti_diagonal_matrix(minimal, case)
@@ -112,17 +123,18 @@ def steinberg_decision(
     for k in range(1, n):
         coarse_open = coarsen(s0, k)
         partition = coarse_open.partition
-        for s in enumerate_coset_matrices(partition, case):
+        orbits = {coarse_open, *supporting_coset_matrices(partition, case, chi)}
+        for s in sorted(orbits, key=CosetMatrix.flat, reverse=True):
             report = orbit_supports(s, chi, kappa)
-            decisive = s == coarse_open or report.feasible
-            if decisive:
-                trace.append((partition, s, report))
-            if not report.feasible:
-                continue
+            trace.append((partition, s, report))
             if s == coarse_open:
-                killed = True
-            else:
+                killed = killed or report.feasible
+            elif report.feasible:
                 stray_support = True
+            else:
+                raise RuntimeError(
+                    f"generated orbit {s.to_json()} does not support {chi.value}"
+                )
     if killed:
         return DistinctionVerdict(
             case, m, d, chi, VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
@@ -145,7 +157,7 @@ def exponent_parity_formula(m: int, d: int) -> ChiToken:
 
 def cross_check(case: CaseTag, m: int, d: int) -> bool:
     """Engine verdicts agree with the closed-form parity for both tokens."""
-    _validate(case, m, d)
+    validate_m_d(case, m, d)
     expected = exponent_parity_formula(m, d)
     ok = True
     for chi in ChiToken:

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from steinberg_distinction.characters import (
     minimal_orbit_analysis,
     orbit_supports,
     restrict_mu_chi,
+    supporting_coset_matrices,
 )
 from steinberg_distinction.cosets import (
     CaseTag,
@@ -162,3 +165,33 @@ class TestMinimalOrbitAnalysis:
             minimal_orbit_analysis(CaseTag.EVEN, 1, 3, ChiToken.TRIV)
         with pytest.raises(InvalidInputError):
             minimal_orbit_analysis(CaseTag.ODD, 1, 2, ChiToken.TRIV)
+
+
+class TestSupportingCosetMatrices:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_enumerate_then_filter(self, n):
+        for partition in compositions(n):
+            for case in CaseTag:
+                matrices = enumerate_coset_matrices(partition, case)
+                for chi in ChiToken:
+                    expected = [s for s in matrices if orbit_supports(s, chi).feasible]
+                    got = supporting_coset_matrices(partition, case, chi)
+                    assert got == expected, (partition.parts, case, chi)
+
+    def test_centred_diagonal_block(self):
+        partition = Partition((1, 2, 1))
+        middle = mat(CaseTag.ODD, [[0, 0, 1], [0, 2, 0], [1, 0, 0]])
+        assert supporting_coset_matrices(partition, CaseTag.ODD, ChiToken.TRIV) == [middle]
+        assert supporting_coset_matrices(partition, CaseTag.ODD, ChiToken.ETA) == []
+
+    def test_long_partition_without_recursion(self):
+        # 11,325 upper-triangle cells, far beyond one stack frame per cell
+        limit = sys.getrecursionlimit()
+        partition = Partition((1,) * 150)
+        anti = anti_diagonal_matrix(partition, CaseTag.ODD)
+        assert supporting_coset_matrices(partition, CaseTag.ODD, ChiToken.TRIV) == [anti]
+        assert sys.getrecursionlimit() == limit
+
+    def test_rejects_non_partition(self):
+        with pytest.raises(InvalidInputError):
+            supporting_coset_matrices((1, 1), CaseTag.ODD, ChiToken.TRIV)

@@ -1,11 +1,17 @@
+import sys
+
 import pytest
 
-from steinberg_distinction.characters import ChiToken
+from steinberg_distinction import engine
+from steinberg_distinction.characters import ChiToken, orbit_supports
 from steinberg_distinction.cosets import (
     CaseTag,
+    CosetMatrix,
     InvalidInputError,
     Partition,
     anti_diagonal_matrix,
+    coarsen,
+    enumerate_coset_matrices,
 )
 from steinberg_distinction.engine import (
     VerdictStatus,
@@ -103,3 +109,64 @@ class TestCrossCheck:
             for d in range(1, 5):
                 case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
                 assert cross_check(case, m, d)
+
+
+def reference_decision(case, m, chi):
+    """The decision by enumerating every next-to-minimal orbit and
+    filtering it through the support solver: the engine's oracle."""
+    n = 2 * m if case is CaseTag.EVEN else m
+    minimal = Partition((1,) * n)
+    s0 = anti_diagonal_matrix(minimal, case)
+    trace = [(minimal, s0, orbit_supports(s0, chi))]
+    if not trace[0][2].feasible:
+        return VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
+    killed = stray_support = False
+    for k in range(1, n):
+        coarse_open = coarsen(s0, k)
+        for s in enumerate_coset_matrices(coarse_open.partition, case):
+            report = orbit_supports(s, chi)
+            if s == coarse_open or report.feasible:
+                trace.append((coarse_open.partition, s, report))
+            if report.feasible:
+                killed = killed or s == coarse_open
+                stray_support = stray_support or s != coarse_open
+    if killed:
+        return VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
+    if stray_support:
+        return VerdictStatus.INCONCLUSIVE, 0, tuple(trace)
+    return VerdictStatus.DISTINGUISHED, 1, tuple(trace)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "case,m,d",
+        [(CaseTag.EVEN, m, 2) for m in range(1, 6)]
+        + [(CaseTag.ODD, m, 1) for m in range(1, 10)],
+    )
+    @pytest.mark.parametrize("chi", list(ChiToken))
+    def test_same_verdict_and_trace(self, case, m, d, chi):
+        verdict = steinberg_decision(case, m, d, chi)
+        expected = reference_decision(case, m, chi)
+        assert (verdict.status, verdict.multiplicity, verdict.trace) == expected
+
+    def test_generated_orbit_without_support_raises(self, monkeypatch):
+        diagonal = CosetMatrix(
+            CaseTag.ODD, Partition((2, 1, 1)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+        )
+        monkeypatch.setattr(engine, "supporting_coset_matrices", lambda *_: [diagonal])
+        with pytest.raises(RuntimeError):
+            steinberg_decision(CaseTag.ODD, 4, 1, ChiToken.ETA)
+
+
+class TestLargeM:
+    @pytest.mark.parametrize("case,m,d", [(CaseTag.ODD, 40, 1), (CaseTag.EVEN, 20, 2)])
+    def test_matches_parity_formula(self, case, m, d):
+        limit = sys.getrecursionlimit()
+        expected = exponent_parity_formula(m, d)
+        for chi in ChiToken:
+            verdict = steinberg_decision(case, m, d, chi)
+            if chi is expected:
+                assert verdict.status is VerdictStatus.DISTINGUISHED
+            else:
+                assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
+        assert sys.getrecursionlimit() == limit
