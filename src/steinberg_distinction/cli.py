@@ -175,8 +175,13 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir or os.environ.get("DISTINCTION_CACHE_DIR")
     cache = FlagCache(cache_dir) if cache_dir else None
     flags = cache.load(args.n, args.q, partition) if cache else None
+    stats = {
+        "cache": "off" if cache is None else "hit" if flags is not None else "miss",
+        "flags_enumerated": 0,
+    }
     if flags is None:
         flags = enumerate_flags(args.n, args.q, partition, budget=args.budget)
+        stats["flags_enumerated"] = len(flags)
         if cache:
             cache.store(args.n, args.q, partition, flags)
     histogram: dict[tuple, int] = {}
@@ -198,6 +203,9 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
             ok = False
         checked += 1
     rows = sorted(histogram.items())
+    # each reduction computes the profile of its flag once more
+    stats["profiles_computed"] = len(flags) + len(expected) + checked
+    stats["reductions_checked"] = checked
     payload = {
         "n": args.n,
         "q": args.q,
@@ -208,6 +216,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         ],
         "reductions_checked": checked,
         "ok": ok,
+        "stats": stats,
     }
     lines = [f"{len(flags)} flags, {len(rows)} orbits"]
     for key, size in rows:

@@ -112,35 +112,42 @@ class QuadraticExtension:
         return tuple(self.mul(c, x) for x in v)
 
     def rref(self, rows: list[Vec]) -> tuple[Vec, ...]:
-        """Reduced row echelon form; zero rows dropped."""
+        """Reduced row echelon form; zero rows dropped.
+
+        The row operations spell out the products of ``mul`` and the
+        differences of ``sub``, with the same results.
+        """
         mat = [list(r) for r in rows]
         if not mat:
             return ()
+        p, ns, zero = self.p, self.nonsquare, self.zero
         ncols = len(mat[0])
         pivot_row = 0
         for col in range(ncols):
             sel = next(
-                (r for r in range(pivot_row, len(mat)) if mat[r][col] != self.zero),
+                (r for r in range(pivot_row, len(mat)) if mat[r][col] != zero),
                 None,
             )
             if sel is None:
                 continue
             mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-            inv = self.inv(mat[pivot_row][col])
-            mat[pivot_row] = [self.mul(inv, x) for x in mat[pivot_row]]
-            for r in range(len(mat)):
-                if r != pivot_row and mat[r][col] != self.zero:
-                    c = mat[r][col]
+            ia, ib = self.inv(mat[pivot_row][col])
+            prow = mat[pivot_row] = [
+                ((ia * a + ns * ib * b) % p, (ia * b + ib * a) % p)
+                for a, b in mat[pivot_row]
+            ]
+            for r, row in enumerate(mat):
+                if r != pivot_row and row[col] != zero:
+                    ca, cb = row[col]
                     mat[r] = [
-                        self.sub(x, self.mul(c, y))
-                        for x, y in zip(mat[r], mat[pivot_row])
+                        ((xa - ca * ya - ns * cb * yb) % p, (xb - ca * yb - cb * ya) % p)
+                        for (xa, xb), (ya, yb) in zip(row, prow)
                     ]
             pivot_row += 1
             if pivot_row == len(mat):
                 break
-        return tuple(
-            tuple(row) for row in mat[:pivot_row] if any(x != self.zero for x in row)
-        )
+        # every row above pivot_row holds a pivot, every row below is zero
+        return tuple(tuple(row) for row in mat[:pivot_row])
 
     def rank(self, rows: list[Vec]) -> int:
         return len(self.rref(rows))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,7 +24,7 @@ from ..cosets import (
     build_us_odd,
     fine_layout,
 )
-from .finite_field import FieldSpec, QuadraticExtension, Vec
+from .finite_field import Elt, FieldSpec, QuadraticExtension, Vec
 
 __all__ = [
     "Flag",
@@ -105,6 +106,51 @@ def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple
             yield tuple(tuple(row) for row in rows)
 
 
+def _pivot(row: Vec, zero: Elt) -> int:
+    return next(c for c, x in enumerate(row) if x != zero)
+
+
+def _extensions(
+    field: QuadraticExtension,
+    n: int,
+    basis: tuple[Vec, ...],
+    quotients: list[tuple[Vec, ...]],
+) -> list[tuple[Vec, ...]]:
+    """Reduced bases of every subspace containing span(basis), one per
+    subspace of the quotient, in the order of ``_enumerate_rref``.
+
+    ``quotients`` are the reduced bases of the quotient subspaces in the
+    coordinates off the pivots of ``basis``; those coordinates span a
+    complement, so each quotient basis embeds into F^n already reduced
+    against ``basis``, and clearing its pivot columns from the rows of
+    ``basis`` leaves the union reduced.
+    """
+    zero = field.zero
+    old = [(_pivot(row, zero), row) for row in basis]
+    taken = {p for p, _ in old}
+    free = [c for c in range(n) if c not in taken]
+    out = []
+    for sub in quotients:
+        rows = []
+        for row in sub:
+            full = [zero] * n
+            for c, x in zip(free, row):
+                full[c] = x
+            rows.append((free[_pivot(row, zero)], tuple(full)))
+        added = list(rows)
+        for p, vec in old:
+            for c, full in added:
+                a = vec[c]
+                if a != zero:
+                    vec = tuple(field.sub(x, field.mul(a, y)) for x, y in zip(vec, full))
+            rows.append((p, vec))
+        rows.sort()
+        out.append((tuple(p for p, _ in rows), tuple(row for _, row in rows)))
+    # _enumerate_rref orders by pivot columns first, then by entries
+    out.sort()
+    return [rows for _, rows in out]
+
+
 def enumerate_flags(
     n: int,
     q: int,
@@ -113,8 +159,11 @@ def enumerate_flags(
 ) -> list[Flag]:
     """Every flag of the given shape exactly once.
 
-    Refuses with the count estimate when the flag variety exceeds the
-    budget.
+    Each step is built from the previous one through the subspaces of
+    the quotient, so no flag is produced twice and none is filtered
+    out.  The order is that of the chains of ``_enumerate_rref`` bases:
+    by the first subspace, then the second, and so on.  Refuses with
+    the count estimate when the flag variety exceeds the budget.
     """
     if partition.total != n:
         raise InvalidInputError("partition must sum to n")
@@ -124,22 +173,16 @@ def enumerate_flags(
     estimate = count_flags(n, partition, q2)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    prefix = list(itertools.accumulate(partition.parts))
-    by_dim = {
-        dim: list(_enumerate_rref(field, n, dim)) for dim in sorted(set(prefix))
-    }
-
-    def contains(big: tuple[Vec, ...], small: tuple[Vec, ...]) -> bool:
-        return all(field.in_span(v, big) for v in small)
-
     chains: list[tuple[tuple[Vec, ...], ...]] = [()]
-    for dim in prefix:
-        extended = []
-        for chain in chains:
-            for cand in by_dim[dim]:
-                if not chain or contains(cand, chain[-1]):
-                    extended.append(chain + (cand,))
-        chains = extended
+    dim = 0
+    for part in partition.parts:
+        quotients = list(_enumerate_rref(field, n - dim, part))
+        chains = [
+            chain + (ext,)
+            for chain in chains
+            for ext in _extensions(field, n, chain[-1] if chain else (), quotients)
+        ]
+        dim += part
     flags = [Flag(partition, chain) for chain in chains]
     if len(flags) != estimate:
         raise InvalidInputError(
@@ -153,16 +196,23 @@ def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
 
     Entry (i, j) counts the dimension jumps of the intersections with
     the Frobenius image of the flag, by inclusion-exclusion on the
-    corner dimension table.
+    corner dimension table r[i][j] = dim(V_i meet theta V_j).  Each
+    corner comes from one rank, dim V_i + dim V_j - rank(V_i + theta V_j);
+    the last row and column need none, because V_t = theta V_t = F^n.
+    The twist is an involution, so theta carries V_i meet theta V_j onto
+    theta V_i meet V_j and the table is symmetric.
     """
     field = spec.extension()
     t = len(flag.partition)
-    bases = ((),) + flag.bases
-    theta = [tuple(field.vec_frob(v) for v in b) for b in bases]
+    dims = [0, *itertools.accumulate(flag.partition.parts)]
+    theta = [[field.vec_frob(v) for v in b] for b in flag.bases[:-1]]
     r = [[0] * (t + 1) for _ in range(t + 1)]
     for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            r[i][j] = len(field.intersect(bases[i], theta[j]))
+        r[i][t] = r[t][i] = dims[i]
+    for i in range(1, t):
+        for j in range(i, t):
+            rank = field.rank(list(flag.bases[i - 1]) + theta[j - 1])
+            r[i][j] = r[j][i] = dims[i] + dims[j] - rank
     entries = tuple(
         tuple(
             r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
@@ -264,8 +314,47 @@ def reduce_to_representative(flag: Flag, spec: FieldSpec) -> list[Vec]:
     return h
 
 
+def _decode(data: object, n: int, q: int, partition: Partition) -> list[Flag] | None:
+    """The flags of a cache payload, or None unless it has this version
+    and holds as many flags as the variety has, each of the right shape
+    with entries in F_{q^2}."""
+    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
+        return None
+    chains = data.get("flags")
+    if not isinstance(chains, list) or len(chains) != count_flags(n, partition, q * q):
+        return None
+    valid = set(FieldSpec(q).extension().elements())
+    try:
+        flags = [
+            Flag(
+                partition,
+                tuple(
+                    tuple(tuple(map(tuple, row)) for row in basis) for basis in chain
+                ),
+            )
+            for chain in chains
+        ]
+        if all(
+            len(row) == n and valid.issuperset(row)
+            for flag in flags
+            for basis in flag.bases
+            for row in basis
+        ):
+            return flags
+    except (TypeError, InvalidInputError):
+        # a non-iterable or unhashable entry, or bases of the wrong sizes
+        pass
+    return None
+
+
 class FlagCache:
-    """On-disk cache of flag enumerations keyed by (n, q, partition)."""
+    """On-disk cache of flag enumerations keyed by (n, q, partition).
+
+    A file that is missing, unreadable, not JSON, of another version or
+    of the wrong shape is a miss, so the caller recomputes and rewrites
+    it.  Writes go to a temporary file in the same directory that then
+    replaces the entry, so a reader never sees a partial file.
+    """
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -278,31 +367,26 @@ class FlagCache:
         return os.path.join(self.directory, key + ".json")
 
     def load(self, n: int, q: int, partition: Partition) -> list[Flag] | None:
-        path = self._path(n, q, partition)
-        if not os.path.exists(path):
+        try:
+            with open(self._path(n, q, partition)) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):
+            # a missing or unreadable file, or text that is not JSON
             return None
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("version") != CACHE_VERSION:
-            return None
-        return [
-            Flag(
-                partition,
-                tuple(
-                    tuple(tuple(tuple(x) for x in row) for row in basis)
-                    for basis in chain
-                ),
-            )
-            for chain in data["flags"]
-        ]
+        return _decode(data, n, q, partition)
 
     def store(self, n: int, q: int, partition: Partition, flags: list[Flag]) -> None:
-        payload = {
-            "version": CACHE_VERSION,
-            "flags": [
-                [[[list(x) for x in row] for row in basis] for basis in flag.bases]
-                for flag in flags
-            ],
-        }
-        with open(self._path(n, q, partition), "w") as fh:
-            json.dump(payload, fh)
+        # The text of json.dumps({"version": ..., "flags": [...]}), one
+        # json.dumps per flag: json.dump would stream through the
+        # pure-Python encoder, and one json.dumps call over the whole
+        # list holds every small piece of the C encoder at once.
+        flags_text = ", ".join(json.dumps(flag.bases) for flag in flags)
+        text = f'{{"version": {CACHE_VERSION}, "flags": [{flags_text}]}}'
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".flags-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, self._path(n, q, partition))
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

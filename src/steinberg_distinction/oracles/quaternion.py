@@ -12,6 +12,7 @@ with exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,17 +25,12 @@ EMat = tuple[tuple[EElt, EElt], tuple[EElt, EElt]]
 
 
 def _is_rational_square(x: Fraction) -> bool:
+    """Exact: a reduced fraction is a square when its numerator and
+    denominator are."""
     if x < 0:
         return False
-    if x == 0:
-        return True
     n, d = x.numerator, x.denominator
-    rn, rd = int(n**0.5), int(d**0.5)
-    for cand_n in (rn - 1, rn, rn + 1):
-        for cand_d in (rd - 1, rd, rd + 1):
-            if cand_n >= 0 and cand_d > 0 and cand_n * cand_n == n and cand_d * cand_d == d:
-                return True
-    return False
+    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,41 @@ class TestOracles:
         assert code == 0
         assert list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda raw: raw[: len(raw) // 2], lambda raw: b"\x00\xff\xfe garbage"],
+        ids=["truncated", "garbage"],
+    )
+    def test_flags_damaged_cache_recomputed(self, capsys, tmp_path, damage):
+        argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "2,1"]
+        code, clean, _ = run(capsys, *argv)
+        assert code == 0
+        run(capsys, *argv, "--cache-dir", str(tmp_path))
+        (path,) = tmp_path.iterdir()
+        path.write_bytes(damage(path.read_bytes()))
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out, err) == (0, clean, "")
+        # the entry was rewritten whole and now hits
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        json.loads(path.read_bytes())
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
+        assert json.loads(out)["stats"]["cache"] == "hit"
+
+    def test_flags_stats(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("DISTINCTION_CACHE_DIR", raising=False)
+        argv = ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--format", "json"]
+        stats = []
+        for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            stats.append(json.loads(out)["stats"])
+        # 10 flags, 2 representatives, 10 sampled reductions
+        assert stats == [
+            {"cache": "off", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
+            {"cache": "miss", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
+            {"cache": "hit", "flags_enumerated": 0, "profiles_computed": 22, "reductions_checked": 10},
+        ]
+
     def test_flags_budget(self, capsys):
         code, _, err = run(
             capsys, "oracle-flags", "--n", "4", "--q", "3", "--partition", "1,1,1,1"

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import json
 import random
 
 import pytest
@@ -11,7 +14,9 @@ from steinberg_distinction.cosets import (
 from steinberg_distinction.oracles.finite_field import FieldSpec, QuadraticExtension
 from steinberg_distinction.oracles.flags import (
     BudgetExceededError,
+    Flag,
     FlagCache,
+    _enumerate_rref,
     count_flags,
     enumerate_flags,
     flag_profile,
@@ -24,6 +29,116 @@ from conftest import compositions
 
 SPEC = FieldSpec(3)
 FIELD = SPEC.extension()
+
+# Every composition of n <= 3 at q = 3 and q = 5, plus the q = 7 points of
+# the benchmark.
+GRID = [
+    (partition.total, q, partition)
+    for q in (3, 5)
+    for n in range(1, 4)
+    for partition in compositions(n)
+] + [(sum(parts), 7, Partition(parts)) for parts in [(2, 1), (1, 2), (1, 1)]]
+
+
+def grid_id(point):
+    _, q, partition = point
+    return f"q{q}-" + "-".join(map(str, partition.parts))
+
+
+def reference_rref(field, rows):
+    """Row reduction through the element operations of the field."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return ()
+    pivot_row = 0
+    for col in range(len(mat[0])):
+        sel = next(
+            (r for r in range(pivot_row, len(mat)) if mat[r][col] != field.zero),
+            None,
+        )
+        if sel is None:
+            continue
+        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
+        inv = field.inv(mat[pivot_row][col])
+        mat[pivot_row] = [field.mul(inv, x) for x in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col] != field.zero:
+                c = mat[r][col]
+                mat[r] = [
+                    field.sub(x, field.mul(c, y)) for x, y in zip(mat[r], mat[pivot_row])
+                ]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return tuple(
+        tuple(row) for row in mat[:pivot_row] if any(x != field.zero for x in row)
+    )
+
+
+def reference_enumerate_flags(n, q, partition):
+    """Chains of row-reduced subspaces kept when each contains the last
+    step, tested by rank for every (chain, candidate) pair."""
+    field = FieldSpec(q).extension()
+    prefix = list(itertools.accumulate(partition.parts))
+    by_dim = {dim: list(_enumerate_rref(field, n, dim)) for dim in sorted(set(prefix))}
+
+    def contains(big, small):
+        return all(field.in_span(v, big) for v in small)
+
+    chains = [()]
+    for dim in prefix:
+        chains = [
+            chain + (cand,)
+            for chain in chains
+            for cand in by_dim[dim]
+            if not chain or contains(cand, chain[-1])
+        ]
+    return [Flag(partition, chain) for chain in chains]
+
+
+def reference_flag_profile(flag, spec):
+    """The profile from a basis of every intersection V_i meet theta V_j."""
+    field = spec.extension()
+    t = len(flag.partition)
+    bases = ((),) + flag.bases
+    theta = [tuple(field.vec_frob(v) for v in b) for b in bases]
+    r = [[0] * (t + 1) for _ in range(t + 1)]
+    for i in range(1, t + 1):
+        for j in range(1, t + 1):
+            r[i][j] = len(field.intersect(bases[i], theta[j]))
+    return tuple(
+        tuple(
+            r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
+            for j in range(1, t + 1)
+        )
+        for i in range(1, t + 1)
+    )
+
+
+def edit_cache(change):
+    """A cache-file mangler that applies ``change`` to the parsed payload."""
+
+    def mangle(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+
+    return mangle
+
+
+@functools.cache
+def grid_flags(n, q, partition):
+    return enumerate_flags(n, q, partition, budget=count_flags(n, partition, q * q))
+
+
+@functools.cache
+def grid_histogram(n, q, partition):
+    spec = FieldSpec(q)
+    hist: dict[tuple, int] = {}
+    for flag in grid_flags(n, q, partition):
+        key = flag_profile(flag, spec).flat()
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
@@ -78,6 +193,44 @@ class TestFieldArithmetic:
             FieldSpec(9)
 
 
+class TestAgainstReference:
+    def test_rref_matches_reference(self):
+        rng = random.Random(20261018)
+        for q in (3, 5, 7):
+            field = FieldSpec(q).extension()
+            elements = field.elements()
+            for _ in range(300):
+                rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+                # pools of zero alone or zero and l give rank-deficient matrices
+                pool = elements[: rng.choice((1, 2, len(elements)))]
+                mat = [tuple(rng.choice(pool) for _ in range(cols)) for _ in range(rows)]
+                assert field.rref(mat) == reference_rref(field, mat)
+
+    @pytest.mark.parametrize("point", GRID, ids=grid_id)
+    def test_enumeration_matches_reference(self, point):
+        flags = grid_flags(*point)
+        assert [f.bases for f in flags] == [f.bases for f in reference_enumerate_flags(*point)]
+
+    @pytest.mark.parametrize("point", GRID, ids=grid_id)
+    def test_profiles_match_reference(self, point):
+        spec = FieldSpec(point[1])
+        for flag in grid_flags(*point):
+            assert flag_profile(flag, spec).entries == reference_flag_profile(flag, spec)
+
+    @pytest.mark.parametrize("point", GRID, ids=grid_id)
+    def test_orbit_sizes_sum_to_count(self, point):
+        n, q, partition = point
+        assert sum(grid_histogram(*point).values()) == count_flags(n, partition, q * q)
+
+    @pytest.mark.parametrize(
+        "point", [p for p in GRID if p[2].parts == p[2].parts[::-1]], ids=grid_id
+    )
+    def test_open_orbit_strictly_largest(self, point):
+        hist = dict(grid_histogram(*point))
+        top = hist.pop(anti_diagonal_matrix(point[2], CaseTag.ODD).flat())
+        assert all(top > size for size in hist.values())
+
+
 class TestEnumeration:
     def test_counts(self):
         assert gaussian_binomial(2, 1, 9) == 10
@@ -101,6 +254,77 @@ class TestEnumeration:
         partition = Partition((1, 1))
         flags = enumerate_flags(2, 3, partition)
         cache.store(2, 3, partition, flags)
+        assert cache.load(2, 3, partition) == flags
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "\x00\xff garbage",
+            lambda text: "",
+            lambda text: json.dumps([1, 2]),
+            edit_cache(lambda data: data.update(version=0)),
+            edit_cache(lambda data: data.update(flags="x" * 10)),
+            edit_cache(lambda data: data["flags"].pop()),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, [3, 0])),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, ["0", 0])),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, 0)),
+            edit_cache(lambda data: data["flags"][0][0][0].append([0, 0])),
+            edit_cache(lambda data: data["flags"][0][0].append([[0, 0], [1, 0]])),
+            edit_cache(lambda data: data["flags"][0].pop()),
+        ],
+        ids=[
+            "truncated", "garbage", "empty", "not-object", "version",
+            "flags-not-list", "short-list", "out-of-range", "string-entry",
+            "scalar-entry", "long-row", "extra-row", "short-chain",
+        ],
+    )
+    def test_cache_damage_is_a_miss(self, tmp_path, mangle):
+        cache = FlagCache(str(tmp_path))
+        partition = Partition((1, 1))
+        cache.store(2, 3, partition, enumerate_flags(2, 3, partition))
+        path = cache._path(2, 3, partition)
+        with open(path) as fh:
+            text = fh.read()
+        damaged = mangle(text)
+        assert damaged != text
+        with open(path, "w", encoding="latin-1") as fh:
+            fh.write(damaged)
+        assert cache.load(2, 3, partition) is None
+
+    def test_cache_file_is_json_dumps_of_payload(self, tmp_path):
+        cache = FlagCache(str(tmp_path))
+        partition = Partition((1, 2))
+        flags = enumerate_flags(3, 3, partition)
+        cache.store(3, 3, partition, flags)
+        payload = {
+            "version": 1,
+            "flags": [
+                [[[list(x) for x in row] for row in basis] for basis in flag.bases]
+                for flag in flags
+            ],
+        }
+        with open(cache._path(3, 3, partition)) as fh:
+            assert fh.read() == json.dumps(payload)
+
+    def test_cache_missing_is_a_miss(self, tmp_path):
+        assert FlagCache(str(tmp_path)).load(2, 3, Partition((1, 1))) is None
+
+    def test_cache_store_replaces_atomically(self, tmp_path, monkeypatch):
+        cache = FlagCache(str(tmp_path))
+        partition = Partition((1, 1))
+        flags = enumerate_flags(2, 3, partition)
+        cache.store(2, 3, partition, flags)
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v1_n2_q3_1-1.json"]
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("steinberg_distinction.oracles.flags.os.replace", fail)
+        with pytest.raises(OSError):
+            cache.store(2, 3, partition, flags[:1])
+        # the old entry is intact and no temporary file is left behind
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v1_n2_q3_1-1.json"]
         assert cache.load(2, 3, partition) == flags
 
 

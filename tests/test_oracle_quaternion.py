@@ -7,8 +7,12 @@ from steinberg_distinction.cosets import InvalidInputError
 from steinberg_distinction.oracles.quaternion import (
     QuaternionAlgebra,
     QuaternionElem,
+    _is_rational_square,
     quaternion_model_check,
 )
+
+# beyond the 53-bit mantissa, where a float square root misses
+BIG = 3**40 + 7
 
 
 class TestArithmetic:
@@ -61,6 +65,28 @@ class TestModelCheck:
             assert not report.ok
             assert report.error is not None
 
+    def test_huge_square_alpha_rejected(self):
+        report = quaternion_model_check(Fraction(BIG**2), 1)
+        assert not report.ok
+        assert report.error is not None
+
     def test_fractional_parameters(self):
         report = quaternion_model_check(Fraction(-1, 2), Fraction(5, 3))
         assert report.ok
+
+
+class TestRationalSquare:
+    @pytest.mark.parametrize(
+        "x,square",
+        [
+            (Fraction(BIG**2), True),
+            (Fraction(BIG**2 + 1), False),
+            (Fraction(4, BIG**2), True),
+            (Fraction(2, BIG**2), False),
+            (Fraction(9, 4), True),
+            (Fraction(0), True),
+            (Fraction(-4), False),
+        ],
+    )
+    def test_exact(self, x, square):
+        assert _is_rational_square(x) is square
