@@ -20,7 +20,7 @@ from .cosets import (
     InvalidInputError,
     Partition,
     enumerate_coset_matrices,
-    is_open,
+    open_mask,
 )
 from .engine import (
     VerdictStatus,
@@ -69,6 +69,8 @@ def _parse_matrix(text: str) -> list[list[int]]:
         raise InvalidInputError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InvalidInputError("matrix must be a JSON list of lists")
+    if not all(type(e) is int for r in data for e in r):
+        raise InvalidInputError("matrix entries must be integers")
     return data
 
 
@@ -76,7 +78,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     case = CaseTag(args.case)
     matrices = enumerate_coset_matrices(partition, case)
-    opens = [is_open(s) for s in matrices]
+    opens = open_mask(matrices)
     payload = {
         "count": len(matrices),
         "matrices": [
@@ -95,7 +97,7 @@ def cmd_support(args: argparse.Namespace) -> int:
     entries = _parse_matrix(args.matrix)
     parts = Partition(tuple(sum(row) for row in entries))
     s = CosetMatrix(CaseTag(args.case), parts, tuple(tuple(r) for r in entries))
-    report = orbit_supports(s, ChiToken(args.chi), Fraction(args.kappa))
+    report = orbit_supports(s, ChiToken(args.chi), args.kappa)
     lines = [f"feasible: {report.feasible}"]
     for block, rule in report.violations:
         lines.append(f"  block {block}: {rule.value}")
@@ -105,7 +107,7 @@ def cmd_support(args: argparse.Namespace) -> int:
 
 def cmd_steinberg(args: argparse.Namespace) -> int:
     verdict = steinberg_decision(
-        CaseTag(args.case), args.m, args.d, ChiToken(args.chi), Fraction(args.kappa)
+        CaseTag(args.case), args.m, args.d, ChiToken(args.chi), args.kappa
     )
     lines = [
         f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
@@ -143,13 +145,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lfactor(args: argparse.Namespace) -> int:
-    shift = Fraction(args.shift)
     if args.kind == "tate":
         rf = tate_L(
-            TateChar(args.char), RamificationTag(args.ram), shift, args.s_coeff
+            TateChar(args.char), RamificationTag(args.ram), args.shift, args.s_coeff
         )
     elif args.kind == "gj":
-        rf = gj_L_trivial(args.k, args.d, shift, args.s_coeff)
+        rf = gj_L_trivial(args.k, args.d, args.shift, args.s_coeff)
     else:
         rf = i2_ratio(args.d, RamificationTag(args.ram))
     payload: dict = {"factor": rf.to_json(), "rendered": rf.render()}
@@ -228,7 +229,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_quaternion(args: argparse.Namespace) -> int:
-    report = quaternion_model_check(Fraction(args.alpha), Fraction(args.beta))
+    report = quaternion_model_check(args.alpha, args.beta)
     if report.error:
         raise InvalidInputError(report.error)
     lines = [
@@ -242,6 +243,14 @@ def cmd_oracle_quaternion(args: argparse.Namespace) -> int:
     ]
     _emit(report.to_json(), lines, args.format)
     return EXIT_OK if report.ok else EXIT_FAIL
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational argument such as -1/2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=["even", "odd"], required=True)
     p.add_argument("--matrix", required=True, help='JSON entries, e.g. "[[0,2],[2,0]]"')
     p.add_argument("--chi", choices=["triv", "eta"], required=True)
-    p.add_argument("--kappa", default="1", help="positive rational convention weight")
+    p.add_argument("--kappa", type=_rational, default="1", help="positive rational convention weight")
     common(p)
     p.set_defaults(func=cmd_support)
 
@@ -273,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--chi", choices=["triv", "eta"], required=True)
-    p.add_argument("--kappa", default="1")
+    p.add_argument("--kappa", type=_rational, default="1")
     common(p)
     p.set_defaults(func=cmd_steinberg)
 
@@ -287,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["tate", "gj", "i2"], required=True)
     p.add_argument("--char", choices=["triv", "eta"], default="triv")
     p.add_argument("--ram", choices=["unramified", "ramified"], default="unramified")
-    p.add_argument("--shift", default="0", help="rational shift, e.g. -1/2")
+    p.add_argument("--shift", type=_rational, default="0", help="rational shift, e.g. -1/2")
     p.add_argument("--s-coeff", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--d", type=int, default=1)
@@ -310,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_flags)
 
     p = sub.add_parser("oracle-quaternion", help="rational quaternion model check")
-    p.add_argument("--alpha", required=True, help="rational, not a square, e.g. -1 or 2")
-    p.add_argument("--beta", required=True, help="nonzero rational")
+    p.add_argument("--alpha", type=_rational, required=True, help="rational, not a square, e.g. -1 or 2")
+    p.add_argument("--beta", type=_rational, required=True, help="nonzero rational")
     common(p)
     p.set_defaults(func=cmd_oracle_quaternion)
 
@@ -323,10 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidInputError, LFactorError, ValueError) as exc:
+    except (BudgetExceededError, InvalidInputError, LFactorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-import sympy
+from .lfactor import RationalFunc
 
 __all__ = [
     "CaseTag",
@@ -41,6 +41,7 @@ __all__ = [
     "embed_I_in_J",
     "closure_compare",
     "is_open",
+    "open_mask",
     "anti_diagonal_matrix",
     "root_action",
 ]
@@ -236,10 +237,6 @@ class SymbolicRepMatrix:
     """n x n matrix over the symbol set {0, 1, l, -l} (odd case)."""
 
     entries: tuple[tuple[str, ...], ...]
-
-    def to_sympy(self, lam: sympy.Expr) -> sympy.Matrix:
-        table = {SYM_ZERO: 0, SYM_ONE: 1, SYM_LAM: lam, SYM_NEG_LAM: -lam}
-        return sympy.Matrix([[table[e] for e in row] for row in self.entries])
 
     def substitute(self, zero, one, lam, neg, mul=None):
         """Instantiate over an arbitrary coefficient domain.
@@ -467,27 +464,55 @@ def build_us_odd(s: CosetMatrix) -> SymbolicRepMatrix:
     return SymbolicRepMatrix(tuple(tuple(row) for row in entries))
 
 
+def _inverse(a: list[list[RationalFunc]], zero: RationalFunc, one: RationalFunc) -> list[list[RationalFunc]]:
+    """Gauss-Jordan inverse of a square matrix over Q(l); zero entries are skipped."""
+    n = len(a)
+    rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            raise InvalidInputError("representative matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        if p != one:
+            rows[col] = [x if x.is_zero() else x / p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and not f.is_zero():
+                rows[r] = [x if y.is_zero() else x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def extract_permutation_odd(s: CosetMatrix) -> Permutation:
     """Involution read off from u_s applied to the twist of its inverse.
 
-    Computed symbolically: u times (twist of u) inverse, where the twist
-    negates l, is a permutation matrix; its permutation is returned.
+    Computed exactly over Q(l), with l the v of ``RationalFunc``: u times
+    (twist of u) inverse, where the twist negates l, is a permutation
+    matrix; its permutation is returned.
     """
     u = build_us_odd(s)
-    lam = sympy.Symbol("l")
-    m = u.to_sympy(lam)
-    m_theta = u.to_sympy(-lam)
-    w = sympy.simplify(m * m_theta.inv())
+    zero, one = RationalFunc.from_expr({}, {(0, 0): 1}), RationalFunc.one()
+    lam = RationalFunc.from_expr({(1, 0): 1}, {(0, 0): 1})
+    neg = RationalFunc.from_expr({(1, 0): -1}, {(0, 0): 1})
+    m = u.substitute(zero, one, lam, neg)
+    inv = _inverse(u.substitute(zero, one, neg, lam), zero, one)
     n = s.n
     images = [0] * n
     for col in range(n):
-        hits = [row for row in range(n) if sympy.simplify(w[row, col]) != 0]
-        if len(hits) != 1 or sympy.simplify(w[hits[0], col] - 1) != 0:
+        hits = []
+        for row in range(n):
+            w = zero
+            for k in range(n):
+                if not m[row][k].is_zero() and not inv[k][col].is_zero():
+                    w = w + m[row][k] * inv[k][col]
+            if not w.is_zero():
+                hits.append((row, w))
+        if len(hits) != 1 or hits[0][1] != one:
             raise InvalidInputError(
                 f"representative product is not a permutation matrix for {s.to_json()}"
             )
         # column col holds the image of basis vector col
-        images[col] = hits[0] + 1
+        images[col] = hits[0][0] + 1
     return Permutation(tuple(images))
 
 
@@ -570,6 +595,27 @@ def is_open(s: CosetMatrix) -> bool:
         if closure_compare(s, other) is ClosureRelation.LESS:
             return False
     return True
+
+
+def open_mask(matrices: list[CosetMatrix]) -> list[bool]:
+    """``is_open`` of each of the coset matrices of one partition and case.
+
+    ``matrices`` must be all of them, as ``enumerate_coset_matrices``
+    returns them.  A matrix lies strictly below another iff its rank
+    table dominates the other's entrywise and differs, which strictly
+    raises the sum of the table.  Visiting by ascending rank sum, every
+    maximal matrix above a matrix comes before it, so a matrix is open
+    iff no open matrix visited earlier lies above it.
+    """
+    ranks = [tuple(x for row in _rank_matrix(s) for x in row) for s in matrices]
+    opens = [False] * len(matrices)
+    tops: list[tuple[int, ...]] = []
+    for i in sorted(range(len(matrices)), key=lambda i: sum(ranks[i])):
+        r = ranks[i]
+        if not any(all(a <= b for a, b in zip(top, r)) for top in tops):
+            opens[i] = True
+            tops.append(r)
+    return opens
 
 
 def anti_diagonal_matrix(partition: Partition, case: CaseTag) -> CosetMatrix:

@@ -9,6 +9,7 @@ Subspaces are tuples of row-reduced rows; every operation is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..cosets import InvalidInputError
 
@@ -47,6 +48,11 @@ class FieldSpec:
         return self.p**self.k
 
     def extension(self) -> "QuadraticExtension":
+        """F_{q^2} over this field, built once per spec."""
+        return self._extension
+
+    @cached_property
+    def _extension(self) -> "QuadraticExtension":
         return QuadraticExtension(self)
 
 

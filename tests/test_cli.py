@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from steinberg_distinction import cli
 from steinberg_distinction.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -162,3 +169,77 @@ class TestOracles:
         code, _, err = run(capsys, "oracle-quaternion", "--alpha", "4", "--beta", "1")
         assert code == 2
         assert "square" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfactor", "--kind", "gj", "--shift", "1/0"],
+            ["lfactor", "--kind", "gj", "--shift", "abc"],
+            ["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta", "--kappa", "1/0"],
+            ["support", "--case", "odd", "--matrix", "[[0,1],[1,0]]", "--chi", "eta", "--kappa", "x"],
+            ["oracle-quaternion", "--alpha", "1/0", "--beta", "3"],
+            ["oracle-quaternion", "--alpha", "-1", "--beta", "abc"],
+        ],
+    )
+    def test_bad_rational_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid rational" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix", ['[["a"]]', "[[0.5, 0.5]]", "[[true]]"])
+    def test_non_integer_matrix_exits_2(self, capsys, matrix):
+        code, _, err = run(capsys, "support", "--case", "odd", "--matrix", matrix, "--chi", "eta")
+        assert code == 2
+        assert "integers" in err
+
+    def test_rational_arguments_parsed(self, capsys):
+        code, out, _ = run(capsys, "lfactor", "--kind", "gj", "--shift=-1/2")
+        assert code == 0
+        assert out.strip() == "(1)/(1 - v t)"
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "steinberg_decision", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta"])
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestWithoutSympy:
+    def test_cli_import_loads_no_sympy(self):
+        proc = run_python(
+            "import sys, steinberg_distinction.cli; print('sympy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_commands_run_with_sympy_blocked(self):
+        # a None entry makes every import of sympy fail
+        proc = run_python(
+            "import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from steinberg_distinction.cli import main\n"
+            "codes = [\n"
+            "    main(['lfactor', '--kind', 'i2', '--d', '1', '--eval-q', '2', '9']),\n"
+            "    main(['enumerate', '--case', 'odd', '--partition', '1,2,1']),\n"
+            "    main(['steinberg', '--case', 'even', '--m', '2', '--d', '2', '--chi', 'triv']),\n"
+            "]\n"
+            "print('codes', codes)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0]"
+        assert "q=2: nonzero (-2)" in proc.stdout

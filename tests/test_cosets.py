@@ -1,6 +1,7 @@
 import warnings
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from steinberg_distinction.cosets import (
     extract_permutation_odd,
     fine_layout,
     is_open,
+    open_mask,
     root_action,
 )
 
@@ -30,6 +32,25 @@ from conftest import compositions
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
     lambda parts: Partition(tuple(parts))
 )
+
+
+def reference_extract_permutation_odd(s):
+    """The sympy-backed extraction: u times the inverse of its twist,
+    simplified entry by entry and read as a permutation matrix."""
+    u = build_us_odd(s)
+    lam = sympy.Symbol("l")
+
+    def to_sympy(x):
+        table = {"0": 0, "1": 1, "l": x, "-l": -x}
+        return sympy.Matrix([[table[e] for e in row] for row in u.entries])
+
+    w = sympy.simplify(to_sympy(lam) * to_sympy(-lam).inv())
+    images = [0] * s.n
+    for col in range(s.n):
+        hits = [row for row in range(s.n) if sympy.simplify(w[row, col]) != 0]
+        assert len(hits) == 1 and sympy.simplify(w[hits[0], col] - 1) == 0
+        images[col] = hits[0] + 1
+    return Permutation(tuple(images))
 
 
 def mat(case, entries):
@@ -152,6 +173,12 @@ class TestRepresentatives:
                     assert extracted == block_involution(s).position_map
                     assert extracted.is_involution()
 
+    def test_odd_extraction_matches_sympy_reference(self):
+        for n in range(1, 7):
+            for partition in compositions(n):
+                for s in enumerate_coset_matrices(partition, CaseTag.ODD):
+                    assert extract_permutation_odd(s) == reference_extract_permutation_odd(s)
+
     def test_case_mismatch(self):
         s = mat(CaseTag.ODD, [[0, 1], [1, 0]])
         with pytest.raises(InvalidInputError):
@@ -235,6 +262,13 @@ class TestClosure:
                     assert ba is flip[ab]
                     if ab is ClosureRelation.EQUAL:
                         assert a == b
+
+    @pytest.mark.parametrize("case", list(CaseTag))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_open_mask_matches_is_open(self, n, case):
+        for partition in compositions(n):
+            matrices = enumerate_coset_matrices(partition, case)
+            assert open_mask(matrices) == [is_open(s) for s in matrices]
 
     def test_partition_mismatch(self):
         a = mat(CaseTag.ODD, [[1, 0], [0, 1]])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from steinberg_distinction.lfactor import (
     LFactorError,
     Monomial,
+    QuadraticValue,
     RamificationTag,
     RationalFunc,
     SampleStatus,
@@ -18,6 +20,121 @@ from steinberg_distinction.lfactor import (
     tate_L,
     tate_L_quadratic_ext,
 )
+
+# -- sympy-backed reference --------------------------------------------------
+# The rational-function arithmetic as it was built on sympy expression
+# trees, kept as the oracle for the integer-polynomial implementation.
+
+V, T = sympy.symbols("v t", positive=True)
+
+
+def _ref_terms_to_expr(terms):
+    return sympy.Add(
+        *(sympy.Integer(m.coeff) * V**m.v_exp * T**m.t_exp for m in terms)
+    ) if terms else sympy.Integer(0)
+
+
+def _ref_poly_to_terms(expr):
+    poly = sympy.Poly(sympy.expand(expr), V, T)
+    terms = [Monomial(int(c), int(ev), int(et)) for (ev, et), c in poly.terms()]
+    terms.sort(key=lambda mo: (mo.t_exp, mo.v_exp))
+    return tuple(terms)
+
+
+class RefRationalFunc:
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    @classmethod
+    def from_expr(cls, expr):
+        expr = sympy.cancel(sympy.together(expr))
+        num, den = sympy.fraction(expr)
+        if den == 0 or sympy.expand(den) == 0:
+            raise LFactorError("denominator vanishes")
+        num = sympy.expand(num)
+        den = sympy.expand(den)
+        coeffs = [sympy.Rational(c) for c in sympy.Poly(num, V, T).coeffs()]
+        coeffs += [sympy.Rational(c) for c in sympy.Poly(den, V, T).coeffs()]
+        scale = math.lcm(*(int(c.q) for c in coeffs)) if coeffs else 1
+        content = math.gcd(*(abs(int(c * scale)) for c in coeffs)) if coeffs else 1
+        factor = sympy.Rational(scale, max(content, 1))
+        num, den = sympy.expand(num * factor), sympy.expand(den * factor)
+        nterms = _ref_poly_to_terms(num)
+        dterms = _ref_poly_to_terms(den)
+        if not dterms:
+            raise LFactorError("denominator vanishes")
+        if dterms[0].coeff < 0:
+            nterms = tuple(Monomial(-m.coeff, m.v_exp, m.t_exp) for m in nterms)
+            dterms = tuple(Monomial(-m.coeff, m.v_exp, m.t_exp) for m in dterms)
+        return cls(nterms, dterms)
+
+    @classmethod
+    def from_fraction(cls, num, den):
+        return cls.from_expr(_ref_terms_to_expr(num) / _ref_terms_to_expr(den))
+
+    def to_expr(self):
+        return _ref_terms_to_expr(self.num) / _ref_terms_to_expr(self.den)
+
+    def __add__(self, other):
+        return RefRationalFunc.from_expr(self.to_expr() + other.to_expr())
+
+    def __sub__(self, other):
+        return RefRationalFunc.from_expr(self.to_expr() - other.to_expr())
+
+    def __mul__(self, other):
+        return RefRationalFunc.from_expr(self.to_expr() * other.to_expr())
+
+    def __truediv__(self, other):
+        if not other.num:
+            raise LFactorError("division by zero")
+        return RefRationalFunc.from_expr(self.to_expr() / other.to_expr())
+
+    def subs_t1(self):
+        den = sympy.expand(_ref_terms_to_expr(self.den).subs(T, 1))
+        if den == 0:
+            raise LFactorError("pole at t = 1")
+        return RefRationalFunc.from_expr(_ref_terms_to_expr(self.num).subs(T, 1) / den)
+
+    def eval_exact(self, q, t_value=1):
+        subs = {V: sympy.sqrt(sympy.Integer(q)), T: t_value}
+        den = sympy.simplify(_ref_terms_to_expr(self.den).subs(subs))
+        if den == 0:
+            return None
+        num = sympy.simplify(_ref_terms_to_expr(self.num).subs(subs))
+        return sympy.simplify(num / den)
+
+    def render(self):
+        num = _ref_render_poly(self.num)
+        if self.den == (Monomial(1, 0, 0),):
+            return num
+        return f"({num})/({_ref_render_poly(self.den)})"
+
+    def to_json(self):
+        return {
+            "num": [[m.coeff, m.v_exp, m.t_exp] for m in self.num],
+            "den": [[m.coeff, m.v_exp, m.t_exp] for m in self.den],
+        }
+
+
+def _ref_render_poly(terms):
+    if not terms:
+        return "0"
+    pieces = []
+    for idx, m in enumerate(terms):
+        factors = []
+        if m.v_exp:
+            factors.append("v" if m.v_exp == 1 else f"v^{m.v_exp}")
+        if m.t_exp:
+            factors.append("t" if m.t_exp == 1 else f"t^{m.t_exp}")
+        mag = abs(m.coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = " ".join(factors)
+        if idx == 0:
+            pieces.append(body if m.coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if m.coeff > 0 else f"- {body}")
+    return " ".join(pieces)
 
 monomials = st.builds(
     Monomial,
@@ -36,11 +153,11 @@ rationals = st.lists(monomials, min_size=1, max_size=3).map(rf)
 
 class TestRationalFunc:
     def test_normal_form_idempotent(self):
-        a = RationalFunc.from_expr(
-            (1 + sympy.Symbol("t")) / (2 + 2 * sympy.Symbol("t"))
+        a = RationalFunc.from_fraction(
+            (Monomial(1, 0, 0), Monomial(1, 0, 1)), (Monomial(2, 0, 0), Monomial(2, 0, 1))
         )
         # cancels to 1/2
-        assert a == RationalFunc.one() / RationalFunc.from_expr(sympy.Integer(2))
+        assert a == RationalFunc.one() / RationalFunc.from_expr({(0, 0): 2}, {(0, 0): 1})
 
     @given(rationals, rationals, rationals)
     @settings(max_examples=40, deadline=None)
@@ -114,11 +231,11 @@ class TestInductivity:
     def test_numeric_spot_check(self):
         out = gj_L_trivial(2, 1, Fraction(-1, 2), 2)
         # at q = 4, s such that t = q^{-1} = 1/4
-        value = out.eval_exact(4, t_value=sympy.Rational(1, 4))
-        expected = (1 / (1 - sympy.Rational(1, 4) ** 2)) * (
-            1 / (1 - 4 * sympy.Rational(1, 4) ** 2)
+        value = out.eval_exact(4, t_value=Fraction(1, 4))
+        expected = (1 / (1 - Fraction(1, 4) ** 2)) * (
+            1 / (1 - 4 * Fraction(1, 4) ** 2)
         )
-        assert sympy.simplify(value - expected) == 0
+        assert value - expected == 0
 
 
 class TestI2Ratio:
@@ -142,7 +259,7 @@ class TestNonvanishing:
         assert report.nonvanishing
         q, status, value = report.samples[0]
         assert status is SampleStatus.NONZERO
-        assert sympy.Rational(value) == sympy.Rational(-1, 4)
+        assert Fraction(value) == Fraction(-1, 4)
 
     def test_ramified_symbolic(self):
         for d in range(1, 6):
@@ -161,3 +278,136 @@ class TestNonvanishing:
         report = eval_nonvanishing_at_s0(pole, [3])
         assert not report.nonvanishing
         assert report.samples[0][1] is SampleStatus.POLE
+
+
+# -- differential checks against the sympy reference -------------------------
+
+Q_GRID = [2, 3, 4, 5, 6, 7, 8, 9, 12, 18, 27, 50, 72, 98]
+T_GRID = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)]
+
+
+def _nonzero(terms):
+    total = {}
+    for m in terms:
+        total[(m.v_exp, m.t_exp)] = total.get((m.v_exp, m.t_exp), 0) + m.coeff
+    return any(total.values())
+
+
+# (numerator terms, denominator terms) of random Laurent fractions
+fractions_ = st.tuples(
+    st.lists(monomials, max_size=3),
+    st.lists(monomials, min_size=1, max_size=3).filter(_nonzero),
+)
+
+
+def both(pair):
+    num, den = tuple(pair[0]), tuple(pair[1])
+    return RationalFunc.from_fraction(num, den), RefRationalFunc.from_fraction(num, den)
+
+
+# The sympy normal form spelled zero with a zero coefficient, so that its
+# is_zero() was False, it rendered as "-0" and division by it raised
+# TypeError.  Zero is now the empty numerator over 1.
+REF_ZERO = (Monomial(0, 0, 0),)
+
+
+def assert_same(new, ref):
+    if ref.num == REF_ZERO:
+        assert (new.num, new.den, new.render()) == ((), (Monomial(1, 0, 0),), "0")
+        assert new.is_zero()
+        return
+    assert (new.num, new.den) == (ref.num, ref.den)
+    assert new.render() == ref.render()
+    assert new.to_json() == ref.to_json()
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except LFactorError:
+        return LFactorError
+
+
+def eval_str(value):
+    return None if value is None else str(value)
+
+
+class TestAgainstSympyReference:
+    @given(fractions_, fractions_)
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic(self, x, y):
+        (a, ra), (b, rb) = both(x), both(y)
+        assert_same(a, ra)
+        assert_same(b, rb)
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            if op == "__truediv__" and b.is_zero():
+                with pytest.raises(LFactorError):
+                    a / b
+                continue
+            new = outcome(lambda: getattr(a, op)(b))
+            ref = outcome(lambda: getattr(ra, op)(rb))
+            if ref is LFactorError:
+                assert new is LFactorError, op
+            else:
+                assert_same(new, ref)
+
+    @given(fractions_)
+    @settings(max_examples=60, deadline=None)
+    def test_subs_t1(self, x):
+        a, ra = both(x)
+        new, ref = outcome(a.subs_t1), outcome(ra.subs_t1)
+        if ref is LFactorError:
+            assert new is LFactorError
+        else:
+            assert_same(new, ref)
+
+    @given(fractions_, st.sampled_from(Q_GRID), st.sampled_from(T_GRID))
+    @settings(max_examples=80, deadline=None)
+    def test_eval_exact_strings(self, x, q, t):
+        a, ra = both(x)
+        new = a.eval_exact(q, t_value=t)
+        ref = ra.eval_exact(q, t_value=sympy.Rational(t.numerator, t.denominator))
+        assert eval_str(new) == eval_str(ref)
+
+    def test_eval_exact_strings_on_factors(self):
+        factors = [
+            i2_ratio(1, RamificationTag.UNRAMIFIED),
+            i2_ratio(2, RamificationTag.RAMIFIED),
+            gj_L_trivial(2, 1, Fraction(-1, 2), 1),
+            tate_L(TateChar.ETA, RamificationTag.UNRAMIFIED, Fraction(1, 2), 1),
+        ]
+        for rf in factors:
+            ref = RefRationalFunc(rf.num, rf.den)
+            for q in Q_GRID:
+                for t in T_GRID:
+                    expected = ref.eval_exact(q, sympy.Rational(t.numerator, t.denominator))
+                    assert eval_str(rf.eval_exact(q, t)) == eval_str(expected), (rf.render(), q, t)
+
+
+class TestExactValues:
+    @pytest.mark.parametrize(
+        "a, b, r, text",
+        [
+            (1, 1, 2, "1 + sqrt(2)"),
+            (3, 1, 2, "sqrt(2) + 3"),
+            (-1, 1, 2, "-1 + sqrt(2)"),
+            (1, -1, 2, "1 - sqrt(2)"),
+            (-1, -1, 2, "-sqrt(2) - 1"),
+            (-3, -1, 2, "-3 - sqrt(2)"),
+            (0, Fraction(-3, 4), 3, "-3*sqrt(3)/4"),
+            (Fraction(1, 2), Fraction(1, 2), 2, "1/2 + sqrt(2)/2"),
+        ],
+    )
+    def test_spelling(self, a, b, r, text):
+        value = QuadraticValue(Fraction(a), Fraction(b), r)
+        assert str(value) == text
+        assert str(sympy.Rational(str(a)) + sympy.Rational(str(b)) * sympy.sqrt(r)) == text
+
+    def test_square_q_is_rational(self):
+        rf = gj_L_trivial(1, 1, Fraction(-1, 2), 1)  # 1/(1 - v t)
+        assert rf.eval_exact(9, Fraction(1, 2)) == Fraction(-2)
+        assert rf.eval_exact(8, Fraction(1, 2)) == QuadraticValue(Fraction(-1), Fraction(-1), 2)
+
+    def test_nonpositive_q_rejected(self):
+        with pytest.raises(LFactorError):
+            RationalFunc.one().eval_exact(0)

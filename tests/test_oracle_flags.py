@@ -184,6 +184,22 @@ class TestFieldArithmetic:
     def test_lambda_antifixed(self):
         assert FIELD.frob(FIELD.lam) == FIELD.neg(FIELD.lam)
 
+    def test_extension_built_once_per_spec(self, monkeypatch):
+        spec = FieldSpec(5)
+        built = []
+        original = QuadraticExtension.__init__
+
+        def counting_init(self, field_spec):
+            built.append(field_spec)
+            original(self, field_spec)
+
+        monkeypatch.setattr(QuadraticExtension, "__init__", counting_init)
+        for flag in enumerate_flags(2, 5, Partition((1, 1))):
+            flag_profile(flag, spec)
+        assert spec.extension() is spec.extension()
+        assert sum(b is spec for b in built) == 1
+        assert spec == FieldSpec(5) and hash(spec) == hash(FieldSpec(5))
+
     def test_even_prime_rejected(self):
         from steinberg_distinction.cosets import InvalidInputError
 
