@@ -1,13 +1,13 @@
-"""Exponent-and-sign character model on twisted Levi fixed groups.
+"""Character support on twisted Levi fixed groups.
 
-A character of the fixed group of a twisted diagonal Levi is modelled
-per fine block by a rational exponent (power of the positive norm
-character) and a sign bit (quadratic component).  Feasibility of the
-character equation against the half modulus character reduces to
-convention-invariant conditions: paired exponents must cancel, fixed
-blocks must carry exponent zero, and a fixed block obstructs the
-quadratic token outright because the half modulus is positive-valued
-while the quadratic token takes negative values on it.
+The half modulus character of a fine parabolic is a power of the
+positive norm character, one rational exponent per fine block.  The
+character equation against it on the fixed group of the twisted
+diagonal Levi reduces to convention-invariant conditions: paired
+exponents must cancel, fixed blocks must carry exponent zero, and a
+fixed block obstructs the quadratic token outright because the half
+modulus is positive-valued while the quadratic token takes negative
+values on it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .cosets import (
-    BlockInvolution,
     CaseTag,
     CosetMatrix,
     FineLayout,
@@ -32,11 +31,9 @@ from .cosets import (
 
 __all__ = [
     "ChiToken",
-    "ExponentCharacter",
     "SupportRule",
     "SupportReport",
     "delta_half_exponents",
-    "restrict_mu_chi",
     "orbit_supports",
     "supporting_coset_matrices",
     "minimal_orbit_analysis",
@@ -50,17 +47,6 @@ class ChiToken(Enum):
 
     TRIV = "triv"
     ETA = "eta"
-
-
-@dataclass(frozen=True)
-class ExponentCharacter:
-    """Per-fine-block (exponent, sign bit) data."""
-
-    per_block: tuple[tuple[Fraction, int], ...]
-
-    def __post_init__(self) -> None:
-        if any(bit not in (0, 1) for _, bit in self.per_block):
-            raise InvalidInputError("sign bits must be 0 or 1")
 
 
 class SupportRule(Enum):
@@ -93,8 +79,8 @@ class SupportReport:
         }
 
 
-def delta_half_exponents(layout: FineLayout, kappa: Fraction = Fraction(1)) -> ExponentCharacter:
-    """Half modulus exponents of the fine parabolic, per block.
+def delta_half_exponents(layout: FineLayout, kappa: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
+    """Half modulus exponents of the fine parabolic, one per block.
 
     Block b of size k_b gets (kappa/2) (sum of later sizes - sum of
     earlier sizes); the weighted total over blocks vanishes.
@@ -107,29 +93,9 @@ def delta_half_exponents(layout: FineLayout, kappa: Fraction = Fraction(1)) -> E
     out = []
     for k in sizes:
         suffix = total - prefix - k
-        out.append((Fraction(kappa) * Fraction(suffix - prefix, 2), 0))
+        out.append(Fraction(kappa) * Fraction(suffix - prefix, 2))
         prefix += k
-    return ExponentCharacter(tuple(out))
-
-
-def restrict_mu_chi(
-    layout: FineLayout, invol: BlockInvolution, chi: ChiToken
-) -> ExponentCharacter:
-    """Restriction of the induced character to the twisted fixed Levi.
-
-    Paired blocks land in norms, where both tokens are trivial; fixed
-    blocks see the base-field restriction through the reduced norm, so
-    only the quadratic token leaves a sign there.
-    """
-    if len(invol.pairing) != len(layout.blocks):
-        raise InvalidInputError("layout and involution are inconsistent")
-    out = []
-    for b in range(len(layout.blocks)):
-        if b in invol.fixed_blocks:
-            out.append((Fraction(0), 1 if chi is ChiToken.ETA else 0))
-        else:
-            out.append((Fraction(0), 0))
-    return ExponentCharacter(tuple(out))
+    return tuple(out)
 
 
 def orbit_supports(
@@ -139,14 +105,17 @@ def orbit_supports(
 
     Feasible iff every paired couple of blocks has cancelling half
     modulus exponents and every fixed block has exponent zero and the
-    trivial token.  Block indices in violations are 1-based.
+    trivial token.  Paired blocks land in norms, where both tokens are
+    trivial; a fixed block sees the base-field restriction through the
+    reduced norm, so only ``eta`` leaves a sign there
+    (FIXED_SIGN_OBSTRUCTION).  Block indices in violations are 1-based.
     """
     layout = fine_layout(s)
     invol = block_involution(s)
     delta = delta_half_exponents(layout, kappa)
     violations: list[tuple[int, SupportRule]] = []
     for b in range(len(layout.blocks)):
-        eb = delta.per_block[b][0]
+        eb = delta[b]
         if b in invol.fixed_blocks:
             if eb != 0:
                 violations.append((b + 1, SupportRule.FIXED_EXPONENT_NONZERO))
@@ -154,7 +123,7 @@ def orbit_supports(
                 violations.append((b + 1, SupportRule.FIXED_SIGN_OBSTRUCTION))
         else:
             partner = invol.pairing[b]
-            if b < partner and eb + delta.per_block[partner][0] != 0:
+            if b < partner and eb + delta[partner] != 0:
                 violations.append((b + 1, SupportRule.PAIR_SUM_NONZERO))
     return SupportReport(
         s=s, chi=chi, feasible=not violations, violations=tuple(violations)

@@ -198,7 +198,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         if flag_profile(rep, spec) != s:
             ok = False
     checked = 0
-    for flag in flags[:: max(1, len(flags) // max(args.reduce_samples, 1))]:
+    for flag in flags[:: max(1, len(flags) // args.reduce_samples)]:
         h = reduce_to_representative(flag, spec)
         if not all(field.in_base(x) for row in h for x in row):
             ok = False
@@ -253,6 +253,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count or bound that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinberg-distinction",
@@ -287,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_steinberg)
 
     p = sub.add_parser("sweep", help="compare engine verdicts with the parity formula")
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--max-d", type=int, default=4)
+    p.add_argument("--max-m", type=_positive_int, default=4)
+    p.add_argument("--max-d", type=_positive_int, default=4)
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--reduce-samples", type=int, default=10)
+    p.add_argument("--reduce-samples", type=_positive_int, default=10)
     p.add_argument(
         "--cache-dir",
         default=None,

@@ -12,7 +12,6 @@ forgets one step of a flag.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -238,7 +237,7 @@ class SymbolicRepMatrix:
 
     entries: tuple[tuple[str, ...], ...]
 
-    def substitute(self, zero, one, lam, neg, mul=None):
+    def substitute(self, zero, one, lam, neg):
         """Instantiate over an arbitrary coefficient domain.
 
         ``zero``/``one``/``lam``/``neg`` are the images of the four
@@ -378,9 +377,8 @@ def build_ws_even(s: CosetMatrix) -> Permutation:
     Maps the palindromic layout onto the row-major layout: the two
     halves of a diagonal block land on the two halves of its row-major
     interval, off-diagonal segments land on their row-major interval
-    order-preservingly.  Cross-validated against the interval involution
-    through conjugation with the order reversal; a mismatch is reported
-    and the generic pairing construction is used instead.
+    order-preservingly.  Checked against the interval involution through
+    conjugation with the order reversal; a mismatch raises RuntimeError.
     """
     if s.case is not CaseTag.EVEN:
         raise InvalidInputError("build_ws_even requires an even-case matrix")
@@ -388,52 +386,17 @@ def build_ws_even(s: CosetMatrix) -> Permutation:
     lex_start = {
         (i, j): layout.start_pos[b] for b, (i, j, _) in enumerate(layout.blocks)
     }
-    n = s.n
-    images = [0] * n
-    pos = 1
-    ok = True
+    images = []
     for kind, i, j, k in _even_segments(s):
-        base = lex_start[(i, j)]
-        if kind == "D2":
-            base += k
-        for off in range(k):
-            images[pos - 1] = base + off
-            pos += 1
-    try:
-        ws = Permutation(tuple(images))
-    except InvalidInputError:
-        ok = False
-        ws = None
+        base = lex_start[(i, j)] + (k if kind == "D2" else 0)
+        images.extend(range(base, base + k))
+    ws = Permutation(tuple(images))
     tau = block_involution(s).position_map
-    if ok:
-        w = Permutation.reversal(n)
-        if ws * w * ws.inverse() != tau:
-            ok = False
-    if not ok:
-        warnings.warn(
-            f"explicit representative formulas inconsistent for {s.to_json()}; "
-            "falling back to the interval-based construction",
-            RuntimeWarning,
-            stacklevel=2,
+    if ws * Permutation.reversal(s.n) * ws.inverse() != tau:
+        raise RuntimeError(
+            f"explicit even-case representative is inconsistent for {s.to_json()}"
         )
-        ws = _ws_from_involution(tau)
     return ws
-
-
-def _ws_from_involution(tau: Permutation) -> Permutation:
-    """Any permutation conjugating the order reversal to ``tau``.
-
-    Requires ``tau`` fixed-point-free (always true in the even case).
-    """
-    n = len(tau.images)
-    pairs = sorted((p, tau(p)) for p in range(1, n + 1) if p < tau(p))
-    if 2 * len(pairs) != n:
-        raise InvalidInputError("involution must be fixed-point-free")
-    images = [0] * n
-    for idx, (p, q) in enumerate(pairs, start=1):
-        images[idx - 1] = p
-        images[n - idx] = q
-    return Permutation(tuple(images))
 
 
 def build_us_odd(s: CosetMatrix) -> SymbolicRepMatrix:

@@ -32,20 +32,13 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Odd prime power q = p^k; only k = 1 is needed at desk scale."""
+    """Odd prime field F_p; prime powers are not needed at desk scale."""
 
     p: int
-    k: int = 1
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p) or self.p == 2:
             raise InvalidInputError("p must be an odd prime")
-        if self.k != 1:
-            raise InvalidInputError("only prime fields are supported (k = 1)")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.k
 
     def extension(self) -> "QuadraticExtension":
         """F_{q^2} over this field, built once per spec."""

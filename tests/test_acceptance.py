@@ -141,8 +141,9 @@ def test_criterion_5_representative_consistency():
                 ok = ok and ws * Permutation.reversal(n) * ws.inverse() == tau
             for s in enumerate_coset_matrices(partition, CaseTag.ODD):
                 ok = ok and extract_permutation_odd(s) == block_involution(s).position_map
-    report(5, ok, f"representatives match interval involutions (n<=6), {diagnostics} formula diagnostics")
+    report(5, ok and diagnostics == 0, f"representatives match interval involutions (n<=6), {diagnostics} formula diagnostics")
     assert ok
+    assert diagnostics == 0
 
 
 def test_criterion_6_lfactor_certificate():

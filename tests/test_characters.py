@@ -12,7 +12,6 @@ from steinberg_distinction.characters import (
     delta_half_exponents,
     minimal_orbit_analysis,
     orbit_supports,
-    restrict_mu_chi,
     supporting_coset_matrices,
 )
 from steinberg_distinction.cosets import (
@@ -21,7 +20,6 @@ from steinberg_distinction.cosets import (
     InvalidInputError,
     Partition,
     anti_diagonal_matrix,
-    block_involution,
     coarsen,
     enumerate_coset_matrices,
     fine_layout,
@@ -39,21 +37,17 @@ class TestDeltaExponents:
     def test_two_singletons(self):
         s = mat(CaseTag.ODD, [[1, 0], [0, 1]])
         delta = delta_half_exponents(fine_layout(s))
-        assert [e for e, _ in delta.per_block] == [Fraction(1, 2), Fraction(-1, 2)]
+        assert delta == (Fraction(1, 2), Fraction(-1, 2))
 
     def test_single_block(self):
         s = mat(CaseTag.ODD, [[3]])
         delta = delta_half_exponents(fine_layout(s))
-        assert delta.per_block == ((Fraction(0), 0),)
+        assert delta == (Fraction(0),)
 
     def test_sizes_1_1_2(self):
         s = mat(CaseTag.ODD, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
         delta = delta_half_exponents(fine_layout(s))
-        assert [e for e, _ in delta.per_block] == [
-            Fraction(3, 2),
-            Fraction(1, 2),
-            Fraction(-1),
-        ]
+        assert delta == (Fraction(3, 2), Fraction(1, 2), Fraction(-1))
 
     def test_weighted_sum_vanishes(self):
         for n in range(1, 7):
@@ -63,10 +57,7 @@ class TestDeltaExponents:
                         layout = fine_layout(s)
                         delta = delta_half_exponents(layout)
                         total = sum(
-                            e * k
-                            for (e, _), (_, _, k) in zip(
-                                delta.per_block, layout.blocks
-                            )
+                            e * k for e, (_, _, k) in zip(delta, layout.blocks)
                         )
                         assert total == 0
 
@@ -74,24 +65,6 @@ class TestDeltaExponents:
         s = mat(CaseTag.ODD, [[1, 0], [0, 1]])
         with pytest.raises(InvalidInputError):
             delta_half_exponents(fine_layout(s), Fraction(0))
-
-
-class TestMuChiRestriction:
-    def test_all_paired_eta_trivial(self):
-        s = mat(CaseTag.ODD, [[0, 1], [1, 0]])
-        layout, invol = fine_layout(s), block_involution(s)
-        chi = restrict_mu_chi(layout, invol, ChiToken.ETA)
-        assert chi.per_block == ((Fraction(0), 0), (Fraction(0), 0))
-
-    def test_fixed_block_tokens(self):
-        s = mat(CaseTag.ODD, [[1]])
-        layout, invol = fine_layout(s), block_involution(s)
-        assert restrict_mu_chi(layout, invol, ChiToken.TRIV).per_block == (
-            (Fraction(0), 0),
-        )
-        assert restrict_mu_chi(layout, invol, ChiToken.ETA).per_block == (
-            (Fraction(0), 1),
-        )
 
 
 class TestOrbitSupports:

@@ -189,6 +189,28 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "invalid rational" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--max-m", "0"],
+            ["sweep", "--max-m", "-3", "--max-d", "2"],
+            ["sweep", "--max-d", "0"],
+            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "0"],
+            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "-1"],
+        ],
+    )
+    def test_range_below_one_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_non_integer_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--max-m", "two"])
+        assert exc.value.code == 2
+        assert "invalid integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("matrix", ['[["a"]]', "[[0.5, 0.5]]", "[[true]]"])
     def test_non_integer_matrix_exits_2(self, capsys, matrix):
         code, _, err = run(capsys, "support", "--case", "odd", "--matrix", matrix, "--chi", "eta")

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinberg_distinction import cosets
 from steinberg_distinction.cosets import (
     CaseTag,
     ClosureRelation,
@@ -150,6 +151,19 @@ class TestRepresentatives:
                         ws = build_ws_even(s)
                     w = Permutation.reversal(n)
                     assert ws * w * ws.inverse() == block_involution(s).position_map
+
+    def test_ws_wrong_layout_raises(self, monkeypatch):
+        s = mat(CaseTag.EVEN, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        build_ws_even(s)
+        true_segments = cosets._even_segments
+
+        def swapped_first_half(s):
+            segs = true_segments(s)
+            return [segs[1], segs[0]] + segs[2:]
+
+        monkeypatch.setattr(cosets, "_even_segments", swapped_first_half)
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            build_ws_even(s)
 
     def test_us_identity(self):
         s = mat(CaseTag.ODD, [[1, 0], [0, 1]])
