@@ -19,6 +19,7 @@ from .cosets import (
     CosetMatrix,
     InvalidInputError,
     Partition,
+    count_coset_matrices,
     enumerate_coset_matrices,
     open_mask,
 )
@@ -77,6 +78,9 @@ def _parse_matrix(text: str) -> list[list[int]]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     case = CaseTag(args.case)
+    estimate = count_coset_matrices(partition, case)
+    if estimate > DEFAULT_BUDGET:
+        raise BudgetExceededError(estimate, DEFAULT_BUDGET, "coset matrix count")
     matrices = enumerate_coset_matrices(partition, case)
     opens = open_mask(matrices)
     payload = {
@@ -187,8 +191,8 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
             cache.store(args.n, args.q, partition, flags)
     histogram: dict[tuple, int] = {}
     for flag in flags:
-        profile = flag_profile(flag, spec)
-        histogram[profile.flat()] = histogram.get(profile.flat(), 0) + 1
+        key = flag_profile(flag, spec).flat()
+        histogram[key] = histogram.get(key, 0) + 1
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
     seen = set(histogram)
     ok = seen == {s.flat() for s in expected}

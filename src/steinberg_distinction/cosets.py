@@ -12,6 +12,7 @@ forgets one step of a flag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -30,6 +31,7 @@ __all__ = [
     "RootActionReport",
     "InvalidInputError",
     "validate_m_d",
+    "count_coset_matrices",
     "enumerate_coset_matrices",
     "fine_layout",
     "block_involution",
@@ -37,7 +39,6 @@ __all__ = [
     "build_us_odd",
     "extract_permutation_odd",
     "coarsen",
-    "embed_I_in_J",
     "closure_compare",
     "is_open",
     "open_mask",
@@ -245,6 +246,45 @@ class SymbolicRepMatrix:
         """
         table = {SYM_ZERO: zero, SYM_ONE: one, SYM_LAM: lam, SYM_NEG_LAM: neg}
         return [[table[e] for e in row] for row in self.entries]
+
+
+def count_coset_matrices(partition: Partition, case: CaseTag) -> int:
+    """``len(enumerate_coset_matrices(partition, case))``, without
+    building any matrix.
+
+    A dynamic programme over rows: fill the first row (its diagonal,
+    then what it owes each later row), and count the rest from what the
+    later rows still owe.  Relabelling the rows permutes a coset matrix,
+    so that count depends only on the multiset of the nonzero amounts
+    owed, which keys the memo.
+    """
+    step = 2 if case is CaseTag.EVEN else 1
+
+    def spread(left: int, owed: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """What ``owed`` still owes after paying ``left`` in every way."""
+        if left == 0:
+            return [owed]
+        if left > sum(owed):
+            return []
+        head, tail = owed[0], owed[1:]
+        return [
+            (head - v,) + rest
+            for v in range(min(left, head) + 1)
+            for rest in spread(left - v, tail)
+        ]
+
+    @functools.cache
+    def count(owed: tuple[int, ...]) -> int:
+        if not owed:
+            return 1
+        first, rest = owed[0], owed[1:]
+        return sum(
+            count(tuple(sorted(x for x in after if x)))
+            for diag in range(0, first + 1, step)
+            for after in spread(first - diag, rest)
+        )
+
+    return count(tuple(sorted(partition.parts)))
 
 
 def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetMatrix]:
@@ -502,13 +542,6 @@ def coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
     parts = s.partition.parts
     new_parts = parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]
     return CosetMatrix(s.case, Partition(new_parts), tuple(rows))
-
-
-def embed_I_in_J(s: CosetMatrix) -> CosetMatrix:
-    """Retag an even-case matrix as an odd-case one (structural injection)."""
-    if s.case is not CaseTag.EVEN:
-        raise InvalidInputError("embed_I_in_J requires an even-case matrix")
-    return CosetMatrix(CaseTag.ODD, s.partition, s.entries)
 
 
 class ClosureRelation(Enum):

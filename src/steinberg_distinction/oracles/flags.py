@@ -9,6 +9,7 @@ the canonical representative of its profile by a base-field matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -22,9 +23,8 @@ from ..cosets import (
     InvalidInputError,
     Partition,
     build_us_odd,
-    fine_layout,
 )
-from .finite_field import Elt, FieldSpec, QuadraticExtension, Vec
+from .finite_field import FieldSpec, QuadraticExtension, Vec
 
 __all__ = [
     "Flag",
@@ -41,15 +41,15 @@ __all__ = [
 
 FlagProfile = CosetMatrix
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DEFAULT_BUDGET = 10_000
 
 
 class BudgetExceededError(RuntimeError):
     """Enumeration refused; carries the size estimate."""
 
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(f"flag count {estimate} exceeds budget {budget}")
+    def __init__(self, estimate: int, budget: int, what: str = "flag count"):
+        super().__init__(f"{what} {estimate} exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -106,8 +106,8 @@ def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple
             yield tuple(tuple(row) for row in rows)
 
 
-def _pivot(row: Vec, zero: Elt) -> int:
-    return next(c for c, x in enumerate(row) if x != zero)
+def _pivot(row: Vec) -> int:
+    return next(c for c, x in enumerate(row) if x)
 
 
 def _extensions(
@@ -125,24 +125,25 @@ def _extensions(
     against ``basis``, and clearing its pivot columns from the rows of
     ``basis`` leaves the union reduced.
     """
-    zero = field.zero
-    old = [(_pivot(row, zero), row) for row in basis]
+    mul, sub = field.mul_table, field.sub_table
+    old = [(_pivot(row), row) for row in basis]
     taken = {p for p, _ in old}
     free = [c for c in range(n) if c not in taken]
     out = []
-    for sub in quotients:
+    for quotient in quotients:
         rows = []
-        for row in sub:
-            full = [zero] * n
+        for row in quotient:
+            full = [0] * n
             for c, x in zip(free, row):
                 full[c] = x
-            rows.append((free[_pivot(row, zero)], tuple(full)))
+            rows.append((free[_pivot(row)], tuple(full)))
         added = list(rows)
         for p, vec in old:
             for c, full in added:
                 a = vec[c]
-                if a != zero:
-                    vec = tuple(field.sub(x, field.mul(a, y)) for x, y in zip(vec, full))
+                if a:
+                    scale = mul[a]
+                    vec = tuple([sub[x][scale[y]] for x, y in zip(vec, full)])
             rows.append((p, vec))
         rows.sort()
         out.append((tuple(p for p, _ in rows), tuple(row for _, row in rows)))
@@ -203,9 +204,10 @@ def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
     theta V_i meet V_j and the table is symmetric.
     """
     field = spec.extension()
+    frob = field.frob_table
     t = len(flag.partition)
     dims = [0, *itertools.accumulate(flag.partition.parts)]
-    theta = [[field.vec_frob(v) for v in b] for b in flag.bases[:-1]]
+    theta = [[[frob[x] for x in v] for v in b] for b in flag.bases[:-1]]
     r = [[0] * (t + 1) for _ in range(t + 1)]
     for i in range(1, t + 1):
         r[i][t] = r[t][i] = dims[i]
@@ -213,14 +215,23 @@ def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
         for j in range(i, t):
             rank = field.rank(list(flag.bases[i - 1]) + theta[j - 1])
             r[i][j] = r[j][i] = dims[i] + dims[j] - rank
-    entries = tuple(
-        tuple(
+    entries = tuple([
+        tuple([
             r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
             for j in range(1, t + 1)
-        )
+        ])
         for i in range(1, t + 1)
-    )
-    return CosetMatrix(CaseTag.ODD, flag.partition, entries)
+    ])
+    return _odd_coset_matrix(flag.partition, entries)
+
+
+@functools.lru_cache(maxsize=1024)
+def _odd_coset_matrix(partition: Partition, entries: tuple[tuple[int, ...], ...]) -> CosetMatrix:
+    """The validated coset matrix, built once per distinct profile: equal
+    entries get the same verdict, so a repeated profile is not checked
+    again.  An invalid one raises on every call, since a raise is not
+    cached."""
+    return CosetMatrix(CaseTag.ODD, partition, entries)
 
 
 def _us_matrix(s: CosetMatrix, field: QuadraticExtension) -> list[Vec]:
@@ -256,19 +267,24 @@ def _complements(flag: Flag, field: QuadraticExtension) -> dict[tuple[int, int],
 
     For i < j any complement works and its Frobenius image is used at
     (j, i); the diagonal pieces are chosen Frobenius-stable by working
-    inside the fixed points.
+    inside the fixed points.  Each corner meet[i][j] = V_i meet theta V_j
+    is computed once, for i <= j: theta carries it onto meet[j][i], and
+    the Frobenius image of a reduced basis is reduced.
     """
     t = len(flag.partition)
     bases = ((),) + flag.bases
     theta = [tuple(field.vec_frob(v) for v in b) for b in bases]
+    meet: list[list[tuple[Vec, ...]]] = [[()] * (t + 1) for _ in range(t + 1)]
+    for i in range(1, t + 1):
+        for j in range(i, t + 1):
+            meet[i][j] = field.intersect(bases[i], theta[j])
+            if i < j:
+                meet[j][i] = tuple(field.vec_frob(v) for v in meet[i][j])
     out: dict[tuple[int, int], tuple[Vec, ...]] = {}
     for i in range(1, t + 1):
         for j in range(i, t + 1):
-            u = field.intersect(bases[i], theta[j])
-            w = field.sum_spaces(
-                field.intersect(bases[i], theta[j - 1]),
-                field.intersect(bases[i - 1], theta[j]),
-            )
+            u = meet[i][j]
+            w = field.sum_spaces(meet[i][j - 1], meet[i - 1][j])
             if i == j:
                 u_fixed = field.fixed_subspace(u) if u else ()
                 w_fixed = field.fixed_subspace(w) if w else ()
@@ -316,35 +332,33 @@ def reduce_to_representative(flag: Flag, spec: FieldSpec) -> list[Vec]:
 
 def _decode(data: object, n: int, q: int, partition: Partition) -> list[Flag] | None:
     """The flags of a cache payload, or None unless it has this version
-    and holds as many flags as the variety has, each of the right shape
-    with entries in F_{q^2}."""
+    and holds as many flags as the variety has, each a chain of lists of
+    rows of n entries of F_{q^2}.  An entry must be an int in 0..q^2 - 1
+    by type: JSON true and 1.0 compare equal to 1, so a membership test
+    would let them through."""
     if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
         return None
     chains = data.get("flags")
     if not isinstance(chains, list) or len(chains) != count_flags(n, partition, q * q):
         return None
-    valid = set(FieldSpec(q).extension().elements())
-    try:
-        flags = [
-            Flag(
-                partition,
-                tuple(
-                    tuple(tuple(map(tuple, row)) for row in basis) for basis in chain
-                ),
-            )
-            for chain in chains
-        ]
-        if all(
-            len(row) == n and valid.issuperset(row)
-            for flag in flags
-            for basis in flag.bases
-            for row in basis
-        ):
-            return flags
-    except (TypeError, InvalidInputError):
-        # a non-iterable or unhashable entry, or bases of the wrong sizes
-        pass
-    return None
+    dims = list(itertools.accumulate(partition.parts))
+    rows = []
+    for chain in chains:
+        if type(chain) is not list or len(chain) != len(dims):
+            return None
+        for basis, dim in zip(chain, dims):
+            if type(basis) is not list or len(basis) != dim:
+                return None
+            rows.extend(basis)
+    if any(type(row) is not list or len(row) != n for row in rows):
+        return None
+    entries = list(itertools.chain.from_iterable(rows))
+    if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= q * q:
+        return None
+    return [
+        Flag(partition, tuple(tuple(map(tuple, basis)) for basis in chain))
+        for chain in chains
+    ]
 
 
 class FlagCache:

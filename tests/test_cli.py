@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,23 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--case", "odd", "--partition", "x")
         assert code == 2
         assert "error" in err
+
+    def test_size_guard(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a refused enumeration built its matrices")
+
+        monkeypatch.setattr(cli, "enumerate_coset_matrices", refuse)
+        start = time.monotonic()
+        code, out, err = run(capsys, "enumerate", "--case", "odd", "--partition", ",".join(["1"] * 12))
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: coset matrix count 140152 exceeds budget 10000\n"
+
+    def test_largest_under_budget(self, capsys):
+        # 9,496 involutions of 10 points: listed, not refused
+        code, out, _ = run(capsys, "enumerate", "--case", "odd", "--partition", ",".join(["1"] * 10))
+        assert code == 0
+        assert out.startswith("9496 coset matrices")
 
 
 class TestSupportAndSteinberg:

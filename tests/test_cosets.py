@@ -19,7 +19,7 @@ from steinberg_distinction.cosets import (
     build_ws_even,
     closure_compare,
     coarsen,
-    embed_I_in_J,
+    count_coset_matrices,
     enumerate_coset_matrices,
     extract_permutation_odd,
     fine_layout,
@@ -97,6 +97,22 @@ class TestEnumeration:
     def test_json_roundtrip(self):
         s = mat(CaseTag.ODD, [[0, 2], [2, 0]])
         assert CosetMatrix.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_count_matches_enumeration(self, case):
+        for n in range(1, 8):
+            for partition in compositions(n):
+                assert count_coset_matrices(partition, case) == len(
+                    enumerate_coset_matrices(partition, case)
+                ), partition.parts
+
+    def test_count_involutions(self):
+        # the coset matrices of 1^n are the involutions of n points, and
+        # in the even case the fixed-point-free ones
+        odd = [count_coset_matrices(Partition((1,) * n), CaseTag.ODD) for n in range(1, 13)]
+        assert odd == [1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152]
+        even = [count_coset_matrices(Partition((1,) * n), CaseTag.EVEN) for n in (2, 4, 12)]
+        assert even == [1, 3, 10395]
 
 
 class TestLayoutAndInvolution:
@@ -228,14 +244,6 @@ class TestCoarsenAndEmbed:
         k = data.draw(st.integers(1, len(partition) - 1))
         merged = coarsen(s, k)
         assert merged.partition.total == partition.total
-
-    def test_embed(self):
-        for partition in compositions(4):
-            evens = enumerate_coset_matrices(partition, CaseTag.EVEN)
-            odds = set(enumerate_coset_matrices(partition, CaseTag.ODD))
-            images = [embed_I_in_J(s) for s in evens]
-            assert len(set(images)) == len(images)
-            assert all(img in odds for img in images)
 
 
 class TestClosure:

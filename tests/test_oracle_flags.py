@@ -12,6 +12,7 @@ from steinberg_distinction.cosets import (
     enumerate_coset_matrices,
 )
 from steinberg_distinction.oracles.finite_field import FieldSpec, QuadraticExtension
+from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import (
     BudgetExceededError,
     Flag,
@@ -26,6 +27,7 @@ from steinberg_distinction.oracles.flags import (
 )
 
 from conftest import compositions
+from pair_extension import PairExtension, decode, decode_rows, encode
 
 SPEC = FieldSpec(3)
 FIELD = SPEC.extension()
@@ -77,8 +79,9 @@ def reference_rref(field, rows):
 
 def reference_enumerate_flags(n, q, partition):
     """Chains of row-reduced subspaces kept when each contains the last
-    step, tested by rank for every (chain, candidate) pair."""
-    field = FieldSpec(q).extension()
+    step, tested by rank for every (chain, candidate) pair, over the
+    pair-coded field."""
+    field = PairExtension(q)
     prefix = list(itertools.accumulate(partition.parts))
     by_dim = {dim: list(_enumerate_rref(field, n, dim)) for dim in sorted(set(prefix))}
 
@@ -115,6 +118,53 @@ def reference_flag_profile(flag, spec):
     )
 
 
+def reference_extend_to_complement(field, inner, outer):
+    """Vectors of ``outer`` completing ``inner``, one full rank per candidate."""
+    current = list(inner)
+    rank = field.rank(current)
+    chosen = []
+    for v in outer:
+        if field.rank(current + [v]) > rank:
+            current.append(v)
+            rank += 1
+            chosen.append(v)
+    return tuple(chosen)
+
+
+def reference_complements(flag, field):
+    """The graded pieces from three intersections per corner (i, j)."""
+    t = len(flag.partition)
+    bases = ((),) + flag.bases
+    theta = [tuple(field.vec_frob(v) for v in b) for b in bases]
+    out = {}
+    for i in range(1, t + 1):
+        for j in range(i, t + 1):
+            u = field.intersect(bases[i], theta[j])
+            w = field.sum_spaces(
+                field.intersect(bases[i], theta[j - 1]),
+                field.intersect(bases[i - 1], theta[j]),
+            )
+            if i == j:
+                u_fixed = field.fixed_subspace(u) if u else ()
+                w_fixed = field.fixed_subspace(w) if w else ()
+                out[(i, i)] = reference_extend_to_complement(field, w_fixed, u_fixed)
+            else:
+                comp = reference_extend_to_complement(field, w, u)
+                out[(i, j)] = comp
+                out[(j, i)] = tuple(field.vec_frob(v) for v in comp)
+    return out
+
+
+def random_matrices(q, rng):
+    """300 random matrices over F_{q^2}, many of them rank-deficient."""
+    elements = FieldSpec(q).extension().elements()
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        # pools of zero alone or zero and l give rank-deficient matrices
+        pool = elements[: rng.choice((1, 2, len(elements)))]
+        yield [tuple(rng.choice(pool) for _ in range(cols)) for _ in range(rows)]
+
+
 def edit_cache(change):
     """A cache-file mangler that applies ``change`` to the parsed payload."""
 
@@ -145,7 +195,7 @@ def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
     """Random invertible matrix with base-field entries."""
     while True:
         m = [
-            tuple((rng.randrange(field.p), 0) for _ in range(n))
+            tuple(field.scalar(rng.randrange(field.p)) for _ in range(n))
             for _ in range(n)
         ]
         try:
@@ -200,6 +250,40 @@ class TestFieldArithmetic:
         assert sum(b is spec for b in built) == 1
         assert spec == FieldSpec(5) and hash(spec) == hash(FieldSpec(5))
 
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_coding_is_an_order_preserving_bijection(self, q):
+        field, ref = FieldSpec(q).extension(), PairExtension(q)
+        assert [encode(q, x) for x in ref.elements()] == field.elements()
+        assert [decode(q, x) for x in field.elements()] == ref.elements()
+        assert sorted(map(tuple, ref.elements())) == ref.elements()
+        assert [encode(q, x) for x in (ref.zero, ref.one, ref.lam)] == [
+            field.zero, field.one, field.lam
+        ]
+        assert field.nonsquare == ref.nonsquare
+        assert [field.scalar(a) for a in range(-q, 2 * q)] == [
+            encode(q, ref.scalar(a)) for a in range(-q, 2 * q)
+        ]
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_tables_match_pair_formulas(self, q):
+        field, ref = FieldSpec(q).extension(), PairExtension(q)
+        for x in field.elements():
+            px = decode(q, x)
+            assert decode(q, field.neg_table[x]) == ref.neg(px) == decode(q, field.neg(x))
+            assert decode(q, field.frob_table[x]) == ref.frob(px) == decode(q, field.frob(x))
+            assert field.in_base(x) == ref.in_base(px)
+            if x:
+                assert decode(q, field.inv_table[x]) == ref.inv(px) == decode(q, field.inv(x))
+            else:
+                assert field.inv_table[x] is None
+                with pytest.raises(ZeroDivisionError):
+                    field.inv(x)
+            for y in field.elements():
+                py = decode(q, y)
+                assert decode(q, field.add_table[x][y]) == ref.add(px, py) == decode(q, field.add(x, y))
+                assert decode(q, field.sub_table[x][y]) == ref.sub(px, py) == decode(q, field.sub(x, y))
+                assert decode(q, field.mul_table[x][y]) == ref.mul(px, py) == decode(q, field.mul(x, y))
+
     def test_even_prime_rejected(self):
         from steinberg_distinction.cosets import InvalidInputError
 
@@ -214,18 +298,65 @@ class TestAgainstReference:
         rng = random.Random(20261018)
         for q in (3, 5, 7):
             field = FieldSpec(q).extension()
-            elements = field.elements()
-            for _ in range(300):
-                rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-                # pools of zero alone or zero and l give rank-deficient matrices
-                pool = elements[: rng.choice((1, 2, len(elements)))]
-                mat = [tuple(rng.choice(pool) for _ in range(cols)) for _ in range(rows)]
+            for mat in random_matrices(q, rng):
                 assert field.rref(mat) == reference_rref(field, mat)
+
+    def test_rref_matches_pair_reference(self):
+        rng = random.Random(20261018)
+        for q in (3, 5, 7):
+            field, ref = FieldSpec(q).extension(), PairExtension(q)
+            for mat in random_matrices(q, rng):
+                assert decode_rows(q, field.rref(mat)) == ref.rref(list(decode_rows(q, mat)))
+
+    def test_extend_to_complement_matches_reference(self):
+        rng = random.Random(20261019)
+        for q in (3, 5, 7):
+            field = FieldSpec(q).extension()
+            mats = list(random_matrices(q, rng))
+            for inner, outer in zip(mats, mats[1:]):
+                if len(inner[0]) != len(outer[0]):
+                    continue
+                inner = field.rref(inner)
+                assert field.extend_to_complement(inner, outer) == (
+                    reference_extend_to_complement(field, inner, outer)
+                )
+
+    def test_subspace_operations_match_pair_reference(self):
+        rng = random.Random(20261020)
+        for q in (3, 5, 7):
+            field, ref = FieldSpec(q).extension(), PairExtension(q)
+            mats = list(random_matrices(q, rng))
+            for a, b in zip(mats, mats[1:]):
+                pa, pb = decode_rows(q, a), decode_rows(q, b)
+                if len(a[0]) == len(b[0]):
+                    ra, rb = field.rref(a), field.rref(b)
+                    pra, prb = ref.rref(list(pa)), ref.rref(list(pb))
+                    assert decode_rows(q, field.intersect(ra, rb)) == ref.intersect(pra, prb)
+                    assert decode_rows(q, field.sum_spaces(ra, rb)) == ref.sum_spaces(pra, prb)
+                    assert decode_rows(q, field.extend_to_complement(ra, b)) == (
+                        ref.extend_to_complement(pra, pb)
+                    )
+                if len(a[0]) == len(b):
+                    product = field.matrix_mul(a, b)
+                    assert decode_rows(q, product) == tuple(ref.matrix_mul(list(pa), list(pb)))
+                if len(a) == len(a[0]):
+                    try:
+                        inverse = decode_rows(q, field.matrix_inv(a))
+                    except ZeroDivisionError:
+                        inverse = None
+                    try:
+                        expected = tuple(ref.matrix_inv(list(pa)))
+                    except ZeroDivisionError:
+                        expected = None
+                    assert inverse == expected
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_enumeration_matches_reference(self, point):
+        q = point[1]
         flags = grid_flags(*point)
-        assert [f.bases for f in flags] == [f.bases for f in reference_enumerate_flags(*point)]
+        assert [tuple(decode_rows(q, b) for b in f.bases) for f in flags] == [
+            f.bases for f in reference_enumerate_flags(*point)
+        ]
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_profiles_match_reference(self, point):
@@ -282,17 +413,22 @@ class TestEnumeration:
             edit_cache(lambda data: data.update(version=0)),
             edit_cache(lambda data: data.update(flags="x" * 10)),
             edit_cache(lambda data: data["flags"].pop()),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, [3, 0])),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, ["0", 0])),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, 0)),
-            edit_cache(lambda data: data["flags"][0][0][0].append([0, 0])),
-            edit_cache(lambda data: data["flags"][0][0].append([[0, 0], [1, 0]])),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, 9)),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, "3")),
+            edit_cache(lambda data: data["flags"][0][0].__setitem__(0, 3)),
+            edit_cache(lambda data: data["flags"][0][0][0].append(0)),
+            edit_cache(lambda data: data["flags"][0][0].append([0, 3])),
             edit_cache(lambda data: data["flags"][0].pop()),
+            # each of these compares equal to the entry it replaces
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(1, False)),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(1, 0.0)),
+            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(1, [0, 0])),
         ],
         ids=[
             "truncated", "garbage", "empty", "not-object", "version",
             "flags-not-list", "short-list", "out-of-range", "string-entry",
             "scalar-entry", "long-row", "extra-row", "short-chain",
+            "bool-entry", "float-entry", "pair-entry",
         ],
     )
     def test_cache_damage_is_a_miss(self, tmp_path, mangle):
@@ -308,15 +444,34 @@ class TestEnumeration:
             fh.write(damaged)
         assert cache.load(2, 3, partition) is None
 
+    def test_cache_v1_file_is_a_miss(self, tmp_path):
+        cache = FlagCache(str(tmp_path))
+        partition = Partition((1, 1))
+        flags = enumerate_flags(2, 3, partition)
+        # the pair-coded layout of the first cache version
+        text = json.dumps({
+            "version": 1,
+            "flags": [
+                [[[list(decode(3, x)) for x in row] for row in basis] for basis in flag.bases]
+                for flag in flags
+            ],
+        })
+        (tmp_path / "flags_v1_n2_q3_1-1.json").write_text(text)
+        assert cache.load(2, 3, partition) is None
+        # nor is it read under the current name
+        with open(cache._path(2, 3, partition), "w") as fh:
+            fh.write(text)
+        assert cache.load(2, 3, partition) is None
+
     def test_cache_file_is_json_dumps_of_payload(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 2))
         flags = enumerate_flags(3, 3, partition)
         cache.store(3, 3, partition, flags)
         payload = {
-            "version": 1,
+            "version": 2,
             "flags": [
-                [[[list(x) for x in row] for row in basis] for basis in flag.bases]
+                [[list(row) for row in basis] for basis in flag.bases]
                 for flag in flags
             ],
         }
@@ -331,7 +486,7 @@ class TestEnumeration:
         partition = Partition((1, 1))
         flags = enumerate_flags(2, 3, partition)
         cache.store(2, 3, partition, flags)
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v1_n2_q3_1-1.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v2_n2_q3_1-1.json"]
 
         def fail(src, dst):
             raise OSError("disk full")
@@ -340,7 +495,7 @@ class TestEnumeration:
         with pytest.raises(OSError):
             cache.store(2, 3, partition, flags[:1])
         # the old entry is intact and no temporary file is left behind
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v1_n2_q3_1-1.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v2_n2_q3_1-1.json"]
         assert cache.load(2, 3, partition) == flags
 
 
@@ -409,6 +564,34 @@ class TestRepresentativesAndReduction:
 
     def test_reduction_every_full_flag_n3(self):
         self._check_all_reductions(3, Partition((1, 1, 1)))
+
+    @pytest.mark.parametrize(
+        "partition",
+        [p for n in range(1, 4) for p in compositions(n)],
+        ids=lambda p: "-".join(map(str, p.parts)),
+    )
+    def test_reduction_matches_reference_complements(self, partition, monkeypatch):
+        flags = enumerate_flags(partition.total, 3, partition)
+        for flag in flags:
+            assert flags_module._complements(flag, FIELD) == reference_complements(flag, FIELD)
+        fast = [reduce_to_representative(flag, SPEC) for flag in flags]
+        monkeypatch.setattr(flags_module, "_complements", reference_complements)
+        assert fast == [reduce_to_representative(flag, SPEC) for flag in flags]
+
+    def test_one_intersection_per_corner(self, monkeypatch):
+        calls = []
+        original = QuadraticExtension.intersect
+
+        def counting(self, a, b):
+            calls.append(1)
+            return original(self, a, b)
+
+        monkeypatch.setattr(QuadraticExtension, "intersect", counting)
+        for n, t in ((1, 1), (2, 2), (3, 3)):
+            flag = enumerate_flags(n, 3, Partition((1,) * n))[-1]
+            calls.clear()
+            flags_module._complements(flag, FIELD)
+            assert len(calls) == t * (t + 1) // 2
 
     def _check_all_reductions(self, n, partition):
         flags = enumerate_flags(n, 3, partition)
