@@ -43,8 +43,10 @@ from .oracles.flags import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     FlagCache,
-    enumerate_flags,
+    count_flags,
     flag_profile,
+    graded_pieces,
+    iter_flags,
     reduce_to_representative,
     representative_flag,
 )
@@ -177,6 +179,7 @@ def cmd_lfactor(args: argparse.Namespace) -> int:
 def cmd_oracle_flags(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     spec = FieldSpec(args.q)
+    field = spec.extension()
     cache_dir = args.cache_dir or os.environ.get("DISTINCTION_CACHE_DIR")
     cache = FlagCache(cache_dir) if cache_dir else None
     flags = cache.load(args.n, args.q, partition) if cache else None
@@ -184,38 +187,53 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         "cache": "off" if cache is None else "hit" if flags is not None else "miss",
         "flags_enumerated": 0,
     }
-    if flags is None:
-        flags = enumerate_flags(args.n, args.q, partition, budget=args.budget)
-        stats["flags_enumerated"] = len(flags)
-        if cache:
-            cache.store(args.n, args.q, partition, flags)
-    histogram: dict[tuple, int] = {}
-    for flag in flags:
-        key = flag_profile(flag, spec).flat()
-        histogram[key] = histogram.get(key, 0) + 1
+    if flags is not None:
+        count = len(flags)
+        stream = ((flag, flag_profile(flag, spec)) for flag in flags)
+        kept = None
+    else:
+        # the stream is checked against this count when it ends
+        count = count_flags(args.n, partition, args.q * args.q)
+        stream = iter_flags(args.n, args.q, partition, budget=args.budget)
+        stats["flags_enumerated"] = count
+        # only a cache miss holds the list, to write it
+        kept = [] if cache else None
+    stride = max(1, count // args.reduce_samples)
+    sizes: dict[CosetMatrix, int] = {}
+    sample = []
+    for index, (flag, profile) in enumerate(stream):
+        sizes[profile] = sizes.get(profile, 0) + 1
+        if index % stride == 0:
+            sample.append(flag)
+        if kept is not None:
+            kept.append(flag)
+    if kept is not None:
+        cache.store(args.n, args.q, partition, kept)
+    histogram = {profile.flat(): size for profile, size in sizes.items()}
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
     seen = set(histogram)
     ok = seen == {s.flat() for s in expected}
-    field = spec.extension()
+    targets = {}
     for s in expected:
         rep = representative_flag(s, spec)
         if flag_profile(rep, spec) != s:
             ok = False
+        targets[s] = graded_pieces(rep, field)
     checked = 0
-    for flag in flags[:: max(1, len(flags) // args.reduce_samples)]:
-        h = reduce_to_representative(flag, spec)
+    for flag in sample:
+        h = reduce_to_representative(flag, spec, targets)
         if not all(field.in_base(x) for row in h for x in row):
             ok = False
         checked += 1
     rows = sorted(histogram.items())
     # each reduction computes the profile of its flag once more
-    stats["profiles_computed"] = len(flags) + len(expected) + checked
+    stats["profiles_computed"] = count + len(expected) + checked
     stats["reductions_checked"] = checked
     payload = {
         "n": args.n,
         "q": args.q,
         "partition": list(partition.parts),
-        "flag_count": len(flags),
+        "flag_count": count,
         "orbit_sizes": [
             {"profile": list(key), "size": size} for key, size in rows
         ],
@@ -223,7 +241,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         "ok": ok,
         "stats": stats,
     }
-    lines = [f"{len(flags)} flags, {len(rows)} orbits"]
+    lines = [f"{count} flags, {len(rows)} orbits"]
     for key, size in rows:
         lines.append(f"  profile {list(key)}: orbit size {size}")
     lines.append(f"reductions checked: {checked}")

@@ -8,6 +8,7 @@ from .flags import (
     count_flags,
     enumerate_flags,
     flag_profile,
+    iter_flags,
     reduce_to_representative,
     representative_flag,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "count_flags",
     "enumerate_flags",
     "flag_profile",
+    "iter_flags",
     "reduce_to_representative",
     "representative_flag",
     "QuaternionAlgebra",

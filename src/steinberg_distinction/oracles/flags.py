@@ -5,6 +5,14 @@ enumerated through canonical row-reduced representatives, their
 invariant profile under the coordinate Frobenius twist is the coset
 matrix of their orbit, and the constructive reduction maps any flag to
 the canonical representative of its profile by a base-field matrix.
+
+``iter_flags`` streams every flag with its profile in one depth-first
+pass that shares prefixes: the row r[i][j] = dim(V_i meet theta V_j),
+j <= i, of the profile's rank table is computed once per node V_i,
+from residuals against the pivots of V_i's reduced basis, so a leaf
+pays one row and holds no list.  The on-disk cache (version 3) stores a
+CRC-32 of its flags text, so a file that is not exactly what ``store``
+wrote is a miss.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import itertools
 import json
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,16 +41,20 @@ __all__ = [
     "BudgetExceededError",
     "gaussian_binomial",
     "count_flags",
+    "iter_flags",
     "enumerate_flags",
     "flag_profile",
+    "graded_pieces",
     "representative_flag",
     "reduce_to_representative",
     "FlagCache",
 ]
 
 FlagProfile = CosetMatrix
+# graded piece S_{i,j} of a flag, keyed by (i, j)
+GradedPieces = dict[tuple[int, int], tuple[Vec, ...]]
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 DEFAULT_BUDGET = 10_000
 
 
@@ -107,7 +120,8 @@ def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple
 
 
 def _pivot(row: Vec) -> int:
-    return next(c for c, x in enumerate(row) if x)
+    # the first nonzero entry occurs first at the pivot
+    return row.index(next(filter(None, row)))
 
 
 def _extensions(
@@ -152,69 +166,168 @@ def _extensions(
     return [rows for _, rows in out]
 
 
+def iter_flags(
+    n: int,
+    q: int,
+    partition: Partition,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[tuple[Flag, FlagProfile]]:
+    """Every flag of the given shape exactly once, with its profile.
+
+    A depth-first walk over the chains of ``_enumerate_rref`` bases:
+    each step is built from the previous one through the subspaces of
+    the quotient, so no flag is produced twice and none is filtered
+    out, and the order is by the first subspace, then the second, and
+    so on.  A node V_i computes its row of the rank table once, for all
+    its descendants; the last step V_t = F^n is the same for every flag
+    and costs nothing.  Refuses with the count estimate, before
+    yielding anything, when the flag variety exceeds the budget.
+    """
+    if partition.total != n:
+        raise InvalidInputError("partition must sum to n")
+    field = FieldSpec(q).extension()
+    estimate = count_flags(n, partition, q * q)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    return _walk(field, n, partition, estimate)
+
+
+def _walk(
+    field: QuadraticExtension, n: int, partition: Partition, estimate: int
+) -> Iterator[tuple[Flag, FlagProfile]]:
+    parts = partition.parts
+    t = len(parts)
+    top = tuple(
+        tuple(field.one if c == r else field.zero for c in range(n)) for r in range(n)
+    )
+    if t == 1:
+        yield Flag(partition, (top,)), _profile_from_rows(parts, ())
+        return
+    # quotients[d - 1]: the quotient subspaces that extend V_d to V_{d + 1}
+    quotients = [
+        list(_enumerate_rref(field, n - dim, part))
+        for dim, part in zip(itertools.accumulate(parts), parts[1:-1])
+    ]
+    # stack[d] iterates the bases of V_{d + 1} below the path whose
+    # bases and rank table rows are chains[d] and tables[d]
+    stack: list[Iterator[tuple[Vec, ...]]] = [_enumerate_rref(field, n, parts[0])]
+    chains: list[tuple[tuple[Vec, ...], ...]] = [()]
+    tables: list[tuple[tuple[int, ...], ...]] = [()]
+    count = 0
+    while stack:
+        basis = next(stack[-1], None)
+        if basis is None:
+            stack.pop()
+            chains.pop()
+            tables.pop()
+            continue
+        depth = len(stack)
+        chain = chains[-1] + (basis,)
+        table = tables[-1] + (_rank_row(field, basis, chains[-1]),)
+        if depth < t - 1:
+            stack.append(iter(_extensions(field, n, basis, quotients[depth - 1])))
+            chains.append(chain)
+            tables.append(table)
+        else:
+            count += 1
+            yield Flag(partition, chain + (top,)), _profile_from_rows(parts, table)
+    if count != estimate:
+        raise InvalidInputError(f"enumeration produced {count} flags, expected {estimate}")
+
+
 def enumerate_flags(
     n: int,
     q: int,
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Flag]:
-    """Every flag of the given shape exactly once.
+    """The flags of ``iter_flags``, as a list."""
+    return [flag for flag, _ in iter_flags(n, q, partition, budget)]
 
-    Each step is built from the previous one through the subspaces of
-    the quotient, so no flag is produced twice and none is filtered
-    out.  The order is that of the chains of ``_enumerate_rref`` bases:
-    by the first subspace, then the second, and so on.  Refuses with
-    the count estimate when the flag variety exceeds the budget.
+
+def _rank_row(
+    field: QuadraticExtension, basis: tuple[Vec, ...], lower: tuple[tuple[Vec, ...], ...]
+) -> tuple[int, ...]:
+    """dim(V meet theta W) for W each span of ``lower`` and then V itself,
+    where V is the span of the reduced basis ``basis`` and W lies in V.
+
+    dim(V meet theta W) = dim W - rank of theta W modulo V, and a row
+    reduced against the pivots of V is zero on every pivot column, so
+    one pass of eliminations against the pivot rows gives the residual.
+    For W = V no elimination is needed: theta fixes the 0/1 pivot
+    entries, so theta s - s, which is -2l times the imaginary part of s,
+    is already the residual of theta s for every row s of V.
     """
-    if partition.total != n:
-        raise InvalidInputError("partition must sum to n")
-    spec = FieldSpec(q)
-    field = spec.extension()
-    q2 = q * q
-    estimate = count_flags(n, partition, q2)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    chains: list[tuple[tuple[Vec, ...], ...]] = [()]
-    dim = 0
-    for part in partition.parts:
-        quotients = list(_enumerate_rref(field, n - dim, part))
-        chains = [
-            chain + (ext,)
-            for chain in chains
-            for ext in _extensions(field, n, chain[-1] if chain else (), quotients)
-        ]
-        dim += part
-    flags = [Flag(partition, chain) for chain in chains]
-    if len(flags) != estimate:
-        raise InvalidInputError(
-            f"enumeration produced {len(flags)} flags, expected {estimate}"
-        )
-    return flags
+    mul, sub, frob = field.mul_table, field.sub_table, field.frob_table
+    pivots = [(_pivot(row), row) for row in basis]
+    out = []
+    for w_basis in lower:
+        residuals = []
+        for w in w_basis:
+            v = [frob[x] for x in w]
+            for p, row in pivots:
+                c = v[p]
+                if c:
+                    scale = mul[c]
+                    v = [sub[x][scale[y]] for x, y in zip(v, row)]
+            if any(v):
+                residuals.append(v)
+        out.append(len(w_basis) - _rank(field, residuals))
+    p = field.p
+    imaginary = [im for im in ([x % p * p for x in row] for row in basis) if any(im)]
+    out.append(len(basis) - _rank(field, imaginary))
+    return tuple(out)
+
+
+def _rank(field: QuadraticExtension, nonzero_rows: list) -> int:
+    """Rank of nonzero rows, with no row reduction for two or fewer."""
+    if len(nonzero_rows) != 2:
+        return field.rank(nonzero_rows) if nonzero_rows[2:] else len(nonzero_rows)
+    u, v = nonzero_rows
+    p = _pivot(u)
+    mul_u, mul_v = field.mul_table[u[p]], field.mul_table[v[p]]
+    # v is a multiple of u exactly when u[p] v = v[p] u
+    return 1 if all(mul_u[y] == mul_v[x] for x, y in zip(u, v)) else 2
 
 
 def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
     """Coset matrix of the flag's orbit under the base-field group.
 
-    Entry (i, j) counts the dimension jumps of the intersections with
-    the Frobenius image of the flag, by inclusion-exclusion on the
-    corner dimension table r[i][j] = dim(V_i meet theta V_j).  Each
-    corner comes from one rank, dim V_i + dim V_j - rank(V_i + theta V_j);
-    the last row and column need none, because V_t = theta V_t = F^n.
-    The twist is an involution, so theta carries V_i meet theta V_j onto
-    theta V_i meet V_j and the table is symmetric.
+    The bases of the flag must be row-reduced, as every ``Flag`` built
+    by this package is.  Entry (i, j) counts the dimension jumps of the
+    intersections with the Frobenius image of the flag, by
+    inclusion-exclusion on the table r[i][j] = dim(V_i meet theta V_j),
+    whose rows come from ``_rank_row``.
     """
     field = spec.extension()
-    frob = field.frob_table
-    t = len(flag.partition)
-    dims = [0, *itertools.accumulate(flag.partition.parts)]
-    theta = [[[frob[x] for x in v] for v in b] for b in flag.bases[:-1]]
+    bases = flag.bases[:-1]
+    rows = tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
+    return _profile_from_rows(flag.partition.parts, rows)
+
+
+@functools.lru_cache(maxsize=1024)
+def _profile_from_rows(
+    parts: tuple[int, ...], rows: tuple[tuple[int, ...], ...]
+) -> CosetMatrix:
+    """The validated coset matrix of a rank table, built once per
+    distinct table: equal tables get the same verdict, so a repeated
+    profile is not checked again.  An invalid one raises on every call,
+    since a raise is not cached.  The key is made of plain tuples, whose
+    hash is cheaper than a dataclass's.
+
+    ``rows[i - 1]`` holds r[i][1..i] for i < t = len(parts).  The table
+    is symmetric, because the twist is an involution and carries V_i
+    meet theta V_j onto theta V_i meet V_j, and its last row and column
+    are the dimensions, because V_t = theta V_t = F^n.
+    """
+    t = len(parts)
+    dims = [0, *itertools.accumulate(parts)]
     r = [[0] * (t + 1) for _ in range(t + 1)]
+    for i, row in enumerate(rows, 1):
+        for j, x in enumerate(row, 1):
+            r[i][j] = r[j][i] = x
     for i in range(1, t + 1):
         r[i][t] = r[t][i] = dims[i]
-    for i in range(1, t):
-        for j in range(i, t):
-            rank = field.rank(list(flag.bases[i - 1]) + theta[j - 1])
-            r[i][j] = r[j][i] = dims[i] + dims[j] - rank
     entries = tuple([
         tuple([
             r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
@@ -222,16 +335,7 @@ def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
         ])
         for i in range(1, t + 1)
     ])
-    return _odd_coset_matrix(flag.partition, entries)
-
-
-@functools.lru_cache(maxsize=1024)
-def _odd_coset_matrix(partition: Partition, entries: tuple[tuple[int, ...], ...]) -> CosetMatrix:
-    """The validated coset matrix, built once per distinct profile: equal
-    entries get the same verdict, so a repeated profile is not checked
-    again.  An invalid one raises on every call, since a raise is not
-    cached."""
-    return CosetMatrix(CaseTag.ODD, partition, entries)
+    return CosetMatrix(CaseTag.ODD, Partition(parts), entries)
 
 
 def _us_matrix(s: CosetMatrix, field: QuadraticExtension) -> list[Vec]:
@@ -262,7 +366,7 @@ def representative_flag(s: CosetMatrix, spec: FieldSpec) -> Flag:
     return Flag(s.partition, tuple(bases))
 
 
-def _complements(flag: Flag, field: QuadraticExtension) -> dict[tuple[int, int], tuple[Vec, ...]]:
+def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
     """The graded pieces S_{i,j} of the twist decomposition.
 
     For i < j any complement works and its Frobenius image is used at
@@ -280,7 +384,7 @@ def _complements(flag: Flag, field: QuadraticExtension) -> dict[tuple[int, int],
             meet[i][j] = field.intersect(bases[i], theta[j])
             if i < j:
                 meet[j][i] = tuple(field.vec_frob(v) for v in meet[i][j])
-    out: dict[tuple[int, int], tuple[Vec, ...]] = {}
+    out: GradedPieces = {}
     for i in range(1, t + 1):
         for j in range(i, t + 1):
             u = meet[i][j]
@@ -296,20 +400,28 @@ def _complements(flag: Flag, field: QuadraticExtension) -> dict[tuple[int, int],
     return out
 
 
-def reduce_to_representative(flag: Flag, spec: FieldSpec) -> list[Vec]:
+def reduce_to_representative(
+    flag: Flag,
+    spec: FieldSpec,
+    targets: dict[FlagProfile, GradedPieces] | None = None,
+) -> list[Vec]:
     """Base-field matrix carrying the flag onto its canonical
     representative.
 
     Sends each graded piece of the flag onto the matching piece of the
     representative; off-diagonal partners are mapped by the Frobenius
     transport of each other, so the assembled matrix commutes with the
-    twist and therefore has base-field entries.
+    twist and therefore has base-field entries.  ``targets`` maps
+    profiles to the graded pieces of their representatives, so that a
+    caller reducing many flags builds each representative once; the
+    representative of a profile it lacks is built here.
     """
     field = spec.extension()
     profile = flag_profile(flag, spec)
-    rep = representative_flag(profile, spec)
-    src = _complements(flag, field)
-    dst = _complements(rep, field)
+    dst = targets.get(profile) if targets else None
+    if dst is None:
+        dst = graded_pieces(representative_flag(profile, spec), field)
+    src = graded_pieces(flag, field)
     t = len(flag.partition)
     order = [(i, j) for i in range(1, t + 1) for j in range(1, t + 1)]
     src_vecs: list[Vec] = []
@@ -330,15 +442,13 @@ def reduce_to_representative(flag: Flag, spec: FieldSpec) -> list[Vec]:
     return h
 
 
-def _decode(data: object, n: int, q: int, partition: Partition) -> list[Flag] | None:
-    """The flags of a cache payload, or None unless it has this version
-    and holds as many flags as the variety has, each a chain of lists of
-    rows of n entries of F_{q^2}.  An entry must be an int in 0..q^2 - 1
-    by type: JSON true and 1.0 compare equal to 1, so a membership test
-    would let them through."""
-    if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-        return None
-    chains = data.get("flags")
+def _decode(chains: object, n: int, q: int, partition: Partition) -> list[Flag] | None:
+    """The flags of a cache file's flags list, or None unless it holds as
+    many flags as the variety has, each a chain of lists of rows of n
+    entries of F_{q^2}.  An entry must be an int in 0..q^2 - 1 by type:
+    JSON true and 1.0 compare equal to 1, so a membership test would let
+    them through.  Each entry of the list is set to None once its flag
+    is built."""
     if not isinstance(chains, list) or len(chains) != count_flags(n, partition, q * q):
         return None
     dims = list(itertools.accumulate(partition.parts))
@@ -355,19 +465,45 @@ def _decode(data: object, n: int, q: int, partition: Partition) -> list[Flag] | 
     entries = list(itertools.chain.from_iterable(rows))
     if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= q * q:
         return None
-    return [
-        Flag(partition, tuple(tuple(map(tuple, basis)) for basis in chain))
-        for chain in chains
-    ]
+    del rows, entries
+    flags = []
+    for index, chain in enumerate(chains):
+        flags.append(Flag(partition, tuple(tuple(map(tuple, basis)) for basis in chain)))
+        # each parsed chain goes once its flag is built, so the parsed
+        # lists and the flags are never both held whole
+        chains[index] = None
+    return flags
+
+
+def _verified_flags(text: str) -> object:
+    """The parsed flags list of a cache file's text, or None unless the
+    text has this version and its flags text matches its checksum.  The
+    flags are parsed in place, so no second copy of the text is held."""
+    head = f'{{"version": {CACHE_VERSION}, "crc32": '
+    sep = ', "flags": '
+    at = text.find(sep, len(head))
+    if not text.startswith(head) or at < 0 or not text.endswith("}"):
+        return None
+    start = at + len(sep)
+    if text[len(head):at] != str(zlib.crc32(text[start:-1].encode())):
+        return None
+    chains, end = json.JSONDecoder().raw_decode(text, start)
+    return chains if end == len(text) - 1 else None
 
 
 class FlagCache:
     """On-disk cache of flag enumerations keyed by (n, q, partition).
 
-    A file that is missing, unreadable, not JSON, of another version or
-    of the wrong shape is a miss, so the caller recomputes and rewrites
-    it.  Writes go to a temporary file in the same directory that then
-    replaces the entry, so a reader never sees a partial file.
+    A file is the text of json.dumps({"version": 3, "crc32": c, "flags":
+    [...]}), where c is the CRC-32 of the UTF-8 bytes of the flags list's
+    own text.  A file that is missing, unreadable, of another version,
+    whose flags text does not match its checksum, or whose flags are
+    not JSON or of the wrong shape is a miss, so the caller recomputes
+    and rewrites it.  The checksum is what makes a hit the exact flags
+    that ``store`` wrote, row-reduced and each once: the profile reads
+    its ranks off the pivots of reduced bases.  Writes go to a temporary
+    file in the same directory that then replaces the entry, so a
+    reader never sees a partial file.
     """
 
     def __init__(self, directory: str):
@@ -382,24 +518,28 @@ class FlagCache:
 
     def load(self, n: int, q: int, partition: Partition) -> list[Flag] | None:
         try:
-            with open(self._path(n, q, partition)) as fh:
-                data = json.load(fh)
+            with open(self._path(n, q, partition), encoding="utf-8") as fh:
+                chains = _verified_flags(fh.read())
         except (OSError, ValueError):
-            # a missing or unreadable file, or text that is not JSON
+            # a missing or unreadable file, bytes that are not UTF-8, or
+            # flags text that is not JSON
             return None
-        return _decode(data, n, q, partition)
+        # the file's text is freed by now, before the flags are built
+        return _decode(chains, n, q, partition)
 
     def store(self, n: int, q: int, partition: Partition, flags: list[Flag]) -> None:
-        # The text of json.dumps({"version": ..., "flags": [...]}), one
-        # json.dumps per flag: json.dump would stream through the
-        # pure-Python encoder, and one json.dumps call over the whole
-        # list holds every small piece of the C encoder at once.
-        flags_text = ", ".join(json.dumps(flag.bases) for flag in flags)
-        text = f'{{"version": {CACHE_VERSION}, "flags": [{flags_text}]}}'
+        # The text of json.dumps of the payload, one json.dumps per flag:
+        # json.dump would stream through the pure-Python encoder, and one
+        # json.dumps call over the whole list holds every small piece of
+        # the C encoder at once.
+        flags_text = "[" + ", ".join(json.dumps(flag.bases) for flag in flags) + "]"
+        crc = zlib.crc32(flags_text.encode())
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".flags-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(f'{{"version": {CACHE_VERSION}, "crc32": {crc}, "flags": ')
+                fh.write(flags_text)
+                fh.write("}")
             os.replace(tmp, self._path(n, q, partition))
         finally:
             if os.path.exists(tmp):

@@ -3,14 +3,29 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from steinberg_distinction import cli
 from steinberg_distinction.cli import main
+from steinberg_distinction.oracles import flags as flags_module
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def edit_flags(change):
+    """A cache-file mangler that edits the flags of the payload and
+    leaves its checksum as it was."""
+
+    def mangle(raw):
+        data = json.loads(raw)
+        change(data["flags"])
+        return json.dumps(data).encode()
+
+    return mangle
 
 
 def run(capsys, *argv):
@@ -138,13 +153,22 @@ class TestOracles:
 
     @pytest.mark.parametrize(
         "damage",
-        [lambda raw: raw[: len(raw) // 2], lambda raw: b"\x00\xff\xfe garbage"],
-        ids=["truncated", "garbage"],
+        [
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: b"\x00\xff\xfe garbage",
+            # a copy of the first flag in place of the second
+            edit_flags(lambda flags: flags.__setitem__(1, flags[0])),
+            # the Frobenius-stable line [[3, 0]] spelled l (1, 0) = [[1, 0]]:
+            # not reduced, and its profile would be misread
+            edit_flags(lambda flags: flags[0][0].__setitem__(0, [1, 0])),
+        ],
+        ids=["truncated", "garbage", "repeated-flag", "unreduced-basis"],
     )
     def test_flags_damaged_cache_recomputed(self, capsys, tmp_path, damage):
-        argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "2,1"]
+        argv = ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1"]
         code, clean, _ = run(capsys, *argv)
         assert code == 0
+        assert "orbit size 6" in clean and "orbit size 4" in clean
         run(capsys, *argv, "--cache-dir", str(tmp_path))
         (path,) = tmp_path.iterdir()
         path.write_bytes(damage(path.read_bytes()))
@@ -170,6 +194,34 @@ class TestOracles:
             {"cache": "miss", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
             {"cache": "hit", "flags_enumerated": 0, "profiles_computed": 22, "reductions_checked": 10},
         ]
+
+    def test_flags_stream_holds_no_list(self, capsys, monkeypatch):
+        argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1", "--format", "json"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the streamed oracle built the flag list")
+
+        monkeypatch.setattr(flags_module, "enumerate_flags", refuse)
+        monkeypatch.setattr(cli, "enumerate_flags", refuse, raising=False)
+        stream = flags_module.iter_flags
+        alive: weakref.WeakSet = weakref.WeakSet()
+        most = []
+
+        def watched(*args, **kwargs):
+            for flag, profile in stream(*args, **kwargs):
+                alive.add(flag)
+                most.append(len(alive))
+                yield flag, profile
+
+        monkeypatch.setattr(cli, "iter_flags", watched)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected)
+        # 910 flags pass through; alive at any time are only the 10
+        # sampled for reduction, the new one and the last one, which the
+        # command's loop holds until it takes the next
+        assert len(most) == 910 and max(most) <= 12
 
     def test_flags_budget(self, capsys):
         code, _, err = run(
@@ -283,3 +335,32 @@ class TestWithoutSympy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0]"
         assert "q=2: nonzero (-2)" in proc.stdout
+
+
+def test_tracing_install_resolves_every_name():
+    # the benchmark's tracer wraps package functions by name, so a
+    # renamed function must fail here and not only in the benchmark
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, tracing\n"
+            "tracer = tracing.install()\n"
+            "pkg = tracing.PKG\n"
+            "for name, module, attr, _ in tracing.FUNCTIONS:\n"
+            "    assert hasattr(getattr(sys.modules[f'{pkg}.{module}'], attr), '__wrapped__'), name\n"
+            "for name, module, cls, methods, _ in tracing.METHODS:\n"
+            "    owner = getattr(sys.modules[f'{pkg}.{module}'], cls)\n"
+            "    for method in methods:\n"
+            "        assert hasattr(getattr(owner, method), '__wrapped__'), name\n"
+            "names = {f[0] for f in tracing.FUNCTIONS} | {m[0] for m in tracing.METHODS}\n"
+            "assert set(tracer.stats) == names, names ^ set(tracer.stats)\n"
+            "print(len(names))\n",
+        ],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(ROOT / "bench")])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0

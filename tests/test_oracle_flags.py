@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import zlib
 
 import pytest
 
@@ -18,10 +19,13 @@ from steinberg_distinction.oracles.flags import (
     Flag,
     FlagCache,
     _enumerate_rref,
+    _rank_row,
     count_flags,
     enumerate_flags,
     flag_profile,
     gaussian_binomial,
+    graded_pieces,
+    iter_flags,
     reduce_to_representative,
     representative_flag,
 )
@@ -118,6 +122,56 @@ def reference_flag_profile(flag, spec):
     )
 
 
+def rank_table(flag, field):
+    """r[i][j] = dim(V_i meet theta V_j) for 1 <= i, j < t, each from one
+    full rank of a basis of V_i + theta V_j."""
+    t = len(flag.partition)
+    dims = [0, *itertools.accumulate(flag.partition.parts)]
+    bases = ((),) + flag.bases
+    theta = [[field.vec_frob(v) for v in b] for b in bases]
+    r = [[0] * (t + 1) for _ in range(t + 1)]
+    for i in range(1, t):
+        for j in range(1, t):
+            r[i][j] = dims[i] + dims[j] - field.rank(list(bases[i]) + theta[j])
+    return r
+
+
+def rank_reference_flag_profile(flag, spec):
+    """The profile from one full rank per corner of the table."""
+    t = len(flag.partition)
+    r = rank_table(flag, spec.extension())
+    dims = [0, *itertools.accumulate(flag.partition.parts)]
+    for i in range(1, t + 1):
+        r[i][t] = r[t][i] = dims[i]
+    return tuple(
+        tuple(
+            r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
+            for j in range(1, t + 1)
+        )
+        for i in range(1, t + 1)
+    )
+
+
+def random_reduced_flag(field, n, rng):
+    """A flag of a random composition of n from the rows of a random
+    invertible matrix; entries come from the base field, from {0, 1, l}
+    or from all of F_{q^2}, so that every kind of orbit turns up."""
+    elements = field.elements()
+    pool = rng.choice([
+        [x for x in elements if field.in_base(x)],
+        [field.zero, field.one, field.lam],
+        elements,
+    ])
+    while True:
+        mat = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(n)]
+        if field.rank(mat) == n:
+            break
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    partition = Partition(tuple(b - a for a, b in zip([0, *cuts], [*cuts, n])))
+    dims = itertools.accumulate(partition.parts)
+    return Flag(partition, tuple(field.rref(mat[:dim]) for dim in dims))
+
+
 def reference_extend_to_complement(field, inner, outer):
     """Vectors of ``outer`` completing ``inner``, one full rank per candidate."""
     current = list(inner)
@@ -165,30 +219,50 @@ def random_matrices(q, rng):
         yield [tuple(rng.choice(pool) for _ in range(cols)) for _ in range(rows)]
 
 
-def edit_cache(change):
-    """A cache-file mangler that applies ``change`` to the parsed payload."""
+def signed(data):
+    """The cache-file text of a payload, with the checksum of its flags
+    text recomputed: json.dumps of {"version", "crc32", "flags"}."""
+    flags_text = json.dumps(data["flags"])
+    return json.dumps({
+        "version": data["version"],
+        "crc32": zlib.crc32(flags_text.encode()),
+        "flags": data["flags"],
+    })
+
+
+def edit_cache(change, sign=True):
+    """A cache-file mangler that applies ``change`` to the parsed payload
+    and, unless ``sign`` is false, signs the result, so that the decoder
+    and not the checksum has to reject it."""
 
     def mangle(text):
         data = json.loads(text)
         change(data)
-        return json.dumps(data)
+        return signed(data) if sign else json.dumps(data)
 
     return mangle
 
 
+def stream_histogram(stream):
+    hist: dict[tuple, int] = {}
+    for _, profile in stream:
+        key = profile.flat()
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
 @functools.cache
+def grid_stream(n, q, partition):
+    return list(iter_flags(n, q, partition, budget=count_flags(n, partition, q * q)))
+
+
 def grid_flags(n, q, partition):
-    return enumerate_flags(n, q, partition, budget=count_flags(n, partition, q * q))
+    return [flag for flag, _ in grid_stream(n, q, partition)]
 
 
 @functools.cache
 def grid_histogram(n, q, partition):
-    spec = FieldSpec(q)
-    hist: dict[tuple, int] = {}
-    for flag in grid_flags(n, q, partition):
-        key = flag_profile(flag, spec).flat()
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    return stream_histogram(grid_stream(n, q, partition))
 
 
 def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
@@ -360,9 +434,27 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_profiles_match_reference(self, point):
+        # the stream's profile, the profile of the flag alone, one rank
+        # per corner and one intersection per corner all agree
         spec = FieldSpec(point[1])
-        for flag in grid_flags(*point):
-            assert flag_profile(flag, spec).entries == reference_flag_profile(flag, spec)
+        for flag, profile in grid_stream(*point):
+            assert flag_profile(flag, spec) == profile
+            assert profile.entries == rank_reference_flag_profile(flag, spec)
+            assert profile.entries == reference_flag_profile(flag, spec)
+
+    def test_rank_rows_match_reference_on_random_flags(self):
+        rng = random.Random(20261021)
+        for q in (3, 5):
+            spec = FieldSpec(q)
+            field = spec.extension()
+            for n in (4, 5):
+                for _ in range(100):
+                    flag = random_reduced_flag(field, n, rng)
+                    r = rank_table(flag, field)
+                    bases = flag.bases[:-1]
+                    for i, basis in enumerate(bases, 1):
+                        assert _rank_row(field, basis, bases[: i - 1]) == tuple(r[i][1 : i + 1])
+                    assert flag_profile(flag, spec).entries == rank_reference_flag_profile(flag, spec)
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_orbit_sizes_sum_to_count(self, point):
@@ -395,6 +487,22 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError) as err:
             enumerate_flags(4, 3, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
+        # the stream refuses when it is asked for, not when first read
+        with pytest.raises(BudgetExceededError):
+            iter_flags(4, 3, Partition((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("parts", [(2, 2), (1, 1, 2)], ids=["2-2", "1-1-2"])
+    def test_n4_stream(self, parts):
+        partition = Partition(parts)
+        count = count_flags(4, partition, 9)
+        hist = stream_histogram(iter_flags(4, 3, partition, budget=count))
+        assert set(hist) == {
+            s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)
+        }
+        assert sum(hist.values()) == count
+        if parts == parts[::-1]:
+            top = hist.pop(anti_diagonal_matrix(partition, CaseTag.ODD).flat())
+            assert all(top > size for size in hist.values())
 
     def test_cache_roundtrip(self, tmp_path):
         cache = FlagCache(str(tmp_path))
@@ -444,6 +552,33 @@ class TestEnumeration:
             fh.write(damaged)
         assert cache.load(2, 3, partition) is None
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda data: data["flags"].__setitem__(1, data["flags"][0]),
+            # the Frobenius-stable line [[3, 0]] of the first flag spelled
+            # l (1, 0) = [[1, 0]]: the same line, not reduced, and its
+            # imaginary part would make the rank rows read it as unstable
+            lambda data: data["flags"][0][0].__setitem__(0, [1, 0]),
+            lambda data: data.update(crc32=data["crc32"] ^ 1),
+        ],
+        ids=["repeated-flag", "unreduced-basis", "checksum"],
+    )
+    def test_cache_edit_without_checksum_is_a_miss(self, tmp_path, change):
+        cache = FlagCache(str(tmp_path))
+        partition = Partition((1, 1))
+        flags = enumerate_flags(2, 3, partition)
+        assert flags[0].bases[0] == ((3, 0),)
+        cache.store(2, 3, partition, flags)
+        path = cache._path(2, 3, partition)
+        with open(path) as fh:
+            text = fh.read()
+        damaged = edit_cache(change, sign=False)(text)
+        assert damaged != text
+        with open(path, "w") as fh:
+            fh.write(damaged)
+        assert cache.load(2, 3, partition) is None
+
     def test_cache_v1_file_is_a_miss(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
@@ -462,21 +597,28 @@ class TestEnumeration:
         with open(cache._path(2, 3, partition), "w") as fh:
             fh.write(text)
         assert cache.load(2, 3, partition) is None
+        # nor is the unsigned second version, under either name
+        text = json.dumps({"version": 2, "flags": [flag.bases for flag in flags]})
+        (tmp_path / "flags_v2_n2_q3_1-1.json").write_text(text)
+        with open(cache._path(2, 3, partition), "w") as fh:
+            fh.write(text)
+        assert cache.load(2, 3, partition) is None
 
     def test_cache_file_is_json_dumps_of_payload(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 2))
         flags = enumerate_flags(3, 3, partition)
         cache.store(3, 3, partition, flags)
+        chains = [
+            [[list(row) for row in basis] for basis in flag.bases] for flag in flags
+        ]
         payload = {
-            "version": 2,
-            "flags": [
-                [[list(row) for row in basis] for basis in flag.bases]
-                for flag in flags
-            ],
+            "version": 3,
+            "crc32": zlib.crc32(json.dumps(chains).encode()),
+            "flags": chains,
         }
         with open(cache._path(3, 3, partition)) as fh:
-            assert fh.read() == json.dumps(payload)
+            assert fh.read() == json.dumps(payload) == signed(payload)
 
     def test_cache_missing_is_a_miss(self, tmp_path):
         assert FlagCache(str(tmp_path)).load(2, 3, Partition((1, 1))) is None
@@ -486,7 +628,7 @@ class TestEnumeration:
         partition = Partition((1, 1))
         flags = enumerate_flags(2, 3, partition)
         cache.store(2, 3, partition, flags)
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v2_n2_q3_1-1.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v3_n2_q3_1-1.json"]
 
         def fail(src, dst):
             raise OSError("disk full")
@@ -495,7 +637,7 @@ class TestEnumeration:
         with pytest.raises(OSError):
             cache.store(2, 3, partition, flags[:1])
         # the old entry is intact and no temporary file is left behind
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v2_n2_q3_1-1.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v3_n2_q3_1-1.json"]
         assert cache.load(2, 3, partition) == flags
 
 
@@ -573,9 +715,15 @@ class TestRepresentativesAndReduction:
     def test_reduction_matches_reference_complements(self, partition, monkeypatch):
         flags = enumerate_flags(partition.total, 3, partition)
         for flag in flags:
-            assert flags_module._complements(flag, FIELD) == reference_complements(flag, FIELD)
+            assert graded_pieces(flag, FIELD) == reference_complements(flag, FIELD)
         fast = [reduce_to_representative(flag, SPEC) for flag in flags]
-        monkeypatch.setattr(flags_module, "_complements", reference_complements)
+        # representatives built once and shared give the same matrices
+        targets = {
+            s: graded_pieces(representative_flag(s, SPEC), FIELD)
+            for s in enumerate_coset_matrices(partition, CaseTag.ODD)
+        }
+        assert fast == [reduce_to_representative(flag, SPEC, targets) for flag in flags]
+        monkeypatch.setattr(flags_module, "graded_pieces", reference_complements)
         assert fast == [reduce_to_representative(flag, SPEC) for flag in flags]
 
     def test_one_intersection_per_corner(self, monkeypatch):
@@ -590,7 +738,7 @@ class TestRepresentativesAndReduction:
         for n, t in ((1, 1), (2, 2), (3, 3)):
             flag = enumerate_flags(n, 3, Partition((1,) * n))[-1]
             calls.clear()
-            flags_module._complements(flag, FIELD)
+            graded_pieces(flag, FIELD)
             assert len(calls) == t * (t + 1) // 2
 
     def _check_all_reductions(self, n, partition):
