@@ -280,27 +280,39 @@ def _rank_row(
 
 
 def _rank(field: QuadraticExtension, nonzero_rows: list) -> int:
-    """Rank of nonzero rows, with no row reduction for two or fewer."""
-    if len(nonzero_rows) != 2:
-        return field.rank(nonzero_rows) if nonzero_rows[2:] else len(nonzero_rows)
-    u, v = nonzero_rows
-    p = _pivot(u)
-    mul_u, mul_v = field.mul_table[u[p]], field.mul_table[v[p]]
-    # v is a multiple of u exactly when u[p] v = v[p] u
-    return 1 if all(mul_u[y] == mul_v[x] for x, y in zip(u, v)) else 2
+    """Rank of nonzero rows, with no row reduction for one or none."""
+    return field.rank(nonzero_rows) if len(nonzero_rows) > 1 else len(nonzero_rows)
+
+
+def _require_reduced(field: QuadraticExtension, basis: tuple[Vec, ...]) -> None:
+    """Raise unless the basis is in reduced row echelon form: increasing
+    pivots, each entry 1, and every other row 0 in each pivot column."""
+    last = -1
+    for index, row in enumerate(basis):
+        if not any(row):
+            raise InvalidInputError("flag basis has a zero row")
+        p = _pivot(row)
+        if p <= last or row[p] != field.one or any(
+            other[p] for k, other in enumerate(basis) if k != index
+        ):
+            raise InvalidInputError("flag bases must be row-reduced")
+        last = p
 
 
 def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
     """Coset matrix of the flag's orbit under the base-field group.
 
     The bases of the flag must be row-reduced, as every ``Flag`` built
-    by this package is.  Entry (i, j) counts the dimension jumps of the
-    intersections with the Frobenius image of the flag, by
+    by this package is; ``InvalidInputError`` otherwise, since the ranks
+    are read off the pivots.  Entry (i, j) counts the dimension jumps of
+    the intersections with the Frobenius image of the flag, by
     inclusion-exclusion on the table r[i][j] = dim(V_i meet theta V_j),
     whose rows come from ``_rank_row``.
     """
     field = spec.extension()
     bases = flag.bases[:-1]
+    for basis in bases:
+        _require_reduced(field, basis)
     rows = tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
     return _profile_from_rows(flag.partition.parts, rows)
 

@@ -8,6 +8,7 @@ import pytest
 
 from steinberg_distinction.cosets import (
     CaseTag,
+    InvalidInputError,
     Partition,
     anti_diagonal_matrix,
     enumerate_coset_matrices,
@@ -655,6 +656,31 @@ class TestProfiles:
         )
         profile = flag_profile(standard, SPEC)
         assert profile.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    @pytest.mark.parametrize(
+        "damage", ["scaled-row", "row-added", "rows-swapped", "zero-row"]
+    )
+    def test_unreduced_flag_is_refused(self, damage):
+        """A flag whose bases span the right spaces but are not reduced
+        raises instead of getting a profile read off wrong pivots."""
+        rng = random.Random(7)
+        flags = enumerate_flags(3, 3, Partition((2, 1)))
+        # a flag whose V_1 has two rows, both with nonzero free entries
+        flag = next(f for f in flags if all(sum(map(bool, row)) > 1 for row in f.bases[0]))
+        u, v = flag.bases[0]
+        c = rng.choice([x for x in FIELD.elements() if x not in (FIELD.zero, FIELD.one)])
+        rows = {
+            "scaled-row": (FIELD.vec_scale(c, u), v),
+            "row-added": (u, FIELD.vec_add(v, u)),
+            "rows-swapped": (v, u),
+            "zero-row": (u, tuple(FIELD.zero for _ in u)),
+        }[damage]
+        damaged = Flag(flag.partition, (rows,) + flag.bases[1:])
+        if damage != "zero-row":
+            # the same spaces, so the full-rank reference still reads them
+            assert rank_reference_flag_profile(damaged, SPEC) == flag_profile(flag, SPEC).entries
+        with pytest.raises(InvalidInputError, match="zero row|row-reduced"):
+            flag_profile(damaged, SPEC)
 
     def test_us_flag_antidiagonal_profile(self):
         s = anti_diagonal_matrix(Partition((1, 1)), CaseTag.ODD)
