@@ -8,6 +8,7 @@ input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -286,7 +287,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by
+    every ``main`` call; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="steinberg-distinction",
         description="Distinction combinatorics for twisted Steinberg representations.",
