@@ -1,7 +1,8 @@
 """Character support on twisted Levi fixed groups.
 
 The half modulus character of a fine parabolic is a power of the
-positive norm character, one rational exponent per fine block.  The
+positive norm character, one rational exponent per fine block; the
+support test reads them as integers (``doubled_exponents``).  The
 character equation against it on the fixed group of the twisted
 diagonal Levi reduces to convention-invariant conditions: paired
 exponents must cancel, fixed blocks must carry exponent zero, and a
@@ -23,7 +24,6 @@ from .cosets import (
     FineLayout,
     InvalidInputError,
     Partition,
-    block_involution,
     enumerate_coset_matrices,
     fine_layout,
     validate_m_d,
@@ -33,7 +33,7 @@ __all__ = [
     "ChiToken",
     "SupportRule",
     "SupportReport",
-    "delta_half_exponents",
+    "doubled_exponents",
     "orbit_supports",
     "supporting_coset_matrices",
     "minimal_orbit_analysis",
@@ -79,23 +79,20 @@ class SupportReport:
         }
 
 
-def delta_half_exponents(layout: FineLayout, kappa: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
-    """Half modulus exponents of the fine parabolic, one per block.
+def doubled_exponents(layout: FineLayout) -> tuple[int, ...]:
+    """Half modulus exponents of the fine parabolic, doubled and divided
+    by the convention weight: one integer per block.
 
-    Block b of size k_b gets (kappa/2) (sum of later sizes - sum of
-    earlier sizes); the weighted total over blocks vanishes.
+    Block b gets (sum of later sizes) - (sum of earlier sizes); its half
+    modulus exponent is kappa/2 times that.  For every kappa > 0 an
+    exponent is zero, and two exponents cancel, exactly when their
+    integers do, so the support test reads these and kappa stays inert.
     """
-    if kappa <= 0:
-        raise InvalidInputError("kappa must be positive")
-    sizes = layout.sub_partition.parts
-    total = sum(sizes)
-    prefix = 0
-    out = []
-    for k in sizes:
-        suffix = total - prefix - k
-        out.append(Fraction(kappa) * Fraction(suffix - prefix, 2))
-        prefix += k
-    return tuple(out)
+    n = layout.sub_partition.total
+    return tuple(
+        n + 2 - 2 * start - k
+        for start, (_, _, k) in zip(layout.start_pos, layout.blocks)
+    )
 
 
 def orbit_supports(
@@ -109,22 +106,25 @@ def orbit_supports(
     trivial; a fixed block sees the base-field restriction through the
     reduced norm, so only ``eta`` leaves a sign there
     (FIXED_SIGN_OBSTRUCTION).  Block indices in violations are 1-based.
+    The exponents are the integers of ``doubled_exponents``; ``kappa``
+    must be positive and changes no verdict.  Block (i, j) is paired
+    with block (j, i), which comes later in the row-major layout when
+    i < j; a diagonal block is fixed.
     """
+    if kappa <= 0:
+        raise InvalidInputError("kappa must be positive")
     layout = fine_layout(s)
-    invol = block_involution(s)
-    delta = delta_half_exponents(layout, kappa)
+    delta = doubled_exponents(layout)
+    index = {(i, j): b for b, (i, j, _) in enumerate(layout.blocks)}
     violations: list[tuple[int, SupportRule]] = []
-    for b in range(len(layout.blocks)):
-        eb = delta[b]
-        if b in invol.fixed_blocks:
-            if eb != 0:
+    for b, (i, j, _) in enumerate(layout.blocks):
+        if i == j:
+            if delta[b]:
                 violations.append((b + 1, SupportRule.FIXED_EXPONENT_NONZERO))
             if chi is ChiToken.ETA:
                 violations.append((b + 1, SupportRule.FIXED_SIGN_OBSTRUCTION))
-        else:
-            partner = invol.pairing[b]
-            if b < partner and eb + delta[partner] != 0:
-                violations.append((b + 1, SupportRule.PAIR_SUM_NONZERO))
+        elif i < j and delta[b] + delta[index[(j, i)]]:
+            violations.append((b + 1, SupportRule.PAIR_SUM_NONZERO))
     return SupportReport(
         s=s, chi=chi, feasible=not violations, violations=tuple(violations)
     )

@@ -57,6 +57,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# `enumerate` counts exactly up to here, so a refusal names the count of
+# most shapes; the limit, not the part sizes, bounds the counting work.
+COUNT_LIMIT = 20 * DEFAULT_BUDGET
+
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
@@ -81,7 +85,9 @@ def _parse_matrix(text: str) -> list[list[int]]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     case = CaseTag(args.case)
-    estimate = count_coset_matrices(partition, case)
+    estimate = count_coset_matrices(partition, case, COUNT_LIMIT)
+    if estimate > COUNT_LIMIT:
+        raise BudgetExceededError(COUNT_LIMIT, DEFAULT_BUDGET, "coset matrix count over")
     if estimate > DEFAULT_BUDGET:
         raise BudgetExceededError(estimate, DEFAULT_BUDGET, "coset matrix count")
     matrices = enumerate_coset_matrices(partition, case)
@@ -127,10 +133,11 @@ def cmd_steinberg(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     ok = True
+    decided: dict = {}
     for m in range(1, args.max_m + 1):
         for d in range(1, args.max_d + 1):
             case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
-            agreed = cross_check(case, m, d)
+            agreed = cross_check(case, m, d, decided)
             ok = ok and agreed
             rows.append(
                 {

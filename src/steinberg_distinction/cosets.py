@@ -248,41 +248,52 @@ class SymbolicRepMatrix:
         return [[table[e] for e in row] for row in self.entries]
 
 
-def count_coset_matrices(partition: Partition, case: CaseTag) -> int:
+def count_coset_matrices(
+    partition: Partition, case: CaseTag, limit: int | None = None
+) -> int:
     """``len(enumerate_coset_matrices(partition, case))``, without
-    building any matrix.
+    building any matrix; with ``limit``, ``limit + 1`` stands for every
+    count above it.
 
     A dynamic programme over rows: fill the first row (its diagonal,
     then what it owes each later row), and count the rest from what the
     later rows still owe.  Relabelling the rows permutes a coset matrix,
     so that count depends only on the multiset of the nonzero amounts
-    owed, which keys the memo.
+    owed, which keys the memo.  Every amount owed can still be paid (in
+    the even case once the total is even, which the diagonal keeps), so
+    each way of filling a row adds at least one matrix: a sum that
+    stops at ``limit + 1`` has looked at no more than that many ways,
+    whatever the part sizes.
     """
     step = 2 if case is CaseTag.EVEN else 1
+    if step == 2 and partition.total % 2:
+        return 0
+    cap = None if limit is None else limit + 1
 
-    def spread(left: int, owed: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """What ``owed`` still owes after paying ``left`` in every way."""
+    def spread(left: int, owed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """What ``owed`` still owes after paying ``left`` in every way;
+        ``left`` is at most ``sum(owed)``."""
         if left == 0:
-            return [owed]
-        if left > sum(owed):
-            return []
+            yield owed
+            return
         head, tail = owed[0], owed[1:]
-        return [
-            (head - v,) + rest
-            for v in range(min(left, head) + 1)
-            for rest in spread(left - v, tail)
-        ]
+        for v in range(max(0, left - sum(tail)), min(left, head) + 1):
+            for rest in spread(left - v, tail):
+                yield (head - v,) + rest
 
     @functools.cache
     def count(owed: tuple[int, ...]) -> int:
         if not owed:
             return 1
         first, rest = owed[0], owed[1:]
-        return sum(
-            count(tuple(sorted(x for x in after if x)))
-            for diag in range(0, first + 1, step)
-            for after in spread(first - diag, rest)
-        )
+        low = max(0, first - sum(rest))
+        total = 0
+        for diag in range(low + low % step, first + 1, step):
+            for after in spread(first - diag, rest):
+                total += count(tuple(sorted(x for x in after if x)))
+                if cap is not None and total >= cap:
+                    return cap
+        return total
 
     return count(tuple(sorted(partition.parts)))
 
@@ -296,6 +307,8 @@ def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetM
     """
     if not isinstance(partition, Partition):
         raise InvalidInputError("partition must be a Partition")
+    if case is CaseTag.EVEN and partition.total % 2:
+        return []  # an even diagonal makes the total of the entries even
     t = len(partition)
     results: list[CosetMatrix] = []
     entries = [[0] * t for _ in range(t)]

@@ -155,21 +155,36 @@ def exponent_parity_formula(m: int, d: int) -> ChiToken:
     return ChiToken.ETA if (m * d - 1) % 2 else ChiToken.TRIV
 
 
-def cross_check(case: CaseTag, m: int, d: int) -> bool:
-    """Engine verdicts agree with the closed-form parity for both tokens."""
+def cross_check(
+    case: CaseTag,
+    m: int,
+    d: int,
+    decided: dict[tuple[CaseTag, int, ChiToken], VerdictStatus] | None = None,
+) -> bool:
+    """Engine verdicts agree with the closed-form parity for both tokens.
+
+    d enters a verdict only through the parity check, so ``decided``
+    maps (case, m, chi) to a status decided for another d of the case:
+    a sweep passes one dict and decides each (case, m, chi) once.
+    """
     validate_m_d(case, m, d)
     expected = exponent_parity_formula(m, d)
+    if decided is None:
+        decided = {}
     ok = True
     for chi in ChiToken:
-        verdict = steinberg_decision(case, m, d, chi)
-        if verdict.status is VerdictStatus.INCONCLUSIVE:
+        status = decided.get((case, m, chi))
+        if status is None:
+            status = steinberg_decision(case, m, d, chi).status
+            decided[(case, m, chi)] = status
+        if status is VerdictStatus.INCONCLUSIVE:
             log.warning(
                 "cross_check: INCONCLUSIVE verdict for case=%s m=%d d=%d chi=%s",
                 case.value, m, d, chi.value,
             )
             ok = False
         elif chi is expected:
-            ok = ok and verdict.status is VerdictStatus.DISTINGUISHED
+            ok = ok and status is VerdictStatus.DISTINGUISHED
         else:
-            ok = ok and verdict.status is VerdictStatus.NOT_DISTINGUISHED
+            ok = ok and status is VerdictStatus.NOT_DISTINGUISHED
     return ok

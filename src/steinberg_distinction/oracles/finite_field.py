@@ -11,8 +11,8 @@ Subspaces are tuples of row-reduced rows; every operation is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 from ..cosets import InvalidInputError
 
@@ -44,12 +44,14 @@ class FieldSpec:
             raise InvalidInputError("p must be an odd prime")
 
     def extension(self) -> "QuadraticExtension":
-        """F_{q^2} over this field, built once per spec."""
-        return self._extension
+        """F_{q^2} over this field, built once per prime per process."""
+        return _extension(self)
 
-    @cached_property
-    def _extension(self) -> "QuadraticExtension":
-        return QuadraticExtension(self)
+
+@functools.cache
+def _extension(spec: FieldSpec) -> "QuadraticExtension":
+    # equal specs hash alike, so every FieldSpec(p) shares one table set
+    return QuadraticExtension(spec)
 
 
 class QuadraticExtension:

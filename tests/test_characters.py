@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from steinberg_distinction.characters import (
     ChiToken,
+    SupportReport,
     SupportRule,
-    delta_half_exponents,
+    doubled_exponents,
     minimal_orbit_analysis,
     orbit_supports,
     supporting_coset_matrices,
@@ -20,6 +21,7 @@ from steinberg_distinction.cosets import (
     InvalidInputError,
     Partition,
     anti_diagonal_matrix,
+    block_involution,
     coarsen,
     enumerate_coset_matrices,
     fine_layout,
@@ -33,21 +35,59 @@ def mat(case, entries):
     return CosetMatrix(case, parts, tuple(tuple(r) for r in entries))
 
 
+def delta_half_exponents(layout, kappa=Fraction(1)):
+    """Reference: the rational half modulus exponents, one per block.
+
+    Block b of size k_b gets (kappa/2) (sum of later sizes - sum of
+    earlier sizes); the weighted total over blocks vanishes.
+    """
+    if kappa <= 0:
+        raise InvalidInputError("kappa must be positive")
+    sizes = layout.sub_partition.parts
+    total = sum(sizes)
+    prefix = 0
+    out = []
+    for k in sizes:
+        suffix = total - prefix - k
+        out.append(Fraction(kappa) * Fraction(suffix - prefix, 2))
+        prefix += k
+    return tuple(out)
+
+
+def _reference_report(s, chi, invol, delta):
+    """Reference: the support rule on the rational exponents ``delta``,
+    with the pairing and the fixed blocks read off ``block_involution``."""
+    violations = []
+    for b, eb in enumerate(delta):
+        if b in invol.fixed_blocks:
+            if eb != 0:
+                violations.append((b + 1, SupportRule.FIXED_EXPONENT_NONZERO))
+            if chi is ChiToken.ETA:
+                violations.append((b + 1, SupportRule.FIXED_SIGN_OBSTRUCTION))
+        else:
+            partner = invol.pairing[b]
+            if b < partner and eb + delta[partner] != 0:
+                violations.append((b + 1, SupportRule.PAIR_SUM_NONZERO))
+    return SupportReport(
+        s=s, chi=chi, feasible=not violations, violations=tuple(violations)
+    )
+
+
 class TestDeltaExponents:
     def test_two_singletons(self):
-        s = mat(CaseTag.ODD, [[1, 0], [0, 1]])
-        delta = delta_half_exponents(fine_layout(s))
-        assert delta == (Fraction(1, 2), Fraction(-1, 2))
+        layout = fine_layout(mat(CaseTag.ODD, [[1, 0], [0, 1]]))
+        assert delta_half_exponents(layout) == (Fraction(1, 2), Fraction(-1, 2))
+        assert doubled_exponents(layout) == (1, -1)
 
     def test_single_block(self):
-        s = mat(CaseTag.ODD, [[3]])
-        delta = delta_half_exponents(fine_layout(s))
-        assert delta == (Fraction(0),)
+        layout = fine_layout(mat(CaseTag.ODD, [[3]]))
+        assert delta_half_exponents(layout) == (Fraction(0),)
+        assert doubled_exponents(layout) == (0,)
 
     def test_sizes_1_1_2(self):
-        s = mat(CaseTag.ODD, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        delta = delta_half_exponents(fine_layout(s))
-        assert delta == (Fraction(3, 2), Fraction(1, 2), Fraction(-1))
+        layout = fine_layout(mat(CaseTag.ODD, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+        assert delta_half_exponents(layout) == (Fraction(3, 2), Fraction(1, 2), Fraction(-1))
+        assert doubled_exponents(layout) == (3, 1, -2)
 
     def test_weighted_sum_vanishes(self):
         for n in range(1, 7):
@@ -55,7 +95,8 @@ class TestDeltaExponents:
                 for case in CaseTag:
                     for s in enumerate_coset_matrices(partition, case):
                         layout = fine_layout(s)
-                        delta = delta_half_exponents(layout)
+                        delta = doubled_exponents(layout)
+                        assert delta == tuple(2 * e for e in delta_half_exponents(layout))
                         total = sum(
                             e * k for e, (_, _, k) in zip(delta, layout.blocks)
                         )
@@ -63,8 +104,32 @@ class TestDeltaExponents:
 
     def test_kappa_positive(self):
         s = mat(CaseTag.ODD, [[1, 0], [0, 1]])
-        with pytest.raises(InvalidInputError):
-            delta_half_exponents(fine_layout(s), Fraction(0))
+        for kappa in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(InvalidInputError, match="kappa must be positive"):
+                delta_half_exponents(fine_layout(s), kappa)
+            for chi in ChiToken:
+                with pytest.raises(InvalidInputError, match="kappa must be positive"):
+                    orbit_supports(s, chi, kappa)
+
+
+@pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+def test_orbit_supports_matches_rational_reference(case):
+    """The integer rule gives the reference's report, feasible flag and
+    violations alike, on every coset matrix with n <= 8."""
+    kappas = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(3, 7)]
+    checked = 0
+    for n in range(1, 9):
+        for partition in compositions(n):
+            for s in enumerate_coset_matrices(partition, case):
+                # the reference rule, with the layout and involution built once
+                layout, invol = fine_layout(s), block_involution(s)
+                for kappa in kappas:
+                    delta = delta_half_exponents(layout, kappa)
+                    for chi in ChiToken:
+                        expected = _reference_report(s, chi, invol, delta)
+                        assert orbit_supports(s, chi, kappa) == expected, s.to_json()
+                        checked += 1
+    assert checked == 8 * {CaseTag.ODD: 14256, CaseTag.EVEN: 2376}[case]
 
 
 class TestOrbitSupports:

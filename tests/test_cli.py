@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from steinberg_distinction import cli
+from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
+from steinberg_distinction.cosets import CaseTag
 from steinberg_distinction.oracles import flags as flags_module
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +72,28 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err == "error: coset matrix count 140152 exceeds budget 10000\n"
 
+    @pytest.mark.parametrize("case", ["odd", "even"])
+    @pytest.mark.parametrize("parts", ["40,40,40,40", "80,80,80,80"])
+    def test_size_guard_is_bounded(self, capsys, monkeypatch, case, parts):
+        # the exact count would take seconds to minutes: the refusal stops
+        # counting at COUNT_LIMIT
+        def refuse(*args):
+            raise AssertionError("a refused enumeration built its matrices")
+
+        monkeypatch.setattr(cli, "enumerate_coset_matrices", refuse)
+        start = time.monotonic()
+        code, out, err = run(capsys, "enumerate", "--case", case, "--partition", parts)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: coset matrix count over 200000 exceeds budget 10000\n"
+
+    def test_even_case_odd_total_is_empty(self, capsys):
+        # no even-case matrix has an odd total; nothing is searched for
+        start = time.monotonic()
+        code, out, _ = run(capsys, "enumerate", "--case", "even", "--partition", "41,40,40,40")
+        assert time.monotonic() - start < 1
+        assert (code, out) == (0, "0 coset matrices for partition (41, 40, 40, 40) (even)\n")
+
     def test_largest_under_budget(self, capsys):
         # 9,496 involutions of 10 points: listed, not refused
         code, out, _ = run(capsys, "enumerate", "--case", "odd", "--partition", ",".join(["1"] * 10))
@@ -114,6 +140,37 @@ class TestSweepAndLfactor:
         assert code == 0
         assert "all agree" in out
 
+    def test_sweep_decides_each_case_m_chi_once(self, capsys, monkeypatch):
+        # d enters a verdict only through its parity: one decision per
+        # (case, m, chi), 16 on this grid, where each (m, d) used to take 2
+        argv = ["sweep", "--max-m", "4", "--max-d", "4"]
+        expected = {}
+        for fmt in ("table", "json"):
+            expected[fmt] = run(capsys, *argv, "--format", fmt)
+        calls = []
+        decide = engine.steinberg_decision
+
+        def counting(case, m, d, chi, *rest):
+            calls.append((case, m, d, chi))
+            return decide(case, m, d, chi, *rest)
+
+        monkeypatch.setattr(engine, "steinberg_decision", counting)
+        for fmt in ("table", "json"):
+            calls.clear()
+            assert run(capsys, *argv, "--format", fmt) == expected[fmt]
+            assert len(calls) == 16
+            assert len({(case, m, chi) for case, m, _, chi in calls}) == 16
+        # the per-(m, d) check, deciding both tokens for every d, agrees
+        rows = []
+        for m in range(1, 5):
+            for d in range(1, 5):
+                case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
+                rows.append(engine.cross_check(case, m, d))
+        assert len(calls) == 16 + 32
+        data = json.loads(expected["json"][1])
+        assert [r["agrees"] for r in data["rows"]] == rows
+        assert data["all_agree"] is True
+
     def test_lfactor_i2(self, capsys):
         code, out, _ = run(
             capsys, "lfactor", "--kind", "i2", "--d", "1", "--eval-q", "2", "9"
@@ -121,6 +178,32 @@ class TestSweepAndLfactor:
         assert code == 0
         assert "(1 + t^2)/(1 - v^2 t^2)" in out
         assert "nonvanishing: True" in out
+
+
+DIGESTS_PATH = Path(__file__).with_name("cli_digests.json")
+
+
+def test_output_bytes_pinned():
+    """Exit code, stdout digest and stderr of `steinberg --format json` at
+    odd m <= 30 (d = 1) and even m <= 15 (d = 2), both tokens, and of
+    `sweep --max-m 5 --max-d 4` as table and JSON.  Recorded before the
+    support test moved from rational to integer exponents; an intended
+    output change must re-record them."""
+    pinned = json.loads(DIGESTS_PATH.read_text())
+    assert len(pinned) == 2 * (30 + 15) + 2
+    changed = []
+    for key, want in pinned.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(key.split())
+        got = {
+            "exit": code,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": err.getvalue(),
+        }
+        if got != want:
+            changed.append(key)
+    assert changed == []
 
 
 class TestOracles:

@@ -106,6 +106,18 @@ class TestEnumeration:
                     enumerate_coset_matrices(partition, case)
                 ), partition.parts
 
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_count_limit(self, case):
+        # a limit caps the count at limit + 1 and leaves it exact below
+        for n in range(1, 9):
+            for partition in compositions(n):
+                exact = count_coset_matrices(partition, case)
+                for limit in (0, 1, 5, 40, 10_000):
+                    capped = count_coset_matrices(partition, case, limit)
+                    assert capped == min(exact, limit + 1), (partition.parts, limit)
+        ones = Partition((1,) * 12)
+        assert count_coset_matrices(ones, case, 200_000) == count_coset_matrices(ones, case)
+
     def test_count_involutions(self):
         # the coset matrices of 1^n are the involutions of n points, and
         # in the even case the fixed-point-free ones
