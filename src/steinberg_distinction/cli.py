@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .characters import ChiToken, orbit_supports
 from .cosets import (
+    COUNT_LIMIT,
     CaseTag,
     CosetMatrix,
     InvalidInputError,
@@ -57,10 +58,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# `enumerate` counts exactly up to here, so a refusal names the count of
-# most shapes; the limit, not the part sizes, bounds the counting work.
-COUNT_LIMIT = 20 * DEFAULT_BUDGET
-
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
@@ -85,8 +82,8 @@ def _parse_matrix(text: str) -> list[list[int]]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     case = CaseTag(args.case)
-    estimate = count_coset_matrices(partition, case, COUNT_LIMIT)
-    if estimate > COUNT_LIMIT:
+    estimate = count_coset_matrices(partition, case)
+    if estimate is None:
         raise BudgetExceededError(COUNT_LIMIT, DEFAULT_BUDGET, "coset matrix count over")
     if estimate > DEFAULT_BUDGET:
         raise BudgetExceededError(estimate, DEFAULT_BUDGET, "coset matrix count")

@@ -31,6 +31,7 @@ __all__ = [
     "RootActionReport",
     "InvalidInputError",
     "validate_m_d",
+    "COUNT_LIMIT",
     "count_coset_matrices",
     "enumerate_coset_matrices",
     "fine_layout",
@@ -248,12 +249,20 @@ class SymbolicRepMatrix:
         return [[table[e] for e in row] for row in self.entries]
 
 
-def count_coset_matrices(
-    partition: Partition, case: CaseTag, limit: int | None = None
-) -> int:
+# `count_coset_matrices` takes at most this many steps per row before it
+# gives up, and it gives up only on a count above this.
+COUNT_LIMIT = 50_000
+
+
+class _CountTooLong(Exception):
+    pass
+
+
+def count_coset_matrices(partition: Partition, case: CaseTag) -> int | None:
     """``len(enumerate_coset_matrices(partition, case))``, without
-    building any matrix; with ``limit``, ``limit + 1`` stands for every
-    count above it.
+    building any matrix; ``None`` when counting would take more than
+    ``COUNT_LIMIT`` steps per row, which leaves the count above
+    ``COUNT_LIMIT``.
 
     A dynamic programme over rows: fill the first row (its diagonal,
     then what it owes each later row), and count the rest from what the
@@ -261,14 +270,14 @@ def count_coset_matrices(
     so that count depends only on the multiset of the nonzero amounts
     owed, which keys the memo.  Every amount owed can still be paid (in
     the even case once the total is even, which the diagonal keeps), so
-    each way of filling a row adds at least one matrix: a sum that
-    stops at ``limit + 1`` has looked at no more than that many ways,
-    whatever the part sizes.
+    each step (one way of filling a row) lies on at least one matrix,
+    and a matrix lies on one step per row: the steps taken are at most
+    the rows times the count, whatever the part sizes.
     """
     step = 2 if case is CaseTag.EVEN else 1
     if step == 2 and partition.total % 2:
         return 0
-    cap = None if limit is None else limit + 1
+    steps_left = COUNT_LIMIT * len(partition)
 
     def spread(left: int, owed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """What ``owed`` still owes after paying ``left`` in every way;
@@ -283,6 +292,7 @@ def count_coset_matrices(
 
     @functools.cache
     def count(owed: tuple[int, ...]) -> int:
+        nonlocal steps_left
         if not owed:
             return 1
         first, rest = owed[0], owed[1:]
@@ -290,12 +300,16 @@ def count_coset_matrices(
         total = 0
         for diag in range(low + low % step, first + 1, step):
             for after in spread(first - diag, rest):
+                steps_left -= 1
+                if steps_left < 0:
+                    raise _CountTooLong
                 total += count(tuple(sorted(x for x in after if x)))
-                if cap is not None and total >= cap:
-                    return cap
         return total
 
-    return count(tuple(sorted(partition.parts)))
+    try:
+        return count(tuple(sorted(partition.parts)))
+    except _CountTooLong:
+        return None
 
 
 def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetMatrix]:

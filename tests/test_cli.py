@@ -13,8 +13,9 @@ import pytest
 
 from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
-from steinberg_distinction.cosets import CaseTag
+from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag
 from steinberg_distinction.oracles import flags as flags_module
+from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -72,11 +73,23 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err == "error: coset matrix count 140152 exceeds budget 10000\n"
 
-    @pytest.mark.parametrize("case", ["odd", "even"])
-    @pytest.mark.parametrize("parts", ["40,40,40,40", "80,80,80,80"])
-    def test_size_guard_is_bounded(self, capsys, monkeypatch, case, parts):
-        # the exact count would take seconds to minutes: the refusal stops
-        # counting at COUNT_LIMIT
+    @pytest.mark.parametrize(
+        "case, parts, count",
+        [
+            ("odd", "40,40,40,40", "over 50000"),
+            ("even", "40,40,40,40", "10233531"),
+            ("odd", "80,80,80,80", "over 50000"),
+            ("even", "80,80,80,80", "over 50000"),
+            ("odd", ",".join(["1"] * 13), "568504"),
+            ("odd", ",".join(["3"] * 12), "37273085398456"),
+        ],
+        ids=["40^4-odd", "40^4-even", "80^4-odd", "80^4-even", "1^13-odd", "3^12-odd"],
+    )
+    def test_size_guard_is_bounded(self, capsys, monkeypatch, case, parts, count):
+        # the count stops after COUNT_LIMIT steps per row, which leaves
+        # more than COUNT_LIMIT matrices; cheap counts stay exact
+        assert COUNT_LIMIT >= DEFAULT_BUDGET
+
         def refuse(*args):
             raise AssertionError("a refused enumeration built its matrices")
 
@@ -85,7 +98,7 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--case", case, "--partition", parts)
         assert time.monotonic() - start < 1
         assert (code, out) == (2, "")
-        assert err == "error: coset matrix count over 200000 exceeds budget 10000\n"
+        assert err == f"error: coset matrix count {count} exceeds budget 10000\n"
 
     def test_even_case_odd_total_is_empty(self, capsys):
         # no even-case matrix has an odd total; nothing is searched for

@@ -107,16 +107,26 @@ class TestEnumeration:
                 ), partition.parts
 
     @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
-    def test_count_limit(self, case):
-        # a limit caps the count at limit + 1 and leaves it exact below
-        for n in range(1, 9):
-            for partition in compositions(n):
-                exact = count_coset_matrices(partition, case)
-                for limit in (0, 1, 5, 40, 10_000):
-                    capped = count_coset_matrices(partition, case, limit)
-                    assert capped == min(exact, limit + 1), (partition.parts, limit)
-        ones = Partition((1,) * 12)
-        assert count_coset_matrices(ones, case, 200_000) == count_coset_matrices(ones, case)
+    def test_count_gives_up_only_above_limit(self, case, monkeypatch):
+        # with COUNT_LIMIT steps per row the count is exact or None, and
+        # None only when the exact count is above COUNT_LIMIT
+        exact = {
+            partition: count_coset_matrices(partition, case)
+            for n in range(1, 9)
+            for partition in compositions(n)
+        }
+        for limit in (0, 1, 5, 40):
+            monkeypatch.setattr(cosets, "COUNT_LIMIT", limit)
+            for partition, count in exact.items():
+                got = count_coset_matrices(partition, case)
+                assert got in (count, None), (partition.parts, limit)
+                assert got is not None or count > limit, (partition.parts, limit)
+
+    def test_count_exact_above_limit(self):
+        # many small parts take few steps: the involutions of 20 points,
+        # and the fixed-point-free ones, count exactly
+        assert count_coset_matrices(Partition((1,) * 20), CaseTag.ODD) == 23758664096
+        assert count_coset_matrices(Partition((1,) * 20), CaseTag.EVEN) == 654729075
 
     def test_count_involutions(self):
         # the coset matrices of 1^n are the involutions of n points, and
