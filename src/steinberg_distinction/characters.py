@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .cosets import (
     CaseTag,
@@ -80,13 +79,13 @@ class SupportReport:
 
 
 def doubled_exponents(layout: FineLayout) -> tuple[int, ...]:
-    """Half modulus exponents of the fine parabolic, doubled and divided
-    by the convention weight: one integer per block.
+    """Half modulus exponents of the fine parabolic, doubled: one
+    integer per block.
 
     Block b gets (sum of later sizes) - (sum of earlier sizes); its half
-    modulus exponent is kappa/2 times that.  For every kappa > 0 an
-    exponent is zero, and two exponents cancel, exactly when their
-    integers do, so the support test reads these and kappa stays inert.
+    modulus exponent is a positive multiple of half that, whatever the
+    normalisation, so an exponent is zero, and two exponents cancel,
+    exactly when their integers do.
     """
     n = layout.sub_partition.total
     return tuple(
@@ -95,9 +94,7 @@ def doubled_exponents(layout: FineLayout) -> tuple[int, ...]:
     )
 
 
-def orbit_supports(
-    s: CosetMatrix, chi: ChiToken, kappa: Fraction = Fraction(1)
-) -> SupportReport:
+def orbit_supports(s: CosetMatrix, chi: ChiToken) -> SupportReport:
     """Decide whether the orbit of ``s`` can support the character.
 
     Feasible iff every paired couple of blocks has cancelling half
@@ -106,13 +103,10 @@ def orbit_supports(
     trivial; a fixed block sees the base-field restriction through the
     reduced norm, so only ``eta`` leaves a sign there
     (FIXED_SIGN_OBSTRUCTION).  Block indices in violations are 1-based.
-    The exponents are the integers of ``doubled_exponents``; ``kappa``
-    must be positive and changes no verdict.  Block (i, j) is paired
-    with block (j, i), which comes later in the row-major layout when
-    i < j; a diagonal block is fixed.
+    The exponents are the integers of ``doubled_exponents``.  Block
+    (i, j) is paired with block (j, i), which comes later in the
+    row-major layout when i < j; a diagonal block is fixed.
     """
-    if kappa <= 0:
-        raise InvalidInputError("kappa must be positive")
     layout = fine_layout(s)
     delta = doubled_exponents(layout)
     index = {(i, j): b for b, (i, j, _) in enumerate(layout.blocks)}

@@ -40,7 +40,7 @@ from .lfactor import (
     i2_ratio,
     tate_L,
 )
-from .oracles.finite_field import FieldSpec
+from .oracles.finite_field import QuadraticExtension
 from .oracles.flags import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -107,7 +107,7 @@ def cmd_support(args: argparse.Namespace) -> int:
     entries = _parse_matrix(args.matrix)
     parts = Partition(tuple(sum(row) for row in entries))
     s = CosetMatrix(CaseTag(args.case), parts, tuple(tuple(r) for r in entries))
-    report = orbit_supports(s, ChiToken(args.chi), args.kappa)
+    report = orbit_supports(s, ChiToken(args.chi))
     lines = [f"feasible: {report.feasible}"]
     for block, rule in report.violations:
         lines.append(f"  block {block}: {rule.value}")
@@ -116,9 +116,7 @@ def cmd_support(args: argparse.Namespace) -> int:
 
 
 def cmd_steinberg(args: argparse.Namespace) -> int:
-    verdict = steinberg_decision(
-        CaseTag(args.case), args.m, args.d, ChiToken(args.chi), args.kappa
-    )
+    verdict = steinberg_decision(CaseTag(args.case), args.m, args.d, ChiToken(args.chi))
     lines = [
         f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
         f"{verdict.status.value} (multiplicity {verdict.multiplicity})"
@@ -183,8 +181,11 @@ def cmd_lfactor(args: argparse.Namespace) -> int:
 
 def cmd_oracle_flags(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
-    spec = FieldSpec(args.q)
-    field = spec.extension()
+    if partition.total != args.n:
+        raise InvalidInputError(
+            f"partition {args.partition} sums to {partition.total}, not to n = {args.n}"
+        )
+    field = QuadraticExtension(args.q)
     cache_dir = args.cache_dir or os.environ.get("DISTINCTION_CACHE_DIR")
     cache = FlagCache(cache_dir) if cache_dir else None
     flags = cache.load(args.n, args.q, partition) if cache else None
@@ -194,12 +195,12 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     }
     if flags is not None:
         count = len(flags)
-        stream = ((flag, flag_profile(flag, spec)) for flag in flags)
+        stream = ((flag, flag_profile(flag, field)) for flag in flags)
         kept = None
     else:
         # the stream is checked against this count when it ends
-        count = count_flags(args.n, partition, args.q * args.q)
-        stream = iter_flags(args.n, args.q, partition, budget=args.budget)
+        count = count_flags(partition, args.q * args.q)
+        stream = iter_flags(field, partition, budget=args.budget)
         stats["flags_enumerated"] = count
         # only a cache miss holds the list, to write it
         kept = [] if cache else None
@@ -220,13 +221,13 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     ok = seen == {s.flat() for s in expected}
     targets = {}
     for s in expected:
-        rep = representative_flag(s, spec)
-        if flag_profile(rep, spec) != s:
+        rep = representative_flag(s, field)
+        if flag_profile(rep, field) != s:
             ok = False
         targets[s] = graded_pieces(rep, field)
     checked = 0
     for flag in sample:
-        h = reduce_to_representative(flag, spec, targets)
+        h = reduce_to_representative(flag, field, targets)
         if not all(field.in_base(x) for row in h for x in row):
             ok = False
         checked += 1
@@ -314,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=["even", "odd"], required=True)
     p.add_argument("--matrix", required=True, help='JSON entries, e.g. "[[0,2],[2,0]]"')
     p.add_argument("--chi", choices=["triv", "eta"], required=True)
-    p.add_argument("--kappa", type=_rational, default="1", help="positive rational convention weight")
     common(p)
     p.set_defaults(func=cmd_support)
 
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--chi", choices=["triv", "eta"], required=True)
-    p.add_argument("--kappa", type=_rational, default="1")
     common(p)
     p.set_defaults(func=cmd_steinberg)
 

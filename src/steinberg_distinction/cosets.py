@@ -12,7 +12,7 @@ forgets one step of a flag.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -249,67 +249,89 @@ class SymbolicRepMatrix:
         return [[table[e] for e in row] for row in self.entries]
 
 
-# `count_coset_matrices` takes at most this many steps per row before it
-# gives up, and it gives up only on a count above this.
+# `count_coset_matrices` gives up only on a count proven above this.
 COUNT_LIMIT = 50_000
 
 
-class _CountTooLong(Exception):
-    pass
+def _fillings(owed: tuple[int, ...], step: int) -> Iterator[tuple[int, ...]]:
+    """Each way to fill the first row of rows owing ``owed`` (ascending),
+    entry by entry: what the later rows still owe, ascending and without
+    zeros.  The diagonal is a multiple of ``step``.  Depth first on an
+    explicit stack that skips the later rows paid nothing."""
+    first, rest = owed[0], owed[1:]
+    # room[j]: the most that rows j onward can take
+    room = list(itertools.accumulate(reversed(rest), initial=0))[::-1]
+    low = max(0, first - room[0])
+    # (first later row not yet paid, amount still due, (row, payment)s)
+    stack = [(0, first - diag, ()) for diag in range(low + low % step, first + 1, step)]
+    while stack:
+        i, due, paid = stack.pop()
+        if not due:
+            after = list(rest)
+            for j, v in paid:
+                after[j] -= v
+            yield tuple(sorted(filter(None, after)))
+            continue
+        for j in range(i, len(rest)):
+            if room[j] < due:
+                break
+            for v in range(max(1, due - room[j + 1]), min(due, rest[j]) + 1):
+                stack.append((j + 1, due - v, paid + ((j, v),)))
 
 
 def count_coset_matrices(partition: Partition, case: CaseTag) -> int | None:
     """``len(enumerate_coset_matrices(partition, case))``, without
-    building any matrix; ``None`` when counting would take more than
-    ``COUNT_LIMIT`` steps per row, which leaves the count above
+    building any matrix; ``None`` once the count is proven to be above
     ``COUNT_LIMIT``.
 
-    A dynamic programme over rows: fill the first row (its diagonal,
-    then what it owes each later row), and count the rest from what the
-    later rows still owe.  Relabelling the rows permutes a coset matrix,
-    so that count depends only on the multiset of the nonzero amounts
-    owed, which keys the memo.  Every amount owed can still be paid (in
-    the even case once the total is even, which the diagonal keeps), so
-    each step (one way of filling a row) lies on at least one matrix,
-    and a matrix lies on one step per row: the steps taken are at most
-    the rows times the count, whatever the part sizes.
+    Rows of equal parity, paired and sharing the smaller part (the rest
+    on the diagonal, even where the parts are), give one matrix per
+    pairing of all but at most one row of each parity: (2 ceil(k/2) - 1)!!
+    for k rows.  Above ``COUNT_LIMIT ** 2`` pairings no row is filled.
+
+    Otherwise a dynamic programme over rows fills the first row (its
+    diagonal, then what it owes each later row) and counts the rest from
+    what the later rows still owe; relabelling the rows permutes a coset
+    matrix, so the memo is keyed by the multiset of nonzero amounts
+    owed, and filled depth first on an explicit stack.  Every amount
+    owed can still be paid (in the even case once the total is even,
+    which the diagonal keeps), so each filling lies on at least one
+    matrix and a matrix on one filling per row: the count stops after
+    ``COUNT_LIMIT`` fillings per row, whatever the part sizes.
     """
     step = 2 if case is CaseTag.EVEN else 1
     if step == 2 and partition.total % 2:
         return 0
-    steps_left = COUNT_LIMIT * len(partition)
-
-    def spread(left: int, owed: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        """What ``owed`` still owes after paying ``left`` in every way;
-        ``left`` is at most ``sum(owed)``."""
-        if left == 0:
-            yield owed
-            return
-        head, tail = owed[0], owed[1:]
-        for v in range(max(0, left - sum(tail)), min(left, head) + 1):
-            for rest in spread(left - v, tail):
-                yield (head - v,) + rest
-
-    @functools.cache
-    def count(owed: tuple[int, ...]) -> int:
-        nonlocal steps_left
-        if not owed:
-            return 1
-        first, rest = owed[0], owed[1:]
-        low = max(0, first - sum(rest))
-        total = 0
-        for diag in range(low + low % step, first + 1, step):
-            for after in spread(first - diag, rest):
-                steps_left -= 1
-                if steps_left < 0:
-                    raise _CountTooLong
-                total += count(tuple(sorted(x for x in after if x)))
-        return total
-
-    try:
-        return count(tuple(sorted(partition.parts)))
-    except _CountTooLong:
-        return None
+    odd = sum(p % 2 for p in partition.parts)
+    pairings = 1
+    for k in (odd, len(partition) - odd):
+        for j in range(3, k + 1 + k % 2, 2):
+            pairings *= j
+            if pairings > COUNT_LIMIT**2:
+                return None
+    fills_left = COUNT_LIMIT * len(partition)
+    memo = {(): 1}
+    root = tuple(sorted(partition.parts))
+    # [amounts owed, their fillings, count so far, filling waiting on the memo]
+    stack = [[root, _fillings(root, step), 0, None]]
+    while stack:
+        frame = stack[-1]
+        owed, fills, total, waiting = frame
+        if waiting is not None:
+            total += memo[waiting]
+        for after in fills:
+            fills_left -= 1
+            if fills_left < 0:
+                return None
+            if after not in memo:
+                frame[2:] = total, after
+                stack.append([after, _fillings(after, step), 0, None])
+                break
+            total += memo[after]
+        else:
+            memo[owed] = total
+            stack.pop()
+    return memo[root]
 
 
 def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetMatrix]:

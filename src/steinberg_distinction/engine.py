@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .characters import (
     ChiToken,
@@ -87,9 +86,7 @@ class DistinctionVerdict:
         }
 
 
-def steinberg_decision(
-    case: CaseTag, m: int, d: int, chi: ChiToken, kappa: Fraction = Fraction(1)
-) -> DistinctionVerdict:
+def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> DistinctionVerdict:
     """Decide distinction of the twisted Steinberg representation.
 
     Steps: (1) the anti-diagonal orbit on the minimal partition must
@@ -111,7 +108,7 @@ def steinberg_decision(
     minimal = minimal_partition(case, m)
     s0 = anti_diagonal_matrix(minimal, case)
     trace: list[tuple[Partition, CosetMatrix, SupportReport]] = []
-    open_report = orbit_supports(s0, chi, kappa)
+    open_report = orbit_supports(s0, chi)
     trace.append((minimal, s0, open_report))
     if not open_report.feasible:
         return DistinctionVerdict(
@@ -125,7 +122,7 @@ def steinberg_decision(
         partition = coarse_open.partition
         orbits = {coarse_open, *supporting_coset_matrices(partition, case, chi)}
         for s in sorted(orbits, key=CosetMatrix.flat, reverse=True):
-            report = orbit_supports(s, chi, kappa)
+            report = orbit_supports(s, chi)
             trace.append((partition, s, report))
             if s == coarse_open:
                 killed = killed or report.feasible

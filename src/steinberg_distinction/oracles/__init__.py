@@ -1,6 +1,6 @@
 """Independent brute-force oracles cross-checking the symbolic layer."""
 
-from .finite_field import FieldSpec, QuadraticExtension
+from .finite_field import QuadraticExtension
 from .flags import (
     BudgetExceededError,
     Flag,
@@ -15,7 +15,6 @@ from .flags import (
 from .quaternion import QuaternionAlgebra, QuaternionElem, quaternion_model_check
 
 __all__ = [
-    "FieldSpec",
     "QuadraticExtension",
     "BudgetExceededError",
     "Flag",

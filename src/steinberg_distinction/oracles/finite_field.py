@@ -12,11 +12,10 @@ Subspaces are tuples of row-reduced rows; every operation is exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from ..cosets import InvalidInputError
 
-__all__ = ["FieldSpec", "QuadraticExtension", "Elt", "Vec"]
+__all__ = ["QuadraticExtension", "Elt", "Vec"]
 
 Elt = int
 Vec = tuple[Elt, ...]
@@ -33,38 +32,24 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Odd prime field F_p; prime powers are not needed at desk scale."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.p) or self.p == 2:
-            raise InvalidInputError("p must be an odd prime")
-
-    def extension(self) -> "QuadraticExtension":
-        """F_{q^2} over this field, built once per prime per process."""
-        return _extension(self)
-
-
-@functools.cache
-def _extension(spec: FieldSpec) -> "QuadraticExtension":
-    # equal specs hash alike, so every FieldSpec(p) shares one table set
-    return QuadraticExtension(spec)
-
-
 class QuadraticExtension:
-    """F_{q^2} arithmetic plus row reduction over it.
+    """F_{q^2} over the odd prime field F_p, with row reduction over it;
+    prime powers are not needed at desk scale.
 
+    ``QuadraticExtension(p)`` builds the tables once per prime per
+    process and returns that one instance on every later call.
     ``add_table[x][y]`` is x + y, and likewise ``sub_table``,
     ``mul_table``; ``neg_table[x]``, ``inv_table[x]`` (None at zero) and
     ``frob_table[x]`` act on one element.
     """
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        p = self.p = spec.p
+    @staticmethod
+    @functools.cache
+    def __new__(cls, p: int) -> "QuadraticExtension":
+        if not _is_prime(p) or p == 2:
+            raise InvalidInputError("p must be an odd prime")
+        self = super().__new__(cls)
+        self.p = p
         squares = {(x * x) % p for x in range(p)}
         self.nonsquare = ns = next(c for c in range(2, p) if c not in squares)
         self.zero: Elt = 0
@@ -89,6 +74,7 @@ class QuadraticExtension:
             a, b = coords[x]
             nrm_inv = pow((a * a - ns * b * b) % p, p - 2, p)
             self.inv_table.append(self.mul_table[self.frob_table[x]][nrm_inv * p])
+        return self
 
     # -- element arithmetic -------------------------------------------------
     def scalar(self, a: int) -> Elt:

@@ -33,11 +33,10 @@ from ..cosets import (
     Partition,
     build_us_odd,
 )
-from .finite_field import FieldSpec, QuadraticExtension, Vec
+from .finite_field import QuadraticExtension, Vec
 
 __all__ = [
     "Flag",
-    "FlagProfile",
     "BudgetExceededError",
     "gaussian_binomial",
     "count_flags",
@@ -50,7 +49,6 @@ __all__ = [
     "FlagCache",
 ]
 
-FlagProfile = CosetMatrix
 # graded piece S_{i,j} of a flag, keyed by (i, j)
 GradedPieces = dict[tuple[int, int], tuple[Vec, ...]]
 
@@ -91,9 +89,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def count_flags(n: int, partition: Partition, q2: int) -> int:
+def count_flags(partition: Partition, q2: int) -> int:
     total = 1
-    remaining = n
+    remaining = partition.total
     for part in partition.parts:
         total *= gaussian_binomial(remaining, part, q2)
         remaining -= part
@@ -167,11 +165,10 @@ def _extensions(
 
 
 def iter_flags(
-    n: int,
-    q: int,
+    field: QuadraticExtension,
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
-) -> Iterator[tuple[Flag, FlagProfile]]:
+) -> Iterator[tuple[Flag, CosetMatrix]]:
     """Every flag of the given shape exactly once, with its profile.
 
     A depth-first walk over the chains of ``_enumerate_rref`` bases:
@@ -183,18 +180,16 @@ def iter_flags(
     and costs nothing.  Refuses with the count estimate, before
     yielding anything, when the flag variety exceeds the budget.
     """
-    if partition.total != n:
-        raise InvalidInputError("partition must sum to n")
-    field = FieldSpec(q).extension()
-    estimate = count_flags(n, partition, q * q)
+    estimate = count_flags(partition, field.p * field.p)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    return _walk(field, n, partition, estimate)
+    return _walk(field, partition, estimate)
 
 
 def _walk(
-    field: QuadraticExtension, n: int, partition: Partition, estimate: int
-) -> Iterator[tuple[Flag, FlagProfile]]:
+    field: QuadraticExtension, partition: Partition, estimate: int
+) -> Iterator[tuple[Flag, CosetMatrix]]:
+    n = partition.total
     parts = partition.parts
     t = len(parts)
     top = tuple(
@@ -236,13 +231,12 @@ def _walk(
 
 
 def enumerate_flags(
-    n: int,
-    q: int,
+    field: QuadraticExtension,
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Flag]:
     """The flags of ``iter_flags``, as a list."""
-    return [flag for flag, _ in iter_flags(n, q, partition, budget)]
+    return [flag for flag, _ in iter_flags(field, partition, budget)]
 
 
 def _rank_row(
@@ -299,7 +293,7 @@ def _require_reduced(field: QuadraticExtension, basis: tuple[Vec, ...]) -> None:
         last = p
 
 
-def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
+def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
     """Coset matrix of the flag's orbit under the base-field group.
 
     The bases of the flag must be row-reduced, as every ``Flag`` built
@@ -309,7 +303,6 @@ def flag_profile(flag: Flag, spec: FieldSpec) -> FlagProfile:
     inclusion-exclusion on the table r[i][j] = dim(V_i meet theta V_j),
     whose rows come from ``_rank_row``.
     """
-    field = spec.extension()
     bases = flag.bases[:-1]
     for basis in bases:
         _require_reduced(field, basis)
@@ -360,13 +353,12 @@ def _us_matrix(s: CosetMatrix, field: QuadraticExtension) -> list[Vec]:
     ]
 
 
-def representative_flag(s: CosetMatrix, spec: FieldSpec) -> Flag:
+def representative_flag(s: CosetMatrix, field: QuadraticExtension) -> Flag:
     """Canonical flag with the given profile, from the symbolic
     representative instantiated at the field's square root of a
     nonsquare."""
     if s.case is not CaseTag.ODD:
         raise InvalidInputError("representative flags exist in the odd case only")
-    field = spec.extension()
     u_inv = field.matrix_inv(_us_matrix(s, field))
     n = s.n
     cols = [tuple(u_inv[r][c] for r in range(n)) for c in range(n)]
@@ -414,8 +406,8 @@ def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
 
 def reduce_to_representative(
     flag: Flag,
-    spec: FieldSpec,
-    targets: dict[FlagProfile, GradedPieces] | None = None,
+    field: QuadraticExtension,
+    targets: dict[CosetMatrix, GradedPieces] | None = None,
 ) -> list[Vec]:
     """Base-field matrix carrying the flag onto its canonical
     representative.
@@ -428,11 +420,10 @@ def reduce_to_representative(
     caller reducing many flags builds each representative once; the
     representative of a profile it lacks is built here.
     """
-    field = spec.extension()
-    profile = flag_profile(flag, spec)
+    profile = flag_profile(flag, field)
     dst = targets.get(profile) if targets else None
     if dst is None:
-        dst = graded_pieces(representative_flag(profile, spec), field)
+        dst = graded_pieces(representative_flag(profile, field), field)
     src = graded_pieces(flag, field)
     t = len(flag.partition)
     order = [(i, j) for i in range(1, t + 1) for j in range(1, t + 1)]
@@ -461,7 +452,7 @@ def _decode(chains: object, n: int, q: int, partition: Partition) -> list[Flag] 
     JSON true and 1.0 compare equal to 1, so a membership test would let
     them through.  Each entry of the list is set to None once its flag
     is built."""
-    if not isinstance(chains, list) or len(chains) != count_flags(n, partition, q * q):
+    if not isinstance(chains, list) or len(chains) != count_flags(partition, q * q):
         return None
     dims = list(itertools.accumulate(partition.parts))
     rows = []

@@ -17,6 +17,7 @@ from steinberg_distinction.cosets import (
     coarsen,
     enumerate_coset_matrices,
     extract_permutation_odd,
+    fine_layout,
     root_action,
 )
 from steinberg_distinction.engine import (
@@ -33,7 +34,7 @@ from steinberg_distinction.lfactor import (
     tate_L,
     tate_L_quadratic_ext,
 )
-from steinberg_distinction.oracles.finite_field import FieldSpec
+from steinberg_distinction.oracles.finite_field import QuadraticExtension
 from steinberg_distinction.oracles.flags import (
     DEFAULT_BUDGET,
     count_flags,
@@ -44,7 +45,7 @@ from steinberg_distinction.oracles.flags import (
 )
 from steinberg_distinction.oracles.quaternion import quaternion_model_check
 
-from conftest import compositions
+from conftest import compositions, delta_half_exponents, reference_report
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -167,20 +168,19 @@ def test_criterion_6_lfactor_certificate():
 
 def test_criterion_7_finite_field_oracle():
     start = time.monotonic()
-    spec = FieldSpec(3)
-    field = spec.extension()
+    field = QuadraticExtension(3)
     ok = True
-    todo = [(n, partition) for n in range(1, 4) for partition in compositions(n)]
+    todo = [partition for n in range(1, 4) for partition in compositions(n)]
     n4_minimal = Partition((1, 1, 1, 1))
-    if count_flags(4, n4_minimal, 9) <= DEFAULT_BUDGET:
-        todo.append((4, n4_minimal))
-    for n, partition in todo:
-        flags = enumerate_flags(n, 3, partition)
+    if count_flags(n4_minimal, 9) <= DEFAULT_BUDGET:
+        todo.append(n4_minimal)
+    for partition in todo:
+        flags = enumerate_flags(field, partition)
         hist: dict[tuple, int] = {}
         for flag in flags:
-            key = flag_profile(flag, spec).flat()
+            key = flag_profile(flag, field).flat()
             hist[key] = hist.get(key, 0) + 1
-            h = reduce_to_representative(flag, spec)
+            h = reduce_to_representative(flag, field)
             ok = ok and all(field.in_base(x) for row in h for x in row)
         expected = {s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)}
         ok = ok and set(hist) == expected
@@ -189,7 +189,7 @@ def test_criterion_7_finite_field_oracle():
             top = hist[anti]
             ok = ok and all(top > size for key, size in hist.items() if key != anti)
         for s in enumerate_coset_matrices(partition, CaseTag.ODD):
-            ok = ok and flag_profile(representative_flag(s, spec), spec) == s
+            ok = ok and flag_profile(representative_flag(s, field), field) == s
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
     report(7, ok, f"flag oracle n<=3 q=3 matches enumeration, reductions rational, {elapsed:.2f}s")
@@ -205,17 +205,19 @@ def test_criterion_8_quaternion_model():
 
 
 def test_criterion_9_convention_invariance():
+    # the rational rule at each weight kappa gives orbit_supports' whole
+    # report, violations included, so no kappa changes a verdict
     ok = True
     kappas = [Fraction(1), Fraction(1, 2), Fraction(3)]
     for n in range(1, 7):
         for partition in compositions(n):
             for case in CaseTag:
                 for s in enumerate_coset_matrices(partition, case):
-                    for chi in ChiToken:
-                        verdicts = {
-                            orbit_supports(s, chi, kappa).feasible
-                            for kappa in kappas
-                        }
-                        ok = ok and len(verdicts) == 1
-    report(9, ok, "support verdicts identical for kappa in {1, 1/2, 3} across all s with n<=6")
+                    layout, invol = fine_layout(s), block_involution(s)
+                    for kappa in kappas:
+                        delta = delta_half_exponents(layout, kappa)
+                        for chi in ChiToken:
+                            expected = reference_report(s, chi, invol, delta)
+                            ok = ok and orbit_supports(s, chi) == expected
+    report(9, ok, "support reports equal the rational rule for kappa in {1, 1/2, 3} across all s with n<=6")
     assert ok

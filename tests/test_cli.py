@@ -14,6 +14,7 @@ import pytest
 from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
 from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag
+from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
 
@@ -82,12 +83,18 @@ class TestEnumerate:
             ("even", "80,80,80,80", "over 50000"),
             ("odd", ",".join(["1"] * 13), "568504"),
             ("odd", ",".join(["3"] * 12), "37273085398456"),
+            ("odd", ",".join(["1"] * 1500), "over 50000"),
+            ("even", ",".join(["1"] * 1500), "over 50000"),
         ],
-        ids=["40^4-odd", "40^4-even", "80^4-odd", "80^4-even", "1^13-odd", "3^12-odd"],
+        ids=[
+            "40^4-odd", "40^4-even", "80^4-odd", "80^4-even", "1^13-odd", "3^12-odd",
+            "1^1500-odd", "1^1500-even",
+        ],
     )
     def test_size_guard_is_bounded(self, capsys, monkeypatch, case, parts, count):
-        # the count stops after COUNT_LIMIT steps per row, which leaves
-        # more than COUNT_LIMIT matrices; cheap counts stay exact
+        # the count stops after COUNT_LIMIT fillings per row, or on the
+        # pairings of many rows, either way above COUNT_LIMIT matrices;
+        # cheap counts stay exact
         assert COUNT_LIMIT >= DEFAULT_BUDGET
 
         def refuse(*args):
@@ -183,6 +190,14 @@ class TestSweepAndLfactor:
         data = json.loads(expected["json"][1])
         assert [r["agrees"] for r in data["rows"]] == rows
         assert data["all_agree"] is True
+
+    def test_lfactor_eval_q_is_bounded(self, capsys):
+        q = "618970019642690137449562111"  # 2^89 - 1, a prime
+        start = time.monotonic()
+        code, out, err = run(capsys, "lfactor", "--kind", "tate", "--eval-q", q)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: residue size {q} exceeds {MAX_RESIDUE_SIZE}\n"
 
     def test_lfactor_i2(self, capsys):
         code, out, _ = run(
@@ -343,8 +358,8 @@ class TestUsageErrors:
         [
             ["lfactor", "--kind", "gj", "--shift", "1/0"],
             ["lfactor", "--kind", "gj", "--shift", "abc"],
-            ["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta", "--kappa", "1/0"],
-            ["support", "--case", "odd", "--matrix", "[[0,1],[1,0]]", "--chi", "eta", "--kappa", "x"],
+            ["lfactor", "--kind", "tate", "--shift", "1/2/3"],
+            ["oracle-quaternion", "--alpha", "-1", "--beta", "1/0"],
             ["oracle-quaternion", "--alpha", "1/0", "--beta", "3"],
             ["oracle-quaternion", "--alpha", "-1", "--beta", "abc"],
         ],
@@ -371,6 +386,26 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta", "--kappa", "1"],
+            ["support", "--case", "odd", "--matrix", "[[0,1],[1,0]]", "--chi", "eta", "--kappa", "1"],
+        ],
+        ids=["steinberg", "support"],
+    )
+    def test_kappa_is_not_an_option(self, capsys, argv):
+        # the half-modulus weight changes no verdict, so it is no option
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kappa 1" in capsys.readouterr().err
+
+    def test_flags_n_must_match_partition(self, capsys):
+        code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: partition 1,1 sums to 2, not to n = 3\n"
+
     def test_non_integer_count_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--max-m", "two"])
@@ -395,6 +430,36 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "steinberg_decision", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta"])
+
+
+# Every option of every subcommand; an option added or removed must
+# change this table.
+OPTIONS = {
+    "enumerate": {"--case", "--partition"},
+    "support": {"--case", "--matrix", "--chi"},
+    "steinberg": {"--case", "--m", "--d", "--chi"},
+    "sweep": {"--max-m", "--max-d"},
+    "lfactor": {
+        "--kind", "--char", "--ram", "--shift", "--s-coeff", "--k", "--d", "--eval-q",
+    },
+    "oracle-flags": {
+        "--n", "--q", "--partition", "--budget", "--reduce-samples", "--cache-dir",
+    },
+    "oracle-quaternion": {"--alpha", "--beta"},
+}
+
+
+def test_option_surface():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    assert [a.option_strings for a in parser._actions if a is not sub] == [["-h", "--help"]]
+    surface = {
+        name: {option for action in p._actions for option in action.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert surface == {
+        name: options | {"-h", "--help", "--format"} for name, options in OPTIONS.items()
+    }
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

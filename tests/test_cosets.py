@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import warnings
 
 import pytest
@@ -108,8 +111,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
     def test_count_gives_up_only_above_limit(self, case, monkeypatch):
-        # with COUNT_LIMIT steps per row the count is exact or None, and
-        # None only when the exact count is above COUNT_LIMIT
+        # the count is exact or None, and None only when the exact count
+        # is above COUNT_LIMIT
         exact = {
             partition: count_coset_matrices(partition, case)
             for n in range(1, 9)
@@ -121,6 +124,56 @@ class TestEnumeration:
                 got = count_coset_matrices(partition, case)
                 assert got in (count, None), (partition.parts, limit)
                 assert got is not None or count > limit, (partition.parts, limit)
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_count_stops_by_its_two_rules(self, case, monkeypatch):
+        # None exactly when the rows of equal parity have more than
+        # COUNT_LIMIT ** 2 pairings, each its own matrix, or the memo
+        # fills rows entry by entry in more than COUNT_LIMIT ways per row
+        step = 2 if case is CaseTag.EVEN else 1
+        fills = 0
+
+        def perfect(k):
+            return 1 if k == 0 else (k - 1) * perfect(k - 2)
+
+        def pairings(parts):
+            # pairings of all but at most one row within each parity
+            odd = sum(p % 2 for p in parts)
+            return math.prod(
+                perfect(k) if k % 2 == 0 else k * perfect(k - 1)
+                for k in (odd, len(parts) - odd)
+            )
+
+        @functools.cache
+        def count(owed):
+            nonlocal fills
+            if not owed:
+                return 1
+            first, rest = owed[0], owed[1:]
+            total = 0
+            for diag in range(0, first + 1, step):
+                ranges = [range(min(first - diag, x) + 1) for x in rest]
+                for paid in itertools.product(*ranges):
+                    if sum(paid) == first - diag:
+                        fills += 1
+                        total += count(tuple(sorted(x - p for x, p in zip(rest, paid) if x > p)))
+            return total
+
+        for limit in (1, 3, 5, 40):
+            monkeypatch.setattr(cosets, "COUNT_LIMIT", limit)
+            for n in range(1, 9):
+                for partition in compositions(n):
+                    fills = 0
+                    count.cache_clear()
+                    exact = count(tuple(sorted(partition.parts)))
+                    paired = pairings(partition.parts)
+                    if step == 2 and partition.total % 2:
+                        want = 0  # no matrix, known without counting
+                    else:
+                        assert paired <= exact
+                        over = paired > limit**2 or fills > limit * len(partition)
+                        want = None if over else exact
+                    assert count_coset_matrices(partition, case) == want, (partition.parts, limit)
 
     def test_count_exact_above_limit(self):
         # many small parts take few steps: the involutions of 20 points,

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg_distinction.lfactor import (
+    MAX_RESIDUE_SIZE,
     LFactorError,
     Monomial,
     QuadraticValue,
@@ -411,3 +413,14 @@ class TestExactValues:
     def test_nonpositive_q_rejected(self):
         with pytest.raises(LFactorError):
             RationalFunc.one().eval_exact(0)
+
+    def test_residue_size_is_bounded(self):
+        rf = gj_L_trivial(1, 1, Fraction(-1, 2), 1)  # 1/(1 - v t)
+        # the largest prime allowed takes the longest trial division
+        prime = sympy.prevprime(MAX_RESIDUE_SIZE)
+        start = time.monotonic()
+        assert rf.eval_exact(prime, 0) == 1
+        assert rf.eval_exact(MAX_RESIDUE_SIZE, 0) == 1
+        assert time.monotonic() - start < 1
+        with pytest.raises(LFactorError, match=f"exceeds {MAX_RESIDUE_SIZE}"):
+            rf.eval_exact(MAX_RESIDUE_SIZE + 1)

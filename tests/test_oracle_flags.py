@@ -13,7 +13,7 @@ from steinberg_distinction.cosets import (
     anti_diagonal_matrix,
     enumerate_coset_matrices,
 )
-from steinberg_distinction.oracles.finite_field import FieldSpec, QuadraticExtension
+from steinberg_distinction.oracles.finite_field import QuadraticExtension
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import (
     BudgetExceededError,
@@ -34,21 +34,20 @@ from steinberg_distinction.oracles.flags import (
 from conftest import compositions
 from pair_extension import PairExtension, decode, decode_rows, encode
 
-SPEC = FieldSpec(3)
-FIELD = SPEC.extension()
+FIELD = QuadraticExtension(3)
 
 # Every composition of n <= 3 at q = 3 and q = 5, plus the q = 7 points of
 # the benchmark.
 GRID = [
-    (partition.total, q, partition)
+    (q, partition)
     for q in (3, 5)
     for n in range(1, 4)
     for partition in compositions(n)
-] + [(sum(parts), 7, Partition(parts)) for parts in [(2, 1), (1, 2), (1, 1)]]
+] + [(7, Partition(parts)) for parts in [(2, 1), (1, 2), (1, 1)]]
 
 
 def grid_id(point):
-    _, q, partition = point
+    q, partition = point
     return f"q{q}-" + "-".join(map(str, partition.parts))
 
 
@@ -82,13 +81,15 @@ def reference_rref(field, rows):
     )
 
 
-def reference_enumerate_flags(n, q, partition):
+def reference_enumerate_flags(q, partition):
     """Chains of row-reduced subspaces kept when each contains the last
     step, tested by rank for every (chain, candidate) pair, over the
     pair-coded field."""
     field = PairExtension(q)
     prefix = list(itertools.accumulate(partition.parts))
-    by_dim = {dim: list(_enumerate_rref(field, n, dim)) for dim in sorted(set(prefix))}
+    by_dim = {
+        dim: list(_enumerate_rref(field, partition.total, dim)) for dim in sorted(set(prefix))
+    }
 
     def contains(big, small):
         return all(field.in_span(v, big) for v in small)
@@ -104,9 +105,8 @@ def reference_enumerate_flags(n, q, partition):
     return [Flag(partition, chain) for chain in chains]
 
 
-def reference_flag_profile(flag, spec):
+def reference_flag_profile(flag, field):
     """The profile from a basis of every intersection V_i meet theta V_j."""
-    field = spec.extension()
     t = len(flag.partition)
     bases = ((),) + flag.bases
     theta = [tuple(field.vec_frob(v) for v in b) for b in bases]
@@ -137,10 +137,10 @@ def rank_table(flag, field):
     return r
 
 
-def rank_reference_flag_profile(flag, spec):
+def rank_reference_flag_profile(flag, field):
     """The profile from one full rank per corner of the table."""
     t = len(flag.partition)
-    r = rank_table(flag, spec.extension())
+    r = rank_table(flag, field)
     dims = [0, *itertools.accumulate(flag.partition.parts)]
     for i in range(1, t + 1):
         r[i][t] = r[t][i] = dims[i]
@@ -212,7 +212,7 @@ def reference_complements(flag, field):
 
 def random_matrices(q, rng):
     """300 random matrices over F_{q^2}, many of them rank-deficient."""
-    elements = FieldSpec(q).extension().elements()
+    elements = QuadraticExtension(q).elements()
     for _ in range(300):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         # pools of zero alone or zero and l give rank-deficient matrices
@@ -253,17 +253,18 @@ def stream_histogram(stream):
 
 
 @functools.cache
-def grid_stream(n, q, partition):
-    return list(iter_flags(n, q, partition, budget=count_flags(n, partition, q * q)))
+def grid_stream(q, partition):
+    field = QuadraticExtension(q)
+    return list(iter_flags(field, partition, budget=count_flags(partition, q * q)))
 
 
-def grid_flags(n, q, partition):
-    return [flag for flag, _ in grid_stream(n, q, partition)]
+def grid_flags(q, partition):
+    return [flag for flag, _ in grid_stream(q, partition)]
 
 
 @functools.cache
-def grid_histogram(n, q, partition):
-    return stream_histogram(grid_stream(n, q, partition))
+def grid_histogram(q, partition):
+    return stream_histogram(grid_stream(q, partition))
 
 
 def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
@@ -309,28 +310,17 @@ class TestFieldArithmetic:
     def test_lambda_antifixed(self):
         assert FIELD.frob(FIELD.lam) == FIELD.neg(FIELD.lam)
 
-    def test_extension_built_once_per_spec(self, monkeypatch):
-        # an earlier test may have built F_25 already, so at most one build
-        built = []
-        original = QuadraticExtension.__init__
-
-        def counting_init(self, field_spec):
-            built.append(field_spec)
-            original(self, field_spec)
-
-        monkeypatch.setattr(QuadraticExtension, "__init__", counting_init)
-        spec = FieldSpec(5)
-        for flag, _ in iter_flags(2, 5, Partition((1, 1))):
-            flag_profile(flag, FieldSpec(5))
-        assert FieldSpec(5).extension() is FieldSpec(5).extension()
-        assert spec.extension() is FieldSpec(5).extension()
-        assert spec.extension().spec == spec
-        assert sum(b.p == 5 for b in built) <= 1
-        assert spec == FieldSpec(5) and hash(spec) == hash(FieldSpec(5))
+    def test_field_built_once_per_prime(self):
+        field = QuadraticExtension(5)
+        assert QuadraticExtension(5) is field and field.p == 5
+        assert QuadraticExtension(7) is not field
+        # the tables are not rebuilt by a later request
+        tables = field.mul_table
+        assert QuadraticExtension(5).mul_table is tables
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_coding_is_an_order_preserving_bijection(self, q):
-        field, ref = FieldSpec(q).extension(), PairExtension(q)
+        field, ref = QuadraticExtension(q), PairExtension(q)
         assert [encode(q, x) for x in ref.elements()] == field.elements()
         assert [decode(q, x) for x in field.elements()] == ref.elements()
         assert sorted(map(tuple, ref.elements())) == ref.elements()
@@ -344,7 +334,7 @@ class TestFieldArithmetic:
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_tables_match_pair_formulas(self, q):
-        field, ref = FieldSpec(q).extension(), PairExtension(q)
+        field, ref = QuadraticExtension(q), PairExtension(q)
         for x in field.elements():
             px = decode(q, x)
             assert decode(q, field.neg_table[x]) == ref.neg(px) == decode(q, field.neg(x))
@@ -366,30 +356,30 @@ class TestFieldArithmetic:
         from steinberg_distinction.cosets import InvalidInputError
 
         with pytest.raises(InvalidInputError):
-            FieldSpec(2)
+            QuadraticExtension(2)
         with pytest.raises(InvalidInputError):
-            FieldSpec(9)
+            QuadraticExtension(9)
 
 
 class TestAgainstReference:
     def test_rref_matches_reference(self):
         rng = random.Random(20261018)
         for q in (3, 5, 7):
-            field = FieldSpec(q).extension()
+            field = QuadraticExtension(q)
             for mat in random_matrices(q, rng):
                 assert field.rref(mat) == reference_rref(field, mat)
 
     def test_rref_matches_pair_reference(self):
         rng = random.Random(20261018)
         for q in (3, 5, 7):
-            field, ref = FieldSpec(q).extension(), PairExtension(q)
+            field, ref = QuadraticExtension(q), PairExtension(q)
             for mat in random_matrices(q, rng):
                 assert decode_rows(q, field.rref(mat)) == ref.rref(list(decode_rows(q, mat)))
 
     def test_extend_to_complement_matches_reference(self):
         rng = random.Random(20261019)
         for q in (3, 5, 7):
-            field = FieldSpec(q).extension()
+            field = QuadraticExtension(q)
             mats = list(random_matrices(q, rng))
             for inner, outer in zip(mats, mats[1:]):
                 if len(inner[0]) != len(outer[0]):
@@ -402,7 +392,7 @@ class TestAgainstReference:
     def test_subspace_operations_match_pair_reference(self):
         rng = random.Random(20261020)
         for q in (3, 5, 7):
-            field, ref = FieldSpec(q).extension(), PairExtension(q)
+            field, ref = QuadraticExtension(q), PairExtension(q)
             mats = list(random_matrices(q, rng))
             for a, b in zip(mats, mats[1:]):
                 pa, pb = decode_rows(q, a), decode_rows(q, b)
@@ -430,7 +420,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_enumeration_matches_reference(self, point):
-        q = point[1]
+        q = point[0]
         flags = grid_flags(*point)
         assert [tuple(decode_rows(q, b) for b in f.bases) for f in flags] == [
             f.bases for f in reference_enumerate_flags(*point)
@@ -440,17 +430,16 @@ class TestAgainstReference:
     def test_profiles_match_reference(self, point):
         # the stream's profile, the profile of the flag alone, one rank
         # per corner and one intersection per corner all agree
-        spec = FieldSpec(point[1])
+        field = QuadraticExtension(point[0])
         for flag, profile in grid_stream(*point):
-            assert flag_profile(flag, spec) == profile
-            assert profile.entries == rank_reference_flag_profile(flag, spec)
-            assert profile.entries == reference_flag_profile(flag, spec)
+            assert flag_profile(flag, field) == profile
+            assert profile.entries == rank_reference_flag_profile(flag, field)
+            assert profile.entries == reference_flag_profile(flag, field)
 
     def test_rank_rows_match_reference_on_random_flags(self):
         rng = random.Random(20261021)
         for q in (3, 5):
-            spec = FieldSpec(q)
-            field = spec.extension()
+            field = QuadraticExtension(q)
             for n in (4, 5):
                 for _ in range(100):
                     flag = random_reduced_flag(field, n, rng)
@@ -458,48 +447,48 @@ class TestAgainstReference:
                     bases = flag.bases[:-1]
                     for i, basis in enumerate(bases, 1):
                         assert _rank_row(field, basis, bases[: i - 1]) == tuple(r[i][1 : i + 1])
-                    assert flag_profile(flag, spec).entries == rank_reference_flag_profile(flag, spec)
+                    assert flag_profile(flag, field).entries == rank_reference_flag_profile(flag, field)
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_orbit_sizes_sum_to_count(self, point):
-        n, q, partition = point
-        assert sum(grid_histogram(*point).values()) == count_flags(n, partition, q * q)
+        q, partition = point
+        assert sum(grid_histogram(*point).values()) == count_flags(partition, q * q)
 
     @pytest.mark.parametrize(
-        "point", [p for p in GRID if p[2].parts == p[2].parts[::-1]], ids=grid_id
+        "point", [p for p in GRID if p[1].parts == p[1].parts[::-1]], ids=grid_id
     )
     def test_open_orbit_strictly_largest(self, point):
         hist = dict(grid_histogram(*point))
-        top = hist.pop(anti_diagonal_matrix(point[2], CaseTag.ODD).flat())
+        top = hist.pop(anti_diagonal_matrix(point[1], CaseTag.ODD).flat())
         assert all(top > size for size in hist.values())
 
 
 class TestEnumeration:
     def test_counts(self):
         assert gaussian_binomial(2, 1, 9) == 10
-        assert count_flags(2, Partition((1, 1)), 9) == 10
-        assert count_flags(3, Partition((1, 1, 1)), 9) == 910
+        assert count_flags(Partition((1, 1)), 9) == 10
+        assert count_flags(Partition((1, 1, 1)), 9) == 910
 
     def test_n1(self):
-        assert len(enumerate_flags(1, 3, Partition((1,)))) == 1
+        assert len(enumerate_flags(FIELD, Partition((1,)))) == 1
 
     def test_n2_full(self):
-        flags = enumerate_flags(2, 3, Partition((1, 1)))
+        flags = enumerate_flags(FIELD, Partition((1, 1)))
         assert len(flags) == 10
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_flags(4, 3, Partition((1, 1, 1, 1)))
+            enumerate_flags(FIELD, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
         # the stream refuses when it is asked for, not when first read
         with pytest.raises(BudgetExceededError):
-            iter_flags(4, 3, Partition((1, 1, 1, 1)))
+            iter_flags(FIELD, Partition((1, 1, 1, 1)))
 
     @pytest.mark.parametrize("parts", [(2, 2), (1, 1, 2)], ids=["2-2", "1-1-2"])
     def test_n4_stream(self, parts):
         partition = Partition(parts)
-        count = count_flags(4, partition, 9)
-        hist = stream_histogram(iter_flags(4, 3, partition, budget=count))
+        count = count_flags(partition, 9)
+        hist = stream_histogram(iter_flags(FIELD, partition, budget=count))
         assert set(hist) == {
             s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)
         }
@@ -511,7 +500,7 @@ class TestEnumeration:
     def test_cache_roundtrip(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(2, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         cache.store(2, 3, partition, flags)
         assert cache.load(2, 3, partition) == flags
 
@@ -546,7 +535,7 @@ class TestEnumeration:
     def test_cache_damage_is_a_miss(self, tmp_path, mangle):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        cache.store(2, 3, partition, enumerate_flags(2, 3, partition))
+        cache.store(2, 3, partition, enumerate_flags(FIELD, partition))
         path = cache._path(2, 3, partition)
         with open(path) as fh:
             text = fh.read()
@@ -571,7 +560,7 @@ class TestEnumeration:
     def test_cache_edit_without_checksum_is_a_miss(self, tmp_path, change):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(2, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         assert flags[0].bases[0] == ((3, 0),)
         cache.store(2, 3, partition, flags)
         path = cache._path(2, 3, partition)
@@ -586,7 +575,7 @@ class TestEnumeration:
     def test_cache_v1_file_is_a_miss(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(2, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         # the pair-coded layout of the first cache version
         text = json.dumps({
             "version": 1,
@@ -611,7 +600,7 @@ class TestEnumeration:
     def test_cache_file_is_json_dumps_of_payload(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 2))
-        flags = enumerate_flags(3, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         cache.store(3, 3, partition, flags)
         chains = [
             [[list(row) for row in basis] for basis in flag.bases] for flag in flags
@@ -630,7 +619,7 @@ class TestEnumeration:
     def test_cache_store_replaces_atomically(self, tmp_path, monkeypatch):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(2, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         cache.store(2, 3, partition, flags)
         assert [p.name for p in tmp_path.iterdir()] == ["flags_v3_n2_q3_1-1.json"]
 
@@ -647,7 +636,7 @@ class TestEnumeration:
 
 class TestProfiles:
     def test_standard_flag_identity_profile(self):
-        flags = enumerate_flags(3, 3, Partition((1, 1, 1)))
+        flags = enumerate_flags(FIELD, Partition((1, 1, 1)))
         standard = next(
             f
             for f in flags
@@ -657,7 +646,7 @@ class TestProfiles:
             )
             and f.bases[1][1][2] == FIELD.zero
         )
-        profile = flag_profile(standard, SPEC)
+        profile = flag_profile(standard, FIELD)
         assert profile.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     @pytest.mark.parametrize(
@@ -667,7 +656,7 @@ class TestProfiles:
         """A flag whose bases span the right spaces but are not reduced
         raises instead of getting a profile read off wrong pivots."""
         rng = random.Random(7)
-        flags = enumerate_flags(3, 3, Partition((2, 1)))
+        flags = enumerate_flags(FIELD, Partition((2, 1)))
         # a flag whose V_1 has two rows, both with nonzero free entries
         flag = next(f for f in flags if all(sum(map(bool, row)) > 1 for row in f.bases[0]))
         u, v = flag.bases[0]
@@ -681,20 +670,20 @@ class TestProfiles:
         damaged = Flag(flag.partition, (rows,) + flag.bases[1:])
         if damage != "zero-row":
             # the same spaces, so the full-rank reference still reads them
-            assert rank_reference_flag_profile(damaged, SPEC) == flag_profile(flag, SPEC).entries
+            assert rank_reference_flag_profile(damaged, FIELD) == flag_profile(flag, FIELD).entries
         with pytest.raises(InvalidInputError, match="zero row|row-reduced"):
-            flag_profile(damaged, SPEC)
+            flag_profile(damaged, FIELD)
 
     def test_us_flag_antidiagonal_profile(self):
         s = anti_diagonal_matrix(Partition((1, 1)), CaseTag.ODD)
-        rep = representative_flag(s, SPEC)
-        assert flag_profile(rep, SPEC) == s
+        rep = representative_flag(s, FIELD)
+        assert flag_profile(rep, FIELD) == s
 
     def test_profile_sets_match_enumeration(self):
         for n in range(1, 4):
             for partition in compositions(n):
-                flags = enumerate_flags(n, 3, partition)
-                seen = {flag_profile(f, SPEC).flat() for f in flags}
+                flags = enumerate_flags(FIELD, partition)
+                seen = {flag_profile(f, FIELD).flat() for f in flags}
                 expected = {
                     s.flat()
                     for s in enumerate_coset_matrices(partition, CaseTag.ODD)
@@ -703,20 +692,20 @@ class TestProfiles:
 
     def test_profile_constant_on_rational_orbits(self):
         rng = random.Random(20260823)
-        flags = enumerate_flags(3, 3, Partition((1, 1, 1)))
+        flags = enumerate_flags(FIELD, Partition((1, 1, 1)))
         for flag in rng.sample(flags, 5):
-            base_profile = flag_profile(flag, SPEC)
+            base_profile = flag_profile(flag, FIELD)
             for _ in range(20):
                 h = random_glnq(FIELD, 3, rng)
                 moved = apply_matrix(FIELD, h, flag)
-                assert flag_profile(moved, SPEC) == base_profile
+                assert flag_profile(moved, FIELD) == base_profile
 
     def test_antidiagonal_orbit_strictly_largest(self):
         partition = Partition((1, 1, 1))
-        flags = enumerate_flags(3, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         hist: dict[tuple, int] = {}
         for f in flags:
-            key = flag_profile(f, SPEC).flat()
+            key = flag_profile(f, FIELD).flat()
             hist[key] = hist.get(key, 0) + 1
         anti = anti_diagonal_matrix(partition, CaseTag.ODD).flat()
         top = hist.pop(anti)
@@ -728,13 +717,13 @@ class TestRepresentativesAndReduction:
         for n in range(1, 4):
             for partition in compositions(n):
                 for s in enumerate_coset_matrices(partition, CaseTag.ODD):
-                    assert flag_profile(representative_flag(s, SPEC), SPEC) == s
+                    assert flag_profile(representative_flag(s, FIELD), FIELD) == s
 
     def test_reduction_every_full_flag_n2(self):
-        self._check_all_reductions(2, Partition((1, 1)))
+        self._check_all_reductions(Partition((1, 1)))
 
     def test_reduction_every_full_flag_n3(self):
-        self._check_all_reductions(3, Partition((1, 1, 1)))
+        self._check_all_reductions(Partition((1, 1, 1)))
 
     @pytest.mark.parametrize(
         "partition",
@@ -742,18 +731,18 @@ class TestRepresentativesAndReduction:
         ids=lambda p: "-".join(map(str, p.parts)),
     )
     def test_reduction_matches_reference_complements(self, partition, monkeypatch):
-        flags = enumerate_flags(partition.total, 3, partition)
+        flags = enumerate_flags(FIELD, partition)
         for flag in flags:
             assert graded_pieces(flag, FIELD) == reference_complements(flag, FIELD)
-        fast = [reduce_to_representative(flag, SPEC) for flag in flags]
+        fast = [reduce_to_representative(flag, FIELD) for flag in flags]
         # representatives built once and shared give the same matrices
         targets = {
-            s: graded_pieces(representative_flag(s, SPEC), FIELD)
+            s: graded_pieces(representative_flag(s, FIELD), FIELD)
             for s in enumerate_coset_matrices(partition, CaseTag.ODD)
         }
-        assert fast == [reduce_to_representative(flag, SPEC, targets) for flag in flags]
+        assert fast == [reduce_to_representative(flag, FIELD, targets) for flag in flags]
         monkeypatch.setattr(flags_module, "graded_pieces", reference_complements)
-        assert fast == [reduce_to_representative(flag, SPEC) for flag in flags]
+        assert fast == [reduce_to_representative(flag, FIELD) for flag in flags]
 
     def test_one_intersection_per_corner(self, monkeypatch):
         calls = []
@@ -765,16 +754,16 @@ class TestRepresentativesAndReduction:
 
         monkeypatch.setattr(QuadraticExtension, "intersect", counting)
         for n, t in ((1, 1), (2, 2), (3, 3)):
-            flag = enumerate_flags(n, 3, Partition((1,) * n))[-1]
+            flag = enumerate_flags(FIELD, Partition((1,) * n))[-1]
             calls.clear()
             graded_pieces(flag, FIELD)
             assert len(calls) == t * (t + 1) // 2
 
-    def _check_all_reductions(self, n, partition):
-        flags = enumerate_flags(n, 3, partition)
+    def _check_all_reductions(self, partition):
+        flags = enumerate_flags(FIELD, partition)
         for flag in flags:
-            h = reduce_to_representative(flag, SPEC)
+            h = reduce_to_representative(flag, FIELD)
             assert all(FIELD.in_base(x) for row in h for x in row)
-            rep = representative_flag(flag_profile(flag, SPEC), SPEC)
+            rep = representative_flag(flag_profile(flag, FIELD), FIELD)
             moved = apply_matrix(FIELD, h, flag)
             assert moved.bases == rep.bases
