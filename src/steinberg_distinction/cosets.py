@@ -288,6 +288,10 @@ def count_coset_matrices(partition: Partition, case: CaseTag) -> int | None:
     on the diagonal, even where the parts are), give one matrix per
     pairing of all but at most one row of each parity: (2 ceil(k/2) - 1)!!
     for k rows.  Above ``COUNT_LIMIT ** 2`` pairings no row is filled.
+    Nor is one when a single such pairing, of rows adjacent in size, gives
+    more than ``COUNT_LIMIT`` matrices: each pair may share any amount up
+    to its smaller part a that leaves the diagonal a multiple of the step,
+    a // step + 1 choices per pair.
 
     Otherwise a dynamic programme over rows fills the first row (its
     diagonal, then what it owes each later row) and counts the rest from
@@ -302,13 +306,17 @@ def count_coset_matrices(partition: Partition, case: CaseTag) -> int | None:
     step = 2 if case is CaseTag.EVEN else 1
     if step == 2 and partition.total % 2:
         return 0
-    odd = sum(p % 2 for p in partition.parts)
-    pairings = 1
-    for k in (odd, len(partition) - odd):
+    pairings = shared = 1
+    for parts in (sorted(p for p in partition.parts if p % 2 == r) for r in (0, 1)):
+        k = len(parts)
         for j in range(3, k + 1 + k % 2, 2):
             pairings *= j
             if pairings > COUNT_LIMIT**2:
                 return None
+        for a in parts[0 : k - 1 : 2]:
+            shared *= a // step + 1
+    if shared > COUNT_LIMIT:
+        return None
     fills_left = COUNT_LIMIT * len(partition)
     memo = {(): 1}
     root = tuple(sorted(partition.parts))

@@ -32,7 +32,6 @@ from .cosets import (
     CaseTag,
     CosetMatrix,
     InvalidInputError,
-    Partition,
     anti_diagonal_matrix,
     coarsen,
     validate_m_d,
@@ -63,7 +62,7 @@ class DistinctionVerdict:
     chi: ChiToken
     status: VerdictStatus
     multiplicity: int
-    trace: tuple[tuple[Partition, CosetMatrix, SupportReport], ...]
+    trace: tuple[SupportReport, ...]
 
     def __post_init__(self) -> None:
         if self.status is VerdictStatus.DISTINGUISHED and self.multiplicity != 1:
@@ -80,8 +79,8 @@ class DistinctionVerdict:
             "status": self.status.value,
             "multiplicity": self.multiplicity,
             "trace": [
-                {"partition": list(p.parts), "report": rep.to_json()}
-                for p, _, rep in self.trace
+                {"partition": list(rep.s.partition.parts), "report": rep.to_json()}
+                for rep in self.trace
             ],
         }
 
@@ -107,9 +106,8 @@ def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> Distinct
     n = 2 * m if case is CaseTag.EVEN else m
     minimal = minimal_partition(case, m)
     s0 = anti_diagonal_matrix(minimal, case)
-    trace: list[tuple[Partition, CosetMatrix, SupportReport]] = []
     open_report = orbit_supports(s0, chi)
-    trace.append((minimal, s0, open_report))
+    trace = [open_report]
     if not open_report.feasible:
         return DistinctionVerdict(
             case, m, d, chi, VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
@@ -123,7 +121,7 @@ def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> Distinct
         orbits = {coarse_open, *supporting_coset_matrices(partition, case, chi)}
         for s in sorted(orbits, key=CosetMatrix.flat, reverse=True):
             report = orbit_supports(s, chi)
-            trace.append((partition, s, report))
+            trace.append(report)
             if s == coarse_open:
                 killed = killed or report.feasible
             elif report.feasible:

@@ -8,26 +8,28 @@ deterministic reduced normal form: no negative powers of v, integer
 coefficients with joint content 1, no common polynomial factor, and the
 denominator's lowest (t, v) term positive.
 
-Everything is exact integer arithmetic in plain Python.  A polynomial
-enters as a dict {(v exponent, t exponent): coefficient}.  Reduction
-runs on dense polynomials in Z[v][t] and divides out their exact gcd,
-taken by a primitive pseudo-remainder sequence over Z[v][t] whose
-contents are gcds in Z[v], found the same way over Z.  Values at
-v = sqrt(q) are exact elements a + b sqrt(r) of Q(sqrt(q)), with
-r squarefree.
+Everything is exact integer arithmetic in plain Python.  Numerator and
+denominator are stored as dense polynomials in Z[v][t]: one row of
+v-coefficients per power of t.  Arithmetic runs on the rows and divides
+out their exact gcd, taken by a primitive pseudo-remainder sequence over
+Z[v][t] whose contents are gcds in Z[v], found the same way over Z.
+Values at v = sqrt(q) are exact elements a + b sqrt(r) of Q(sqrt(q)),
+with r squarefree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 __all__ = [
-    "Monomial",
     "Poly",
+    "Rows",
     "RationalFunc",
     "QuadraticValue",
     "RamificationTag",
@@ -45,6 +47,10 @@ __all__ = [
 # {(v exponent, t exponent): coefficient}; v exponents may be negative.
 Poly = dict[tuple[int, int], int]
 
+# A polynomial in Z[v][t]: its rows of v-coefficients, one per power of
+# t, both lowest degree first and with no trailing zero; () is zero.
+Rows = tuple[tuple[int, ...], ...]
+
 
 class LFactorError(ValueError):
     """Invalid L-factor parameters or a broken internal identity."""
@@ -60,19 +66,6 @@ class TateChar(Enum):
     ETA = "eta"
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Integer multiple of v^v_exp t^t_exp; t_exp is non-negative."""
-
-    coeff: int
-    v_exp: int
-    t_exp: int
-
-    def __post_init__(self) -> None:
-        if self.t_exp < 0:
-            raise LFactorError("t exponents must be non-negative")
-
-
 def _trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
@@ -80,7 +73,8 @@ def _trim(a: list) -> list:
 
 
 class _Integers:
-    """Z, the coefficient ring of Z[v]."""
+    """Z, the coefficient ring of Z[v].  Its divisions are exact where
+    they are used: by a gcd, or checked by ``_Dense.divexact``."""
 
     zero = 0
     one = 1
@@ -88,24 +82,19 @@ class _Integers:
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
     gcd = staticmethod(math.gcd)
+    divexact = staticmethod(operator.floordiv)
 
     @staticmethod
     def is_unit(a: int) -> bool:
         return a == 1 or a == -1
 
-    @staticmethod
-    def divexact(a: int, b: int) -> int:
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact integer division")
-        return q
-
 
 class _Dense:
     """Univariate polynomials over the GCD domain ``base``.
 
-    A polynomial is a list of coefficients, lowest degree first, with no
-    trailing zero; [] is zero.  Operations never mutate their arguments.
+    A polynomial is a sequence of coefficients, lowest degree first,
+    with no trailing zero; an empty one is zero.  Results are lists, and
+    operations never mutate their arguments.
     """
 
     def __init__(self, base) -> None:
@@ -224,7 +213,7 @@ _ZVT = _Dense(_ZV)
 
 def _to_dense(p: Poly, low: int) -> list[list[int]]:
     """p times v^-low as a polynomial in Z[v][t]: out[t][v]."""
-    out: list[list[int]] = [[] for _ in range(1 + max(t for _, t in p))]
+    out: list[list[int]] = [[] for _ in range(1 + max((t for _, t in p), default=-1))]
     for (v, t), c in p.items():
         if t < 0:
             raise LFactorError("t exponents must be non-negative")
@@ -236,35 +225,31 @@ def _to_dense(p: Poly, low: int) -> list[list[int]]:
     return out
 
 
-def _poly(terms: tuple[Monomial, ...], at_t1: bool = False) -> Poly:
-    """The sum of the terms, with t set to 1 if ``at_t1``."""
-    out: Poly = {}
-    for m in terms:
-        key = (m.v_exp, 0 if at_t1 else m.t_exp)
-        out[key] = out.get(key, 0) + m.coeff
-    return out
-
-
-def _mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for (av, at), ac in a.items():
-        for (bv, bt), bc in b.items():
-            key = (av + bv, at + bt)
-            out[key] = out.get(key, 0) + ac * bc
-    return out
-
-
-def _add(a: Poly, b: Poly, sign: int = 1) -> Poly:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) + sign * c
-    return out
+def _terms(rows: Rows) -> Iterator[tuple[int, int, int]]:
+    """(coefficient, v exponent, t exponent) of each nonzero term, by t
+    exponent, then by v exponent."""
+    for t_exp, row in enumerate(rows):
+        for v_exp, c in enumerate(row):
+            if c:
+                yield c, v_exp, t_exp
 
 
 # Residue sizes above this are refused: ``_split_square`` trial-divides
 # up to the cube root of q, so at most 10**5 divisors here, about 0.03 s
 # with Python 3.11 on a 2-core VM (2^61 - 1 would take 0.9 s).
 MAX_RESIDUE_SIZE = 10**15
+
+# Values whose numerator or denominator would have more digits than this
+# are refused before they are computed, which keeps them below Python's
+# default limit of 4300 digits for converting an integer to a string.
+MAX_VALUE_DIGITS = 4000
+
+# Factors whose denominator would have more dense coefficients than this
+# are refused.  Their cost grows about as the 1.5th power of that count:
+# with Python 3.11 on a 2-core VM, gj k = 25, d = 1 (8,164) takes 0.1 s
+# and k = 40 (32,841) 1.0 s.  Sparse factors, with a large d or s
+# coefficient, are counted the same way, although they cost less.
+MAX_FACTOR_SIZE = 10_000
 
 
 def _split_square(q: int) -> tuple[int, int]:
@@ -287,12 +272,12 @@ def _split_square(q: int) -> tuple[int, int]:
     return s, r * q
 
 
-def _evaluate(terms: tuple[Monomial, ...], s: int, r: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    """(a, b) with the sum of the terms at v = s sqrt(r) equal to a + b sqrt(r)."""
+def _evaluate(rows: Rows, s: int, r: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    """(a, b) with the polynomial at v = s sqrt(r) equal to a + b sqrt(r)."""
     a = b = Fraction(0)
-    for m in terms:
-        c = m.coeff * Fraction(s) ** m.v_exp * Fraction(r) ** (m.v_exp // 2) * t**m.t_exp
-        if m.v_exp % 2:
+    for coeff, v_exp, t_exp in _terms(rows):
+        c = coeff * Fraction(s) ** v_exp * Fraction(r) ** (v_exp // 2) * t**t_exp
+        if v_exp % 2:
             b += c
         else:
             a += c
@@ -324,97 +309,62 @@ class QuadraticValue:
         return f"{'-' if neg1 else ''}{first} {'-' if neg2 else '+'} {second}"
 
 
-_ONE = (Monomial(1, 0, 0),)
+_ONE: Rows = ((1,),)
 
 
 @dataclass(frozen=True)
 class RationalFunc:
-    """Reduced fraction of Laurent polynomials in v and t."""
+    """Reduced fraction of Laurent polynomials in v and t, kept as the
+    dense rows of its numerator and denominator; zero is () over 1."""
 
-    num: tuple[Monomial, ...]
-    den: tuple[Monomial, ...]
+    num: Rows
+    den: Rows
 
     @classmethod
     def from_expr(cls, num: Poly, den: Poly) -> "RationalFunc":
         """The normal form of num / den."""
         num = {key: c for key, c in num.items() if c}
         den = {key: c for key, c in den.items() if c}
-        if not den:
-            raise LFactorError("denominator vanishes")
-        if not num:
-            return cls(num=(), den=_ONE)
-        low = min(v for v, _ in (*num, *den))
-        n, d = _to_dense(num, low), _to_dense(den, low)
-        g = _ZVT.gcd(n, d)
-        if not _ZVT.is_unit(g):
-            n, d = _ZVT.divexact(n, g), _ZVT.divexact(d, g)
-        content = math.gcd(*(c for p in (n, d) for row in p for c in row))
-        lead = next(c for row in d for c in row if c)
-        if lead < 0:
-            content = -content
-        nterms, dterms = (
-            tuple(
-                Monomial(c // content, v, t)
-                for t, row in enumerate(p)
-                for v, c in enumerate(row)
-                if c
-            )
-            for p in (n, d)
-        )
-        return cls(num=nterms, den=dterms)
+        low = min((v for v, _ in (*num, *den)), default=0)
+        return _reduced(_to_dense(num, low), _to_dense(den, low))
 
     @classmethod
     def one(cls) -> "RationalFunc":
-        return cls.from_expr({(0, 0): 1}, {(0, 0): 1})
-
-    @classmethod
-    def from_fraction(
-        cls, num: tuple[Monomial, ...], den: tuple[Monomial, ...]
-    ) -> "RationalFunc":
-        return cls.from_expr(_poly(num), _poly(den))
+        return cls(num=_ONE, den=_ONE)
 
     def __add__(self, other: "RationalFunc") -> "RationalFunc":
-        return self._sum(other, 1)
+        return self._sum(other, _ZVT.add)
 
     def __sub__(self, other: "RationalFunc") -> "RationalFunc":
-        return self._sum(other, -1)
+        return self._sum(other, _ZVT.sub)
 
-    def _sum(self, other: "RationalFunc", sign: int) -> "RationalFunc":
-        an, ad, bn, bd = _poly(self.num), _poly(self.den), _poly(other.num), _poly(other.den)
-        return RationalFunc.from_expr(_add(_mul(an, bd), _mul(bn, ad), sign), _mul(ad, bd))
+    def _sum(self, other: "RationalFunc", op) -> "RationalFunc":
+        num = op(_ZVT.mul(self.num, other.den), _ZVT.mul(other.num, self.den))
+        return _reduced(num, _ZVT.mul(self.den, other.den))
 
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc.from_expr(
-            _mul(_poly(self.num), _poly(other.num)), _mul(_poly(self.den), _poly(other.den))
-        )
+        return _reduced(_ZVT.mul(self.num, other.num), _ZVT.mul(self.den, other.den))
 
     def __truediv__(self, other: "RationalFunc") -> "RationalFunc":
         if not other.num:
             raise LFactorError("division by zero")
-        return RationalFunc.from_expr(
-            _mul(_poly(self.num), _poly(other.den)), _mul(_poly(self.den), _poly(other.num))
-        )
+        return _reduced(_ZVT.mul(self.num, other.den), _ZVT.mul(self.den, other.num))
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def unit_equivalent(self, other: "RationalFunc") -> bool:
-        """Equal up to a single-monomial unit."""
-        if other.is_zero():
-            return self.is_zero()
-        q = self / other
-        return len(q.num) == 1 and len(q.den) == 1
-
     def subs_t1(self) -> "RationalFunc":
         """Specialize t to 1 (the point s = 0)."""
-        den = _poly(self.den, at_t1=True)
-        if not any(den.values()):
+        den = functools.reduce(_ZV.add, self.den, [])
+        if not den:
             raise LFactorError("pole at t = 1")
-        return RationalFunc.from_expr(_poly(self.num, at_t1=True), den)
+        num = functools.reduce(_ZV.add, self.num, [])
+        return _reduced([num] if num else [], [den])
 
     def eval_exact(self, q: int, t_value=1) -> Fraction | QuadraticValue | None:
         """Exact value at v = sqrt(q) and rational t; None signals a pole.
-        ``q`` runs from 1 to ``MAX_RESIDUE_SIZE``.
+        ``q`` runs from 1 to ``MAX_RESIDUE_SIZE``, and a value of more
+        than about ``MAX_VALUE_DIGITS`` digits is refused.
 
         The value is a Fraction when it is rational, which it always is
         for square q, and a QuadraticValue otherwise.
@@ -423,8 +373,23 @@ class RationalFunc:
             raise LFactorError(f"residue size {q} must be positive")
         if q > MAX_RESIDUE_SIZE:
             raise LFactorError(f"residue size {q} exceeds {MAX_RESIDUE_SIZE}")
-        s, r = _split_square(q)
         t = Fraction(t_value)
+        # the value's integers have about twice the bits of the largest
+        # term; ceil(log2(x)) is (x - 1).bit_length(), and log10(2) 0.30103
+        q_bits = (q - 1).bit_length()
+        t_bits = (max(abs(t.numerator), t.denominator) - 1).bit_length()
+        bits = max(
+            (len(row) - 1) * q_bits // 2 + t_exp * t_bits
+            for p in (self.num, self.den)
+            for t_exp, row in enumerate(p)
+        )
+        digits = 2 * bits * 30103 // 100_000
+        if digits > MAX_VALUE_DIGITS:
+            raise LFactorError(
+                f"value at residue size {q} would have about {digits} digits,"
+                f" more than {MAX_VALUE_DIGITS}"
+            )
+        s, r = _split_square(q)
         da, db = _evaluate(self.den, s, r, t)
         if not da and not db:
             return None
@@ -435,43 +400,70 @@ class RationalFunc:
         return QuadraticValue(a, b, r) if b else a
 
     def render(self) -> str:
-        num = _render_poly(self.num)
+        num = _render_rows(self.num)
         if self.den == _ONE:
             return num
-        return f"({num})/({_render_poly(self.den)})"
+        return f"({num})/({_render_rows(self.den)})"
 
     def to_json(self) -> dict:
         return {
-            "num": [[m.coeff, m.v_exp, m.t_exp] for m in self.num],
-            "den": [[m.coeff, m.v_exp, m.t_exp] for m in self.den],
+            "num": [list(term) for term in _terms(self.num)],
+            "den": [list(term) for term in _terms(self.den)],
         }
 
 
-def _render_poly(terms: tuple[Monomial, ...]) -> str:
-    if not terms:
-        return "0"
+def _reduced(num: list, den: list) -> RationalFunc:
+    """The normal form of num / den, given as polynomials in Z[v][t]:
+    their gcd divided out, joint content 1, and the denominator's lowest
+    (t, v) term positive."""
+    if not den:
+        raise LFactorError("denominator vanishes")
+    if not num:
+        return RationalFunc(num=(), den=_ONE)
+    g = _ZVT.gcd(num, den)
+    if not _ZVT.is_unit(g):
+        num, den = _ZVT.divexact(num, g), _ZVT.divexact(den, g)
+    content = math.gcd(*(c for p in (num, den) for row in p for c in row))
+    if next(c for row in den for c in row if c) < 0:
+        content = -content
+    return RationalFunc(
+        num=tuple(tuple(c // content for c in row) for row in num),
+        den=tuple(tuple(c // content for c in row) for row in den),
+    )
+
+
+def _render_rows(rows: Rows) -> str:
     pieces = []
-    for idx, m in enumerate(terms):
+    for coeff, v_exp, t_exp in _terms(rows):
         factors = []
-        if m.v_exp:
-            factors.append("v" if m.v_exp == 1 else f"v^{m.v_exp}")
-        if m.t_exp:
-            factors.append("t" if m.t_exp == 1 else f"t^{m.t_exp}")
-        mag = abs(m.coeff)
+        if v_exp:
+            factors.append("v" if v_exp == 1 else f"v^{v_exp}")
+        if t_exp:
+            factors.append("t" if t_exp == 1 else f"t^{t_exp}")
+        mag = abs(coeff)
         if mag != 1 or not factors:
             factors.insert(0, str(mag))
         body = " ".join(factors)
-        if idx == 0:
-            pieces.append(body if m.coeff > 0 else f"-{body}")
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if m.coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces) or "0"
 
 
 def _check_half_integer(c: Fraction) -> None:
-    c = Fraction(c)
     if (2 * c).denominator != 1:
         raise LFactorError(f"shift {c} is not a half-integer")
+
+
+def _check_size(t_degree: int, v_span: int) -> None:
+    """Refuse a factor whose dense denominator would be above ``MAX_FACTOR_SIZE``."""
+    size = (t_degree + 1) * (v_span + 1)
+    if size > MAX_FACTOR_SIZE:
+        raise LFactorError(
+            f"factor would have {size} dense coefficients (t-degree {t_degree},"
+            f" v-span {v_span}), more than {MAX_FACTOR_SIZE}"
+        )
 
 
 def tate_L(
@@ -490,12 +482,13 @@ def tate_L(
     _check_half_integer(shift)
     if s_coeff < 0:
         raise LFactorError("s coefficient must be non-negative")
-    v_exp = int(-2 * shift)
     if char is TateChar.ETA and ram is RamificationTag.RAMIFIED:
         return RationalFunc.one()
-    sign = -1 if char is TateChar.TRIV_F else 1
-    den = (Monomial(1, 0, 0), Monomial(sign, v_exp, s_coeff))
-    return RationalFunc.from_fraction((Monomial(1, 0, 0),), den)
+    v_exp = int(-2 * shift)
+    _check_size(s_coeff, abs(v_exp))
+    den = {(0, 0): 1}
+    den[v_exp, s_coeff] = den.get((v_exp, s_coeff), 0) + (-1 if char is TateChar.TRIV_F else 1)
+    return RationalFunc.from_expr({(0, 0): 1}, den)
 
 
 def tate_L_quadratic_ext(
@@ -509,9 +502,7 @@ def tate_L_quadratic_ext(
     shift = Fraction(shift)
     _check_half_integer(shift)
     mult = 2 if ram is RamificationTag.UNRAMIFIED else 1
-    v_exp = int(-2 * shift) * mult
-    den = (Monomial(1, 0, 0), Monomial(-1, v_exp, s_coeff * mult))
-    return RationalFunc.from_fraction((Monomial(1, 0, 0),), den)
+    return tate_L(TateChar.TRIV_F, ram, shift * mult, s_coeff * mult)
 
 
 def gj_L_trivial(k: int, d: int, shift: Fraction, s_coeff: int) -> RationalFunc:
@@ -525,9 +516,10 @@ def gj_L_trivial(k: int, d: int, shift: Fraction, s_coeff: int) -> RationalFunc:
         raise LFactorError("k and d must be positive")
     shift = Fraction(shift)
     _check_half_integer(shift)
+    shifts = [shift + Fraction(2 * i - (k - 1), 2) * d + Fraction(d - 1, 2) for i in range(k)]
+    _check_size(k * s_coeff, sum(abs(int(2 * c)) for c in shifts))
     result = RationalFunc.one()
-    for i in range(k):
-        c_i = shift + Fraction(2 * i - (k - 1), 2) * d + Fraction(d - 1, 2)
+    for c_i in shifts:
         result = result * tate_L(TateChar.TRIV_F, RamificationTag.UNRAMIFIED, c_i, s_coeff)
     return result
 

@@ -85,16 +85,20 @@ class TestEnumerate:
             ("odd", ",".join(["3"] * 12), "37273085398456"),
             ("odd", ",".join(["1"] * 1500), "over 50000"),
             ("even", ",".join(["1"] * 1500), "over 50000"),
+            ("odd", ",".join(map(str, range(1, 17))), "over 50000"),
+            ("odd", ",".join(map(str, range(1, 25))), "over 50000"),
+            ("even", ",".join(map(str, range(2, 41, 2))), "over 50000"),
         ],
         ids=[
             "40^4-odd", "40^4-even", "80^4-odd", "80^4-even", "1^13-odd", "3^12-odd",
-            "1^1500-odd", "1^1500-even",
+            "1^1500-odd", "1^1500-even", "1..16-odd", "1..24-odd", "2..40-even",
         ],
     )
     def test_size_guard_is_bounded(self, capsys, monkeypatch, case, parts, count):
-        # the count stops after COUNT_LIMIT fillings per row, or on the
-        # pairings of many rows, either way above COUNT_LIMIT matrices;
-        # cheap counts stay exact
+        # the count stops after COUNT_LIMIT fillings per row, on the
+        # pairings of many rows, or on the amounts one pairing of rows
+        # can share, each way above COUNT_LIMIT matrices; cheap counts
+        # stay exact
         assert COUNT_LIMIT >= DEFAULT_BUDGET
 
         def refuse(*args):
@@ -211,14 +215,64 @@ class TestSweepAndLfactor:
 DIGESTS_PATH = Path(__file__).with_name("cli_digests.json")
 
 
+def pinned_commands() -> list[str]:
+    """The commands whose output bytes `cli_digests.json` pins."""
+    commands = [
+        f"steinberg --case {case} --m {m} --d {d} --chi {chi} --format json"
+        for case, d, top in (("odd", 1, 30), ("even", 2, 15))
+        for m in range(1, top + 1)
+        for chi in ("triv", "eta")
+    ]
+    commands += ["sweep --max-m 5 --max-d 4", "sweep --max-m 5 --max-d 4 --format json"]
+    # the benchmark's lfactor workload
+    lfactor = [
+        f"lfactor --kind gj --k {k} --d {d} --shift=-1/2" for k in range(1, 9) for d in (1, 2)
+    ]
+    lfactor += [
+        f"lfactor --kind i2 --d {d} --ram {ram} --eval-q 2 3 4 5 9"
+        for d in range(1, 7)
+        for ram in ("unramified", "ramified")
+    ]
+    lfactor += [
+        f"lfactor --kind tate --char {char} --ram {ram} --eval-q 2 3 4 9"
+        for char in ("triv", "eta")
+        for ram in ("unramified", "ramified")
+    ]
+    # a small grid, vanishing denominators and poles included
+    lfactor += [
+        f"lfactor --kind gj --k {k} --d {d} --shift={shift} --s-coeff {e} --eval-q 2 3 4"
+        for k in (1, 2, 3)
+        for d in (1, 2, 3)
+        for shift in ("0", "1/2", "-1")
+        for e in (1, 2)
+    ]
+    lfactor += [
+        f"lfactor --kind tate --char {char} --ram {ram} --shift={shift} --s-coeff {e}"
+        " --eval-q 1 2 5 8 9"
+        for char in ("triv", "eta")
+        for ram in ("unramified", "ramified")
+        for shift in ("-1", "-1/2", "0", "1/2", "3/2")
+        for e in (0, 1, 3)
+    ]
+    lfactor += [
+        f"lfactor --kind i2 --d {d} --ram {ram} --eval-q 6 7 8"
+        for d in range(1, 6)
+        for ram in ("unramified", "ramified")
+    ]
+    return commands + [f"{c}{fmt}" for c in lfactor for fmt in ("", " --format json")]
+
+
 def test_output_bytes_pinned():
-    """Exit code, stdout digest and stderr of `steinberg --format json` at
-    odd m <= 30 (d = 1) and even m <= 15 (d = 2), both tokens, and of
-    `sweep --max-m 5 --max-d 4` as table and JSON.  Recorded before the
-    support test moved from rational to integer exponents; an intended
-    output change must re-record them."""
+    """Exit code, stdout digest and stderr of every command in
+    `pinned_commands`: `steinberg --format json` at odd m <= 30 (d = 1)
+    and even m <= 15 (d = 2), both tokens, `sweep --max-m 5 --max-d 4`,
+    and every `lfactor` command of the benchmark plus a small grid, the
+    last two as table and JSON.  The steinberg and sweep digests were
+    recorded before the support test moved from rational to integer
+    exponents, the lfactor ones before `RationalFunc` moved to dense
+    rows; an intended output change must re-record them."""
     pinned = json.loads(DIGESTS_PATH.read_text())
-    assert len(pinned) == 2 * (30 + 15) + 2
+    assert sorted(pinned) == sorted(pinned_commands())
     changed = []
     for key, want in pinned.items():
         out, err = io.StringIO(), io.StringIO()
@@ -400,6 +454,53 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --kappa 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "lfactor --kind tate --shift=-600 --eval-q 1000000000000000",
+                "value at residue size 1000000000000000 would have about 18061 digits, more than 4000",
+            ),
+            (
+                "lfactor --kind gj --k 40 --d 1",
+                "factor would have 32841 dense coefficients (t-degree 40, v-span 800)",
+            ),
+            (
+                "lfactor --kind gj --k 60 --d 1",
+                "factor would have 109861 dense coefficients (t-degree 60, v-span 1800)",
+            ),
+            (
+                "lfactor --kind gj --k 30 --d 50",
+                "factor would have 697531 dense coefficients (t-degree 30, v-span 22500)",
+            ),
+            (
+                "lfactor --kind gj --k 100 --d 1",
+                "factor would have 505101 dense coefficients (t-degree 100, v-span 5000)",
+            ),
+            (
+                "lfactor --kind tate --shift=-100000000",
+                "factor would have 400000002 dense coefficients (t-degree 1, v-span 200000000)",
+            ),
+            (
+                "lfactor --kind tate --s-coeff 100000000",
+                "factor would have 100000001 dense coefficients (t-degree 100000000, v-span 0)",
+            ),
+            (
+                "lfactor --kind i2 --d 1000",
+                "factor would have 4004001 dense coefficients (t-degree 2000, v-span 2000)",
+            ),
+        ],
+        ids=["eval-q", "gj-k40", "gj-k60", "gj-k30-d50", "gj-k100", "tate-shift", "tate-s", "i2"],
+    )
+    def test_lfactor_refuses_what_would_take_seconds(self, capsys, argv, message):
+        # refused from a size estimate, before any work that could take
+        # seconds or exhaust memory, and without a traceback
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv.split())
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_flags_n_must_match_partition(self, capsys):
         code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1")

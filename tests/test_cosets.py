@@ -128,8 +128,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
     def test_count_stops_by_its_two_rules(self, case, monkeypatch):
         # None exactly when the rows of equal parity have more than
-        # COUNT_LIMIT ** 2 pairings, each its own matrix, or the memo
-        # fills rows entry by entry in more than COUNT_LIMIT ways per row
+        # COUNT_LIMIT ** 2 pairings, each its own matrix, or one pairing
+        # of them, rows adjacent in size, gives more than COUNT_LIMIT
+        # matrices through the amounts its pairs share, or the memo fills
+        # rows entry by entry in more than COUNT_LIMIT ways per row
         step = 2 if case is CaseTag.EVEN else 1
         fills = 0
 
@@ -143,6 +145,17 @@ class TestEnumeration:
                 perfect(k) if k % 2 == 0 else k * perfect(k - 1)
                 for k in (odd, len(parts) - odd)
             )
+
+        def shared(parts):
+            # matrices on one pairing: a pair of rows of the same parity
+            # shares any amount x <= its smaller part a with a - x a
+            # multiple of the step, the rest on the diagonal
+            total = 1
+            for parity in (0, 1):
+                rows = sorted(p for p in parts if p % 2 == parity)
+                for a, b in zip(rows[0::2], rows[1::2]):
+                    total *= sum(1 for x in range(a + 1) if (a - x) % step == 0)
+            return total
 
         @functools.cache
         def count(owed):
@@ -166,12 +179,12 @@ class TestEnumeration:
                     fills = 0
                     count.cache_clear()
                     exact = count(tuple(sorted(partition.parts)))
-                    paired = pairings(partition.parts)
+                    paired, spread = pairings(partition.parts), shared(partition.parts)
                     if step == 2 and partition.total % 2:
                         want = 0  # no matrix, known without counting
                     else:
-                        assert paired <= exact
-                        over = paired > limit**2 or fills > limit * len(partition)
+                        assert max(paired, spread) <= exact
+                        over = paired > limit**2 or spread > limit or fills > limit * len(partition)
                         want = None if over else exact
                     assert count_coset_matrices(partition, case) == want, (partition.parts, limit)
 

@@ -51,27 +51,23 @@ class TestDecision:
         assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
         assert verdict.multiplicity == 0
         # killed already on the minimal partition
-        assert not verdict.trace[0][2].feasible
+        assert not verdict.trace[0].feasible
 
     def test_odd_m2_triv_killed_by_middle_merge(self):
         verdict = steinberg_decision(CaseTag.ODD, 2, 1, ChiToken.TRIV)
         assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
-        feasible_coarse = [
-            (partition, s)
-            for partition, s, report in verdict.trace[1:]
-            if report.feasible
-        ]
+        feasible_coarse = [report.s for report in verdict.trace[1:] if report.feasible]
         assert feasible_coarse
-        assert all(partition == Partition((2,)) for partition, _ in feasible_coarse)
+        assert all(s.partition == Partition((2,)) for s in feasible_coarse)
 
     def test_distinguished_trace_single_minimal_support(self):
         verdict = steinberg_decision(CaseTag.ODD, 2, 1, ChiToken.ETA)
         assert verdict.status is VerdictStatus.DISTINGUISHED
         minimal = Partition((1, 1))
         supports = [
-            s
-            for partition, s, report in verdict.trace
-            if partition == minimal and report.feasible
+            report.s
+            for report in verdict.trace
+            if report.s.partition == minimal and report.feasible
         ]
         assert supports == [anti_diagonal_matrix(minimal, CaseTag.ODD)]
 
@@ -117,8 +113,8 @@ def reference_decision(case, m, chi):
     n = 2 * m if case is CaseTag.EVEN else m
     minimal = Partition((1,) * n)
     s0 = anti_diagonal_matrix(minimal, case)
-    trace = [(minimal, s0, orbit_supports(s0, chi))]
-    if not trace[0][2].feasible:
+    trace = [orbit_supports(s0, chi)]
+    if not trace[0].feasible:
         return VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
     killed = stray_support = False
     for k in range(1, n):
@@ -126,7 +122,7 @@ def reference_decision(case, m, chi):
         for s in enumerate_coset_matrices(coarse_open.partition, case):
             report = orbit_supports(s, chi)
             if s == coarse_open or report.feasible:
-                trace.append((coarse_open.partition, s, report))
+                trace.append(report)
             if report.feasible:
                 killed = killed or s == coarse_open
                 stray_support = stray_support or s != coarse_open
