@@ -40,7 +40,7 @@ from .lfactor import (
     i2_ratio,
     tate_L,
 )
-from .oracles.finite_field import QuadraticExtension
+from .oracles.finite_field import QuadraticExtension, require_small_odd_prime
 from .oracles.flags import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -185,21 +185,25 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             f"partition {args.partition} sums to {partition.total}, not to n = {args.n}"
         )
-    field = QuadraticExtension(args.q)
+    require_small_odd_prime(args.q)
+    # a cache hit holds this many flags, and the stream is checked
+    # against it when it ends
+    count = count_flags(partition, args.q * args.q)
     cache_dir = args.cache_dir or os.environ.get("DISTINCTION_CACHE_DIR")
     cache = FlagCache(cache_dir) if cache_dir else None
     flags = cache.load(args.n, args.q, partition) if cache else None
+    if flags is None and count > args.budget:
+        # refused before the field's tables are built
+        raise BudgetExceededError(count, args.budget)
+    field = QuadraticExtension(args.q)
     stats = {
         "cache": "off" if cache is None else "hit" if flags is not None else "miss",
         "flags_enumerated": 0,
     }
     if flags is not None:
-        count = len(flags)
         stream = ((flag, flag_profile(flag, field)) for flag in flags)
         kept = None
     else:
-        # the stream is checked against this count when it ends
-        count = count_flags(partition, args.q * args.q)
         stream = iter_flags(field, partition, budget=args.budget)
         stats["flags_enumerated"] = count
         # only a cache miss holds the list, to write it

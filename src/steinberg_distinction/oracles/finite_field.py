@@ -4,9 +4,16 @@ Elements of F_{q^2} = F_q(l), with l^2 a fixed nonsquare of F_q, are
 the integers x = a q + b in 0..q^2 - 1 standing for a + b l.  The coding
 keeps the lexicographic order of the coordinates (a, b), zero is the
 integer 0 and one is the integer q.  Every field operation is a
-lookup in a table built once per field.  The arithmetic Frobenius
-x -> x^q fixes F_q and negates l, so it sends a + b l to a - b l.
-Subspaces are tuples of row-reduced rows; every operation is exact.
+lookup in a table built once per field; a field whose q^2 x q^2 tables
+would exceed ``MAX_TABLE_ENTRIES`` (10^6 entries, so q <= 31) is
+refused before anything is built.  The arithmetic Frobenius x -> x^q
+fixes F_q and negates l, so it sends a + b l to a - b l.
+
+Subspaces are tuples of row-reduced rows; every operation is exact and
+is one ``rref``: the sum reduces both bases together, the intersection
+is Zassenhaus's reduction of (a, a) over (b, 0), a complement is read
+off the pivot columns of the vectors taken as columns, and ``solve``
+reads h with h src = dst off the reduction of (src, dst).
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ import functools
 
 from ..cosets import InvalidInputError
 
-__all__ = ["QuadraticExtension", "Elt", "Vec"]
+__all__ = ["QuadraticExtension", "Elt", "Vec", "MAX_TABLE_ENTRIES", "require_small_odd_prime"]
 
 Elt = int
 Vec = tuple[Elt, ...]
+
+MAX_TABLE_ENTRIES = 10**6
 
 
 def _is_prime(p: int) -> bool:
@@ -32,12 +41,31 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def pivot(row: Vec) -> int:
+    """Column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
+
+
+def require_small_odd_prime(p: int) -> None:
+    """Raise ``InvalidInputError`` unless p is an odd prime whose field
+    tables of p^4 entries stay within ``MAX_TABLE_ENTRIES``.  The size
+    is checked first, so a large p is refused without trial division."""
+    if p > 2 and p**4 > MAX_TABLE_ENTRIES:
+        raise InvalidInputError(
+            f"q = {p} is too large: its field tables would hold q^4 = {p**4}"
+            f" entries, more than {MAX_TABLE_ENTRIES}"
+        )
+    if not _is_prime(p) or p == 2:
+        raise InvalidInputError("p must be an odd prime")
+
+
 class QuadraticExtension:
     """F_{q^2} over the odd prime field F_p, with row reduction over it;
     prime powers are not needed at desk scale.
 
-    ``QuadraticExtension(p)`` builds the tables once per prime per
-    process and returns that one instance on every later call.
+    ``QuadraticExtension(p)`` checks p with ``require_small_odd_prime``,
+    builds the tables once per prime per process and returns that one
+    instance on every later call.
     ``add_table[x][y]`` is x + y, and likewise ``sub_table``,
     ``mul_table``; ``neg_table[x]``, ``inv_table[x]`` (None at zero) and
     ``frob_table[x]`` act on one element.
@@ -46,8 +74,7 @@ class QuadraticExtension:
     @staticmethod
     @functools.cache
     def __new__(cls, p: int) -> "QuadraticExtension":
-        if not _is_prime(p) or p == 2:
-            raise InvalidInputError("p must be an odd prime")
+        require_small_odd_prime(p)
         self = super().__new__(cls)
         self.p = p
         squares = {(x * x) % p for x in range(p)}
@@ -76,30 +103,7 @@ class QuadraticExtension:
             self.inv_table.append(self.mul_table[self.frob_table[x]][nrm_inv * p])
         return self
 
-    # -- element arithmetic -------------------------------------------------
-    def scalar(self, a: int) -> Elt:
-        return a % self.p * self.p
-
-    def add(self, x: Elt, y: Elt) -> Elt:
-        return self.add_table[x][y]
-
-    def sub(self, x: Elt, y: Elt) -> Elt:
-        return self.sub_table[x][y]
-
-    def neg(self, x: Elt) -> Elt:
-        return self.neg_table[x]
-
-    def mul(self, x: Elt, y: Elt) -> Elt:
-        return self.mul_table[x][y]
-
-    def inv(self, x: Elt) -> Elt:
-        if not x:
-            raise ZeroDivisionError("inverse of zero")
-        return self.inv_table[x]
-
-    def frob(self, x: Elt) -> Elt:
-        return self.frob_table[x]
-
+    # -- elements ---------------------------------------------------------
     def in_base(self, x: Elt) -> bool:
         return x % self.p == 0
 
@@ -153,73 +157,34 @@ class QuadraticExtension:
     def rank(self, rows: list[Vec]) -> int:
         return len(self.rref(rows))
 
-    def in_span(self, v: Vec, basis: tuple[Vec, ...]) -> bool:
-        return self.rank(list(basis) + [v]) == len(basis)
-
     def sum_spaces(self, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
         return self.rref(list(a) + list(b))
 
     def intersect(self, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
-        """Basis of the intersection of two row spans."""
+        """Reduced basis of the intersection of two row spans.
+
+        Zassenhaus: the rows (u, u) for u in ``a`` and (w, 0) for w in
+        ``b`` span the pairs (u + w, u), and such a pair has left half zero
+        exactly when u = -w lies in both spans.  So the rows of the
+        reduced form whose left half is zero have reduced right halves
+        spanning the intersection.
+        """
         if not a or not b:
             return ()
-        # coefficient vectors (u, w) with u A = w B: left kernel of the
-        # stacked matrix, solved by reducing its transpose's null space
-        neg = self.neg_table
-        stacked = list(a) + [tuple([neg[x] for x in row]) for row in b]
-        null = self._nullspace_left(stacked)
-        vecs = []
-        for coeffs in null:
-            v = (0,) * len(a[0])
-            for c, row in zip(coeffs[: len(a)], a):
-                v = self.vec_add(v, self.vec_scale(c, row))
-            vecs.append(v)
-        return self.rref(vecs)
-
-    def _nullspace_left(self, rows: list[Vec]) -> list[Vec]:
-        """Vectors c with sum_i c_i rows_i = 0."""
-        k = len(rows)
-        # transpose: solve M c = 0 with M ncols x k
-        red = self.rref(list(zip(*rows)))
-        pivots = [next(i for i, x in enumerate(row) if x) for row in red]
-        free = [i for i in range(k) if i not in pivots]
-        basis = []
-        for f in free:
-            c = [0] * k
-            c[f] = self.one
-            for row, piv in zip(red, pivots):
-                c[piv] = self.neg_table[row[f]]
-            basis.append(tuple(c))
-        return basis
+        n = len(a[0])
+        zero = (0,) * n
+        red = self.rref([row + row for row in a] + [row + zero for row in b])
+        return tuple(row[n:] for row in red if not any(row[:n]))
 
     def extend_to_complement(
         self, inner: tuple[Vec, ...], outer: tuple[Vec, ...]
     ) -> tuple[Vec, ...]:
-        """Vectors of ``outer`` completing ``inner`` to span ``outer``.
-
-        Each candidate is reduced against an echelon form of the span so
-        far, which grows by one normalised row per chosen vector.  A row
-        added later is zero at every earlier pivot, so clearing the
-        pivots in insertion order leaves zero exactly on the span.
-        """
-        mul, sub, inv = self.mul_table, self.sub_table, self.inv_table
-        echelon = [
-            (next(c for c, x in enumerate(row) if x), row) for row in self.rref(list(inner))
-        ]
-        chosen = []
-        for v in outer:
-            w = v
-            for piv, row in echelon:
-                c = w[piv]
-                if c:
-                    scale = mul[c]
-                    w = [sub[x][scale[y]] for x, y in zip(w, row)]
-            piv = next((c for c, x in enumerate(w) if x), None)
-            if piv is not None:
-                scale = mul[inv[w[piv]]]
-                echelon.append((piv, [scale[x] for x in w]))
-                chosen.append(v)
-        return tuple(chosen)
+        """Vectors of ``outer`` completing ``inner`` to span ``outer``,
+        each one outside the span of ``inner`` and the vectors chosen
+        before it: the pivot columns of the reduced matrix whose columns
+        are ``inner`` and then ``outer``."""
+        red = self.rref(list(zip(*inner, *outer)))
+        return tuple(outer[p - len(inner)] for p in map(pivot, red) if p >= len(inner))
 
     def fixed_subspace(self, basis: tuple[Vec, ...]) -> tuple[Vec, ...]:
         """Basis (with base-field entries) of the Frobenius-fixed points
@@ -237,25 +202,20 @@ class QuadraticExtension:
             raise InvalidInputError("span is not Frobenius-stable")
         return fixed
 
-    def matrix_mul(self, m: list[Vec], v: list[Vec]) -> list[Vec]:
-        add, mul = self.add_table, self.mul_table
-        cols = list(zip(*v))
-        out = []
-        for row in m:
-            out_row = []
-            for col in cols:
-                acc = 0
-                for x, y in zip(row, col):
-                    acc = add[acc][mul[x][y]]
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return out
+    def solve(self, src: list[Vec], dst: list[Vec]) -> list[Vec]:
+        """The matrix h with h src[c] = dst[c] for every c, the vectors
+        taken as columns; ``src`` must be a basis of F^n.  Row reduction
+        takes the rows (src[c], dst[c]) to rows (e_c, x_c), and x_c is
+        column c of h."""
+        n = len(src)
+        red = self.rref([s + d for s, d in zip(src, dst)])
+        if len(red) != n or any(red[i][i] != self.one for i in range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return [tuple(col) for col in zip(*(row[n:] for row in red))]
 
     def matrix_inv(self, m: list[Vec]) -> list[Vec]:
+        """The inverse of a square matrix: h sends its columns to the
+        unit vectors."""
         n = len(m)
-        one = self.one
-        aug = [tuple(m[i]) + tuple(one if j == i else 0 for j in range(n)) for i in range(n)]
-        red = self.rref(aug)
-        if len(red) != n or any(red[i][i] != one for i in range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return [tuple(row[n:]) for row in red]
+        unit = [tuple(self.one if c == r else 0 for c in range(n)) for r in range(n)]
+        return self.solve(list(zip(*m)), unit)

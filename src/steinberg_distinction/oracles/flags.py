@@ -33,7 +33,7 @@ from ..cosets import (
     Partition,
     build_us_odd,
 )
-from .finite_field import QuadraticExtension, Vec
+from .finite_field import QuadraticExtension, Vec, pivot
 
 __all__ = [
     "Flag",
@@ -117,11 +117,6 @@ def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple
             yield tuple(tuple(row) for row in rows)
 
 
-def _pivot(row: Vec) -> int:
-    # the first nonzero entry occurs first at the pivot
-    return row.index(next(filter(None, row)))
-
-
 def _extensions(
     field: QuadraticExtension,
     n: int,
@@ -138,7 +133,7 @@ def _extensions(
     ``basis`` leaves the union reduced.
     """
     mul, sub = field.mul_table, field.sub_table
-    old = [(_pivot(row), row) for row in basis]
+    old = [(pivot(row), row) for row in basis]
     taken = {p for p, _ in old}
     free = [c for c in range(n) if c not in taken]
     out = []
@@ -148,7 +143,7 @@ def _extensions(
             full = [0] * n
             for c, x in zip(free, row):
                 full[c] = x
-            rows.append((free[_pivot(row)], tuple(full)))
+            rows.append((free[pivot(row)], tuple(full)))
         added = list(rows)
         for p, vec in old:
             for c, full in added:
@@ -253,7 +248,7 @@ def _rank_row(
     is already the residual of theta s for every row s of V.
     """
     mul, sub, frob = field.mul_table, field.sub_table, field.frob_table
-    pivots = [(_pivot(row), row) for row in basis]
+    pivots = [(pivot(row), row) for row in basis]
     out = []
     for w_basis in lower:
         residuals = []
@@ -278,21 +273,6 @@ def _rank(field: QuadraticExtension, nonzero_rows: list) -> int:
     return field.rank(nonzero_rows) if len(nonzero_rows) > 1 else len(nonzero_rows)
 
 
-def _require_reduced(field: QuadraticExtension, basis: tuple[Vec, ...]) -> None:
-    """Raise unless the basis is in reduced row echelon form: increasing
-    pivots, each entry 1, and every other row 0 in each pivot column."""
-    last = -1
-    for index, row in enumerate(basis):
-        if not any(row):
-            raise InvalidInputError("flag basis has a zero row")
-        p = _pivot(row)
-        if p <= last or row[p] != field.one or any(
-            other[p] for k, other in enumerate(basis) if k != index
-        ):
-            raise InvalidInputError("flag bases must be row-reduced")
-        last = p
-
-
 def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
     """Coset matrix of the flag's orbit under the base-field group.
 
@@ -304,8 +284,8 @@ def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
     whose rows come from ``_rank_row``.
     """
     bases = flag.bases[:-1]
-    for basis in bases:
-        _require_reduced(field, basis)
+    if any(field.rref(basis) != basis for basis in bases):
+        raise InvalidInputError("flag bases must be row-reduced")
     rows = tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
     return _profile_from_rows(flag.partition.parts, rows)
 
@@ -348,7 +328,7 @@ def _us_matrix(s: CosetMatrix, field: QuadraticExtension) -> list[Vec]:
     return [
         tuple(row)
         for row in sym.substitute(
-            field.zero, field.one, field.lam, field.neg(field.lam)
+            field.zero, field.one, field.lam, field.neg_table[field.lam]
         )
     ]
 
@@ -438,11 +418,7 @@ def reduce_to_representative(
     n = flag.partition.total
     if len(src_vecs) != n:
         raise InvalidInputError("graded pieces do not decompose the space")
-    # columns are the basis vectors; h B = B'
-    b_mat = [tuple(src_vecs[c][r] for c in range(n)) for r in range(n)]
-    b2_mat = [tuple(dst_vecs[c][r] for c in range(n)) for r in range(n)]
-    h = field.matrix_mul(b2_mat, field.matrix_inv(b_mat))
-    return h
+    return field.solve(src_vecs, dst_vecs)
 
 
 def _decode(chains: object, n: int, q: int, partition: Partition) -> list[Flag] | None:

@@ -502,6 +502,30 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("q", [61, 2**61 - 1], ids=["q61", "mersenne61"])
+    def test_flags_refuses_a_field_too_large(self, capsys, q):
+        # refused from the size of the field's tables, before they are
+        # built (q = 61 took 11.6 s and 1.55 GB) and before q is
+        # trial-divided (about 1.5 * 10^9 divisions for 2^61 - 1)
+        start = time.monotonic()
+        code, out, err = run(capsys, "oracle-flags", "--n", "1", "--q", str(q), "--partition", "1")
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: q = {q} is too large: its field tables would hold q^4 = {q**4}"
+            " entries, more than 1000000\n"
+        )
+
+    def test_flags_budget_checked_before_the_field_is_built(self, capsys, monkeypatch):
+        def unbuilt(p):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
+        code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "31", "--partition", "1,1,1")
+        assert (code, out) == (2, "")
+        # (1 + 961)(1 + 961 + 961^2) full flags over F_{31^2}
+        assert err == "error: flag count 889352646 exceeds budget 10000\n"
+
     def test_flags_n_must_match_partition(self, capsys):
         code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1")
         assert (code, out) == (2, "")

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import time
 import zlib
 
 import pytest
@@ -13,7 +14,11 @@ from steinberg_distinction.cosets import (
     anti_diagonal_matrix,
     enumerate_coset_matrices,
 )
-from steinberg_distinction.oracles.finite_field import QuadraticExtension
+from steinberg_distinction.oracles.finite_field import (
+    MAX_TABLE_ENTRIES,
+    QuadraticExtension,
+    require_small_odd_prime,
+)
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import (
     BudgetExceededError,
@@ -52,7 +57,7 @@ def grid_id(point):
 
 
 def reference_rref(field, rows):
-    """Row reduction through the element operations of the field."""
+    """Row reduction with one table lookup per element operation."""
     mat = [list(r) for r in rows]
     if not mat:
         return ()
@@ -65,13 +70,14 @@ def reference_rref(field, rows):
         if sel is None:
             continue
         mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        inv = field.inv(mat[pivot_row][col])
-        mat[pivot_row] = [field.mul(inv, x) for x in mat[pivot_row]]
+        inv = field.inv_table[mat[pivot_row][col]]
+        mat[pivot_row] = [field.mul_table[inv][x] for x in mat[pivot_row]]
         for r in range(len(mat)):
             if r != pivot_row and mat[r][col] != field.zero:
                 c = mat[r][col]
                 mat[r] = [
-                    field.sub(x, field.mul(c, y)) for x, y in zip(mat[r], mat[pivot_row])
+                    field.sub_table[x][field.mul_table[c][y]]
+                    for x, y in zip(mat[r], mat[pivot_row])
                 ]
         pivot_row += 1
         if pivot_row == len(mat):
@@ -271,7 +277,7 @@ def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
     """Random invertible matrix with base-field entries."""
     while True:
         m = [
-            tuple(field.scalar(rng.randrange(field.p)) for _ in range(n))
+            tuple(encode(field.p, (rng.randrange(field.p), 0)) for _ in range(n))
             for _ in range(n)
         ]
         try:
@@ -282,14 +288,14 @@ def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
 
 
 def apply_matrix(field, h, flag):
+    """The flag's image under h, the rows h v multiplied out over the
+    pair-coded field."""
+    q = field.p
+    h_transposed = list(zip(*decode_rows(q, h)))
     bases = []
-    n = len(h)
     for basis in flag.bases:
-        imgs = []
-        for v in basis:
-            col = [(x,) for x in v]
-            imgs.append(tuple(field.matrix_mul(h, col)[r][0] for r in range(n)))
-        bases.append(field.rref(imgs))
+        imgs = PairExtension(q).matrix_mul(list(decode_rows(q, basis)), h_transposed)
+        bases.append(field.rref([tuple(encode(q, x) for x in row) for row in imgs]))
     return type(flag)(flag.partition, tuple(bases))
 
 
@@ -298,17 +304,16 @@ class TestFieldArithmetic:
         for x in FIELD.elements():
             if x == FIELD.zero:
                 continue
-            assert FIELD.mul(x, FIELD.inv(x)) == FIELD.one
+            assert FIELD.mul_table[x][FIELD.inv_table[x]] == FIELD.one
 
     def test_frobenius_is_field_automorphism(self):
+        frob, mul = FIELD.frob_table, FIELD.mul_table
         for x in FIELD.elements():
             for y in FIELD.elements():
-                assert FIELD.frob(FIELD.mul(x, y)) == FIELD.mul(
-                    FIELD.frob(x), FIELD.frob(y)
-                )
+                assert frob[mul[x][y]] == mul[frob[x]][frob[y]]
 
     def test_lambda_antifixed(self):
-        assert FIELD.frob(FIELD.lam) == FIELD.neg(FIELD.lam)
+        assert FIELD.frob_table[FIELD.lam] == FIELD.neg_table[FIELD.lam]
 
     def test_field_built_once_per_prime(self):
         field = QuadraticExtension(5)
@@ -328,8 +333,8 @@ class TestFieldArithmetic:
             field.zero, field.one, field.lam
         ]
         assert field.nonsquare == ref.nonsquare
-        assert [field.scalar(a) for a in range(-q, 2 * q)] == [
-            encode(q, ref.scalar(a)) for a in range(-q, 2 * q)
+        assert [x for x in field.elements() if field.in_base(x)] == [
+            encode(q, ref.scalar(a)) for a in range(q)
         ]
 
     @pytest.mark.parametrize("q", [3, 5, 7])
@@ -337,28 +342,36 @@ class TestFieldArithmetic:
         field, ref = QuadraticExtension(q), PairExtension(q)
         for x in field.elements():
             px = decode(q, x)
-            assert decode(q, field.neg_table[x]) == ref.neg(px) == decode(q, field.neg(x))
-            assert decode(q, field.frob_table[x]) == ref.frob(px) == decode(q, field.frob(x))
+            assert decode(q, field.neg_table[x]) == ref.neg(px)
+            assert decode(q, field.frob_table[x]) == ref.frob(px)
             assert field.in_base(x) == ref.in_base(px)
             if x:
-                assert decode(q, field.inv_table[x]) == ref.inv(px) == decode(q, field.inv(x))
+                assert decode(q, field.inv_table[x]) == ref.inv(px)
             else:
                 assert field.inv_table[x] is None
-                with pytest.raises(ZeroDivisionError):
-                    field.inv(x)
             for y in field.elements():
                 py = decode(q, y)
-                assert decode(q, field.add_table[x][y]) == ref.add(px, py) == decode(q, field.add(x, y))
-                assert decode(q, field.sub_table[x][y]) == ref.sub(px, py) == decode(q, field.sub(x, y))
-                assert decode(q, field.mul_table[x][y]) == ref.mul(px, py) == decode(q, field.mul(x, y))
+                assert decode(q, field.add_table[x][y]) == ref.add(px, py)
+                assert decode(q, field.sub_table[x][y]) == ref.sub(px, py)
+                assert decode(q, field.mul_table[x][y]) == ref.mul(px, py)
 
     def test_even_prime_rejected(self):
-        from steinberg_distinction.cosets import InvalidInputError
-
         with pytest.raises(InvalidInputError):
             QuadraticExtension(2)
         with pytest.raises(InvalidInputError):
             QuadraticExtension(9)
+        # a field too large for its tables is refused from its size alone,
+        # before the tables are built or p is trial-divided
+        for q in (61, 2**61 - 1):
+            start = time.monotonic()
+            with pytest.raises(InvalidInputError, match=f"q = {q} is too large"):
+                QuadraticExtension(q)
+            assert time.monotonic() - start < 1
+        # q = 31 is the largest prime whose tables fit
+        assert 31**4 <= MAX_TABLE_ENTRIES < 37**4
+        require_small_odd_prime(31)
+        with pytest.raises(InvalidInputError, match="q = 37 is too large"):
+            require_small_odd_prime(37)
 
 
 class TestAgainstReference:
@@ -404,9 +417,12 @@ class TestAgainstReference:
                     assert decode_rows(q, field.extend_to_complement(ra, b)) == (
                         ref.extend_to_complement(pra, pb)
                     )
-                if len(a[0]) == len(b):
-                    product = field.matrix_mul(a, b)
-                    assert decode_rows(q, product) == tuple(ref.matrix_mul(list(pa), list(pb)))
+                    # the fixed points of the Frobenius-stable span a + theta a
+                    stable = field.sum_spaces(ra, tuple(map(field.vec_frob, ra)))
+                    pstable = ref.sum_spaces(pra, tuple(map(ref.vec_frob, pra)))
+                    assert decode_rows(q, field.fixed_subspace(stable)) == (
+                        ref.fixed_subspace(pstable)
+                    )
                 if len(a) == len(a[0]):
                     try:
                         inverse = decode_rows(q, field.matrix_inv(a))
@@ -417,6 +433,24 @@ class TestAgainstReference:
                     except ZeroDivisionError:
                         expected = None
                     assert inverse == expected
+                    # h with h a[c] = dst[c] for the columns a[c], against
+                    # dst a^-1 with the vectors as columns
+                    dst = (b * len(a))[: len(a)]
+                    try:
+                        solved = decode_rows(q, field.solve(a, dst))
+                    except ZeroDivisionError:
+                        solved = None
+                    if expected is not None:
+                        expected = tuple(ref.matrix_mul(
+                            list(zip(*decode_rows(q, dst))), ref.matrix_inv(list(zip(*pa)))
+                        ))
+                    assert solved == expected
+            # the line spanned by (1, l) is not Frobenius-stable
+            line = ((field.one, field.lam),)
+            with pytest.raises(InvalidInputError, match="not Frobenius-stable"):
+                field.fixed_subspace(line)
+            with pytest.raises(ValueError, match="not Frobenius-stable"):
+                ref.fixed_subspace(decode_rows(q, line))
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_enumeration_matches_reference(self, point):
