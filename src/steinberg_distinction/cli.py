@@ -59,9 +59,49 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """The text json.dumps writes for obj at an indent of 2, for an
+    object nested at the line break and indent ``pad``; a key that is
+    not a str raises TypeError.
+
+    With an indent the json module steps through every element in
+    Python; here a list of exact ints, such as a matrix row or a
+    partition, is one join in C."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return str(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    # floats, str and int subclasses; TypeError for what JSON cannot hold
+    return json.dumps(obj)
+
+
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for line in lines:
             print(line)
@@ -379,6 +419,13 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, InvalidInputError, LFactorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): what is still buffered
+        # goes to devnull, so the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

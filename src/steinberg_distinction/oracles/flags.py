@@ -79,13 +79,17 @@ class Flag:
             raise InvalidInputError("basis dimensions must match partition prefixes")
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
+def gaussian_binomial(n: int, k: int, q2: int) -> int:
+    """The number of k-dimensional subspaces of an n-dimensional space
+    over a field of q2 elements."""
+    if q2 < 2:
+        raise InvalidInputError(f"field size q2 = {q2} must be at least 2")
     if k < 0 or k > n:
         return 0
     num = den = 1
     for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
+        num *= q2 ** (n - i) - 1
+        den *= q2 ** (i + 1) - 1
     return num // den
 
 

@@ -7,9 +7,12 @@ import subprocess
 import sys
 import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
@@ -17,6 +20,8 @@ from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag
 from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
+
+from conftest import compositions
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -259,18 +264,58 @@ def pinned_commands() -> list[str]:
         for d in range(1, 6)
         for ram in ("unramified", "ramified")
     ]
-    return commands + [f"{c}{fmt}" for c in lfactor for fmt in ("", " --format json")]
+    commands += [f"{c}{fmt}" for c in lfactor for fmt in ("", " --format json")]
+    # the benchmark's enumerate workload
+    for n in (4, 5, 6):
+        cases = ("odd", "even") if n % 2 == 0 else ("odd",)
+        for partition in compositions(n):
+            text = ",".join(map(str, partition.parts))
+            commands += [f"enumerate --case {case} --partition {text} --format json" for case in cases]
+    commands.append("enumerate --case odd --partition 1,1,1,1,1,1,1 --format json")
+    # the benchmark's flag points, with the cache off
+    commands += [
+        f"oracle-flags --n {n} --q {q} --partition {parts} --format json"
+        for n, q, parts in (
+            [(2, q, "1,1") for q in (3, 5, 7)]
+            + [(3, 3, p) for p in ("1,1,1", "2,1", "1,2", "3")]
+            + [(3, 5, "2,1"), (3, 5, "1,2"), (3, 7, "2,1")]
+        )
+    ]
+    # feasible orbits and infeasible ones with their violations
+    commands += [
+        f"support --case {case} --matrix {matrix} --chi {chi} --format json"
+        for case, matrix, chi in (
+            ("odd", "[[0,1],[1,0]]", "eta"),
+            ("odd", "[[0,0,1],[0,1,0],[1,0,0]]", "triv"),
+            ("even", "[[0,2],[2,0]]", "triv"),
+            ("odd", "[[1,0],[0,1]]", "eta"),
+            ("odd", "[[0,1,0],[1,0,0],[0,0,1]]", "eta"),
+            ("odd", "[[0,0,1],[0,1,0],[1,0,0]]", "eta"),
+            ("even", "[[2,0],[0,2]]", "eta"),
+        )
+    ]
+    commands += [
+        "oracle-quaternion --alpha -1 --beta 3 --format json",
+        "oracle-quaternion --alpha 4 --beta 1 --format json",
+    ]
+    return commands
 
 
-def test_output_bytes_pinned():
+def test_output_bytes_pinned(monkeypatch):
     """Exit code, stdout digest and stderr of every command in
     `pinned_commands`: `steinberg --format json` at odd m <= 30 (d = 1)
     and even m <= 15 (d = 2), both tokens, `sweep --max-m 5 --max-d 4`,
     and every `lfactor` command of the benchmark plus a small grid, the
-    last two as table and JSON.  The steinberg and sweep digests were
-    recorded before the support test moved from rational to integer
-    exponents, the lfactor ones before `RationalFunc` moved to dense
-    rows; an intended output change must re-record them."""
+    last two as table and JSON; and as JSON, `enumerate` on every
+    composition of 4, 5 and 6 and on 1^7, `oracle-flags` at the
+    benchmark's 10 points without a cache, a few `support` orbits and
+    two `oracle-quaternion` pairs, one refused.  The steinberg and sweep
+    digests were recorded before the support test moved from rational
+    to integer exponents, the lfactor ones before `RationalFunc` moved
+    to dense rows, and the JSON ones added with them before `_dumps`
+    replaced `json.dumps(payload, indent=2)`; an intended output change
+    must re-record them."""
+    monkeypatch.delenv("DISTINCTION_CACHE_DIR", raising=False)
     pinned = json.loads(DIGESTS_PATH.read_text())
     assert sorted(pinned) == sorted(pinned_commands())
     changed = []
@@ -286,6 +331,46 @@ def test_output_bytes_pinned():
         if got != want:
             changed.append(key)
     assert changed == []
+
+
+# Strings with the characters JSON escapes, and ints beyond 64 bits.
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'), st.characters())
+)
+json_ints = st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64)))
+json_trees = st.recursive(
+    st.one_of(
+        json_text,
+        json_ints,
+        st.booleans(),
+        st.none(),
+        st.floats(),
+        st.lists(json_ints),
+        st.lists(st.one_of(json_ints, st.booleans())),
+    ),
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(json_text, children),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonEncoder:
+    @given(json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, tree):
+        assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{1: 2}, {"a": {(1, 2): []}}, Fraction(1, 2), {"a": [1, Fraction(1)]}, [[Fraction(0)]]],
+        ids=["int-key", "tuple-key", "fraction", "fraction-in-list", "fraction-nested"],
+    )
+    def test_non_json_raises_type_error(self, tree):
+        with pytest.raises(TypeError):
+            cli._dumps(tree)
 
 
 class TestOracles:
@@ -621,6 +706,23 @@ class TestWithoutSympy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "codes [0, 0, 0]"
         assert "q=2: nonzero (-2)" in proc.stdout
+
+
+def test_closed_pipe_exits_1_silently():
+    # 223 kB of output, more than a pipe buffer holds, so a write
+    # after the reader closes its end must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinberg_distinction", "enumerate", "--case", "odd",
+         "--partition", "1,1,1,1,1,1,1", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_tracing_install_resolves_every_name():

@@ -503,6 +503,15 @@ class TestEnumeration:
         assert count_flags(Partition((1, 1)), 9) == 10
         assert count_flags(Partition((1, 1, 1)), 9) == 910
 
+    @pytest.mark.parametrize("q2", [1, 0, -1])
+    def test_field_size_below_2_refused(self, q2):
+        # q2 = 1 divided by zero, 0 counted one flag and -1 none
+        message = f"field size q2 = {q2} must be at least 2"
+        with pytest.raises(InvalidInputError, match=message):
+            count_flags(Partition((1, 1)), q2)
+        with pytest.raises(InvalidInputError, match=message):
+            gaussian_binomial(2, 1, q2)
+
     def test_n1(self):
         assert len(enumerate_flags(FIELD, Partition((1,)))) == 1
 
