@@ -6,19 +6,26 @@ keeps the lexicographic order of the coordinates (a, b), zero is the
 integer 0 and one is the integer q.  Every field operation is a
 lookup in a table built once per field; a field whose q^2 x q^2 tables
 would exceed ``MAX_TABLE_ENTRIES`` (10^6 entries, so q <= 31) is
-refused before anything is built.  The arithmetic Frobenius x -> x^q
-fixes F_q and negates l, so it sends a + b l to a - b l.
+refused before anything is built.  The tables are assembled from
+C-level slices and gathers over one shared list of the q^2 elements,
+so building them costs no Python arithmetic per entry and no new int
+object.  The arithmetic Frobenius x -> x^q fixes F_q and negates l, so
+it sends a + b l to a - b l.
 
 Subspaces are tuples of row-reduced rows; every operation is exact and
 is one ``rref``: the sum reduces both bases together, the intersection
 is Zassenhaus's reduction of (a, a) over (b, 0), a complement is read
 off the pivot columns of the vectors taken as columns, and ``solve``
-reads h with h src = dst off the reduction of (src, dst).
+reads h with h src = dst off the reduction of (src, dst).  Two short
+cuts skip those reductions: ``is_reduced`` checks the definition of a
+reduced basis instead of reducing it, and the intersection with a side
+that spans F^n is the other side, reduced, with no Zassenhaus step.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from ..cosets import InvalidInputError
 
@@ -46,6 +53,22 @@ def pivot(row: Vec) -> int:
     return row.index(next(filter(None, row)))
 
 
+def _powers_of_a_generator(p: int, ns: int) -> list[Elt]:
+    """1, g, ..., g^(q^2 - 2) for the least generator g of F_{q^2}*, each
+    power multiplied out with the pair formula
+    (a + b l)(c + d l) = (a c + ns b d) + (a d + b c) l."""
+    for g in range(1, p * p):
+        c, d = divmod(g, p)
+        powers = [p]
+        a, b = (c, d)
+        while (a, b) != (1, 0):
+            powers.append(a * p + b)
+            a, b = (a * c + ns * b * d) % p, (a * d + b * c) % p
+        if len(powers) == p * p - 1:
+            return powers
+    raise AssertionError("F_{q^2}* is cyclic")
+
+
 def require_small_odd_prime(p: int) -> None:
     """Raise ``InvalidInputError`` unless p is an odd prime whose field
     tables of p^4 entries stay within ``MAX_TABLE_ENTRIES``.  The size
@@ -68,7 +91,8 @@ class QuadraticExtension:
     instance on every later call.
     ``add_table[x][y]`` is x + y, and likewise ``sub_table``,
     ``mul_table``; ``neg_table[x]``, ``inv_table[x]`` (None at zero) and
-    ``frob_table[x]`` act on one element.
+    ``frob_table[x]`` act on one element.  The tables are plain lists
+    of lists, which the inner loops index directly.
     """
 
     @staticmethod
@@ -82,25 +106,34 @@ class QuadraticExtension:
         self.zero: Elt = 0
         self.one: Elt = p
         self.lam: Elt = 1
-        coords = [divmod(x, p) for x in range(p * p)]
-        self.add_table = [
-            [(a + c) % p * p + (b + d) % p for c, d in coords] for a, b in coords
-        ]
-        self.sub_table = [
-            [(a - c) % p * p + (b - d) % p for c, d in coords] for a, b in coords
-        ]
-        self.mul_table = [
-            [(a * c + ns * b * d) % p * p + (a * d + b * c) % p for c, d in coords]
-            for a, b in coords
-        ]
+        q2 = p * p
+        # the rows share these int objects rather than hold q^4 new ones
+        elems = list(range(q2))
+        coords = [divmod(x, p) for x in elems]
         self.neg_table = [(-a) % p * p + (-b) % p for a, b in coords]
         self.frob_table = [a * p + (-b) % p for a, b in coords]
-        # x^-1 = frob(x) / N(x), the norm N(x) = a^2 - ns b^2 lying in F_q*
-        self.inv_table: list[Elt | None] = [None]
-        for x in range(1, p * p):
-            a, b = coords[x]
-            nrm_inv = pow((a * a - ns * b * b) % p, p - 2, p)
-            self.inv_table.append(self.mul_table[self.frob_table[x]][nrm_inv * p])
+        # doubled[b] is the row of b l in add_table twice over; the row of
+        # a q + b is that one rotated by a q places, so one slice of it
+        doubled = [[elems[c // p * p + (b + c) % p] for c in range(q2)] * 2 for b in range(p)]
+        self.add_table = [doubled[b][a * p : a * p + q2] for a, b in coords]
+        # x - y = (x + 1 + l) + (q^2 - 1 - y), since q^2 - 1 - y codes
+        # -y - 1 - l: row x is a row of add_table reversed
+        self.sub_table = [
+            self.add_table[(a + 1) % p * p + (b + 1) % p][::-1] for a, b in coords
+        ]
+        # with g a generator of F_{q^2}*, x^-1 = g^(-log x) and
+        # x y = g^(log x + log y): row x != 0 is the powers of g from
+        # log x on, gathered at the logs
+        powers = [elems[x] for x in _powers_of_a_generator(p, ns)]
+        log = [0] * q2
+        for k, x in enumerate(powers):
+            log[x] = k
+        self.inv_table: list[Elt | None] = [None] + [powers[-log[x]] for x in elems[1:]]
+        at_logs = operator.itemgetter(*log[1:])
+        twice = powers * 2
+        self.mul_table = [[0] * q2] + [
+            [0, *at_logs(twice[log[x] : log[x] + q2 - 1])] for x in elems[1:]
+        ]
         return self
 
     # -- elements ---------------------------------------------------------
@@ -157,6 +190,22 @@ class QuadraticExtension:
     def rank(self, rows: list[Vec]) -> int:
         return len(self.rref(rows))
 
+    def is_reduced(self, rows: tuple[Vec, ...]) -> bool:
+        """Whether ``rref(rows) == rows``, from the definition and with no
+        reduction: every row is nonzero with leading entry one, the
+        leading columns strictly increase, and every leading column is
+        zero in the other rows.  Only the rows above need that check: a
+        row below is zero up to its own, later, leading column."""
+        last = -1
+        for index, row in enumerate(rows):
+            if not any(row):
+                return False
+            col = pivot(row)
+            if col <= last or row[col] != self.one or any(r[col] for r in rows[:index]):
+                return False
+            last = col
+        return True
+
     def sum_spaces(self, a: tuple[Vec, ...], b: tuple[Vec, ...]) -> tuple[Vec, ...]:
         return self.rref(list(a) + list(b))
 
@@ -172,6 +221,10 @@ class QuadraticExtension:
         if not a or not b:
             return ()
         n = len(a[0])
+        # a side that spans F^n meets the other in all of the other
+        for whole, other in ((a, b), (b, a)):
+            if len(whole) >= n and self.rank(whole) == n:
+                return self.rref(other)
         zero = (0,) * n
         red = self.rref([row + row for row in a] + [row + zero for row in b])
         return tuple(row[n:] for row in red if not any(row[:n]))

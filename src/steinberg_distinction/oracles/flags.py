@@ -10,9 +10,13 @@ the canonical representative of its profile by a base-field matrix.
 pass that shares prefixes: the row r[i][j] = dim(V_i meet theta V_j),
 j <= i, of the profile's rank table is computed once per node V_i,
 from residuals against the pivots of V_i's reduced basis, so a leaf
-pays one row and holds no list.  The on-disk cache (version 3) stores a
-CRC-32 of its flags text, so a file that is not exactly what ``store``
-wrote is a miss.
+pays one row and holds no list.  The diagonal entry r[i][i] depends
+only on the imaginary parts of the basis, and is looked up in a
+bounded memo keyed by them; a rank of two rows is a proportionality
+test, so at n <= 3 a profile needs no row reduction.  ``flag_profile``
+checks that the bases are reduced from the definition, not by reducing
+them.  The on-disk cache (version 3) stores a CRC-32 of its flags text,
+so a file that is not exactly what ``store`` wrote is a miss.
 """
 
 from __future__ import annotations
@@ -249,10 +253,12 @@ def _rank_row(
     one pass of eliminations against the pivot rows gives the residual.
     For W = V no elimination is needed: theta fixes the 0/1 pivot
     entries, so theta s - s, which is -2l times the imaginary part of s,
-    is already the residual of theta s for every row s of V.
+    is already the residual of theta s for every row s of V.  That rank
+    depends only on the imaginary parts x % q of the entries, so it is
+    looked up by that pattern in ``_diagonal``.
     """
     mul, sub, frob = field.mul_table, field.sub_table, field.frob_table
-    pivots = [(pivot(row), row) for row in basis]
+    pivots = [(pivot(row), row) for row in basis] if lower else []
     out = []
     for w_basis in lower:
         residuals = []
@@ -267,14 +273,32 @@ def _rank_row(
                 residuals.append(v)
         out.append(len(w_basis) - _rank(field, residuals))
     p = field.p
-    imaginary = [im for im in ([x % p * p for x in row] for row in basis) if any(im)]
-    out.append(len(basis) - _rank(field, imaginary))
+    out.append(_diagonal(p, len(basis), tuple([x % p for row in basis for x in row])))
     return tuple(out)
 
 
-def _rank(field: QuadraticExtension, nonzero_rows: list) -> int:
-    """Rank of nonzero rows, with no row reduction for one or none."""
-    return field.rank(nonzero_rows) if len(nonzero_rows) > 1 else len(nonzero_rows)
+@functools.lru_cache(maxsize=4096)
+def _diagonal(p: int, dim: int, pattern: tuple[int, ...]) -> int:
+    """dim V - rank of the imaginary parts of V's reduced rows, given as
+    the imaginary parts ``pattern`` of their entries, row after row.  A
+    part b is the base-field element b q of F_{q^2}."""
+    field = QuadraticExtension(p)
+    n = len(pattern) // dim
+    rows = [pattern[i : i + n] for i in range(0, len(pattern), n)]
+    imaginary = [[b * p for b in row] for row in rows if any(row)]
+    return dim - _rank(field, imaginary)
+
+
+def _rank(field: QuadraticExtension, nonzero_rows: list[list[int]]) -> int:
+    """Rank of nonzero rows, with no row reduction for two or fewer: two
+    rows u, v have rank one exactly when v is u times v[c] / u[c], c the
+    pivot of u."""
+    if len(nonzero_rows) != 2:
+        return field.rank(nonzero_rows) if len(nonzero_rows) > 2 else len(nonzero_rows)
+    u, v = nonzero_rows
+    c = pivot(u)
+    scale = field.mul_table[field.mul_table[v[c]][field.inv_table[u[c]]]]
+    return 1 if [scale[x] for x in u] == v else 2
 
 
 def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
@@ -282,13 +306,15 @@ def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
 
     The bases of the flag must be row-reduced, as every ``Flag`` built
     by this package is; ``InvalidInputError`` otherwise, since the ranks
-    are read off the pivots.  Entry (i, j) counts the dimension jumps of
-    the intersections with the Frobenius image of the flag, by
-    inclusion-exclusion on the table r[i][j] = dim(V_i meet theta V_j),
-    whose rows come from ``_rank_row``.
+    are read off the pivots.  That is checked from the definition by
+    ``QuadraticExtension.is_reduced``, with no reduction.  Entry (i, j)
+    counts the dimension jumps of the intersections with the Frobenius
+    image of the flag, by inclusion-exclusion on the table
+    r[i][j] = dim(V_i meet theta V_j), whose rows come from
+    ``_rank_row``.
     """
     bases = flag.bases[:-1]
-    if any(field.rref(basis) != basis for basis in bases):
+    if not all(map(field.is_reduced, bases)):
         raise InvalidInputError("flag bases must be row-reduced")
     rows = tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
     return _profile_from_rows(flag.partition.parts, rows)

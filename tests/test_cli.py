@@ -27,6 +27,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
+# runs cli.main on its arguments, then writes its peak RSS in kB (Linux
+# ru_maxrss) to stderr
+PEAK_RSS_CHILD = (
+    "import resource, sys\n"
+    "from steinberg_distinction.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
 def edit_flags(change):
     """A cache-file mangler that edits the flags of the payload and
     leaves its checksum as it was."""
@@ -600,6 +611,34 @@ class TestUsageErrors:
             f"error: q = {q} is too large: its field tables would hold q^4 = {q**4}"
             " entries, more than 1000000\n"
         )
+
+    def test_flags_largest_field_is_cheap_to_build(self):
+        """The one flag at q = 31 costs little more than the one at q = 3:
+        its three 961 x 961 tables once took 0.56 s and 83 MB to build
+        on a 2-core VM.  Best of three runs each, wall time around the
+        interpreter and its own peak resident set size."""
+
+        def best(q):
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-c", PEAK_RSS_CHILD, "oracle-flags", "--n", "1",
+                     "--q", str(q), "--partition", "1"],
+                    env={**os.environ, "PYTHONPATH": str(SRC)},
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout.splitlines()[-1] == "oracle agrees"
+                runs.append((time.perf_counter() - start, int(proc.stderr) / 1024))
+            return min(t for t, _ in runs), min(mb for _, mb in runs)
+
+        time_3, mb_3 = best(3)
+        time_31, mb_31 = best(31)
+        assert time_31 - time_3 < 0.25
+        assert mb_31 - mb_3 < 35
 
     def test_flags_budget_checked_before_the_field_is_built(self, capsys, monkeypatch):
         def unbuilt(p):

@@ -24,7 +24,9 @@ from steinberg_distinction.oracles.flags import (
     BudgetExceededError,
     Flag,
     FlagCache,
+    _diagonal,
     _enumerate_rref,
+    _rank,
     _rank_row,
     count_flags,
     enumerate_flags,
@@ -85,6 +87,40 @@ def reference_rref(field, rows):
     return tuple(
         tuple(row) for row in mat[:pivot_row] if any(x != field.zero for x in row)
     )
+
+
+def zassenhaus_intersect(field, a, b):
+    """The intersection of two row spans by Zassenhaus's reduction of
+    (a, a) over (b, 0) alone, with no short cut for a side that spans
+    F^n."""
+    if not a or not b:
+        return ()
+    n = len(a[0])
+    zero = (field.zero,) * n
+    red = field.rref([row + row for row in a] + [row + zero for row in b])
+    return tuple(row[n:] for row in red if not any(row[:n]))
+
+
+def damaged_bases(field, basis, rng):
+    """Variants of a reduced basis that are not reduced, by name."""
+    rows = list(basis)
+    n = len(rows[0])
+    out = {"zero-row": tuple(rows + [(field.zero,) * n])}
+    scale = rng.choice([x for x in field.elements() if x not in (field.zero, field.one)])
+    k = rng.randrange(len(rows))
+    out["pivot-scaled"] = tuple(
+        field.vec_scale(scale, row) if r == k else row for r, row in enumerate(rows)
+    )
+    out["repeated-pivot"] = tuple(rows[: k + 1] + [rows[k]] + rows[k + 1 :])
+    if len(rows) > 1:
+        out["rows-swapped"] = tuple([rows[1], rows[0]] + rows[2:])
+        # a nonzero entry in the pivot column of another row
+        r, other = rng.sample(range(len(rows)), 2)
+        col = rows[other].index(field.one)
+        row = list(rows[r])
+        row[col] = rng.choice(field.elements()[1:])
+        out["pivot-column-entry"] = tuple(tuple(row) if i == r else x for i, x in enumerate(rows))
+    return out
 
 
 def reference_enumerate_flags(q, partition):
@@ -287,6 +323,17 @@ def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
             continue
 
 
+def spanning_rows(field, n, rng):
+    """n or n + 1 random rows over F_{q^2} that span F^n."""
+    while True:
+        rows = tuple(
+            tuple(rng.choice(field.elements()) for _ in range(n))
+            for _ in range(n + rng.randint(0, 1))
+        )
+        if field.rank(list(rows)) == n:
+            return rows
+
+
 def apply_matrix(field, h, flag):
     """The flag's image under h, the rows h v multiplied out over the
     pair-coded field."""
@@ -349,6 +396,28 @@ class TestFieldArithmetic:
                 assert decode(q, field.inv_table[x]) == ref.inv(px)
             else:
                 assert field.inv_table[x] is None
+            for y in field.elements():
+                py = decode(q, y)
+                assert decode(q, field.add_table[x][y]) == ref.add(px, py)
+                assert decode(q, field.sub_table[x][y]) == ref.sub(px, py)
+                assert decode(q, field.mul_table[x][y]) == ref.mul(px, py)
+
+    def test_tables_at_31_match_pair_formulas_on_sampled_rows(self):
+        q = 31
+        field, ref = QuadraticExtension(q), PairExtension(q)
+        tables = (field.add_table, field.sub_table, field.mul_table)
+        assert all(type(t) is list and all(type(row) is list for row in t) for t in tables)
+        assert all(len(t) == q * q and {len(row) for row in t} == {q * q} for t in tables)
+        for x in field.elements():
+            px = decode(q, x)
+            assert decode(q, field.neg_table[x]) == ref.neg(px)
+            assert decode(q, field.frob_table[x]) == ref.frob(px)
+            if x:
+                assert decode(q, field.inv_table[x]) == ref.inv(px)
+        rng = random.Random(31)
+        special = [field.zero, field.lam, field.one, q * q - 1]
+        for x in special + rng.sample(field.elements(), 40):
+            px = decode(q, x)
             for y in field.elements():
                 py = decode(q, y)
                 assert decode(q, field.add_table[x][y]) == ref.add(px, py)
@@ -452,6 +521,27 @@ class TestAgainstReference:
             with pytest.raises(ValueError, match="not Frobenius-stable"):
                 ref.fixed_subspace(decode_rows(q, line))
 
+    def test_intersection_with_the_whole_space(self):
+        """A side that spans F^n, as the identity rows or as a random
+        basis that is not reduced, meets the other side in all of it."""
+        rng = random.Random(20261022)
+        for q in (3, 5, 7):
+            field, ref = QuadraticExtension(q), PairExtension(q)
+            for mat in random_matrices(q, rng):
+                n = len(mat[0])
+                identity = tuple(
+                    tuple(field.one if c == r else field.zero for c in range(n))
+                    for r in range(n)
+                )
+                for whole in (identity, spanning_rows(field, n, rng)):
+                    assert field.rank(list(whole)) == n
+                    for other in (tuple(mat), field.rref(mat)):
+                        expected = ref.intersect(decode_rows(q, whole), decode_rows(q, other))
+                        for a, b in ((whole, other), (other, whole)):
+                            meet = field.intersect(a, b)
+                            assert meet == zassenhaus_intersect(field, a, b)
+                            assert decode_rows(q, meet) == expected
+
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_enumeration_matches_reference(self, point):
         q = point[0]
@@ -482,6 +572,43 @@ class TestAgainstReference:
                     for i, basis in enumerate(bases, 1):
                         assert _rank_row(field, basis, bases[: i - 1]) == tuple(r[i][1 : i + 1])
                     assert flag_profile(flag, field).entries == rank_reference_flag_profile(flag, field)
+
+    def test_diagonal_memo_matches_rank_table(self):
+        """The rank rows, with the diagonal looked up by pattern, equal one
+        full rank per corner, from an empty memo and from a warm one."""
+        assert _diagonal.cache_info().maxsize is not None
+        rng = random.Random(20261023)
+        for q in (3, 5, 7):
+            field = QuadraticExtension(q)
+            flags = [random_reduced_flag(field, n, rng) for n in (2, 3, 4) for _ in range(40)]
+            _diagonal.cache_clear()
+            for warm in (False, True):
+                for flag in flags:
+                    r = rank_table(flag, field)
+                    bases = flag.bases[:-1]
+                    for i, basis in enumerate(bases, 1):
+                        assert _rank_row(field, basis, bases[: i - 1]) == tuple(r[i][1 : i + 1])
+                if not warm:
+                    misses = _diagonal.cache_info().misses
+            # the warm pass found every pattern in the memo
+            assert _diagonal.cache_info().misses == misses
+
+    def test_rank_of_two_rows_matches_rref(self):
+        rng = random.Random(20261024)
+        for q in (3, 5, 7):
+            field = QuadraticExtension(q)
+            elements = field.elements()
+            for _ in range(300):
+                n = rng.randint(1, 4)
+                u = [rng.choice(elements) for _ in range(n)]
+                if not any(u):
+                    continue
+                c = rng.choice(elements[1:])
+                proportional = [field.mul_table[c][x] for x in u]
+                other = [rng.choice(elements) for _ in range(n)]
+                for v in (proportional, other):
+                    if any(v):
+                        assert _rank(field, [u, v]) == field.rank([u, v])
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_orbit_sizes_sum_to_count(self, point):
@@ -714,8 +841,25 @@ class TestProfiles:
         if damage != "zero-row":
             # the same spaces, so the full-rank reference still reads them
             assert rank_reference_flag_profile(damaged, FIELD) == flag_profile(flag, FIELD).entries
-        with pytest.raises(InvalidInputError, match="zero row|row-reduced"):
+        with pytest.raises(InvalidInputError) as err:
             flag_profile(damaged, FIELD)
+        assert str(err.value) == "flag bases must be row-reduced"
+
+    def test_reducedness_predicate_matches_rref(self):
+        """``is_reduced`` reads reducedness off the definition; it must
+        agree with a reduction on reduced bases and on damaged ones."""
+        rng = random.Random(20261025)
+        for q in (3, 5, 7):
+            field = QuadraticExtension(q)
+            bases = [field.rref(mat) for mat in random_matrices(q, rng)]
+            bases += [b for n in (3, 4) for _ in range(20) for b in random_reduced_flag(field, n, rng).bases]
+            for basis in filter(None, bases):
+                assert field.is_reduced(basis) and field.rref(basis) == basis
+                damaged = damaged_bases(field, basis, rng)
+                for rows in damaged.values():
+                    assert field.is_reduced(rows) == (field.rref(rows) == rows)
+                    assert not field.is_reduced(rows)
+            assert field.is_reduced(()) and field.rref(()) == ()
 
     def test_us_flag_antidiagonal_profile(self):
         s = anti_diagonal_matrix(Partition((1, 1)), CaseTag.ODD)
