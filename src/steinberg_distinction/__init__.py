@@ -6,7 +6,6 @@ from .characters import (
     ChiToken,
     SupportReport,
     SupportRule,
-    minimal_orbit_analysis,
     orbit_supports,
     supporting_coset_matrices,
 )
@@ -20,13 +19,11 @@ from .cosets import (
     anti_diagonal_matrix,
     block_involution,
     build_us_odd,
-    build_ws_even,
     closure_compare,
     coarsen,
     enumerate_coset_matrices,
     fine_layout,
     is_open,
-    root_action,
 )
 from .engine import (
     DistinctionVerdict,
@@ -58,19 +55,16 @@ __all__ = [
     "enumerate_coset_matrices",
     "fine_layout",
     "block_involution",
-    "build_ws_even",
     "build_us_odd",
     "coarsen",
     "closure_compare",
     "is_open",
     "anti_diagonal_matrix",
-    "root_action",
     "ChiToken",
     "SupportRule",
     "SupportReport",
     "orbit_supports",
     "supporting_coset_matrices",
-    "minimal_orbit_analysis",
     "VerdictStatus",
     "DistinctionVerdict",
     "steinberg_decision",

@@ -23,9 +23,7 @@ from .cosets import (
     FineLayout,
     InvalidInputError,
     Partition,
-    enumerate_coset_matrices,
     fine_layout,
-    validate_m_d,
 )
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "doubled_exponents",
     "orbit_supports",
     "supporting_coset_matrices",
-    "minimal_orbit_analysis",
     "minimal_partition",
 ]
 
@@ -190,17 +187,3 @@ def supporting_coset_matrices(
 def minimal_partition(case: CaseTag, m: int) -> Partition:
     n = 2 * m if case is CaseTag.EVEN else m
     return Partition((1,) * n)
-
-
-def minimal_orbit_analysis(
-    case: CaseTag, m: int, d: int, chi: ChiToken
-) -> list[CosetMatrix]:
-    """Supporting orbits on the minimal partition (expected: at most the
-    anti-diagonal one)."""
-    validate_m_d(case, m, d)
-    partition = minimal_partition(case, m)
-    return [
-        s
-        for s in enumerate_coset_matrices(partition, case)
-        if orbit_supports(s, chi).feasible
-    ]

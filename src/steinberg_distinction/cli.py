@@ -52,7 +52,6 @@ from .oracles.flags import (
     reduce_to_representative,
     representative_flag,
 )
-from .oracles.quaternion import quaternion_model_check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -249,17 +248,23 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         # only a cache miss holds the list, to write it
         kept = [] if cache else None
     stride = max(1, count // args.reduce_samples)
-    sizes: dict[CosetMatrix, int] = {}
+    # orbit sizes keyed by the profile's entries: the case and partition
+    # are the same for every flag, and a tuple hashes faster than the
+    # frozen dataclass, which rehashes all three
+    sizes: dict[tuple[tuple[int, ...], ...], int] = {}
     sample = []
     for index, (flag, profile) in enumerate(stream):
-        sizes[profile] = sizes.get(profile, 0) + 1
+        entries = profile.entries
+        sizes[entries] = sizes.get(entries, 0) + 1
         if index % stride == 0:
             sample.append(flag)
         if kept is not None:
             kept.append(flag)
     if kept is not None:
         cache.store(args.n, args.q, partition, kept)
-    histogram = {profile.flat(): size for profile, size in sizes.items()}
+    histogram = {
+        tuple(x for row in entries for x in row): size for entries, size in sizes.items()
+    }
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
     seen = set(histogram)
     ok = seen == {s.flat() for s in expected}
@@ -301,6 +306,9 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_quaternion(args: argparse.Namespace) -> int:
+    # imported on first use: no other command needs the model
+    from .oracles.quaternion import quaternion_model_check
+
     report = quaternion_model_check(args.alpha, args.beta)
     if report.error:
         raise InvalidInputError(report.error)

@@ -17,7 +17,6 @@ the engine against.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,8 +43,6 @@ __all__ = [
     "exponent_parity_formula",
     "cross_check",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class VerdictStatus(Enum):
@@ -173,7 +170,9 @@ def cross_check(
             status = steinberg_decision(case, m, d, chi).status
             decided[(case, m, chi)] = status
         if status is VerdictStatus.INCONCLUSIVE:
-            log.warning(
+            import logging  # only here, so that importing the engine does not load it
+
+            logging.getLogger(__name__).warning(
                 "cross_check: INCONCLUSIVE verdict for case=%s m=%d d=%d chi=%s",
                 case.value, m, d, chi.value,
             )

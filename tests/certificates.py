@@ -1,0 +1,208 @@
+"""Certificates behind the acceptance criteria, kept with the tests.
+
+No command runs these: they certify the coset combinatorics that the
+decision procedure rests on.  ``build_ws_even`` and
+``extract_permutation_odd`` give explicit representatives in the two
+cases and check them against the position involution of
+``cosets.block_involution``; ``root_action`` tabulates the signs of
+Levi roots under that involution; ``minimal_orbit_analysis`` filters
+every orbit on the minimal partition through ``orbit_supports``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from steinberg_distinction.characters import ChiToken, minimal_partition, orbit_supports
+from steinberg_distinction.cosets import (
+    CaseTag,
+    CosetMatrix,
+    InvalidInputError,
+    Permutation,
+    block_involution,
+    build_us_odd,
+    enumerate_coset_matrices,
+    fine_layout,
+    validate_m_d,
+)
+from steinberg_distinction.lfactor import RationalFunc
+
+
+def _even_segments(s: CosetMatrix) -> list[tuple[str, int, int, int]]:
+    """Palindromic block layout of the even-case representative.
+
+    Returns segments (kind, i, j, length) in order; kinds are "D1"/"D2"
+    for the two halves of a diagonal block and "U"/"L" for the strictly
+    upper/lower blocks.  The second half is the mirror image of the
+    first, so the order-reversing permutation maps segment to partner
+    segment reversing each.
+    """
+    first: list[tuple[str, int, int, int]] = []
+    t = s.size
+    for i in range(1, t + 1):
+        half = s.entries[i - 1][i - 1] // 2
+        if half:
+            first.append(("D1", i, i, half))
+        for j in range(i + 1, t + 1):
+            if s.entries[i - 1][j - 1]:
+                first.append(("U", i, j, s.entries[i - 1][j - 1]))
+    second = []
+    for kind, i, j, k in reversed(first):
+        if kind == "D1":
+            second.append(("D2", i, i, k))
+        else:
+            second.append(("L", j, i, k))
+    return first + second
+
+
+def build_ws_even(s: CosetMatrix) -> Permutation:
+    """Explicit even-case representative permutation.
+
+    Maps the palindromic layout onto the row-major layout: the two
+    halves of a diagonal block land on the two halves of its row-major
+    interval, off-diagonal segments land on their row-major interval
+    order-preservingly.  Checked against the interval involution through
+    conjugation with the order reversal; a mismatch raises RuntimeError.
+    """
+    if s.case is not CaseTag.EVEN:
+        raise InvalidInputError("build_ws_even requires an even-case matrix")
+    layout = fine_layout(s)
+    lex_start = {
+        (i, j): layout.start_pos[b] for b, (i, j, _) in enumerate(layout.blocks)
+    }
+    images = []
+    for kind, i, j, k in _even_segments(s):
+        base = lex_start[(i, j)] + (k if kind == "D2" else 0)
+        images.extend(range(base, base + k))
+    ws = Permutation(tuple(images))
+    tau = block_involution(s).position_map
+    if ws * Permutation.reversal(s.n) * ws.inverse() != tau:
+        raise RuntimeError(
+            f"explicit even-case representative is inconsistent for {s.to_json()}"
+        )
+    return ws
+
+
+def _inverse(a: list[list[RationalFunc]], zero: RationalFunc, one: RationalFunc) -> list[list[RationalFunc]]:
+    """Gauss-Jordan inverse of a square matrix over Q(l); zero entries are skipped."""
+    n = len(a)
+    rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            raise InvalidInputError("representative matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        if p != one:
+            rows[col] = [x if x.is_zero() else x / p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and not f.is_zero():
+                rows[r] = [x if y.is_zero() else x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def extract_permutation_odd(s: CosetMatrix) -> Permutation:
+    """Involution read off from u_s applied to the twist of its inverse.
+
+    Computed exactly over Q(l), with l the v of ``RationalFunc``: u times
+    (twist of u) inverse, where the twist negates l, is a permutation
+    matrix; its permutation is returned.
+    """
+    u = build_us_odd(s)
+    zero, one = RationalFunc.from_expr({}, {(0, 0): 1}), RationalFunc.one()
+    lam = RationalFunc.from_expr({(1, 0): 1}, {(0, 0): 1})
+    neg = RationalFunc.from_expr({(1, 0): -1}, {(0, 0): 1})
+    m = u.substitute(zero, one, lam, neg)
+    inv = _inverse(u.substitute(zero, one, neg, lam), zero, one)
+    n = s.n
+    images = [0] * n
+    for col in range(n):
+        hits = []
+        for row in range(n):
+            w = zero
+            for k in range(n):
+                if not m[row][k].is_zero() and not inv[k][col].is_zero():
+                    w = w + m[row][k] * inv[k][col]
+            if not w.is_zero():
+                hits.append((row, w))
+        if len(hits) != 1 or hits[0][1] != one:
+            raise InvalidInputError(
+                f"representative product is not a permutation matrix for {s.to_json()}"
+            )
+        # column col holds the image of basis vector col
+        images[col] = hits[0][0] + 1
+    return Permutation(tuple(images))
+
+
+@dataclass(frozen=True)
+class RootActionReport:
+    """Sign table of the position involution on Levi-positive roots.
+
+    A root is an ordered pair (p, q), p != q; it is positive when p < q.
+    Levi roots live inside a coarse block.  The guarantee (zero
+    ``violations``) applies to Levi roots joining two distinct fine
+    blocks; roots internal to a single fine block can flip sign in the
+    even case (diagonal and paired blocks are reversed there) and are
+    reported separately.
+    """
+
+    s: CosetMatrix
+    sign_table: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    violations: tuple[tuple[int, int], ...]
+    fine_internal_flips: tuple[tuple[int, int], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def root_action(s: CosetMatrix) -> RootActionReport:
+    tau = block_involution(s).position_map
+    layout = fine_layout(s)
+    n = s.n
+    coarse = [0] * (n + 1)
+    pos = 1
+    for b, part in enumerate(s.partition.parts):
+        for _ in range(part):
+            coarse[pos] = b
+            pos += 1
+    fine = [0] * (n + 1)
+    for b in range(len(layout.blocks)):
+        for p in layout.interval(b):
+            fine[p] = b
+    table = []
+    violations = []
+    internal_flips = []
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            if p == q or coarse[p] != coarse[q]:
+                continue
+            img = (tau(p), tau(q))
+            table.append(((p, q), img))
+            preserves = (p < q) == (img[0] < img[1])
+            if not preserves:
+                if fine[p] == fine[q]:
+                    internal_flips.append((p, q))
+                else:
+                    violations.append((p, q))
+    return RootActionReport(
+        s=s,
+        sign_table=tuple(table),
+        violations=tuple(violations),
+        fine_internal_flips=tuple(internal_flips),
+    )
+
+
+def minimal_orbit_analysis(
+    case: CaseTag, m: int, d: int, chi: ChiToken
+) -> list[CosetMatrix]:
+    """Supporting orbits on the minimal partition (expected: at most the
+    anti-diagonal one)."""
+    validate_m_d(case, m, d)
+    partition = minimal_partition(case, m)
+    return [
+        s
+        for s in enumerate_coset_matrices(partition, case)
+        if orbit_supports(s, chi).feasible
+    ]

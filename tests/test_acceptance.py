@@ -13,12 +13,9 @@ from steinberg_distinction.cosets import (
     Permutation,
     anti_diagonal_matrix,
     block_involution,
-    build_ws_even,
     coarsen,
     enumerate_coset_matrices,
-    extract_permutation_odd,
     fine_layout,
-    root_action,
 )
 from steinberg_distinction.engine import (
     VerdictStatus,
@@ -45,6 +42,7 @@ from steinberg_distinction.oracles.flags import (
 )
 from steinberg_distinction.oracles.quaternion import quaternion_model_check
 
+from certificates import build_ws_even, extract_permutation_odd, root_action
 from conftest import compositions, delta_half_exponents, reference_report
 
 

@@ -8,7 +8,6 @@ from steinberg_distinction.characters import (
     ChiToken,
     SupportRule,
     doubled_exponents,
-    minimal_orbit_analysis,
     orbit_supports,
     supporting_coset_matrices,
 )
@@ -24,6 +23,7 @@ from steinberg_distinction.cosets import (
     fine_layout,
 )
 
+from certificates import minimal_orbit_analysis
 from conftest import compositions, delta_half_exponents, reference_report
 
 

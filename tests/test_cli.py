@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -728,6 +729,17 @@ class TestWithoutSympy:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_loads_only_what_commands_run(self):
+        # logging and the quaternion oracle load on first use; every
+        # module the benchmark's tracer wraps loads with the CLI
+        proc = run_python("import sys, steinberg_distinction.cli; print(sorted(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        deferred = ["logging", "sympy", "steinberg_distinction.oracles.quaternion"]
+        assert [name for name in deferred if name in loaded] == []
+        traced = ["engine", "characters", "cosets", "lfactor", "oracles.flags", "oracles.finite_field"]
+        assert [name for name in traced if f"steinberg_distinction.{name}" not in loaded] == []
 
     def test_commands_run_with_sympy_blocked(self):
         # a None entry makes every import of sympy fail

@@ -19,18 +19,17 @@ from steinberg_distinction.cosets import (
     anti_diagonal_matrix,
     block_involution,
     build_us_odd,
-    build_ws_even,
     closure_compare,
     coarsen,
     count_coset_matrices,
     enumerate_coset_matrices,
-    extract_permutation_odd,
     fine_layout,
     is_open,
     open_mask,
-    root_action,
 )
 
+import certificates
+from certificates import build_ws_even, extract_permutation_odd, root_action
 from conftest import compositions
 
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
@@ -259,13 +258,13 @@ class TestRepresentatives:
     def test_ws_wrong_layout_raises(self, monkeypatch):
         s = mat(CaseTag.EVEN, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         build_ws_even(s)
-        true_segments = cosets._even_segments
+        true_segments = certificates._even_segments
 
         def swapped_first_half(s):
             segs = true_segments(s)
             return [segs[1], segs[0]] + segs[2:]
 
-        monkeypatch.setattr(cosets, "_even_segments", swapped_first_half)
+        monkeypatch.setattr(certificates, "_even_segments", swapped_first_half)
         with pytest.raises(RuntimeError, match="inconsistent"):
             build_ws_even(s)
 

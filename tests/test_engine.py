@@ -1,3 +1,4 @@
+import logging
 import sys
 
 import pytest
@@ -105,6 +106,22 @@ class TestCrossCheck:
             for d in range(1, 5):
                 case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
                 assert cross_check(case, m, d)
+
+    def test_inconclusive_verdict_fails_with_one_warning(self, monkeypatch, caplog):
+        # no verdict in reach is INCONCLUSIVE, so a stub decides eta;
+        # triv comes decided from the dict, as in a sweep
+        def inconclusive(case, m, d, chi):
+            return engine.DistinctionVerdict(case, m, d, chi, VerdictStatus.INCONCLUSIVE, 0, ())
+
+        monkeypatch.setattr(engine, "steinberg_decision", inconclusive)
+        decided = {(CaseTag.ODD, 3, ChiToken.TRIV): VerdictStatus.DISTINGUISHED}
+        assert cross_check(CaseTag.ODD, 3, 1, decided) is False
+        assert decided[(CaseTag.ODD, 3, ChiToken.ETA)] is VerdictStatus.INCONCLUSIVE
+        assert caplog.record_tuples == [(
+            "steinberg_distinction.engine",
+            logging.WARNING,
+            "cross_check: INCONCLUSIVE verdict for case=odd m=3 d=1 chi=eta",
+        )]
 
 
 def reference_decision(case, m, chi):
