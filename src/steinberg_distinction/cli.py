@@ -51,6 +51,7 @@ from .oracles.flags import (
     iter_flags,
     reduce_to_representative,
     representative_flag,
+    sample_stride,
 )
 
 EXIT_OK = 0
@@ -225,46 +226,38 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
             f"partition {args.partition} sums to {partition.total}, not to n = {args.n}"
         )
     require_small_odd_prime(args.q)
-    # a cache hit holds this many flags, and the stream is checked
-    # against it when it ends
     count = count_flags(partition, args.q * args.q)
-    cache_dir = args.cache_dir or os.environ.get("DISTINCTION_CACHE_DIR")
-    cache = FlagCache(cache_dir) if cache_dir else None
-    flags = cache.load(args.n, args.q, partition) if cache else None
-    if flags is None and count > args.budget:
+    point = (args.q, partition, args.reduce_samples)
+    cache = FlagCache(args.cache_dir) if args.cache_dir else None
+    cached = cache.load(*point) if cache else None
+    if cached is None and count > args.budget:
         # refused before the field's tables are built
         raise BudgetExceededError(count, args.budget)
     field = QuadraticExtension(args.q)
     stats = {
-        "cache": "off" if cache is None else "hit" if flags is not None else "miss",
-        "flags_enumerated": 0,
+        "cache": "off" if cache is None else "hit" if cached is not None else "miss",
+        "flags_enumerated": count if cached is None else 0,
     }
-    if flags is not None:
-        stream = ((flag, flag_profile(flag, field)) for flag in flags)
-        kept = None
+    if cached is not None:
+        # the stream's result: its checks below run as on a miss
+        histogram, sample = cached
     else:
-        stream = iter_flags(field, partition, budget=args.budget)
-        stats["flags_enumerated"] = count
-        # only a cache miss holds the list, to write it
-        kept = [] if cache else None
-    stride = max(1, count // args.reduce_samples)
-    # orbit sizes keyed by the profile's entries: the case and partition
-    # are the same for every flag, and a tuple hashes faster than the
-    # frozen dataclass, which rehashes all three
-    sizes: dict[tuple[tuple[int, ...], ...], int] = {}
-    sample = []
-    for index, (flag, profile) in enumerate(stream):
-        entries = profile.entries
-        sizes[entries] = sizes.get(entries, 0) + 1
-        if index % stride == 0:
-            sample.append(flag)
-        if kept is not None:
-            kept.append(flag)
-    if kept is not None:
-        cache.store(args.n, args.q, partition, kept)
-    histogram = {
-        tuple(x for row in entries for x in row): size for entries, size in sizes.items()
-    }
+        stride = sample_stride(count, args.reduce_samples)
+        # orbit sizes keyed by the profile's entries: the case and
+        # partition are the same for every flag, and a tuple hashes
+        # faster than the frozen dataclass, which rehashes all three
+        sizes: dict[tuple[tuple[int, ...], ...], int] = {}
+        sample = []
+        for index, (flag, profile) in enumerate(iter_flags(field, partition, budget=args.budget)):
+            entries = profile.entries
+            sizes[entries] = sizes.get(entries, 0) + 1
+            if index % stride == 0:
+                sample.append(flag)
+        histogram = {
+            tuple(x for row in entries for x in row): size for entries, size in sizes.items()
+        }
+        if cache:
+            cache.store(*point, histogram, sample)
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
     seen = set(histogram)
     ok = seen == {s.flat() for s in expected}
@@ -282,7 +275,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         checked += 1
     rows = sorted(histogram.items())
     # each reduction computes the profile of its flag once more
-    stats["profiles_computed"] = count + len(expected) + checked
+    stats["profiles_computed"] = stats["flags_enumerated"] + len(expected) + checked
     stats["reductions_checked"] = checked
     payload = {
         "n": args.n,
@@ -402,11 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--reduce-samples", type=_positive_int, default=10)
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="flag cache directory (falls back to DISTINCTION_CACHE_DIR)",
-    )
+    p.add_argument("--cache-dir", default=None, help="directory of cached oracle runs")
     common(p)
     p.set_defaults(func=cmd_oracle_flags)
 

@@ -183,27 +183,6 @@ class Permutation:
     def __call__(self, p: int) -> int:
         return self.images[p - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(p) = self(other(p))
-        return Permutation(tuple(self(other(p)) for p in range(1, len(self.images) + 1)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for p, q in enumerate(self.images, start=1):
-            inv[q - 1] = p
-        return Permutation(tuple(inv))
-
-    def is_involution(self) -> bool:
-        return all(self(self(p)) == p for p in range(1, len(self.images) + 1))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def reversal(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n, 0, -1)))
-
 
 @dataclass(frozen=True)
 class BlockInvolution:

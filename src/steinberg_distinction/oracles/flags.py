@@ -15,8 +15,9 @@ only on the imaginary parts of the basis, and is looked up in a
 bounded memo keyed by them; a rank of two rows is a proportionality
 test, so at n <= 3 a profile needs no row reduction.  ``flag_profile``
 checks that the bases are reduced from the definition, not by reducing
-them.  The on-disk cache (version 3) stores a CRC-32 of its flags text,
-so a file that is not exactly what ``store`` wrote is a miss.
+them.  The on-disk cache (version 4) stores what a run's stream
+produced, its orbit sizes and sampled flags, with a CRC-32 of their
+text, so a file that is not exactly what ``store`` wrote is a miss.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ __all__ = [
     "graded_pieces",
     "representative_flag",
     "reduce_to_representative",
+    "sample_stride",
     "FlagCache",
 ]
 
 # graded piece S_{i,j} of a flag, keyed by (i, j)
 GradedPieces = dict[tuple[int, int], tuple[Vec, ...]]
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 DEFAULT_BUDGET = 10_000
 
 
@@ -451,105 +453,122 @@ def reduce_to_representative(
     return field.solve(src_vecs, dst_vecs)
 
 
-def _decode(chains: object, n: int, q: int, partition: Partition) -> list[Flag] | None:
-    """The flags of a cache file's flags list, or None unless it holds as
-    many flags as the variety has, each a chain of lists of rows of n
-    entries of F_{q^2}.  An entry must be an int in 0..q^2 - 1 by type:
-    JSON true and 1.0 compare equal to 1, so a membership test would let
-    them through.  Each entry of the list is set to None once its flag
-    is built."""
-    if not isinstance(chains, list) or len(chains) != count_flags(partition, q * q):
-        return None
-    dims = list(itertools.accumulate(partition.parts))
-    rows = []
-    for chain in chains:
-        if type(chain) is not list or len(chain) != len(dims):
-            return None
-        for basis, dim in zip(chain, dims):
-            if type(basis) is not list or len(basis) != dim:
-                return None
-            rows.extend(basis)
-    if any(type(row) is not list or len(row) != n for row in rows):
-        return None
-    entries = list(itertools.chain.from_iterable(rows))
-    if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= q * q:
-        return None
-    del rows, entries
-    flags = []
-    for index, chain in enumerate(chains):
-        flags.append(Flag(partition, tuple(tuple(map(tuple, basis)) for basis in chain)))
-        # each parsed chain goes once its flag is built, so the parsed
-        # lists and the flags are never both held whole
-        chains[index] = None
-    return flags
+def sample_stride(count: int, samples: int) -> int:
+    """The oracle reduces the flags at stream positions 0, stride,
+    2 stride, ...: about ``samples`` of them, and at least one."""
+    return max(1, count // samples)
 
 
-def _verified_flags(text: str) -> object:
-    """The parsed flags list of a cache file's text, or None unless the
-    text has this version and its flags text matches its checksum.  The
-    flags are parsed in place, so no second copy of the text is held."""
-    head = f'{{"version": {CACHE_VERSION}, "crc32": '
-    sep = ', "flags": '
-    at = text.find(sep, len(head))
-    if not text.startswith(head) or at < 0 or not text.endswith("}"):
+# a cached run: the orbit sizes keyed by the flat profile, and the
+# sampled flags in stream order
+CachedRun = tuple[dict[tuple[int, ...], int], list[Flag]]
+
+
+def _is_grid(value: object, rows: int, cols: int) -> bool:
+    """Whether value is a list of ``rows`` lists of ``cols`` ints, by
+    type: JSON true and 1.0 compare equal to 1."""
+    return (
+        type(value) is list
+        and len(value) == rows
+        and all(
+            type(row) is list and len(row) == cols and all(type(x) is int for x in row)
+            for row in value
+        )
+    )
+
+
+def _checked_run(data: object, q: int, partition: Partition, samples: int) -> CachedRun | None:
+    """The run a cache file's payload holds, or None unless its orbits
+    are distinct flat t x t profiles with positive sizes that sum to
+    the flag count, and its samples are one chain of bases per sampled
+    position, of the partition's shape, with entries in F_{q^2}."""
+    if type(data) is not dict or list(data) != ["orbits", "samples"]:
         return None
-    start = at + len(sep)
-    if text[len(head):at] != str(zlib.crc32(text[start:-1].encode())):
+    orbits, chains = data["orbits"], data["samples"]
+    n, t, dims = partition.total, len(partition), list(itertools.accumulate(partition.parts))
+    count = count_flags(partition, q * q)
+    if type(orbits) is not list or not all(
+        type(o) is list and len(o) == 2 and _is_grid(o[:1], 1, t * t)
+        and type(o[1]) is int and o[1] > 0
+        for o in orbits
+    ):
         return None
-    chains, end = json.JSONDecoder().raw_decode(text, start)
-    return chains if end == len(text) - 1 else None
+    histogram = {tuple(profile): size for profile, size in orbits}
+    if len(histogram) != len(orbits) or sum(histogram.values()) != count:
+        return None
+    stride = sample_stride(count, samples)
+    if type(chains) is not list or len(chains) != len(range(0, count, stride)) or not all(
+        type(c) is list and len(c) == t and all(_is_grid(b, d, n) for b, d in zip(c, dims))
+        for c in chains
+    ):
+        return None
+    if not all(0 <= x < q * q for c in chains for b in c for row in b for x in row):
+        return None
+    return histogram, [Flag(partition, tuple(tuple(map(tuple, b)) for b in c)) for c in chains]
 
 
 class FlagCache:
-    """On-disk cache of flag enumerations keyed by (n, q, partition).
+    """On-disk cache of flag oracle runs keyed by (q, partition, samples).
 
-    A file is the text of json.dumps({"version": 3, "crc32": c, "flags":
-    [...]}), where c is the CRC-32 of the UTF-8 bytes of the flags list's
-    own text.  A file that is missing, unreadable, of another version,
-    whose flags text does not match its checksum, or whose flags are
-    not JSON or of the wrong shape is a miss, so the caller recomputes
-    and rewrites it.  The checksum is what makes a hit the exact flags
-    that ``store`` wrote, row-reduced and each once: the profile reads
-    its ranks off the pivots of reduced bases.  Writes go to a temporary
-    file in the same directory that then replaces the entry, so a
-    reader never sees a partial file.
+    A file holds what one run's stream produced, the orbit histogram as
+    [profile, size] pairs and the flags sampled for reduction: the text
+    of json.dumps({"version": 4, "crc32": c, "orbits": [...], "samples":
+    [...]}), c the CRC-32 of the UTF-8 bytes of json.dumps({"orbits":
+    [...], "samples": [...]}).  A file that is missing, unreadable, of
+    another version, whose text does not match its checksum, or whose
+    run is not JSON or of the wrong shape is a miss, so the caller
+    recomputes and rewrites it.  The checksum makes a hit the exact run
+    that ``store`` wrote: its orbit sizes are trusted, and its samples
+    are row-reduced, as the profile needs.  Writes go to a temporary
+    file that then replaces the entry, so a reader never sees a partial
+    file.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
-    def _path(self, n: int, q: int, partition: Partition) -> str:
-        key = f"flags_v{CACHE_VERSION}_n{n}_q{q}_" + "-".join(
-            str(p) for p in partition.parts
-        )
+    def _path(self, q: int, partition: Partition, samples: int) -> str:
+        parts = "-".join(str(p) for p in partition.parts)
+        key = f"flags_v{CACHE_VERSION}_q{q}_{parts}_s{samples}"
         return os.path.join(self.directory, key + ".json")
 
-    def load(self, n: int, q: int, partition: Partition) -> list[Flag] | None:
+    def load(self, q: int, partition: Partition, samples: int) -> CachedRun | None:
+        head = f'{{"version": {CACHE_VERSION}, "crc32": '
         try:
-            with open(self._path(n, q, partition), encoding="utf-8") as fh:
-                chains = _verified_flags(fh.read())
+            with open(self._path(q, partition, samples), encoding="utf-8") as fh:
+                text = fh.read()
+            at = text.find(", ", len(head))
+            if not text.startswith(head) or at < 0:
+                return None
+            body = "{" + text[at + 2:]
+            if text[len(head):at] != str(zlib.crc32(body.encode())):
+                return None
+            data = json.loads(body)
         except (OSError, ValueError):
             # a missing or unreadable file, bytes that are not UTF-8, or
-            # flags text that is not JSON
+            # a run that is not JSON
             return None
-        # the file's text is freed by now, before the flags are built
-        return _decode(chains, n, q, partition)
+        return _checked_run(data, q, partition, samples)
 
-    def store(self, n: int, q: int, partition: Partition, flags: list[Flag]) -> None:
-        # The text of json.dumps of the payload, one json.dumps per flag:
-        # json.dump would stream through the pure-Python encoder, and one
-        # json.dumps call over the whole list holds every small piece of
-        # the C encoder at once.
-        flags_text = "[" + ", ".join(json.dumps(flag.bases) for flag in flags) + "]"
-        crc = zlib.crc32(flags_text.encode())
+    def store(
+        self,
+        q: int,
+        partition: Partition,
+        samples: int,
+        histogram: dict[tuple[int, ...], int],
+        flags: list[Flag],
+    ) -> None:
+        body = json.dumps({
+            "orbits": [[list(key), size] for key, size in sorted(histogram.items())],
+            "samples": [flag.bases for flag in flags],
+        })
+        crc = zlib.crc32(body.encode())
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".flags-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(f'{{"version": {CACHE_VERSION}, "crc32": {crc}, "flags": ')
-                fh.write(flags_text)
-                fh.write("}")
-            os.replace(tmp, self._path(n, q, partition))
+                fh.write(f'{{"version": {CACHE_VERSION}, "crc32": {crc}, ' + body[1:])
+            os.replace(tmp, self._path(q, partition, samples))
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -1,7 +1,9 @@
 """Certificates behind the acceptance criteria, kept with the tests.
 
 No command runs these: they certify the coset combinatorics that the
-decision procedure rests on.  ``build_ws_even`` and
+decision procedure rests on.  ``compose``, ``inverse``, ``identity``,
+``reversal`` and ``is_involution`` are the permutation arithmetic they
+and the tests use.  ``build_ws_even`` and
 ``extract_permutation_odd`` give explicit representatives in the two
 cases and check them against the position involution of
 ``cosets.block_involution``; ``root_action`` tabulates the signs of
@@ -26,6 +28,34 @@ from steinberg_distinction.cosets import (
     validate_m_d,
 )
 from steinberg_distinction.lfactor import RationalFunc
+
+
+def compose(*perms: Permutation) -> Permutation:
+    """The product of the permutations, the last applied first: compose(a,
+    b)(p) = a(b(p))."""
+    images = tuple(range(1, len(perms[0].images) + 1))
+    for perm in reversed(perms):
+        images = tuple(perm(p) for p in images)
+    return Permutation(images)
+
+
+def inverse(perm: Permutation) -> Permutation:
+    inv = [0] * len(perm.images)
+    for p, q in enumerate(perm.images, start=1):
+        inv[q - 1] = p
+    return Permutation(tuple(inv))
+
+
+def is_involution(perm: Permutation) -> bool:
+    return all(perm(perm(p)) == p for p in range(1, len(perm.images) + 1))
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def reversal(n: int) -> Permutation:
+    return Permutation(tuple(range(n, 0, -1)))
 
 
 def _even_segments(s: CosetMatrix) -> list[tuple[str, int, int, int]]:
@@ -76,7 +106,7 @@ def build_ws_even(s: CosetMatrix) -> Permutation:
         images.extend(range(base, base + k))
     ws = Permutation(tuple(images))
     tau = block_involution(s).position_map
-    if ws * Permutation.reversal(s.n) * ws.inverse() != tau:
+    if compose(ws, reversal(s.n), inverse(ws)) != tau:
         raise RuntimeError(
             f"explicit even-case representative is inconsistent for {s.to_json()}"
         )

@@ -10,10 +10,10 @@ from steinberg_distinction.characters import ChiToken, orbit_supports
 from steinberg_distinction.cosets import (
     CaseTag,
     Partition,
-    Permutation,
     anti_diagonal_matrix,
     block_involution,
     coarsen,
+    count_coset_matrices,
     enumerate_coset_matrices,
     fine_layout,
 )
@@ -42,7 +42,14 @@ from steinberg_distinction.oracles.flags import (
 )
 from steinberg_distinction.oracles.quaternion import quaternion_model_check
 
-from certificates import build_ws_even, extract_permutation_odd, root_action
+from certificates import (
+    build_ws_even,
+    compose,
+    extract_permutation_odd,
+    inverse,
+    reversal,
+    root_action,
+)
 from conftest import compositions, delta_half_exponents, reference_report
 
 
@@ -137,7 +144,7 @@ def test_criterion_5_representative_consistency():
                     warnings.simplefilter("always")
                     ws = build_ws_even(s)
                     diagnostics += len(caught)
-                ok = ok and ws * Permutation.reversal(n) * ws.inverse() == tau
+                ok = ok and compose(ws, reversal(n), inverse(ws)) == tau
             for s in enumerate_coset_matrices(partition, CaseTag.ODD):
                 ok = ok and extract_permutation_odd(s) == block_involution(s).position_map
     report(5, ok and diagnostics == 0, f"representatives match interval involutions (n<=6), {diagnostics} formula diagnostics")
@@ -218,4 +225,26 @@ def test_criterion_9_convention_invariance():
                             expected = reference_report(s, chi, invol, delta)
                             ok = ok and orbit_supports(s, chi) == expected
     report(9, ok, "support reports equal the rational rule for kappa in {1, 1/2, 3} across all s with n<=6")
+    assert ok
+
+
+def test_criterion_10_multiplicity_one_count():
+    # Mackey gives dim Hom_H(Ind_{P_lambda}^G 1, 1) = |H\G/P_lambda| for
+    # G = GL_n(F_{q^2}), H = GL_n(F_q), and the Steinberg character is
+    # the alternating sum of the Ind_{P_lambda}^G 1 over the compositions
+    # lambda of n, with sign (-1)^(n - len(lambda)); the double cosets of
+    # lambda are its odd-case coset matrices, so their alternating count
+    # is dim Hom_H(St, 1), which is 1.  One matrix lost or repeated in
+    # any composition moves the sum.
+    start = time.monotonic()
+    sums = [
+        sum(
+            (-1) ** (n - len(partition.parts)) * count_coset_matrices(partition, CaseTag.ODD)
+            for partition in compositions(n)
+        )
+        for n in range(1, 13)
+    ]
+    elapsed = time.monotonic() - start
+    ok = sums == [1] * 12
+    report(10, ok, f"alternating coset matrix counts are 1 for every n<=12 (odd), {elapsed:.2f}s")
     assert ok

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
-from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag
+from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag, Partition
 from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
-from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
+from steinberg_distinction.oracles.flags import DEFAULT_BUDGET, count_flags
 
 from conftest import compositions
 
@@ -39,13 +39,13 @@ PEAK_RSS_CHILD = (
 )
 
 
-def edit_flags(change):
-    """A cache-file mangler that edits the flags of the payload and
-    leaves its checksum as it was."""
+def edit_samples(change):
+    """A cache-file mangler that edits the sampled flags of the payload
+    and leaves its checksum as it was."""
 
     def mangle(raw):
         data = json.loads(raw)
-        change(data["flags"])
+        change(data["samples"])
         return json.dumps(data).encode()
 
     return mangle
@@ -231,6 +231,13 @@ class TestSweepAndLfactor:
 
 DIGESTS_PATH = Path(__file__).with_name("cli_digests.json")
 
+# the points of the benchmark's flag workload
+FLAG_POINTS = (
+    [(2, q, "1,1") for q in (3, 5, 7)]
+    + [(3, 3, p) for p in ("1,1,1", "2,1", "1,2", "3")]
+    + [(3, 5, "2,1"), (3, 5, "1,2"), (3, 7, "2,1")]
+)
+
 
 def pinned_commands() -> list[str]:
     """The commands whose output bytes `cli_digests.json` pins."""
@@ -287,11 +294,7 @@ def pinned_commands() -> list[str]:
     # the benchmark's flag points, with the cache off
     commands += [
         f"oracle-flags --n {n} --q {q} --partition {parts} --format json"
-        for n, q, parts in (
-            [(2, q, "1,1") for q in (3, 5, 7)]
-            + [(3, 3, p) for p in ("1,1,1", "2,1", "1,2", "3")]
-            + [(3, 5, "2,1"), (3, 5, "1,2"), (3, 7, "2,1")]
-        )
+        for n, q, parts in FLAG_POINTS
     ]
     # feasible orbits and infeasible ones with their violations
     commands += [
@@ -313,7 +316,7 @@ def pinned_commands() -> list[str]:
     return commands
 
 
-def test_output_bytes_pinned(monkeypatch):
+def test_output_bytes_pinned():
     """Exit code, stdout digest and stderr of every command in
     `pinned_commands`: `steinberg --format json` at odd m <= 30 (d = 1)
     and even m <= 15 (d = 2), both tokens, `sweep --max-m 5 --max-d 4`,
@@ -327,7 +330,6 @@ def test_output_bytes_pinned(monkeypatch):
     to dense rows, and the JSON ones added with them before `_dumps`
     replaced `json.dumps(payload, indent=2)`; an intended output change
     must re-record them."""
-    monkeypatch.delenv("DISTINCTION_CACHE_DIR", raising=False)
     pinned = json.loads(DIGESTS_PATH.read_text())
     assert sorted(pinned) == sorted(pinned_commands())
     changed = []
@@ -405,24 +407,16 @@ class TestOracles:
         assert code2 == 0
         assert out2 == out
 
-    def test_flags_env_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DISTINCTION_CACHE_DIR", str(tmp_path))
-        code, out, _ = run(
-            capsys, "oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1"
-        )
-        assert code == 0
-        assert list(tmp_path.iterdir())
-
     @pytest.mark.parametrize(
         "damage",
         [
             lambda raw: raw[: len(raw) // 2],
             lambda raw: b"\x00\xff\xfe garbage",
-            # a copy of the first flag in place of the second
-            edit_flags(lambda flags: flags.__setitem__(1, flags[0])),
+            # a copy of the first sampled flag in place of the second
+            edit_samples(lambda flags: flags.__setitem__(1, flags[0])),
             # the Frobenius-stable line [[3, 0]] spelled l (1, 0) = [[1, 0]]:
             # not reduced, and its profile would be misread
-            edit_flags(lambda flags: flags[0][0].__setitem__(0, [1, 0])),
+            edit_samples(lambda flags: flags[0][0].__setitem__(0, [1, 0])),
         ],
         ids=["truncated", "garbage", "repeated-flag", "unreduced-basis"],
     )
@@ -442,20 +436,49 @@ class TestOracles:
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
         assert json.loads(out)["stats"]["cache"] == "hit"
 
-    def test_flags_stats(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("DISTINCTION_CACHE_DIR", raising=False)
+    def test_flags_stats(self, capsys, tmp_path):
         argv = ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--format", "json"]
         stats = []
         for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
             code, out, _ = run(capsys, *argv, *extra)
             assert code == 0
             stats.append(json.loads(out)["stats"])
-        # 10 flags, 2 representatives, 10 sampled reductions
+        # 10 flags, 2 representatives, 10 sampled reductions; a hit
+        # streams no flag and profiles only the representatives and the
+        # samples
         assert stats == [
             {"cache": "off", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
             {"cache": "miss", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
-            {"cache": "hit", "flags_enumerated": 0, "profiles_computed": 22, "reductions_checked": 10},
+            {"cache": "hit", "flags_enumerated": 0, "profiles_computed": 12, "reductions_checked": 10},
         ]
+
+    @pytest.mark.parametrize("point", FLAG_POINTS, ids=lambda p: "n{}-q{}-{}".format(*p))
+    def test_flags_cache_off_miss_hit_agree(self, capsys, tmp_path, point):
+        """At 1, 3, 10 and count + 1 samples the JSON outside ``stats``
+        is the same with the cache off, on a miss and on a hit, and with
+        the cache off at 10 samples it is the pinned output.  Strides
+        that take count // stride + 1 flags, more than the samples
+        asked for (13 of 25 at n = 2, q = 5, 10 samples), must hit."""
+        n, q, parts = point
+        argv = ["oracle-flags", "--n", str(n), "--q", str(q), "--partition", parts, "--format", "json"]
+        pinned = json.loads(DIGESTS_PATH.read_text())[" ".join(argv)]
+        count = count_flags(Partition.parse(parts), q * q)
+        cache = ["--cache-dir", str(tmp_path)]
+        for samples in (1, 3, 10, count + 1):
+            outputs = []
+            for extra in ([], cache, cache):
+                code, out, err = run(capsys, *argv, "--reduce-samples", str(samples), *extra)
+                assert (code, err) == (0, "")
+                outputs.append(json.loads(out))
+            assert [o.pop("stats")["cache"] for o in outputs] == ["off", "miss", "hit"]
+            assert outputs[0] == outputs[1] == outputs[2]
+            assert outputs[0]["reductions_checked"] == len(
+                range(0, count, max(1, count // samples))
+            )
+            if samples == 10:
+                code, out, _ = run(capsys, *argv)
+                assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout_sha256"]
+                assert json.loads(out)["stats"]["cache"] == "off"
 
     def test_flags_stream_holds_no_list(self, capsys, monkeypatch):
         argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1", "--format", "json"]

@@ -29,7 +29,16 @@ from steinberg_distinction.cosets import (
 )
 
 import certificates
-from certificates import build_ws_even, extract_permutation_odd, root_action
+from certificates import (
+    build_ws_even,
+    compose,
+    extract_permutation_odd,
+    identity,
+    inverse,
+    is_involution,
+    reversal,
+    root_action,
+)
 from conftest import compositions
 
 partitions = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
@@ -231,19 +240,27 @@ class TestLayoutAndInvolution:
         s = mat(CaseTag.ODD, [[0, 2], [2, 0]])
         assert block_involution(s).position_map == Permutation((3, 4, 1, 2))
 
+    def test_permutation_helpers(self):
+        a, b = Permutation((2, 1, 3)), Permutation((1, 3, 2))
+        # a after b
+        assert compose(a, b) == Permutation((2, 3, 1))
+        assert compose(a, b, inverse(b)) == a
+        assert compose(inverse(a), a) == identity(3)
+        assert is_involution(reversal(4)) and not is_involution(compose(a, b))
+
     def test_position_map_is_involution(self):
         for n in range(1, 6):
             for partition in compositions(n):
                 for case in CaseTag:
                     for s in enumerate_coset_matrices(partition, case):
-                        assert block_involution(s).position_map.is_involution()
+                        assert is_involution(block_involution(s).position_map)
 
 
 class TestRepresentatives:
     def test_ws_antidiagonal_is_identity(self):
         for n in (2, 4, 6):
             s = anti_diagonal_matrix(Partition((1,) * n), CaseTag.EVEN)
-            assert build_ws_even(s) == Permutation.identity(n)
+            assert build_ws_even(s) == identity(n)
 
     def test_ws_conjugation_identity_exhaustive(self):
         for n in range(1, 7):
@@ -252,8 +269,8 @@ class TestRepresentatives:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         ws = build_ws_even(s)
-                    w = Permutation.reversal(n)
-                    assert ws * w * ws.inverse() == block_involution(s).position_map
+                    w = reversal(n)
+                    assert compose(ws, w, inverse(ws)) == block_involution(s).position_map
 
     def test_ws_wrong_layout_raises(self, monkeypatch):
         s = mat(CaseTag.EVEN, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
@@ -288,7 +305,7 @@ class TestRepresentatives:
                 for s in enumerate_coset_matrices(partition, CaseTag.ODD):
                     extracted = extract_permutation_odd(s)
                     assert extracted == block_involution(s).position_map
-                    assert extracted.is_involution()
+                    assert is_involution(extracted)
 
     def test_odd_extraction_matches_sympy_reference(self):
         for n in range(1, 7):

@@ -36,6 +36,7 @@ from steinberg_distinction.oracles.flags import (
     iter_flags,
     reduce_to_representative,
     representative_flag,
+    sample_stride,
 )
 
 from conftest import compositions
@@ -263,13 +264,14 @@ def random_matrices(q, rng):
 
 
 def signed(data):
-    """The cache-file text of a payload, with the checksum of its flags
-    text recomputed: json.dumps of {"version", "crc32", "flags"}."""
-    flags_text = json.dumps(data["flags"])
+    """The cache-file text of a payload, with the checksum of its run
+    recomputed: json.dumps of {"version", "crc32", "orbits", "samples"},
+    the checksum over json.dumps of every key after the first two."""
+    run = {k: v for k, v in data.items() if k not in ("version", "crc32")}
     return json.dumps({
         "version": data["version"],
-        "crc32": zlib.crc32(flags_text.encode()),
-        "flags": data["flags"],
+        "crc32": zlib.crc32(json.dumps(run).encode()),
+        **run,
     })
 
 
@@ -307,6 +309,14 @@ def grid_flags(q, partition):
 @functools.cache
 def grid_histogram(q, partition):
     return stream_histogram(grid_stream(q, partition))
+
+
+def grid_run(q, partition, samples):
+    """What the oracle caches for a point: the orbit sizes and the flags
+    at the sampled stream positions."""
+    stream = grid_stream(q, partition)
+    stride = sample_stride(len(stream), samples)
+    return dict(grid_histogram(q, partition)), [flag for flag, _ in stream[::stride]]
 
 
 def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
@@ -670,9 +680,14 @@ class TestEnumeration:
     def test_cache_roundtrip(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(FIELD, partition)
-        cache.store(2, 3, partition, flags)
-        assert cache.load(2, 3, partition) == flags
+        # 10 flags at a stride of 3: positions 0, 3, 6 and 9, one more
+        # than the 3 samples asked for
+        histogram, flags = grid_run(3, partition, 3)
+        assert len(flags) == 4
+        cache.store(3, partition, 3, histogram, flags)
+        assert cache.load(3, partition, 3) == (histogram, flags)
+        # the sample count is part of the key
+        assert cache.load(3, partition, 10) is None
 
     @pytest.mark.parametrize(
         "mangle",
@@ -682,70 +697,101 @@ class TestEnumeration:
             lambda text: "",
             lambda text: json.dumps([1, 2]),
             edit_cache(lambda data: data.update(version=0)),
-            edit_cache(lambda data: data.update(flags="x" * 10)),
-            edit_cache(lambda data: data["flags"].pop()),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, 9)),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(0, "3")),
-            edit_cache(lambda data: data["flags"][0][0].__setitem__(0, 3)),
-            edit_cache(lambda data: data["flags"][0][0][0].append(0)),
-            edit_cache(lambda data: data["flags"][0][0].append([0, 3])),
-            edit_cache(lambda data: data["flags"][0].pop()),
+            edit_cache(lambda data: data.update(samples="x" * 10)),
+            edit_cache(lambda data: data["samples"].pop()),
+            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(0, 9)),
+            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(0, "3")),
+            edit_cache(lambda data: data["samples"][0][0].__setitem__(0, 3)),
+            edit_cache(lambda data: data["samples"][0][0][0].append(0)),
+            edit_cache(lambda data: data["samples"][0][0].append([0, 3])),
+            edit_cache(lambda data: data["samples"][0].pop()),
             # each of these compares equal to the entry it replaces
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(1, False)),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(1, 0.0)),
-            edit_cache(lambda data: data["flags"][0][0][0].__setitem__(1, [0, 0])),
+            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(1, False)),
+            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(1, 0.0)),
+            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(1, [0, 0])),
+            edit_cache(lambda data: data["samples"].append(data["samples"][0])),
+            edit_cache(lambda data: data.update(orbits={})),
+            edit_cache(lambda data: data.update(extra=[])),
+            edit_cache(lambda data: data["orbits"][0].append(1)),
+            edit_cache(lambda data: data["orbits"][0][0].pop()),
+            edit_cache(lambda data: data["orbits"][0].__setitem__(1, data["orbits"][0][1] + 1)),
+            edit_cache(lambda data: data["orbits"].pop()),
+            edit_cache(lambda data: data.update(orbits=[
+                [data["orbits"][0][0], data["orbits"][0][1] + data["orbits"][1][1]],
+                [data["orbits"][1][0], 0],
+            ])),
+            edit_cache(lambda data: data.update(orbits=[
+                [data["orbits"][0][0], data["orbits"][0][1] + data["orbits"][1][1] + 1],
+                [data["orbits"][1][0], -1],
+            ])),
+            edit_cache(lambda data: data["orbits"][1].__setitem__(0, data["orbits"][0][0])),
+            edit_cache(lambda data: data["orbits"][0].__setitem__(1, float(data["orbits"][0][1]))),
+            edit_cache(lambda data: data["orbits"][0][0].__setitem__(1, True)),
         ],
         ids=[
             "truncated", "garbage", "empty", "not-object", "version",
             "flags-not-list", "short-list", "out-of-range", "string-entry",
             "scalar-entry", "long-row", "extra-row", "short-chain",
-            "bool-entry", "float-entry", "pair-entry",
+            "bool-entry", "float-entry", "pair-entry", "long-list",
+            "orbits-not-list", "extra-key", "long-orbit", "short-profile",
+            "size-sum", "missing-orbit", "zero-size", "negative-size",
+            "repeated-profile", "float-size", "bool-profile",
         ],
     )
     def test_cache_damage_is_a_miss(self, tmp_path, mangle):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        cache.store(2, 3, partition, enumerate_flags(FIELD, partition))
-        path = cache._path(2, 3, partition)
+        histogram, flags = grid_run(3, partition, 10)
+        # the bool edit replaces the 1 of profile [0, 1, 1, 0]
+        assert sorted(histogram) == [(0, 1, 1, 0), (1, 0, 0, 1)]
+        cache.store(3, partition, 10, histogram, flags)
+        path = cache._path(3, partition, 10)
         with open(path) as fh:
             text = fh.read()
         damaged = mangle(text)
         assert damaged != text
         with open(path, "w", encoding="latin-1") as fh:
             fh.write(damaged)
-        assert cache.load(2, 3, partition) is None
+        assert cache.load(3, partition, 10) is None
 
     @pytest.mark.parametrize(
         "change",
         [
-            lambda data: data["flags"].__setitem__(1, data["flags"][0]),
+            lambda data: data["samples"].__setitem__(1, data["samples"][0]),
             # the Frobenius-stable line [[3, 0]] of the first flag spelled
             # l (1, 0) = [[1, 0]]: the same line, not reduced, and its
             # imaginary part would make the rank rows read it as unstable
-            lambda data: data["flags"][0][0].__setitem__(0, [1, 0]),
+            lambda data: data["samples"][0][0].__setitem__(0, [1, 0]),
             lambda data: data.update(crc32=data["crc32"] ^ 1),
+            # one flag moved between the two orbits: the sizes still sum
+            # to the count, so only the checksum tells
+            lambda data: data.update(orbits=[
+                [data["orbits"][0][0], data["orbits"][0][1] + 1],
+                [data["orbits"][1][0], data["orbits"][1][1] - 1],
+            ]),
         ],
-        ids=["repeated-flag", "unreduced-basis", "checksum"],
+        ids=["repeated-flag", "unreduced-basis", "checksum", "orbit-size"],
     )
     def test_cache_edit_without_checksum_is_a_miss(self, tmp_path, change):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(FIELD, partition)
+        histogram, flags = grid_run(3, partition, 10)
         assert flags[0].bases[0] == ((3, 0),)
-        cache.store(2, 3, partition, flags)
-        path = cache._path(2, 3, partition)
+        cache.store(3, partition, 10, histogram, flags)
+        path = cache._path(3, partition, 10)
         with open(path) as fh:
             text = fh.read()
         damaged = edit_cache(change, sign=False)(text)
         assert damaged != text
         with open(path, "w") as fh:
             fh.write(damaged)
-        assert cache.load(2, 3, partition) is None
+        assert cache.load(3, partition, 10) is None
 
     def test_cache_v1_file_is_a_miss(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
         flags = enumerate_flags(FIELD, partition)
+        current = cache._path(3, partition, 10)
         # the pair-coded layout of the first cache version
         text = json.dumps({
             "version": 1,
@@ -755,53 +801,74 @@ class TestEnumeration:
             ],
         })
         (tmp_path / "flags_v1_n2_q3_1-1.json").write_text(text)
-        assert cache.load(2, 3, partition) is None
+        assert cache.load(3, partition, 10) is None
         # nor is it read under the current name
-        with open(cache._path(2, 3, partition), "w") as fh:
+        with open(current, "w") as fh:
             fh.write(text)
-        assert cache.load(2, 3, partition) is None
+        assert cache.load(3, partition, 10) is None
         # nor is the unsigned second version, under either name
         text = json.dumps({"version": 2, "flags": [flag.bases for flag in flags]})
         (tmp_path / "flags_v2_n2_q3_1-1.json").write_text(text)
-        with open(cache._path(2, 3, partition), "w") as fh:
+        with open(current, "w") as fh:
             fh.write(text)
-        assert cache.load(2, 3, partition) is None
+        assert cache.load(3, partition, 10) is None
+        # nor the signed flag list of the third, under either name
+        chains = [[[list(row) for row in basis] for basis in flag.bases] for flag in flags]
+        text = json.dumps({
+            "version": 3,
+            "crc32": zlib.crc32(json.dumps(chains).encode()),
+            "flags": chains,
+        })
+        (tmp_path / "flags_v3_n2_q3_1-1.json").write_text(text)
+        assert cache.load(3, partition, 10) is None
+        with open(current, "w") as fh:
+            fh.write(text)
+        assert cache.load(3, partition, 10) is None
 
     def test_cache_file_is_json_dumps_of_payload(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 2))
-        flags = enumerate_flags(FIELD, partition)
-        cache.store(3, 3, partition, flags)
-        chains = [
-            [[list(row) for row in basis] for basis in flag.bases] for flag in flags
-        ]
-        payload = {
-            "version": 3,
-            "crc32": zlib.crc32(json.dumps(chains).encode()),
-            "flags": chains,
+        histogram, flags = grid_run(3, partition, 10)
+        cache.store(3, partition, 10, histogram, flags)
+        run = {
+            "orbits": [[list(key), size] for key, size in sorted(histogram.items())],
+            "samples": [
+                [[list(row) for row in basis] for basis in flag.bases] for flag in flags
+            ],
         }
-        with open(cache._path(3, 3, partition)) as fh:
+        payload = {"version": 4, "crc32": zlib.crc32(json.dumps(run).encode()), **run}
+        with open(cache._path(3, partition, 10)) as fh:
             assert fh.read() == json.dumps(payload) == signed(payload)
 
+    def test_cache_file_is_small(self, tmp_path):
+        # the largest benchmark point: 2,451 flags, 2 orbits, 11 samples
+        cache = FlagCache(str(tmp_path))
+        partition = Partition((2, 1))
+        cache.store(7, partition, 10, *grid_run(7, partition, 10))
+        assert cache.load(7, partition, 10) == grid_run(7, partition, 10)
+        (path,) = tmp_path.iterdir()
+        assert path.name == "flags_v4_q7_2-1_s10.json"
+        assert path.stat().st_size < 1024
+
     def test_cache_missing_is_a_miss(self, tmp_path):
-        assert FlagCache(str(tmp_path)).load(2, 3, Partition((1, 1))) is None
+        assert FlagCache(str(tmp_path)).load(3, Partition((1, 1)), 10) is None
 
     def test_cache_store_replaces_atomically(self, tmp_path, monkeypatch):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        flags = enumerate_flags(FIELD, partition)
-        cache.store(2, 3, partition, flags)
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v3_n2_q3_1-1.json"]
+        histogram, flags = grid_run(3, partition, 10)
+        cache.store(3, partition, 10, histogram, flags)
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v4_q3_1-1_s10.json"]
 
         def fail(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr("steinberg_distinction.oracles.flags.os.replace", fail)
         with pytest.raises(OSError):
-            cache.store(2, 3, partition, flags[:1])
+            cache.store(3, partition, 10, histogram, flags[:1])
         # the old entry is intact and no temporary file is left behind
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v3_n2_q3_1-1.json"]
-        assert cache.load(2, 3, partition) == flags
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v4_q3_1-1_s10.json"]
+        assert cache.load(3, partition, 10) == (histogram, flags)
 
 
 class TestProfiles:

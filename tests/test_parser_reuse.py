@@ -81,8 +81,7 @@ def test_main_builds_no_parser_after_the_first_call(monkeypatch):
     assert added == []
 
 
-def test_reuse_isolation(monkeypatch):
-    monkeypatch.delenv("DISTINCTION_CACHE_DIR", raising=False)
+def test_reuse_isolation():
     check_isolation()
 
 
