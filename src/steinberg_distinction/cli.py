@@ -46,9 +46,10 @@ from .oracles.flags import (
     BudgetExceededError,
     FlagCache,
     count_flags,
+    flag_at,
     flag_profile,
     graded_pieces,
-    iter_flags,
+    profile_histogram,
     reduce_to_representative,
     representative_flag,
     sample_stride,
@@ -57,6 +58,10 @@ from .oracles.flags import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# a decision at degree n (n = m odd, 2 m even) builds a trace of about
+# n^3 cells; the bound admits odd m <= 200 and even m <= 100
+MAX_TRACE_CELLS = 200**3
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -155,7 +160,14 @@ def cmd_support(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse_large_decision(case: CaseTag, m: int) -> None:
+    n = 2 * m if case is CaseTag.EVEN else m
+    if n**3 > MAX_TRACE_CELLS:
+        raise BudgetExceededError(n**3, MAX_TRACE_CELLS, "decision trace cell count")
+
+
 def cmd_steinberg(args: argparse.Namespace) -> int:
+    _refuse_large_decision(CaseTag(args.case), args.m)
     verdict = steinberg_decision(CaseTag(args.case), args.m, args.d, ChiToken(args.chi))
     lines = [
         f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
@@ -166,6 +178,8 @@ def cmd_steinberg(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # the largest decision: the even case at max_m once max_d >= 2
+    _refuse_large_decision(CaseTag.EVEN if args.max_d >= 2 else CaseTag.ODD, args.max_m)
     rows = []
     ok = True
     decided: dict = {}
@@ -226,38 +240,23 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
             f"partition {args.partition} sums to {partition.total}, not to n = {args.n}"
         )
     require_small_odd_prime(args.q)
-    count = count_flags(partition, args.q * args.q)
-    point = (args.q, partition, args.reduce_samples)
     cache = FlagCache(args.cache_dir) if args.cache_dir else None
-    cached = cache.load(*point) if cache else None
-    if cached is None and count > args.budget:
+    count = count_flags(partition, args.q * args.q)
+    histogram = cache.load(args.q, partition) if cache else None
+    if histogram is None and count > args.budget:
         # refused before the field's tables are built
         raise BudgetExceededError(count, args.budget)
     field = QuadraticExtension(args.q)
     stats = {
-        "cache": "off" if cache is None else "hit" if cached is not None else "miss",
-        "flags_enumerated": count if cached is None else 0,
+        "cache": "off" if cache is None else "hit" if histogram is not None else "miss",
+        "flags_enumerated": count if histogram is None else 0,
     }
-    if cached is not None:
-        # the stream's result: its checks below run as on a miss
-        histogram, sample = cached
-    else:
-        stride = sample_stride(count, args.reduce_samples)
-        # orbit sizes keyed by the profile's entries: the case and
-        # partition are the same for every flag, and a tuple hashes
-        # faster than the frozen dataclass, which rehashes all three
-        sizes: dict[tuple[tuple[int, ...], ...], int] = {}
-        sample = []
-        for index, (flag, profile) in enumerate(iter_flags(field, partition, budget=args.budget)):
-            entries = profile.entries
-            sizes[entries] = sizes.get(entries, 0) + 1
-            if index % stride == 0:
-                sample.append(flag)
-        histogram = {
-            tuple(x for row in entries for x in row): size for entries, size in sizes.items()
-        }
+    if histogram is None:
+        histogram = profile_histogram(field, partition, budget=args.budget)
         if cache:
-            cache.store(*point, histogram, sample)
+            cache.store(args.q, partition, histogram)
+    # the same positions on a hit and on a miss
+    sample = flag_at(field, partition, range(0, count, sample_stride(count, args.reduce_samples)))
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
     seen = set(histogram)
     ok = seen == {s.flat() for s in expected}

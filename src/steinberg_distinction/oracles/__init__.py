@@ -11,7 +11,6 @@ from .flags import (
     count_flags,
     enumerate_flags,
     flag_profile,
-    iter_flags,
     reduce_to_representative,
     representative_flag,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "count_flags",
     "enumerate_flags",
     "flag_profile",
-    "iter_flags",
     "reduce_to_representative",
     "representative_flag",
 ]

@@ -6,22 +6,20 @@ invariant profile under the coordinate Frobenius twist is the coset
 matrix of their orbit, and the constructive reduction maps any flag to
 the canonical representative of its profile by a base-field matrix.
 
-``iter_flags`` streams every flag with its profile in one depth-first
-pass that shares prefixes: the row r[i][j] = dim(V_i meet theta V_j),
-j <= i, of the profile's rank table is computed once per node V_i,
-from residuals against the pivots of V_i's reduced basis, so a leaf
-pays one row and holds no list.  The diagonal entry r[i][i] depends
-only on the imaginary parts of the basis, and is looked up in a
-bounded memo keyed by them; a rank of two rows is a proportionality
-test, so at n <= 3 a profile needs no row reduction.  ``flag_profile``
-checks that the bases are reduced from the definition, not by reducing
-them.  The on-disk cache (version 4) stores what a run's stream
-produced, its orbit sizes and sampled flags, with a CRC-32 of their
-text, so a file that is not exactly what ``store`` wrote is a miss.
+One depth-first walk visits every flag and shares prefixes: the row
+r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table is
+computed once per node V_i, so a leaf pays one row.  The diagonal entry
+r[i][i] is looked up in a memo keyed by the imaginary parts of the
+basis, and a rank of two rows is a proportionality test.
+``profile_histogram`` counts the walk's rank tables and builds no flag;
+``flag_at`` finds the flag at a walk position by arithmetic on it.  The
+on-disk cache (version 5) holds a point's orbit sizes and a CRC-32 of
+their text, so a file that is not exactly what ``store`` wrote is a miss.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -29,7 +27,7 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..cosets import (
     CaseTag,
@@ -45,8 +43,9 @@ __all__ = [
     "BudgetExceededError",
     "gaussian_binomial",
     "count_flags",
-    "iter_flags",
     "enumerate_flags",
+    "profile_histogram",
+    "flag_at",
     "flag_profile",
     "graded_pieces",
     "representative_flag",
@@ -58,8 +57,13 @@ __all__ = [
 # graded piece S_{i,j} of a flag, keyed by (i, j)
 GradedPieces = dict[tuple[int, int], tuple[Vec, ...]]
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 DEFAULT_BUDGET = 10_000
+
+# the rank table of a flag: row i - 1 holds r[i][1..i], i < t
+Table = tuple[tuple[int, ...], ...]
+# orbit sizes keyed by the flat coset matrix of the orbit
+Histogram = dict[tuple[int, ...], int]
 
 
 class BudgetExceededError(RuntimeError):
@@ -108,23 +112,40 @@ def count_flags(partition: Partition, q2: int) -> int:
     return total
 
 
+def _rref_blocks(n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """The pivot columns of k-dimensional reduced bases of F^n in order,
+    each with the free cells, row by row, that its bases fill."""
+    for pivots in itertools.combinations(range(n), k):
+        yield pivots, [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+
+
+def _rref(field: QuadraticExtension, n: int, pivots, cells, values) -> tuple[Vec, ...]:
+    rows = [[field.zero] * n for _ in pivots]
+    for r, p in enumerate(pivots):
+        rows[r][p] = field.one
+    for (r, c), v in zip(cells, values):
+        rows[r][c] = v
+    return tuple(map(tuple, rows))
+
+
 def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple[Vec, ...]]:
     """All reduced row echelon bases of k-dimensional subspaces of F^n."""
-    elements = field.elements()
-    for pivots in itertools.combinations(range(n), k):
-        free_cells = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(elements, repeat=len(free_cells)):
-            rows = [[field.zero] * n for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = field.one
-            for (r, c), v in zip(free_cells, values):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
+    for pivots, cells in _rref_blocks(n, k):
+        for values in itertools.product(field.elements(), repeat=len(cells)):
+            yield _rref(field, n, pivots, cells, values)
+
+
+def _rref_at(field: QuadraticExtension, n: int, k: int, index: int) -> tuple[Vec, ...]:
+    """The basis at ``index`` of ``_enumerate_rref``: a block of c free
+    cells holds q2^c bases, and within it the index is the base-q2
+    number of the cells' values, since the elements are 0..q2 - 1."""
+    q2 = field.p * field.p
+    for pivots, cells in _rref_blocks(n, k):
+        if index < q2 ** len(cells):
+            values = [index // q2**e % q2 for e in reversed(range(len(cells)))]
+            return _rref(field, n, pivots, cells, values)
+        index -= q2 ** len(cells)
+    raise InvalidInputError(f"no {k}-dimensional subspace of F^{n} at that position")
 
 
 def _extensions(
@@ -169,50 +190,41 @@ def _extensions(
     return [rows for _, rows in out]
 
 
-def iter_flags(
-    field: QuadraticExtension,
-    partition: Partition,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[tuple[Flag, CosetMatrix]]:
-    """Every flag of the given shape exactly once, with its profile.
+def _quotients(field: QuadraticExtension, partition: Partition) -> list[list[tuple[Vec, ...]]]:
+    # [d - 1]: the quotient subspaces that extend any V_d to V_{d + 1}
+    parts = partition.parts
+    return [
+        list(_enumerate_rref(field, partition.total - dim, part))
+        for dim, part in zip(itertools.accumulate(parts), parts[1:-1])
+    ]
 
-    A depth-first walk over the chains of ``_enumerate_rref`` bases:
-    each step is built from the previous one through the subspaces of
-    the quotient, so no flag is produced twice and none is filtered
-    out, and the order is by the first subspace, then the second, and
-    so on.  A node V_i computes its row of the rank table once, for all
-    its descendants; the last step V_t = F^n is the same for every flag
-    and costs nothing.  Refuses with the count estimate, before
-    yielding anything, when the flag variety exceeds the budget.
+
+def _walk(
+    field: QuadraticExtension, partition: Partition, budget: int
+) -> Iterator[tuple[tuple[tuple[Vec, ...], ...], Table]]:
+    """Every flag of the given shape once, as the bases of V_1, ...,
+    V_{t - 1} and their rank table, refused with the count estimate
+    before the first when the flag variety exceeds the budget.
+
+    A depth-first walk over chains of ``_enumerate_rref`` bases, each
+    step built from the previous one through the subspaces of the
+    quotient, so no flag comes twice and none is filtered out; the order
+    is by V_1, then V_2, and so on.  A node V_i computes its row of the
+    rank table once for all its descendants; V_t = F^n costs nothing.
     """
     estimate = count_flags(partition, field.p * field.p)
     if estimate > budget:
         raise BudgetExceededError(estimate, budget)
-    return _walk(field, partition, estimate)
-
-
-def _walk(
-    field: QuadraticExtension, partition: Partition, estimate: int
-) -> Iterator[tuple[Flag, CosetMatrix]]:
-    n = partition.total
-    parts = partition.parts
-    t = len(parts)
-    top = tuple(
-        tuple(field.one if c == r else field.zero for c in range(n)) for r in range(n)
-    )
+    n, t = partition.total, len(partition)
     if t == 1:
-        yield Flag(partition, (top,)), _profile_from_rows(parts, ())
+        yield (), ()
         return
-    # quotients[d - 1]: the quotient subspaces that extend V_d to V_{d + 1}
-    quotients = [
-        list(_enumerate_rref(field, n - dim, part))
-        for dim, part in zip(itertools.accumulate(parts), parts[1:-1])
-    ]
+    quotients = _quotients(field, partition)
     # stack[d] iterates the bases of V_{d + 1} below the path whose
     # bases and rank table rows are chains[d] and tables[d]
-    stack: list[Iterator[tuple[Vec, ...]]] = [_enumerate_rref(field, n, parts[0])]
+    stack: list[Iterator[tuple[Vec, ...]]] = [_enumerate_rref(field, n, partition.parts[0])]
     chains: list[tuple[tuple[Vec, ...], ...]] = [()]
-    tables: list[tuple[tuple[int, ...], ...]] = [()]
+    tables: list[Table] = [()]
     count = 0
     while stack:
         basis = next(stack[-1], None)
@@ -230,7 +242,7 @@ def _walk(
             tables.append(table)
         else:
             count += 1
-            yield Flag(partition, chain + (top,)), _profile_from_rows(parts, table)
+            yield chain, table
     if count != estimate:
         raise InvalidInputError(f"enumeration produced {count} flags, expected {estimate}")
 
@@ -240,8 +252,54 @@ def enumerate_flags(
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Flag]:
-    """The flags of ``iter_flags``, as a list."""
-    return [flag for flag, _ in iter_flags(field, partition, budget)]
+    """The flags of the walk, in its order."""
+    top = _rref_at(field, partition.total, partition.total, 0)
+    return [Flag(partition, chain + (top,)) for chain, _ in _walk(field, partition, budget)]
+
+
+def profile_histogram(
+    field: QuadraticExtension,
+    partition: Partition,
+    budget: int = DEFAULT_BUDGET,
+) -> Histogram:
+    """The orbit sizes of the flags: the walk's rank tables are counted,
+    and each distinct one is turned into its validated coset matrix
+    once.  A table and its matrix determine each other."""
+    tables = collections.Counter(table for _, table in _walk(field, partition, budget))
+    return {
+        _profile_from_rows(partition.parts, table).flat(): size for table, size in tables.items()
+    }
+
+
+def flag_at(
+    field: QuadraticExtension, partition: Partition, positions: Iterable[int]
+) -> list[Flag]:
+    """The flags that ``enumerate_flags`` lists at the given positions,
+    found without the walk.
+
+    Every node at depth d of the walk has one child per subspace of its
+    quotient, so a position is a mixed-radix number: its leading digit
+    picks the basis of V_1 by arithmetic on ``_enumerate_rref``'s order,
+    and each later digit a child from the sorted ``_extensions`` of the
+    node above.
+    """
+    n = partition.total
+    count = count_flags(partition, field.p * field.p)
+    quotients = _quotients(field, partition)
+    top = _rref_at(field, n, n, 0)
+    flags = []
+    for position in positions:
+        if not 0 <= position < count:
+            raise InvalidInputError(f"flag position {position} outside 0..{count - 1}")
+        digits = []
+        for level in reversed(quotients):
+            position, digit = divmod(position, len(level))
+            digits.append(digit)
+        chain = [_rref_at(field, n, partition.parts[0], position)] if len(partition) > 1 else []
+        for level, digit in zip(quotients, reversed(digits)):
+            chain.append(_extensions(field, n, chain[-1], level)[digit])
+        flags.append(Flag(partition, (*chain, top)))
+    return flags
 
 
 def _rank_row(
@@ -323,14 +381,11 @@ def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
 
 
 @functools.lru_cache(maxsize=1024)
-def _profile_from_rows(
-    parts: tuple[int, ...], rows: tuple[tuple[int, ...], ...]
-) -> CosetMatrix:
+def _profile_from_rows(parts: tuple[int, ...], rows: Table) -> CosetMatrix:
     """The validated coset matrix of a rank table, built once per
-    distinct table: equal tables get the same verdict, so a repeated
-    profile is not checked again.  An invalid one raises on every call,
-    since a raise is not cached.  The key is made of plain tuples, whose
-    hash is cheaper than a dataclass's.
+    distinct table: the representatives and sampled flags of a point
+    repeat a few tables on every command, and an invalid one raises on
+    every call, since a raise is not cached.
 
     ``rows[i - 1]`` holds r[i][1..i] for i < t = len(parts).  The table
     is symmetric, because the twist is an involution and carries V_i
@@ -355,31 +410,16 @@ def _profile_from_rows(
     return CosetMatrix(CaseTag.ODD, Partition(parts), entries)
 
 
-def _us_matrix(s: CosetMatrix, field: QuadraticExtension) -> list[Vec]:
-    sym = build_us_odd(s)
-    return [
-        tuple(row)
-        for row in sym.substitute(
-            field.zero, field.one, field.lam, field.neg_table[field.lam]
-        )
-    ]
-
-
 def representative_flag(s: CosetMatrix, field: QuadraticExtension) -> Flag:
     """Canonical flag with the given profile, from the symbolic
     representative instantiated at the field's square root of a
     nonsquare."""
     if s.case is not CaseTag.ODD:
         raise InvalidInputError("representative flags exist in the odd case only")
-    u_inv = field.matrix_inv(_us_matrix(s, field))
-    n = s.n
-    cols = [tuple(u_inv[r][c] for r in range(n)) for c in range(n)]
-    bases = []
-    prefix = 0
-    for part in s.partition.parts:
-        prefix += part
-        bases.append(field.rref(cols[:prefix]))
-    return Flag(s.partition, tuple(bases))
+    us = build_us_odd(s).substitute(field.zero, field.one, field.lam, field.neg_table[field.lam])
+    cols = list(zip(*field.matrix_inv([tuple(row) for row in us])))
+    dims = itertools.accumulate(s.partition.parts)
+    return Flag(s.partition, tuple(field.rref(cols[:dim]) for dim in dims))
 
 
 def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
@@ -459,84 +499,36 @@ def sample_stride(count: int, samples: int) -> int:
     return max(1, count // samples)
 
 
-# a cached run: the orbit sizes keyed by the flat profile, and the
-# sampled flags in stream order
-CachedRun = tuple[dict[tuple[int, ...], int], list[Flag]]
-
-
-def _is_grid(value: object, rows: int, cols: int) -> bool:
-    """Whether value is a list of ``rows`` lists of ``cols`` ints, by
-    type: JSON true and 1.0 compare equal to 1."""
-    return (
-        type(value) is list
-        and len(value) == rows
-        and all(
-            type(row) is list and len(row) == cols and all(type(x) is int for x in row)
-            for row in value
-        )
-    )
-
-
-def _checked_run(data: object, q: int, partition: Partition, samples: int) -> CachedRun | None:
-    """The run a cache file's payload holds, or None unless its orbits
-    are distinct flat t x t profiles with positive sizes that sum to
-    the flag count, and its samples are one chain of bases per sampled
-    position, of the partition's shape, with entries in F_{q^2}."""
-    if type(data) is not dict or list(data) != ["orbits", "samples"]:
-        return None
-    orbits, chains = data["orbits"], data["samples"]
-    n, t, dims = partition.total, len(partition), list(itertools.accumulate(partition.parts))
-    count = count_flags(partition, q * q)
-    if type(orbits) is not list or not all(
-        type(o) is list and len(o) == 2 and _is_grid(o[:1], 1, t * t)
-        and type(o[1]) is int and o[1] > 0
-        for o in orbits
-    ):
-        return None
-    histogram = {tuple(profile): size for profile, size in orbits}
-    if len(histogram) != len(orbits) or sum(histogram.values()) != count:
-        return None
-    stride = sample_stride(count, samples)
-    if type(chains) is not list or len(chains) != len(range(0, count, stride)) or not all(
-        type(c) is list and len(c) == t and all(_is_grid(b, d, n) for b, d in zip(c, dims))
-        for c in chains
-    ):
-        return None
-    if not all(0 <= x < q * q for c in chains for b in c for row in b for x in row):
-        return None
-    return histogram, [Flag(partition, tuple(tuple(map(tuple, b)) for b in c)) for c in chains]
-
-
 class FlagCache:
-    """On-disk cache of flag oracle runs keyed by (q, partition, samples).
+    """On-disk cache of flag oracle orbit histograms keyed by (q, partition).
 
-    A file holds what one run's stream produced, the orbit histogram as
-    [profile, size] pairs and the flags sampled for reduction: the text
-    of json.dumps({"version": 4, "crc32": c, "orbits": [...], "samples":
-    [...]}), c the CRC-32 of the UTF-8 bytes of json.dumps({"orbits":
-    [...], "samples": [...]}).  A file that is missing, unreadable, of
-    another version, whose text does not match its checksum, or whose
-    run is not JSON or of the wrong shape is a miss, so the caller
-    recomputes and rewrites it.  The checksum makes a hit the exact run
-    that ``store`` wrote: its orbit sizes are trusted, and its samples
-    are row-reduced, as the profile needs.  Writes go to a temporary
-    file that then replaces the entry, so a reader never sees a partial
-    file.
+    A file is the text of json.dumps({"version": 5, "crc32": c, "orbits":
+    [[profile, size], ...]}), c the CRC-32 of the UTF-8 bytes of
+    json.dumps({"orbits": [...]}).  A file that is missing, unreadable,
+    of another version, whose text does not match its checksum, or whose
+    orbits are not distinct flat t x t int profiles with int sizes >= 1
+    that sum to the flag count is a miss, so the caller recomputes and
+    rewrites it; a hit is what ``store`` wrote, and its sizes are
+    trusted.  Writes go to a temporary file that then replaces the
+    entry, so a reader never sees a partial file.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            message = f"cannot make cache directory {directory}: {exc.strerror}"
+            raise InvalidInputError(message) from None
 
-    def _path(self, q: int, partition: Partition, samples: int) -> str:
+    def _path(self, q: int, partition: Partition) -> str:
         parts = "-".join(str(p) for p in partition.parts)
-        key = f"flags_v{CACHE_VERSION}_q{q}_{parts}_s{samples}"
-        return os.path.join(self.directory, key + ".json")
+        return os.path.join(self.directory, f"flags_v{CACHE_VERSION}_q{q}_{parts}.json")
 
-    def load(self, q: int, partition: Partition, samples: int) -> CachedRun | None:
+    def load(self, q: int, partition: Partition) -> Histogram | None:
         head = f'{{"version": {CACHE_VERSION}, "crc32": '
         try:
-            with open(self._path(q, partition, samples), encoding="utf-8") as fh:
+            with open(self._path(q, partition), encoding="utf-8") as fh:
                 text = fh.read()
             at = text.find(", ", len(head))
             if not text.startswith(head) or at < 0:
@@ -547,28 +539,31 @@ class FlagCache:
             data = json.loads(body)
         except (OSError, ValueError):
             # a missing or unreadable file, bytes that are not UTF-8, or
-            # a run that is not JSON
+            # orbits that are not JSON
             return None
-        return _checked_run(data, q, partition, samples)
+        orbits = data.get("orbits") if type(data) is dict and len(data) == 1 else None
+        # types compared exactly: JSON true and 1.0 compare equal to 1
+        if type(orbits) is not list or not all(
+            type(o) is list and len(o) == 2 and type(o[1]) is int and o[1] > 0
+            and type(o[0]) is list and len(o[0]) == len(partition) ** 2
+            and all(type(x) is int for x in o[0])
+            for o in orbits
+        ):
+            return None
+        histogram = {tuple(profile): size for profile, size in orbits}
+        if len(histogram) != len(orbits) or sum(histogram.values()) != count_flags(partition, q**2):
+            return None
+        return histogram
 
-    def store(
-        self,
-        q: int,
-        partition: Partition,
-        samples: int,
-        histogram: dict[tuple[int, ...], int],
-        flags: list[Flag],
-    ) -> None:
-        body = json.dumps({
-            "orbits": [[list(key), size] for key, size in sorted(histogram.items())],
-            "samples": [flag.bases for flag in flags],
-        })
+    def store(self, q: int, partition: Partition, histogram: Histogram) -> None:
+        orbits = [[list(key), size] for key, size in sorted(histogram.items())]
+        body = json.dumps({"orbits": orbits})
         crc = zlib.crc32(body.encode())
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".flags-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(f'{{"version": {CACHE_VERSION}, "crc32": {crc}, ' + body[1:])
-            os.replace(tmp, self._path(q, partition, samples))
+            os.replace(tmp, self._path(q, partition))
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

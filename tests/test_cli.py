@@ -39,13 +39,13 @@ PEAK_RSS_CHILD = (
 )
 
 
-def edit_samples(change):
-    """A cache-file mangler that edits the sampled flags of the payload
-    and leaves its checksum as it was."""
+def edit_orbits(change):
+    """A cache-file mangler that edits the orbit list of the payload and
+    leaves its checksum as it was."""
 
     def mangle(raw):
         data = json.loads(raw)
-        change(data["samples"])
+        change(data["orbits"])
         return json.dumps(data).encode()
 
     return mangle
@@ -412,13 +412,14 @@ class TestOracles:
         [
             lambda raw: raw[: len(raw) // 2],
             lambda raw: b"\x00\xff\xfe garbage",
-            # a copy of the first sampled flag in place of the second
-            edit_samples(lambda flags: flags.__setitem__(1, flags[0])),
-            # the Frobenius-stable line [[3, 0]] spelled l (1, 0) = [[1, 0]]:
-            # not reduced, and its profile would be misread
-            edit_samples(lambda flags: flags[0][0].__setitem__(0, [1, 0])),
+            # a copy of the first orbit in place of the second
+            edit_orbits(lambda orbits: orbits.__setitem__(1, orbits[0])),
+            # one flag moved between the orbits: the sizes still sum to
+            # the count
+            edit_orbits(lambda orbits: (orbits[0].__setitem__(1, orbits[0][1] + 1),
+                                        orbits[1].__setitem__(1, orbits[1][1] - 1))),
         ],
-        ids=["truncated", "garbage", "repeated-flag", "unreduced-basis"],
+        ids=["truncated", "garbage", "repeated-orbit", "orbit-size"],
     )
     def test_flags_damaged_cache_recomputed(self, capsys, tmp_path, damage):
         argv = ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1"]
@@ -456,21 +457,24 @@ class TestOracles:
     def test_flags_cache_off_miss_hit_agree(self, capsys, tmp_path, point):
         """At 1, 3, 10 and count + 1 samples the JSON outside ``stats``
         is the same with the cache off, on a miss and on a hit, and with
-        the cache off at 10 samples it is the pinned output.  Strides
-        that take count // stride + 1 flags, more than the samples
-        asked for (13 of 25 at n = 2, q = 5, 10 samples), must hit."""
+        the cache off at 10 samples it is the pinned output.  The file
+        holds no samples, so after the first miss every sample count
+        hits.  Strides that take count // stride + 1 flags, more than
+        the samples asked for (13 of 25 at n = 2, q = 5, 10 samples),
+        are reduced in full."""
         n, q, parts = point
         argv = ["oracle-flags", "--n", str(n), "--q", str(q), "--partition", parts, "--format", "json"]
         pinned = json.loads(DIGESTS_PATH.read_text())[" ".join(argv)]
         count = count_flags(Partition.parse(parts), q * q)
         cache = ["--cache-dir", str(tmp_path)]
+        outcomes = []
         for samples in (1, 3, 10, count + 1):
             outputs = []
             for extra in ([], cache, cache):
                 code, out, err = run(capsys, *argv, "--reduce-samples", str(samples), *extra)
                 assert (code, err) == (0, "")
                 outputs.append(json.loads(out))
-            assert [o.pop("stats")["cache"] for o in outputs] == ["off", "miss", "hit"]
+            outcomes += [o.pop("stats")["cache"] for o in outputs]
             assert outputs[0] == outputs[1] == outputs[2]
             assert outputs[0]["reductions_checked"] == len(
                 range(0, count, max(1, count // samples))
@@ -479,34 +483,32 @@ class TestOracles:
                 code, out, _ = run(capsys, *argv)
                 assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout_sha256"]
                 assert json.loads(out)["stats"]["cache"] == "off"
+        assert outcomes == ["off", "miss", "hit"] + ["off", "hit", "hit"] * 3
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_flags_stream_holds_no_list(self, capsys, monkeypatch):
+        """The command counts rank tables and looks its samples up by
+        position: it lists no flags and builds a ``Flag`` only for the
+        samples and the representatives."""
         argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1", "--format", "json"]
         code, expected, _ = run(capsys, *argv)
         assert code == 0
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the streamed oracle built the flag list")
+            raise AssertionError("the oracle built the flag list")
 
         monkeypatch.setattr(flags_module, "enumerate_flags", refuse)
         monkeypatch.setattr(cli, "enumerate_flags", refuse, raising=False)
-        stream = flags_module.iter_flags
-        alive: weakref.WeakSet = weakref.WeakSet()
-        most = []
-
-        def watched(*args, **kwargs):
-            for flag, profile in stream(*args, **kwargs):
-                alive.add(flag)
-                most.append(len(alive))
-                yield flag, profile
-
-        monkeypatch.setattr(cli, "iter_flags", watched)
+        built = []
+        monkeypatch.setattr(
+            flags_module.Flag, "__post_init__", lambda flag: built.append(flag.partition)
+        )
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected)
-        # 910 flags pass through; alive at any time are only the 10
-        # sampled for reduction, the new one and the last one, which the
-        # command's loop holds until it takes the next
-        assert len(most) == 910 and max(most) <= 12
+        # 910 flags are counted; built are the 10 samples and one
+        # representative for each of the 4 orbits
+        assert len(json.loads(expected)["orbit_sizes"]) == 4
+        assert len(built) == 10 + 4
 
     def test_flags_budget(self, capsys):
         code, _, err = run(
@@ -673,6 +675,70 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         # (1 + 961)(1 + 961 + 961^2) full flags over F_{31^2}
         assert err == "error: flag count 889352646 exceeds budget 10000\n"
+
+    def test_flags_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        # refused before the field is built; once a FileExistsError
+        # traceback with exit 1
+        def unbuilt(p):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
+        path = tmp_path / "file"
+        path.write_text("kept")
+        for directory in (path, path / "sub"):
+            code, out, err = run(
+                capsys, "oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1",
+                "--cache-dir", str(directory),
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot make cache directory {directory}: ")
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            ("steinberg --case odd --m 201 --d 1 --chi triv", 201**3),
+            ("steinberg --case even --m 101 --d 2 --chi eta", 202**3),
+            ("steinberg --case odd --m 100000 --d 1 --chi triv", 100000**3),
+            ("sweep --max-m 101 --max-d 2", 202**3),
+            ("sweep --max-m 201 --max-d 1", 201**3),
+            ("sweep --max-m 100000", 200000**3),
+        ],
+        ids=["odd-201", "even-101", "odd-100000", "sweep-even-101", "sweep-odd-201", "sweep-100000"],
+    )
+    def test_decision_size_refused_before_any_work(self, capsys, monkeypatch, argv, estimate):
+        # the decision is stubbed, so a regressed bound fails here
+        # instead of allocating the trace
+        def undecided(*args, **kwargs):
+            raise AssertionError("decision started")
+
+        monkeypatch.setattr(cli, "steinberg_decision", undecided)
+        monkeypatch.setattr(cli, "cross_check", undecided)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: decision trace cell count {estimate} exceeds budget 8000000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "steinberg --case odd --m 200 --d 1 --chi triv",
+            "steinberg --case even --m 100 --d 2 --chi eta",
+            "sweep --max-m 100 --max-d 2",
+            "sweep --max-m 200 --max-d 1",
+        ],
+        ids=["odd-200", "even-100", "sweep-even-100", "sweep-odd-200"],
+    )
+    def test_decision_size_admits_the_scale_points(self, capsys, monkeypatch, argv):
+        class Decided(Exception):
+            pass
+
+        def decided(*args, **kwargs):
+            raise Decided
+
+        monkeypatch.setattr(cli, "steinberg_decision", decided)
+        monkeypatch.setattr(cli, "cross_check", decided)
+        with pytest.raises(Decided):
+            main(argv.split())
 
     def test_flags_n_must_match_partition(self, capsys):
         code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1")

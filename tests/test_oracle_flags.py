@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -26,14 +27,17 @@ from steinberg_distinction.oracles.flags import (
     FlagCache,
     _diagonal,
     _enumerate_rref,
+    _profile_from_rows,
     _rank,
     _rank_row,
+    _walk,
     count_flags,
     enumerate_flags,
+    flag_at,
     flag_profile,
     gaussian_binomial,
     graded_pieces,
-    iter_flags,
+    profile_histogram,
     reduce_to_representative,
     representative_flag,
     sample_stride,
@@ -265,8 +269,8 @@ def random_matrices(q, rng):
 
 def signed(data):
     """The cache-file text of a payload, with the checksum of its run
-    recomputed: json.dumps of {"version", "crc32", "orbits", "samples"},
-    the checksum over json.dumps of every key after the first two."""
+    recomputed: json.dumps of {"version", "crc32", "orbits"}, the
+    checksum over json.dumps of every key after the first two."""
     run = {k: v for k, v in data.items() if k not in ("version", "crc32")}
     return json.dumps({
         "version": data["version"],
@@ -288,18 +292,14 @@ def edit_cache(change, sign=True):
     return mangle
 
 
-def stream_histogram(stream):
-    hist: dict[tuple, int] = {}
-    for _, profile in stream:
-        key = profile.flat()
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
 @functools.cache
 def grid_stream(q, partition):
+    """The walk's flags, each with the coset matrix of its rank table."""
     field = QuadraticExtension(q)
-    return list(iter_flags(field, partition, budget=count_flags(partition, q * q)))
+    count = count_flags(partition, q * q)
+    flags = enumerate_flags(field, partition, budget=count)
+    tables = [table for _, table in _walk(field, partition, count)]
+    return [(flag, _profile_from_rows(partition.parts, table)) for flag, table in zip(flags, tables)]
 
 
 def grid_flags(q, partition):
@@ -308,15 +308,8 @@ def grid_flags(q, partition):
 
 @functools.cache
 def grid_histogram(q, partition):
-    return stream_histogram(grid_stream(q, partition))
-
-
-def grid_run(q, partition, samples):
-    """What the oracle caches for a point: the orbit sizes and the flags
-    at the sampled stream positions."""
-    stream = grid_stream(q, partition)
-    stride = sample_stride(len(stream), samples)
-    return dict(grid_histogram(q, partition)), [flag for flag, _ in stream[::stride]]
+    field = QuadraticExtension(q)
+    return profile_histogram(field, partition, budget=count_flags(partition, q * q))
 
 
 def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
@@ -621,6 +614,11 @@ class TestAgainstReference:
                         assert _rank(field, [u, v]) == field.rank([u, v])
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
+    def test_histogram_counts_the_stream(self, point):
+        counted = collections.Counter(profile.flat() for _, profile in grid_stream(*point))
+        assert grid_histogram(*point) == counted
+
+    @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_orbit_sizes_sum_to_count(self, point):
         q, partition = point
         assert sum(grid_histogram(*point).values()) == count_flags(partition, q * q)
@@ -632,6 +630,71 @@ class TestAgainstReference:
         hist = dict(grid_histogram(*point))
         top = hist.pop(anti_diagonal_matrix(point[1], CaseTag.ODD).flat())
         assert all(top > size for size in hist.values())
+
+
+# Every composition of n <= 3 at q = 3, 5 and 7, and (1, 1, 2) at q = 3.
+FLAG_AT_GRID = [
+    (q, partition) for q in (3, 5, 7) for n in range(1, 4) for partition in compositions(n)
+] + [(3, Partition((1, 1, 2)))]
+
+
+class TestFlagAt:
+    @pytest.mark.parametrize("point", FLAG_AT_GRID, ids=grid_id)
+    def test_flag_at_is_the_walk(self, point):
+        """At every position of a point with at most 3,000 flags, and at
+        the 10-sample positions of a larger one, ``flag_at`` gives the
+        flag of ``enumerate_flags``, and its profile is the coset matrix
+        of the walk's rank table there."""
+        q, partition = point
+        field = QuadraticExtension(q)
+        count = count_flags(partition, q * q)
+        if count <= 3000:
+            positions = range(count)
+            flags = enumerate_flags(field, partition, budget=count)
+            tables = [table for _, table in _walk(field, partition, count)]
+        else:
+            positions = range(0, count, sample_stride(count, 10))
+            top = flag_at(field, partition, [0])[0].bases[-1]
+            walked = [
+                (Flag(partition, chain + (top,)), table)
+                for i, (chain, table) in enumerate(_walk(field, partition, count))
+                if i in positions
+            ]
+            flags = dict(zip(positions, (flag for flag, _ in walked)))
+            tables = dict(zip(positions, (table for _, table in walked)))
+        found = flag_at(field, partition, positions)
+        assert found == [flags[i] for i in positions]
+        for flag, i in zip(found, positions):
+            assert flag_profile(flag, field) == _profile_from_rows(partition.parts, tables[i])
+
+    def test_flag_at_is_the_walk_with_two_later_digits(self):
+        """(1, 1, 1, 1) at q = 3, the first point whose positions have two
+        digits after the leading one (radices 820, 91, 10): its first
+        1,820 flags, those below the first two lines."""
+        partition = Partition((1, 1, 1, 1))
+        top = flag_at(FIELD, partition, [0])[0].bases[-1]
+        walked = itertools.islice(_walk(FIELD, partition, 746_200), 1820)
+        assert flag_at(FIELD, partition, range(1820)) == [
+            Flag(partition, chain + (top,)) for chain, _ in walked
+        ]
+
+    def test_positions_outside_the_walk_refused(self):
+        partition = Partition((1, 1))
+        for position in (-1, 10):
+            with pytest.raises(InvalidInputError, match="outside 0..9"):
+                flag_at(FIELD, partition, [position])
+
+    def test_flag_at_skips_the_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("flag_at walked the flags")
+
+        monkeypatch.setattr(flags_module, "_walk", refuse)
+        partition = Partition((1, 1, 1, 1))
+        # the last of the 746,200 flags of F_9^4, above the default budget,
+        # is <e_4> < <e_3, e_4> < <e_2, e_3, e_4> < F^4
+        (flag,) = flag_at(FIELD, partition, [746_199])
+        e = [tuple(FIELD.one if c == r else FIELD.zero for c in range(4)) for r in range(4)]
+        assert flag.bases == tuple(tuple(e[4 - d:]) for d in (1, 2, 3, 4))
 
 
 class TestEnumeration:
@@ -660,15 +723,16 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError) as err:
             enumerate_flags(FIELD, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
-        # the stream refuses when it is asked for, not when first read
-        with pytest.raises(BudgetExceededError):
-            iter_flags(FIELD, Partition((1, 1, 1, 1)))
+        # the histogram refuses before it walks
+        with pytest.raises(BudgetExceededError) as err:
+            profile_histogram(FIELD, Partition((1, 1, 1, 1)))
+        assert err.value.estimate == 746200
 
     @pytest.mark.parametrize("parts", [(2, 2), (1, 1, 2)], ids=["2-2", "1-1-2"])
     def test_n4_stream(self, parts):
         partition = Partition(parts)
         count = count_flags(partition, 9)
-        hist = stream_histogram(iter_flags(FIELD, partition, budget=count))
+        hist = profile_histogram(FIELD, partition, budget=count)
         assert set(hist) == {
             s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)
         }
@@ -680,15 +744,16 @@ class TestEnumeration:
     def test_cache_roundtrip(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        # 10 flags at a stride of 3: positions 0, 3, 6 and 9, one more
-        # than the 3 samples asked for
-        histogram, flags = grid_run(3, partition, 3)
-        assert len(flags) == 4
-        cache.store(3, partition, 3, histogram, flags)
-        assert cache.load(3, partition, 3) == (histogram, flags)
-        # the sample count is part of the key
-        assert cache.load(3, partition, 10) is None
+        histogram = grid_histogram(3, partition)
+        cache.store(3, partition, histogram)
+        assert cache.load(3, partition) == histogram
+        # the key is q and the partition
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v5_q3_1-1.json"]
+        assert cache.load(5, partition) is None
+        assert cache.load(3, Partition((2,))) is None
 
+    # On the payload {"orbits": [[[0, 1, 1, 0], 6], [[1, 0, 0, 1], 4]]}:
+    # an entry is a profile entry, a row a profile, the list the orbits.
     @pytest.mark.parametrize(
         "mangle",
         [
@@ -697,19 +762,18 @@ class TestEnumeration:
             lambda text: "",
             lambda text: json.dumps([1, 2]),
             edit_cache(lambda data: data.update(version=0)),
-            edit_cache(lambda data: data.update(samples="x" * 10)),
-            edit_cache(lambda data: data["samples"].pop()),
-            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(0, 9)),
-            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(0, "3")),
-            edit_cache(lambda data: data["samples"][0][0].__setitem__(0, 3)),
-            edit_cache(lambda data: data["samples"][0][0][0].append(0)),
-            edit_cache(lambda data: data["samples"][0][0].append([0, 3])),
-            edit_cache(lambda data: data["samples"][0].pop()),
+            edit_cache(lambda data: data["orbits"].clear()),
+            edit_cache(lambda data: data["orbits"][0].__setitem__(1, 11)),
+            edit_cache(lambda data: data["orbits"][0][0].__setitem__(0, "0")),
+            edit_cache(lambda data: data["orbits"][0].__setitem__(0, 0)),
+            edit_cache(lambda data: data["orbits"][0][0].append(0)),
+            edit_cache(lambda data: data["orbits"][0].__setitem__(0, [[0, 1], [1, 0]])),
+            edit_cache(lambda data: data["orbits"][0].pop()),
             # each of these compares equal to the entry it replaces
-            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(1, False)),
-            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(1, 0.0)),
-            edit_cache(lambda data: data["samples"][0][0][0].__setitem__(1, [0, 0])),
-            edit_cache(lambda data: data["samples"].append(data["samples"][0])),
+            edit_cache(lambda data: data["orbits"][0][0].__setitem__(0, False)),
+            edit_cache(lambda data: data["orbits"][0][0].__setitem__(0, 0.0)),
+            edit_cache(lambda data: data["orbits"][0][0].__setitem__(0, [0, 0])),
+            edit_cache(lambda data: data["orbits"].append(data["orbits"][0])),
             edit_cache(lambda data: data.update(orbits={})),
             edit_cache(lambda data: data.update(extra=[])),
             edit_cache(lambda data: data["orbits"][0].append(1)),
@@ -727,41 +791,44 @@ class TestEnumeration:
             edit_cache(lambda data: data["orbits"][1].__setitem__(0, data["orbits"][0][0])),
             edit_cache(lambda data: data["orbits"][0].__setitem__(1, float(data["orbits"][0][1]))),
             edit_cache(lambda data: data["orbits"][0][0].__setitem__(1, True)),
+            # the version-4 layout, relabelled and signed
+            edit_cache(lambda data: data.update(samples=[])),
         ],
         ids=[
             "truncated", "garbage", "empty", "not-object", "version",
-            "flags-not-list", "short-list", "out-of-range", "string-entry",
-            "scalar-entry", "long-row", "extra-row", "short-chain",
+            "short-list", "out-of-range", "string-entry",
+            "scalar-entry", "long-row", "extra-row", "short-orbit",
             "bool-entry", "float-entry", "pair-entry", "long-list",
             "orbits-not-list", "extra-key", "long-orbit", "short-profile",
             "size-sum", "missing-orbit", "zero-size", "negative-size",
-            "repeated-profile", "float-size", "bool-profile",
+            "repeated-profile", "float-size", "bool-profile", "samples-key",
         ],
     )
     def test_cache_damage_is_a_miss(self, tmp_path, mangle):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        histogram, flags = grid_run(3, partition, 10)
-        # the bool edit replaces the 1 of profile [0, 1, 1, 0]
+        histogram = grid_histogram(3, partition)
+        # the bool edits replace the 0 and the 1 of profile [0, 1, 1, 0]
         assert sorted(histogram) == [(0, 1, 1, 0), (1, 0, 0, 1)]
-        cache.store(3, partition, 10, histogram, flags)
-        path = cache._path(3, partition, 10)
+        cache.store(3, partition, histogram)
+        path = cache._path(3, partition)
         with open(path) as fh:
             text = fh.read()
         damaged = mangle(text)
         assert damaged != text
         with open(path, "w", encoding="latin-1") as fh:
             fh.write(damaged)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
 
     @pytest.mark.parametrize(
         "change",
         [
-            lambda data: data["samples"].__setitem__(1, data["samples"][0]),
-            # the Frobenius-stable line [[3, 0]] of the first flag spelled
-            # l (1, 0) = [[1, 0]]: the same line, not reduced, and its
-            # imaginary part would make the rank rows read it as unstable
-            lambda data: data["samples"][0][0].__setitem__(0, [1, 0]),
+            lambda data: data["orbits"].__setitem__(1, data["orbits"][0]),
+            # the sizes trade places: a valid histogram, not this one
+            lambda data: data.update(orbits=[
+                [data["orbits"][0][0], data["orbits"][1][1]],
+                [data["orbits"][1][0], data["orbits"][0][1]],
+            ]),
             lambda data: data.update(crc32=data["crc32"] ^ 1),
             # one flag moved between the two orbits: the sizes still sum
             # to the count, so only the checksum tells
@@ -770,28 +837,26 @@ class TestEnumeration:
                 [data["orbits"][1][0], data["orbits"][1][1] - 1],
             ]),
         ],
-        ids=["repeated-flag", "unreduced-basis", "checksum", "orbit-size"],
+        ids=["repeated-orbit", "swapped-sizes", "checksum", "orbit-size"],
     )
     def test_cache_edit_without_checksum_is_a_miss(self, tmp_path, change):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        histogram, flags = grid_run(3, partition, 10)
-        assert flags[0].bases[0] == ((3, 0),)
-        cache.store(3, partition, 10, histogram, flags)
-        path = cache._path(3, partition, 10)
+        cache.store(3, partition, grid_histogram(3, partition))
+        path = cache._path(3, partition)
         with open(path) as fh:
             text = fh.read()
         damaged = edit_cache(change, sign=False)(text)
         assert damaged != text
         with open(path, "w") as fh:
             fh.write(damaged)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
 
     def test_cache_v1_file_is_a_miss(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
         flags = enumerate_flags(FIELD, partition)
-        current = cache._path(3, partition, 10)
+        current = cache._path(3, partition)
         # the pair-coded layout of the first cache version
         text = json.dumps({
             "version": 1,
@@ -801,17 +866,17 @@ class TestEnumeration:
             ],
         })
         (tmp_path / "flags_v1_n2_q3_1-1.json").write_text(text)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
         # nor is it read under the current name
         with open(current, "w") as fh:
             fh.write(text)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
         # nor is the unsigned second version, under either name
         text = json.dumps({"version": 2, "flags": [flag.bases for flag in flags]})
         (tmp_path / "flags_v2_n2_q3_1-1.json").write_text(text)
         with open(current, "w") as fh:
             fh.write(text)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
         # nor the signed flag list of the third, under either name
         chains = [[[list(row) for row in basis] for basis in flag.bases] for flag in flags]
         text = json.dumps({
@@ -820,55 +885,66 @@ class TestEnumeration:
             "flags": chains,
         })
         (tmp_path / "flags_v3_n2_q3_1-1.json").write_text(text)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
         with open(current, "w") as fh:
             fh.write(text)
-        assert cache.load(3, partition, 10) is None
+        assert cache.load(3, partition) is None
+        # nor the signed orbits and samples of the fourth, under either name
+        orbits = [[list(key), size] for key, size in sorted(grid_histogram(3, partition).items())]
+        text = signed({"version": 4, "crc32": 0, "orbits": orbits, "samples": chains})
+        (tmp_path / "flags_v4_q3_1-1_s10.json").write_text(text)
+        assert cache.load(3, partition) is None
+        with open(current, "w") as fh:
+            fh.write(text)
+        assert cache.load(3, partition) is None
 
     def test_cache_file_is_json_dumps_of_payload(self, tmp_path):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 2))
-        histogram, flags = grid_run(3, partition, 10)
-        cache.store(3, partition, 10, histogram, flags)
-        run = {
-            "orbits": [[list(key), size] for key, size in sorted(histogram.items())],
-            "samples": [
-                [[list(row) for row in basis] for basis in flag.bases] for flag in flags
-            ],
-        }
-        payload = {"version": 4, "crc32": zlib.crc32(json.dumps(run).encode()), **run}
-        with open(cache._path(3, partition, 10)) as fh:
+        histogram = grid_histogram(3, partition)
+        cache.store(3, partition, histogram)
+        run = {"orbits": [[list(key), size] for key, size in sorted(histogram.items())]}
+        payload = {"version": 5, "crc32": zlib.crc32(json.dumps(run).encode()), **run}
+        with open(cache._path(3, partition)) as fh:
             assert fh.read() == json.dumps(payload) == signed(payload)
 
     def test_cache_file_is_small(self, tmp_path):
-        # the largest benchmark point: 2,451 flags, 2 orbits, 11 samples
+        # the largest benchmark point: 2,451 flags, 2 orbits
         cache = FlagCache(str(tmp_path))
         partition = Partition((2, 1))
-        cache.store(7, partition, 10, *grid_run(7, partition, 10))
-        assert cache.load(7, partition, 10) == grid_run(7, partition, 10)
+        cache.store(7, partition, grid_histogram(7, partition))
+        assert cache.load(7, partition) == grid_histogram(7, partition)
         (path,) = tmp_path.iterdir()
-        assert path.name == "flags_v4_q7_2-1_s10.json"
-        assert path.stat().st_size < 1024
+        assert path.name == "flags_v5_q7_2-1.json"
+        assert path.stat().st_size < 200
 
     def test_cache_missing_is_a_miss(self, tmp_path):
-        assert FlagCache(str(tmp_path)).load(3, Partition((1, 1)), 10) is None
+        assert FlagCache(str(tmp_path)).load(3, Partition((1, 1))) is None
+
+    def test_cache_directory_that_is_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        for directory in (path, path / "sub"):
+            with pytest.raises(InvalidInputError, match="cannot make cache directory"):
+                FlagCache(str(directory))
+        assert path.read_text() == ""
 
     def test_cache_store_replaces_atomically(self, tmp_path, monkeypatch):
         cache = FlagCache(str(tmp_path))
         partition = Partition((1, 1))
-        histogram, flags = grid_run(3, partition, 10)
-        cache.store(3, partition, 10, histogram, flags)
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v4_q3_1-1_s10.json"]
+        histogram = grid_histogram(3, partition)
+        cache.store(3, partition, histogram)
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v5_q3_1-1.json"]
 
         def fail(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr("steinberg_distinction.oracles.flags.os.replace", fail)
         with pytest.raises(OSError):
-            cache.store(3, partition, 10, histogram, flags[:1])
+            cache.store(3, partition, {(0, 1, 1, 0): 10})
         # the old entry is intact and no temporary file is left behind
-        assert [p.name for p in tmp_path.iterdir()] == ["flags_v4_q3_1-1_s10.json"]
-        assert cache.load(3, partition, 10) == (histogram, flags)
+        assert [p.name for p in tmp_path.iterdir()] == ["flags_v5_q3_1-1.json"]
+        assert cache.load(3, partition) == histogram
 
 
 class TestProfiles:
