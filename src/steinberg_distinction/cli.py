@@ -44,6 +44,7 @@ from .oracles.finite_field import QuadraticExtension, require_small_odd_prime
 from .oracles.flags import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    CertificationError,
     FlagCache,
     count_flags,
     flag_at,
@@ -62,6 +63,9 @@ EXIT_USAGE = 2
 # a decision at degree n (n = m odd, 2 m even) builds a trace of about
 # n^3 cells; the bound admits odd m <= 200 and even m <= 100
 MAX_TRACE_CELLS = 200**3
+# a sweep cross-checks and keeps one row per (m, d), yet d reaches a
+# verdict only through its parity
+MAX_SWEEP_ROWS = 10_000
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -180,6 +184,8 @@ def cmd_steinberg(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     # the largest decision: the even case at max_m once max_d >= 2
     _refuse_large_decision(CaseTag.EVEN if args.max_d >= 2 else CaseTag.ODD, args.max_m)
+    if args.max_m * args.max_d > MAX_SWEEP_ROWS:
+        raise BudgetExceededError(args.max_m * args.max_d, MAX_SWEEP_ROWS, "sweep row count")
     rows = []
     ok = True
     decided: dict = {}
@@ -252,9 +258,15 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         "flags_enumerated": count if histogram is None else 0,
     }
     if histogram is None:
-        histogram = profile_histogram(field, partition, budget=args.budget)
-        if cache:
-            cache.store(args.q, partition, histogram)
+        try:
+            histogram = profile_histogram(field, partition, budget=args.budget)
+        except CertificationError as exc:
+            # a mismatch of the oracle: no orbits are reported or cached
+            print(f"certification failed: {exc}", file=sys.stderr)
+            histogram = {}
+        else:
+            if cache:
+                cache.store(args.q, partition, histogram)
     # the same positions on a hit and on a miss
     sample = flag_at(field, partition, range(0, count, sample_stride(count, args.reduce_samples)))
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)

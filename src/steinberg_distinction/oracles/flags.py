@@ -6,15 +6,20 @@ invariant profile under the coordinate Frobenius twist is the coset
 matrix of their orbit, and the constructive reduction maps any flag to
 the canonical representative of its profile by a base-field matrix.
 
-One depth-first walk visits every flag and shares prefixes: the row
-r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table is
+The depth-first walk ``_walk`` visits every flag and shares prefixes:
+the row r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table is
 computed once per node V_i, so a leaf pays one row.  The diagonal entry
 r[i][i] is looked up in a memo keyed by the imaginary parts of the
-basis, and a rank of two rows is a proportionality test.
-``profile_histogram`` counts the walk's rank tables and builds no flag;
-``flag_at`` finds the flag at a walk position by arithmetic on it.  The
-on-disk cache (version 5) holds a point's orbit sizes and a CRC-32 of
-their text, so a file that is not exactly what ``store`` wrote is a miss.
+basis, and a rank of two rows is a proportionality test.  The walk
+lists the flags of ``enumerate_flags`` and is the reference for
+``profile_histogram``, which walks orbit representatives instead: one
+V_1 per pattern of imaginary parts of each pivot block, then one partial
+flag per distinct partial rank table, each with the number of flags it
+stands for, every merge certified by a reduction to the canonical
+representative.  ``flag_at`` finds the flag at a walk position by
+arithmetic on it.  The on-disk cache (version 5) holds a point's orbit
+sizes and a CRC-32 of their text, so a file that is not exactly what
+``store`` wrote is a miss.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .finite_field import QuadraticExtension, Vec, pivot
 __all__ = [
     "Flag",
     "BudgetExceededError",
+    "CertificationError",
     "gaussian_binomial",
     "count_flags",
     "enumerate_flags",
@@ -73,6 +79,11 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{what} {estimate} exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
+
+
+class CertificationError(RuntimeError):
+    """The representative walk merged partial flags that it could not
+    show to be one orbit, or its orbit sizes miss the flag count."""
 
 
 @dataclass(frozen=True)
@@ -262,13 +273,101 @@ def profile_histogram(
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> Histogram:
-    """The orbit sizes of the flags: the walk's rank tables are counted,
-    and each distinct one is turned into its validated coset matrix
-    once.  A table and its matrix determine each other."""
-    tables = collections.Counter(table for _, table in _walk(field, partition, budget))
-    return {
-        _profile_from_rows(partition.parts, table).flat(): size for table, size in tables.items()
-    }
+    """The orbit sizes of the flags, keyed by the flat coset matrix of
+    the orbit, from a walk over orbit representatives instead of over
+    every flag; refused like ``_walk`` when the flags exceed the budget.
+
+    The root lemma.  Two reduced bases of one pivot block whose entries
+    have the same imaginary parts differ by real parts d_rc in F_q at
+    the free cells (r, c), and the unipotent base-field map
+    e_{p_r} -> e_{p_r} + sum_c d_rc e_c, fixing the other unit vectors,
+    carries the rows of one onto the rows of the other, because no free
+    column c is a pivot.  So the q^c bases of a block of c free cells
+    with one pattern of imaginary parts lie in one orbit of
+    H = GL_n(F_q), and the walk starts from the q^c patterns, each as
+    the basis with real parts 0 and multiplicity q^c.  It is the fact
+    ``_diagonal``'s memo rests on.
+
+    Deeper levels.  Each partial flag V_1 < ... < V_i has the same number
+    of extensions, and h in H carries those of a partial flag onto those
+    of its image with their rank tables, since h commutes with the
+    twist.  So a level keeps one representative chain for each distinct
+    partial rank table, with the summed multiplicity of the partial
+    flags it stands for, extends only the representatives through
+    ``_extensions``, and the last level is counted.
+
+    Certification.  A merge of equal partial tables assumes that they
+    are one H-orbit, which is the claim the oracle tests, so every
+    partial flag of a merged table, the representative included, is
+    checked as a flag of the coarse partition (n_1, ..., n_i, n - d_i):
+    its ``flag_profile`` must be the coset matrix of the table, and
+    ``reduce_to_representative`` must carry it onto the canonical
+    representative by a base-field matrix.  The last level is counted,
+    not extended, so its merges need no certificate.  The multiplicities
+    must sum to the flag count.  ``CertificationError`` otherwise.
+    """
+    count = count_flags(partition, field.p * field.p)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
+    n, parts = partition.total, partition.parts
+    if len(parts) == 1:
+        return {_profile_from_rows(parts, ()).flat(): 1}
+    # members[table]: the chains of bases of V_1, ..., V_i with that
+    # partial table, the representative first; sizes[table]: the flags
+    # they stand for
+    members: dict[Table, list] = collections.defaultdict(list)
+    sizes: collections.Counter = collections.Counter()
+    for pivots, cells in _rref_blocks(n, parts[0]):
+        for values in itertools.product(range(field.p), repeat=len(cells)):
+            basis = _rref(field, n, pivots, cells, values)
+            table = (_rank_row(field, basis, ()),)
+            members[table].append((basis,))
+            sizes[table] += field.p ** len(cells)
+    targets: dict[CosetMatrix, GradedPieces] = {}
+    for depth, quotient in enumerate(_quotients(field, partition), 1):
+        _certify(field, Partition((*parts[:depth], n - sum(parts[:depth]))), members, targets)
+        below: dict[Table, list] = collections.defaultdict(list)
+        below_sizes: collections.Counter = collections.Counter()
+        for table, chains in members.items():
+            chain = chains[0]
+            for basis in _extensions(field, n, chain[-1], quotient):
+                extended = table + (_rank_row(field, basis, chain),)
+                below[extended].append(chain + (basis,))
+                below_sizes[extended] += sizes[table]
+        members, sizes = below, below_sizes
+    if sum(sizes.values()) != count:
+        raise CertificationError(f"orbit sizes sum to {sum(sizes.values())}, not to {count} flags")
+    return {_profile_from_rows(parts, table).flat(): size for table, size in sizes.items()}
+
+
+def _certify(
+    field: QuadraticExtension,
+    coarse: Partition,
+    members: dict[Table, list],
+    targets: dict[CosetMatrix, GradedPieces],
+) -> None:
+    """Check that the partial flags merged under each table of one level
+    are one H-orbit: each, as a flag of the coarse partition, has the
+    table's coset matrix as its profile, and its reduction onto that
+    matrix's representative has base-field entries.  ``targets`` keeps
+    the graded pieces of the representatives built so far."""
+    top = _rref_at(field, coarse.total, coarse.total, 0)
+    for table, chains in members.items():
+        if len(chains) < 2:
+            continue
+        try:
+            profile = _profile_from_rows(coarse.parts, table)
+        except InvalidInputError as exc:
+            raise CertificationError(f"merged under table {table}: {exc}") from None
+        if profile not in targets:
+            targets[profile] = graded_pieces(representative_flag(profile, field), field)
+        for chain in chains:
+            flag = Flag(coarse, (*chain, top))
+            if flag_profile(flag, field) != profile:
+                raise CertificationError(f"{chain} merged under table {table} of another profile")
+            h = reduce_to_representative(flag, field, targets)
+            if not all(field.in_base(x) for row in h for x in row):
+                raise CertificationError(f"{chain} merged under table {table} of another orbit")
 
 
 def flag_at(
@@ -510,7 +609,8 @@ class FlagCache:
     that sum to the flag count is a miss, so the caller recomputes and
     rewrites it; a hit is what ``store`` wrote, and its sizes are
     trusted.  Writes go to a temporary file that then replaces the
-    entry, so a reader never sees a partial file.
+    entry, so a reader never sees a partial file, and the entry has the
+    mode of any file the process creates.
     """
 
     def __init__(self, directory: str):
@@ -560,8 +660,13 @@ class FlagCache:
         body = json.dumps({"orbits": orbits})
         crc = zlib.crc32(body.encode())
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".flags-", suffix=".tmp")
+        # mkstemp makes the file 0600; an entry gets the mode that open
+        # gives a new file, so others sharing the directory can read it
+        umask = os.umask(0)
+        os.umask(umask)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
                 fh.write(f'{{"version": {CACHE_VERSION}, "crc32": {crc}, ' + body[1:])
             os.replace(tmp, self._path(q, partition))
         finally:

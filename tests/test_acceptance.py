@@ -33,10 +33,10 @@ from steinberg_distinction.lfactor import (
 )
 from steinberg_distinction.oracles.finite_field import QuadraticExtension
 from steinberg_distinction.oracles.flags import (
-    DEFAULT_BUDGET,
     count_flags,
     enumerate_flags,
     flag_profile,
+    profile_histogram,
     reduce_to_representative,
     representative_flag,
 )
@@ -176,9 +176,6 @@ def test_criterion_7_finite_field_oracle():
     field = QuadraticExtension(3)
     ok = True
     todo = [partition for n in range(1, 4) for partition in compositions(n)]
-    n4_minimal = Partition((1, 1, 1, 1))
-    if count_flags(n4_minimal, 9) <= DEFAULT_BUDGET:
-        todo.append(n4_minimal)
     for partition in todo:
         flags = enumerate_flags(field, partition)
         hist: dict[tuple, int] = {}
@@ -195,9 +192,25 @@ def test_criterion_7_finite_field_oracle():
             ok = ok and all(top > size for key, size in hist.items() if key != anti)
         for s in enumerate_coset_matrices(partition, CaseTag.ODD):
             ok = ok and flag_profile(representative_flag(s, field), field) == s
+    # the minimal partitions of n = 4 and 5 through the representative
+    # walk, far above the default budget: 746,200 and 5.5e9 flags
+    walked = []
+    for partition in (Partition((1,) * 4), Partition((1,) * 5)):
+        lap = time.monotonic()
+        count = count_flags(partition, 9)
+        hist = profile_histogram(field, partition, budget=count)
+        expected = {s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)}
+        ok = ok and set(hist) == expected and sum(hist.values()) == count
+        anti = anti_diagonal_matrix(partition, CaseTag.ODD).flat()
+        ok = ok and all(hist[anti] > size for key, size in hist.items() if key != anti)
+        walked.append(f"{len(hist)} orbits in {time.monotonic() - lap:.2f}s")
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
-    report(7, ok, f"flag oracle n<=3 q=3 matches enumeration, reductions rational, {elapsed:.2f}s")
+    report(
+        7, ok,
+        f"flag oracle n<=3 q=3 matches enumeration, reductions rational; 1^4 and 1^5 walked"
+        f" ({', '.join(walked)}), keys and sizes exact; {elapsed:.2f}s",
+    )
     assert ok
 
 
@@ -247,4 +260,24 @@ def test_criterion_10_multiplicity_one_count():
     elapsed = time.monotonic() - start
     ok = sums == [1] * 12
     report(10, ok, f"alternating coset matrix counts are 1 for every n<=12 (odd), {elapsed:.2f}s")
+    assert ok
+
+
+def test_criterion_11_multiplicity_one_orbits():
+    # criterion 10's alternating sum, with |H\G/P_lambda| the number of
+    # H-orbits on the lambda-flags of F_9^n that the representative walk
+    # finds at q = 3, not the coset matrix count
+    start = time.monotonic()
+    field = QuadraticExtension(3)
+    sums = [
+        sum(
+            (-1) ** (n - len(partition.parts))
+            * len(profile_histogram(field, partition, budget=count_flags(partition, 9)))
+            for partition in compositions(n)
+        )
+        for n in range(1, 6)
+    ]
+    elapsed = time.monotonic() - start
+    ok = sums == [1] * 5
+    report(11, ok, f"alternating orbit counts of the flag walk at q=3 are 1 for every n<=5, {elapsed:.2f}s")
     assert ok

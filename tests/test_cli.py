@@ -505,10 +505,43 @@ class TestOracles:
         )
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected)
-        # 910 flags are counted; built are the 10 samples and one
+        # the 910 flags are counted from 13 lines V_1, one per pattern of
+        # imaginary parts; they fall under 2 partial tables and are all
+        # merged, so each is certified as a (1, 2) flag against the
+        # canonical representative of its table.  Built are those 13 and
+        # their 2 representatives, then the 10 samples and one
         # representative for each of the 4 orbits
         assert len(json.loads(expected)["orbit_sizes"]) == 4
-        assert len(built) == 10 + 4
+        assert len(built) == 13 + 2 + 10 + 4
+        assert built.count(Partition((1, 2))) == 13 + 2
+
+    @pytest.mark.parametrize("damage", ["profile", "reduction"])
+    def test_flags_failed_certification_is_a_mismatch(self, capsys, tmp_path, monkeypatch, damage):
+        """A merge that the walk cannot certify gives exit 1 and ORACLE
+        MISMATCH, with no orbits, no traceback and no cache file."""
+        if damage == "profile":
+            # the partial flags certified at the root, (1, 2) flags, read
+            # as no profile; the command's own checks are of (1, 1, 1)
+            real = flags_module.flag_profile
+            monkeypatch.setattr(
+                flags_module, "flag_profile",
+                lambda flag, field: None if flag.partition.parts == (1, 2) else real(flag, field),
+            )
+        else:
+            # every certifying reduction has an entry outside F_q
+            monkeypatch.setattr(
+                flags_module, "reduce_to_representative", lambda *args, **kwargs: [(1,)]
+            )
+        code, out, err = run(
+            capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert out.splitlines()[0] == "910 flags, 0 orbits"
+        assert out.splitlines()[-1] == "ORACLE MISMATCH"
+        assert err.startswith("certification failed: ")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
 
     def test_flags_budget(self, capsys):
         code, _, err = run(
@@ -738,6 +771,38 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "steinberg_decision", decided)
         monkeypatch.setattr(cli, "cross_check", decided)
         with pytest.raises(Decided):
+            main(argv.split())
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            ("sweep --max-m 1 --max-d 100000", 100000),
+            ("sweep --max-m 100 --max-d 101", 10100),
+            ("sweep --max-m 1 --max-d 100000000", 100000000),
+        ],
+        ids=["d-100000", "m-100-d-101", "d-10^8"],
+    )
+    def test_sweep_rows_refused_before_any_work(self, capsys, monkeypatch, argv, rows):
+        def undecided(*args, **kwargs):
+            raise AssertionError("cross-check started")
+
+        monkeypatch.setattr(cli, "cross_check", undecided)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep row count {rows} exceeds budget 10000\n"
+
+    @pytest.mark.parametrize(
+        "argv", ["sweep --max-m 1 --max-d 10000", "sweep --max-m 100 --max-d 100"], ids=["d-10000", "m-100-d-100"]
+    )
+    def test_sweep_rows_admitted_up_to_the_bound(self, capsys, monkeypatch, argv):
+        class Checked(Exception):
+            pass
+
+        def checked(*args, **kwargs):
+            raise Checked
+
+        monkeypatch.setattr(cli, "cross_check", checked)
+        with pytest.raises(Checked):
             main(argv.split())
 
     def test_flags_n_must_match_partition(self, capsys):

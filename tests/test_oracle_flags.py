@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import json
+import os
 import random
 import time
 import zlib
@@ -18,16 +19,19 @@ from steinberg_distinction.cosets import (
 from steinberg_distinction.oracles.finite_field import (
     MAX_TABLE_ENTRIES,
     QuadraticExtension,
+    pivot,
     require_small_odd_prime,
 )
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import (
     BudgetExceededError,
+    CertificationError,
     Flag,
     FlagCache,
     _diagonal,
     _enumerate_rref,
     _profile_from_rows,
+    _rref_blocks,
     _rank,
     _rank_row,
     _walk,
@@ -56,6 +60,14 @@ GRID = [
     for n in range(1, 4)
     for partition in compositions(n)
 ] + [(7, Partition(parts)) for parts in [(2, 1), (1, 2), (1, 1)]]
+
+
+# The points where the representative walk is compared with the counted
+# stream: every composition of n <= 3 at q = 3, 5 and 7, and three n = 4
+# points at q = 3.  It holds every point of GRID.
+WALK_GRID = [
+    (q, partition) for q in (3, 5, 7) for n in range(1, 4) for partition in compositions(n)
+] + [(3, Partition(parts)) for parts in [(1, 1, 2), (2, 1, 1), (1, 2, 1)]]
 
 
 def grid_id(point):
@@ -613,9 +625,14 @@ class TestAgainstReference:
                     if any(v):
                         assert _rank(field, [u, v]) == field.rank([u, v])
 
-    @pytest.mark.parametrize("point", GRID, ids=grid_id)
+    @pytest.mark.parametrize("point", WALK_GRID, ids=grid_id)
     def test_histogram_counts_the_stream(self, point):
-        counted = collections.Counter(profile.flat() for _, profile in grid_stream(*point))
+        """The representative walk's orbit sizes are the counted rank
+        tables of the walk over every flag."""
+        q, partition = point
+        count = count_flags(partition, q * q)
+        tables = collections.Counter(table for _, table in _walk(QuadraticExtension(q), partition, count))
+        counted = {_profile_from_rows(partition.parts, table).flat(): size for table, size in tables.items()}
         assert grid_histogram(*point) == counted
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
@@ -695,6 +712,91 @@ class TestFlagAt:
         (flag,) = flag_at(FIELD, partition, [746_199])
         e = [tuple(FIELD.one if c == r else FIELD.zero for c in range(4)) for r in range(4)]
         assert flag.bases == tuple(tuple(e[4 - d:]) for d in (1, 2, 3, 4))
+
+
+def times(field, v, g):
+    """The row vector v times the matrix g."""
+    add, mul = field.add_table, field.mul_table
+    out = [field.zero] * len(g[0])
+    for x, row in zip(v, g):
+        if x:
+            out = [add[a][mul[x][b]] for a, b in zip(out, row)]
+    return tuple(out)
+
+
+class TestRepresentativeWalk:
+    @pytest.mark.parametrize(
+        "q, n, k", [(3, 2, 1), (3, 3, 1), (3, 3, 2), (3, 4, 2), (5, 3, 1), (5, 3, 2), (7, 2, 1)]
+    )
+    def test_root_lemma(self, q, n, k):
+        """In each pivot block of c free cells the bases fall into q^c
+        classes of q^c by the imaginary parts of their entries, and the
+        unipotent base-field matrix e_p -> e_p + sum_c d_pc e_c, d the
+        real parts at the free cells, carries the member with real parts
+        0 onto each member of its class, rank row and all."""
+        field = QuadraticExtension(q)
+        bases = list(_enumerate_rref(field, n, k))
+        for pivots, cells in _rref_blocks(n, k):
+            block = [b for b in bases if tuple(map(pivot, b)) == pivots]
+            classes = collections.defaultdict(list)
+            for basis in block:
+                classes[tuple(basis[r][c] % q for r, c in cells)].append(basis)
+            assert len(classes) == q ** len(cells)
+            for members in classes.values():
+                assert len(members) == q ** len(cells)
+                (start,) = [b for b in members if all(b[r][c] < q for r, c in cells)]
+                for member in members:
+                    g = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+                    for r, c in cells:
+                        # the real part of the entry, as an element of F_q
+                        g[pivots[r]][c] = member[r][c] // q * q
+                    assert all(field.in_base(x) for row in g for x in row)
+                    assert field.rank(g) == n
+                    assert tuple(times(field, row, g) for row in start) == member
+                    assert _rank_row(field, member, ()) == _rank_row(field, start, ())
+
+    @pytest.mark.parametrize(
+        "parts, certified",
+        [((1, 1), {}), ((1, 1, 1), {(1, 2): 13}), ((1, 1, 1, 1), {(1, 3): 40, (1, 1, 2): 181})],
+        ids=["1-1", "1-1-1", "1-1-1-1"],
+    )
+    def test_every_merged_partial_flag_is_certified(self, monkeypatch, parts, certified):
+        """At q = 3 the root's 13 and 40 lines fall under two tables
+        each, so every one is certified; at (1, 1, 1, 1) the 2 x 91
+        extensions of the two representatives are certified, but for one
+        alone under its table.  The last level is counted and (1, 1)
+        needs no certificate."""
+        reduced = collections.Counter()
+        real = flags_module.reduce_to_representative
+
+        def counting(flag, field, targets=None):
+            reduced[flag.partition.parts] += 1
+            return real(flag, field, targets)
+
+        monkeypatch.setattr(flags_module, "reduce_to_representative", counting)
+        partition = Partition(parts)
+        profile_histogram(FIELD, partition, budget=count_flags(partition, 9))
+        assert reduced == certified
+
+    @pytest.mark.parametrize("damage", ["profile", "reduction"])
+    def test_failed_certification_raises(self, monkeypatch, damage):
+        if damage == "profile":
+            monkeypatch.setattr(flags_module, "flag_profile", lambda flag, field: None)
+        else:
+            monkeypatch.setattr(flags_module, "reduce_to_representative", lambda *args: [(FIELD.lam,)])
+        with pytest.raises(CertificationError, match="merged under table"):
+            profile_histogram(FIELD, Partition((1, 1, 1)))
+
+    def test_orbit_sizes_must_sum_to_the_count(self, monkeypatch):
+        monkeypatch.setattr(flags_module, "count_flags", lambda partition, q2: 911)
+        with pytest.raises(CertificationError, match="orbit sizes sum to 910, not to 911 flags"):
+            profile_histogram(FIELD, Partition((1, 1, 1)))
+
+    def test_budget_still_bounds_flags(self):
+        partition = Partition((1, 1, 1, 1))
+        with pytest.raises(BudgetExceededError, match="flag count 746200 exceeds budget 746199"):
+            profile_histogram(FIELD, partition, budget=746_199)
+        assert sum(profile_histogram(FIELD, partition, budget=746_200).values()) == 746_200
 
 
 class TestEnumeration:
@@ -945,6 +1047,24 @@ class TestEnumeration:
         # the old entry is intact and no temporary file is left behind
         assert [p.name for p in tmp_path.iterdir()] == ["flags_v5_q3_1-1.json"]
         assert cache.load(3, partition) == histogram
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_cache_entry_has_the_mode_of_a_new_file(self, tmp_path, umask):
+        """An entry is as readable as a file opened for writing in the
+        same directory, not 0600 as the temporary file was made."""
+        partition = Partition((1, 1))
+        old = os.umask(umask)
+        try:
+            FlagCache(str(tmp_path)).store(3, partition, grid_histogram(3, partition))
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "flags_v5_q3_1-1.json").stat().st_mode
+        assert mode == (tmp_path / "plain.txt").stat().st_mode
+        assert mode & 0o777 == 0o666 & ~umask
+        # the store put the process umask back
+        assert os.umask(old) == old
 
 
 class TestProfiles:
