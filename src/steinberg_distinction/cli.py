@@ -252,6 +252,12 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     if histogram is None and count > args.budget:
         # refused before the field's tables are built
         raise BudgetExceededError(count, args.budget)
+    stride = sample_stride(count, args.reduce_samples)
+    # refused on a hit too, since every sampled flag is built and reduced;
+    # the length of range(0, count, stride), which len() stops at 2^63
+    samples = -(-count // stride)
+    if samples > args.budget:
+        raise BudgetExceededError(samples, args.budget, "sample count")
     field = QuadraticExtension(args.q)
     stats = {
         "cache": "off" if cache is None else "hit" if histogram is not None else "miss",
@@ -268,7 +274,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
             if cache:
                 cache.store(args.q, partition, histogram)
     # the same positions on a hit and on a miss
-    sample = flag_at(field, partition, range(0, count, sample_stride(count, args.reduce_samples)))
+    sample = flag_at(field, partition, range(0, count, stride))
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
     seen = set(histogram)
     ok = seen == {s.flat() for s in expected}

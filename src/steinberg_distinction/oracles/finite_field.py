@@ -16,10 +16,9 @@ Subspaces are tuples of row-reduced rows; every operation is exact and
 is one ``rref``: the sum reduces both bases together, the intersection
 is Zassenhaus's reduction of (a, a) over (b, 0), a complement is read
 off the pivot columns of the vectors taken as columns, and ``solve``
-reads h with h src = dst off the reduction of (src, dst).  Two short
-cuts skip those reductions: ``is_reduced`` checks the definition of a
-reduced basis instead of reducing it, and the intersection with a side
-that spans F^n is the other side, reduced, with no Zassenhaus step.
+reads h with h src = dst off the reduction of (src, dst).
+``is_reduced`` checks the definition of a reduced basis instead of
+reducing it.
 """
 
 from __future__ import annotations
@@ -148,14 +147,6 @@ class QuadraticExtension:
         frob = self.frob_table
         return tuple([frob[x] for x in v])
 
-    def vec_add(self, u: Vec, v: Vec) -> Vec:
-        add = self.add_table
-        return tuple([add[x][y] for x, y in zip(u, v)])
-
-    def vec_scale(self, c: Elt, v: Vec) -> Vec:
-        mul = self.mul_table[c]
-        return tuple([mul[x] for x in v])
-
     def rref(self, rows: list[Vec]) -> tuple[Vec, ...]:
         """Reduced row echelon form; zero rows dropped."""
         mat = [list(r) for r in rows]
@@ -221,10 +212,6 @@ class QuadraticExtension:
         if not a or not b:
             return ()
         n = len(a[0])
-        # a side that spans F^n meets the other in all of the other
-        for whole, other in ((a, b), (b, a)):
-            if len(whole) >= n and self.rank(whole) == n:
-                return self.rref(other)
         zero = (0,) * n
         red = self.rref([row + row for row in a] + [row + zero for row in b])
         return tuple(row[n:] for row in red if not any(row[:n]))
@@ -238,22 +225,6 @@ class QuadraticExtension:
         are ``inner`` and then ``outer``."""
         red = self.rref(list(zip(*inner, *outer)))
         return tuple(outer[p - len(inner)] for p in map(pivot, red) if p >= len(inner))
-
-    def fixed_subspace(self, basis: tuple[Vec, ...]) -> tuple[Vec, ...]:
-        """Basis (with base-field entries) of the Frobenius-fixed points
-        of a Frobenius-stable span."""
-        sub = self.sub_table
-        candidates = []
-        for v in basis:
-            fv = self.vec_frob(v)
-            candidates.append(self.vec_add(v, fv))
-            candidates.append(self.vec_scale(self.lam, tuple([sub[x][y] for x, y in zip(v, fv)])))
-        fixed = self.rref(candidates)
-        if len(fixed) != len(basis) or not all(
-            self.in_base(x) for row in fixed for x in row
-        ):
-            raise InvalidInputError("span is not Frobenius-stable")
-        return fixed
 
     def solve(self, src: list[Vec], dst: list[Vec]) -> list[Vec]:
         """The matrix h with h src[c] = dst[c] for every c, the vectors

@@ -4,7 +4,9 @@ Desk-scale oracle for the odd (split) case: flags in F_{q^2}^n are
 enumerated through canonical row-reduced representatives, their
 invariant profile under the coordinate Frobenius twist is the coset
 matrix of their orbit, and the constructive reduction maps any flag to
-the canonical representative of its profile by a base-field matrix.
+the canonical representative of its profile by a base-field matrix,
+built from graded pieces that the rank table mostly settles without a
+row reduction.
 
 The depth-first walk ``_walk`` visits every flag and shares prefixes:
 the row r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table is
@@ -475,22 +477,21 @@ def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
     bases = flag.bases[:-1]
     if not all(map(field.is_reduced, bases)):
         raise InvalidInputError("flag bases must be row-reduced")
-    rows = tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
-    return _profile_from_rows(flag.partition.parts, rows)
+    return _profile_from_rows(flag.partition.parts, _rank_rows(field, bases))
 
 
-@functools.lru_cache(maxsize=1024)
-def _profile_from_rows(parts: tuple[int, ...], rows: Table) -> CosetMatrix:
-    """The validated coset matrix of a rank table, built once per
-    distinct table: the representatives and sampled flags of a point
-    repeat a few tables on every command, and an invalid one raises on
-    every call, since a raise is not cached.
+def _rank_rows(field: QuadraticExtension, bases: tuple[tuple[Vec, ...], ...]) -> Table:
+    """The rank table of the reduced bases of V_1, ..., V_{t - 1}."""
+    return tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
 
-    ``rows[i - 1]`` holds r[i][1..i] for i < t = len(parts).  The table
-    is symmetric, because the twist is an involution and carries V_i
-    meet theta V_j onto theta V_i meet V_j, and its last row and column
-    are the dimensions, because V_t = theta V_t = F^n.
-    """
+
+def _square(parts: tuple[int, ...], rows: Table) -> list[list[int]]:
+    """r[i][j] = dim(V_i meet theta V_j) for 0 <= i, j <= t = len(parts),
+    from the rows r[i][1..i], i < t, of a rank table.  The table is
+    symmetric, because the twist is an involution and carries V_i meet
+    theta V_j onto theta V_i meet V_j, its row and column 0 are zero, and
+    its last row and column are the dimensions, because
+    V_t = theta V_t = F^n."""
     t = len(parts)
     dims = [0, *itertools.accumulate(parts)]
     r = [[0] * (t + 1) for _ in range(t + 1)]
@@ -499,6 +500,20 @@ def _profile_from_rows(parts: tuple[int, ...], rows: Table) -> CosetMatrix:
             r[i][j] = r[j][i] = x
     for i in range(1, t + 1):
         r[i][t] = r[t][i] = dims[i]
+    return r
+
+
+@functools.lru_cache(maxsize=1024)
+def _profile_from_rows(parts: tuple[int, ...], rows: Table) -> CosetMatrix:
+    """The validated coset matrix of a rank table, built once per
+    distinct table: the representatives and sampled flags of a point
+    repeat a few tables on every command, and an invalid one raises on
+    every call, since a raise is not cached.  Entry (i, j) is
+    r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] on the table
+    of ``_square``.
+    """
+    t = len(parts)
+    r = _square(parts, rows)
     entries = tuple([
         tuple([
             r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1]
@@ -524,34 +539,72 @@ def representative_flag(s: CosetMatrix, field: QuadraticExtension) -> Flag:
 def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
     """The graded pieces S_{i,j} of the twist decomposition.
 
-    For i < j any complement works and its Frobenius image is used at
-    (j, i); the diagonal pieces are chosen Frobenius-stable by working
-    inside the fixed points.  Each corner meet[i][j] = V_i meet theta V_j
-    is computed once, for i <= j: theta carries it onto meet[j][i], and
-    the Frobenius image of a reduced basis is reduced.
+    S_{i,j} completes w = meet[i][j - 1] + meet[i - 1][j] to the corner
+    meet[i][j] = V_i meet theta V_j, as the vectors of the corner's
+    reduced basis that ``extend_to_complement`` picks.  For i < j the
+    Frobenius image of S_{i,j} is used at (j, i); the diagonal pieces
+    are Frobenius-stable.  Bases that are not reduced are reduced first.
+
+    The rank table r[i][j] = dim meet[i][j] of ``_rank_rows`` settles
+    most of this without a reduction, and every short cut gives the
+    reduced basis that the reduction would, since that basis is unique:
+
+    - a corner, i <= j, of dimension 0 is () and one of dimension
+      dim V_i is V_i, so meet[i][t] = V_i; only the other corners need
+      Zassenhaus, and theta carries meet[i][j] onto meet[j][i];
+    - dim w = r[i][j - 1] + r[i - 1][j] - r[i - 1][j - 1], since the two
+      summands meet in meet[i - 1][j - 1], and w lies in the corner; so
+      w that has the dimension of the corner or of one summand is that
+      space, with no ``sum_spaces``;
+    - the complement of w = () is the whole corner, and that of w equal
+      to the corner is ().
+
+    The diagonal corner and its w are Frobenius-stable, and a span is
+    stable exactly when its reduced basis B has base-field entries:
+    theta B is the reduced basis of theta of the span, theta fixing the
+    pivot entries 0 and 1.  Then B is also the reduced basis of the
+    fixed points, so the pieces are chosen inside them, and a diagonal
+    span with another entry raises ``InvalidInputError``.
     """
-    t = len(flag.partition)
-    bases = ((),) + flag.bases
-    theta = [tuple(field.vec_frob(v) for v in b) for b in bases]
+    parts = flag.partition.parts
+    t = len(parts)
+    bases = ((),) + tuple(b if field.is_reduced(b) else field.rref(b) for b in flag.bases)
+    r = _square(parts, _rank_rows(field, bases[1:t]))
+    frob = field.vec_frob
     meet: list[list[tuple[Vec, ...]]] = [[()] * (t + 1) for _ in range(t + 1)]
     for i in range(1, t + 1):
         for j in range(i, t + 1):
-            meet[i][j] = field.intersect(bases[i], theta[j])
+            if r[i][j] == len(bases[i]):
+                meet[i][j] = bases[i]
+            elif r[i][j]:
+                meet[i][j] = field.intersect(bases[i], tuple(map(frob, bases[j])))
             if i < j:
-                meet[j][i] = tuple(field.vec_frob(v) for v in meet[i][j])
+                meet[j][i] = tuple(map(frob, meet[i][j]))
     out: GradedPieces = {}
     for i in range(1, t + 1):
         for j in range(i, t + 1):
             u = meet[i][j]
-            w = field.sum_spaces(meet[i][j - 1], meet[i - 1][j])
-            if i == j:
-                u_fixed = field.fixed_subspace(u) if u else ()
-                w_fixed = field.fixed_subspace(w) if w else ()
-                out[(i, i)] = field.extend_to_complement(w_fixed, u_fixed)
+            dim_w = r[i][j - 1] + r[i - 1][j] - r[i - 1][j - 1]
+            if dim_w == r[i][j]:
+                w = u
+            elif dim_w == r[i][j - 1]:
+                w = meet[i][j - 1]
+            elif dim_w == r[i - 1][j]:
+                w = meet[i - 1][j]
+            else:
+                w = field.sum_spaces(meet[i][j - 1], meet[i - 1][j])
+            # an entry outside F_q: the diagonal span is not stable
+            if i == j and any(x % field.p for row in u + w for x in row):
+                raise InvalidInputError("span is not Frobenius-stable")
+            if not w:
+                comp = u
+            elif len(w) == len(u):
+                comp = ()
             else:
                 comp = field.extend_to_complement(w, u)
-                out[(i, j)] = comp
-                out[(j, i)] = tuple(field.vec_frob(v) for v in comp)
+            out[(i, j)] = comp
+            if i < j:
+                out[(j, i)] = tuple(map(frob, comp))
     return out
 
 

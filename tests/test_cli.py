@@ -709,6 +709,50 @@ class TestUsageErrors:
         # (1 + 961)(1 + 961 + 961^2) full flags over F_{31^2}
         assert err == "error: flag count 889352646 exceeds budget 10000\n"
 
+    def test_flags_samples_bounded_on_a_hit(self, capsys, tmp_path, monkeypatch):
+        """The budget bounds the sampled flags on a cache hit too, where
+        the flag count is not checked: (1,1,1) at q = 3 with
+        --reduce-samples 100 samples the 910 flags at stride 9, 102 of
+        them."""
+        point = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1"]
+        cached = [*point, "--cache-dir", str(tmp_path), "--reduce-samples", "100"]
+        code, _, _ = run(capsys, *point, "--cache-dir", str(tmp_path))
+        assert code == 0
+        code, out, _ = run(capsys, *cached, "--budget", "102", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["stats"]["cache"], payload["reductions_checked"]) == ("hit", 102)
+
+        def unbuilt(*args):
+            raise AssertionError("field or flag built")
+
+        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
+        monkeypatch.setattr(cli, "flag_at", unbuilt)
+        code, out, err = run(capsys, *cached, "--budget", "101")
+        assert (code, out) == (2, "")
+        assert err == "error: sample count 102 exceeds budget 101\n"
+
+    def test_flags_huge_sample_refused_on_a_hit(self, capsys, tmp_path, monkeypatch):
+        """A hit on (1^5) at q = 3 with --reduce-samples 10^9 would list
+        one flag in five, about 1.1e9 of them; it is refused before the
+        field is built.  The entry is written by hand: a hit trusts the
+        sizes of a signed file."""
+        partition = Partition((1,) * 5)
+        count = count_flags(partition, 9)
+        flags_module.FlagCache(str(tmp_path)).store(3, partition, {(0,) * 25: count})
+
+        def unbuilt(*args):
+            raise AssertionError("field or flag built")
+
+        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
+        monkeypatch.setattr(cli, "flag_at", unbuilt)
+        code, out, err = run(
+            capsys, "oracle-flags", "--n", "5", "--q", "3", "--partition", "1,1,1,1,1",
+            "--cache-dir", str(tmp_path), "--reduce-samples", str(10**9),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: sample count {-(-count // 5)} exceeds budget {DEFAULT_BUDGET}\n"
+
     def test_flags_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
         # refused before the field is built; once a FileExistsError
         # traceback with exit 1

@@ -70,6 +70,30 @@ WALK_GRID = [
 ] + [(3, Partition(parts)) for parts in [(1, 1, 2), (2, 1, 1), (1, 2, 1)]]
 
 
+# The flags on which graded_pieces is compared with three intersections
+# per corner: every flag of each composition of n <= 3 at q = 3, and at
+# q = 5 and 7 where the composition has at most 3,000 flags; the
+# 10-sample positions of every n = 4 composition at q = 3.
+COMPLEMENT_POINTS = (
+    [
+        pytest.param(3, partition, None, id="-".join(map(str, partition.parts)))
+        for n in range(1, 4)
+        for partition in compositions(n)
+    ]
+    + [
+        pytest.param(q, partition, None, id=f"q{q}-" + "-".join(map(str, partition.parts)))
+        for q in (5, 7)
+        for n in range(1, 4)
+        for partition in compositions(n)
+        if count_flags(partition, q * q) <= 3000
+    ]
+    + [
+        pytest.param(3, partition, 10, id="q3-" + "-".join(map(str, partition.parts)) + "-samples")
+        for partition in compositions(4)
+    ]
+)
+
+
 def grid_id(point):
     q, partition = point
     return f"q{q}-" + "-".join(map(str, partition.parts))
@@ -126,7 +150,7 @@ def damaged_bases(field, basis, rng):
     scale = rng.choice([x for x in field.elements() if x not in (field.zero, field.one)])
     k = rng.randrange(len(rows))
     out["pivot-scaled"] = tuple(
-        field.vec_scale(scale, row) if r == k else row for r, row in enumerate(rows)
+        vec_scale(field, scale, row) if r == k else row for r, row in enumerate(rows)
     )
     out["repeated-pivot"] = tuple(rows[: k + 1] + [rows[k]] + rows[k + 1 :])
     if len(rows) > 1:
@@ -232,6 +256,30 @@ def random_reduced_flag(field, n, rng):
     return Flag(partition, tuple(field.rref(mat[:dim]) for dim in dims))
 
 
+def vec_add(field, u, v):
+    return tuple(field.add_table[x][y] for x, y in zip(u, v))
+
+
+def vec_scale(field, c, v):
+    return tuple(field.mul_table[c][x] for x in v)
+
+
+def reference_fixed_subspace(field, basis):
+    """Basis, with base-field entries, of the Frobenius-fixed points of a
+    Frobenius-stable span: the reduction of v + theta v and
+    l (v - theta v) over the rows v of the basis, both fixed by theta."""
+    candidates = []
+    for v in basis:
+        fv = field.vec_frob(v)
+        candidates.append(vec_add(field, v, fv))
+        diff = tuple(field.sub_table[x][y] for x, y in zip(v, fv))
+        candidates.append(vec_scale(field, field.lam, diff))
+    fixed = field.rref(candidates)
+    if len(fixed) != len(basis) or not all(field.in_base(x) for row in fixed for x in row):
+        raise InvalidInputError("span is not Frobenius-stable")
+    return fixed
+
+
 def reference_extend_to_complement(field, inner, outer):
     """Vectors of ``outer`` completing ``inner``, one full rank per candidate."""
     current = list(inner)
@@ -259,8 +307,8 @@ def reference_complements(flag, field):
                 field.intersect(bases[i - 1], theta[j]),
             )
             if i == j:
-                u_fixed = field.fixed_subspace(u) if u else ()
-                w_fixed = field.fixed_subspace(w) if w else ()
+                u_fixed = reference_fixed_subspace(field, u) if u else ()
+                w_fixed = reference_fixed_subspace(field, w) if w else ()
                 out[(i, i)] = reference_extend_to_complement(field, w_fixed, u_fixed)
             else:
                 comp = reference_extend_to_complement(field, w, u)
@@ -504,7 +552,7 @@ class TestAgainstReference:
                     # the fixed points of the Frobenius-stable span a + theta a
                     stable = field.sum_spaces(ra, tuple(map(field.vec_frob, ra)))
                     pstable = ref.sum_spaces(pra, tuple(map(ref.vec_frob, pra)))
-                    assert decode_rows(q, field.fixed_subspace(stable)) == (
+                    assert decode_rows(q, reference_fixed_subspace(field, stable)) == (
                         ref.fixed_subspace(pstable)
                     )
                 if len(a) == len(a[0]):
@@ -532,9 +580,25 @@ class TestAgainstReference:
             # the line spanned by (1, l) is not Frobenius-stable
             line = ((field.one, field.lam),)
             with pytest.raises(InvalidInputError, match="not Frobenius-stable"):
-                field.fixed_subspace(line)
+                reference_fixed_subspace(field, line)
             with pytest.raises(ValueError, match="not Frobenius-stable"):
                 ref.fixed_subspace(decode_rows(q, line))
+
+    def test_stable_span_is_its_own_fixed_basis(self):
+        """A span is Frobenius-stable exactly when its reduced basis has
+        base-field entries, and that basis is then the reduced basis of
+        its fixed points: the lemma behind the diagonal of
+        ``graded_pieces``."""
+        rng = random.Random(20261023)
+        for q in (3, 5, 7):
+            field = QuadraticExtension(q)
+            for mat in random_matrices(q, rng):
+                basis = field.rref(mat)
+                stable = field.sum_spaces(basis, tuple(map(field.vec_frob, basis)))
+                assert all(field.in_base(x) for row in stable for x in row)
+                assert reference_fixed_subspace(field, stable) == stable
+                in_base = all(field.in_base(x) for row in basis for x in row)
+                assert in_base == (stable == basis)
 
     def test_intersection_with_the_whole_space(self):
         """A side that spans F^n, as the identity rows or as a random
@@ -1095,8 +1159,8 @@ class TestProfiles:
         u, v = flag.bases[0]
         c = rng.choice([x for x in FIELD.elements() if x not in (FIELD.zero, FIELD.one)])
         rows = {
-            "scaled-row": (FIELD.vec_scale(c, u), v),
-            "row-added": (u, FIELD.vec_add(v, u)),
+            "scaled-row": (vec_scale(FIELD, c, u), v),
+            "row-added": (u, vec_add(FIELD, v, u)),
             "rows-swapped": (v, u),
             "zero-row": (u, tuple(FIELD.zero for _ in u)),
         }[damage]
@@ -1175,39 +1239,107 @@ class TestRepresentativesAndReduction:
     def test_reduction_every_full_flag_n3(self):
         self._check_all_reductions(Partition((1, 1, 1)))
 
-    @pytest.mark.parametrize(
-        "partition",
-        [p for n in range(1, 4) for p in compositions(n)],
-        ids=lambda p: "-".join(map(str, p.parts)),
-    )
-    def test_reduction_matches_reference_complements(self, partition, monkeypatch):
-        flags = enumerate_flags(FIELD, partition)
-        for flag in flags:
-            assert graded_pieces(flag, FIELD) == reference_complements(flag, FIELD)
-        fast = [reduce_to_representative(flag, FIELD) for flag in flags]
+    @pytest.mark.parametrize("q, partition, samples", COMPLEMENT_POINTS)
+    def test_reduction_matches_reference_complements(self, q, partition, samples, monkeypatch):
+        field = QuadraticExtension(q)
+        count = count_flags(partition, q * q)
+        stride = 1 if samples is None else sample_stride(count, samples)
+        flags = flag_at(field, partition, range(0, count, stride))
+        reps = [representative_flag(s, field) for s in enumerate_coset_matrices(partition, CaseTag.ODD)]
+        for flag in flags + reps:
+            assert graded_pieces(flag, field) == reference_complements(flag, field)
+        fast = [reduce_to_representative(flag, field) for flag in flags]
         # representatives built once and shared give the same matrices
-        targets = {
-            s: graded_pieces(representative_flag(s, FIELD), FIELD)
-            for s in enumerate_coset_matrices(partition, CaseTag.ODD)
-        }
-        assert fast == [reduce_to_representative(flag, FIELD, targets) for flag in flags]
+        targets = {flag_profile(rep, field): graded_pieces(rep, field) for rep in reps}
+        assert fast == [reduce_to_representative(flag, field, targets) for flag in flags]
         monkeypatch.setattr(flags_module, "graded_pieces", reference_complements)
-        assert fast == [reduce_to_representative(flag, FIELD) for flag in flags]
+        assert fast == [reduce_to_representative(flag, field) for flag in flags]
 
     def test_one_intersection_per_corner(self, monkeypatch):
+        """``graded_pieces`` meets V_i with theta V_j, i <= j, only where
+        the rank table leaves the corner open, 0 < r[i][j] < dim V_i, and
+        there once; a corner of dimension 0 or dim V_i is read off.  It
+        adds the two spaces below a corner only where the sum has the
+        dimension of neither of them nor of the corner.  On about 200
+        flags of each point of GRID and of (1,1,2), q = 3."""
+        meets, sums = [], []
+        original_meet, original_sum = QuadraticExtension.intersect, QuadraticExtension.sum_spaces
+
+        def meet(self, a, b):
+            meets.append((a, b))
+            return original_meet(self, a, b)
+
+        def add(self, a, b):
+            sums.append(len(original_sum(self, a, b)))
+            return original_sum(self, a, b)
+
+        monkeypatch.setattr(QuadraticExtension, "intersect", meet)
+        monkeypatch.setattr(QuadraticExtension, "sum_spaces", add)
+        opened = added = 0
+        for q, partition in GRID + [(3, Partition((1, 1, 2)))]:
+            field = QuadraticExtension(q)
+            t = len(partition)
+            dims = [0, *itertools.accumulate(partition.parts)]
+            count = count_flags(partition, q * q)
+            for flag in flag_at(field, partition, range(0, count, sample_stride(count, 200))):
+                r = rank_table(flag, field)
+                for i in range(1, t + 1):
+                    r[i][t] = r[t][i] = dims[i]
+                bases = ((),) + flag.bases
+                corners = [(i, j) for i in range(1, t + 1) for j in range(i, t + 1)]
+                expected_meets = [
+                    (bases[i], tuple(map(field.vec_frob, bases[j])))
+                    for i, j in corners
+                    if 0 < r[i][j] < dims[i]
+                ]
+                expected_sums = []
+                for i, j in corners:
+                    dim = r[i][j - 1] + r[i - 1][j] - r[i - 1][j - 1]
+                    if dim not in (r[i][j], r[i][j - 1], r[i - 1][j]):
+                        expected_sums.append(dim)
+                meets.clear()
+                sums.clear()
+                graded_pieces(flag, field)
+                assert meets == expected_meets, (q, partition.parts, flag.bases)
+                assert sums == expected_sums, (q, partition.parts, flag.bases)
+                opened += len(meets)
+                added += len(sums)
+        assert opened > 0 and added > 0
+
+    def test_two_reductions_on_the_last_flag(self, monkeypatch):
+        """The last (1,1,1) flag at q = 3, e_3 in (e_2, e_3), is
+        Frobenius-stable, so the rank table settles every corner and
+        every sum: its pieces cost the two complements of a line in a
+        plane and of a plane in F^3, where three intersections per
+        corner cost fourteen reductions."""
         calls = []
-        original = QuadraticExtension.intersect
+        original = QuadraticExtension.rref
 
-        def counting(self, a, b):
+        def counting(self, rows):
             calls.append(1)
-            return original(self, a, b)
+            return original(self, rows)
 
-        monkeypatch.setattr(QuadraticExtension, "intersect", counting)
-        for n, t in ((1, 1), (2, 2), (3, 3)):
-            flag = enumerate_flags(FIELD, Partition((1,) * n))[-1]
-            calls.clear()
+        monkeypatch.setattr(QuadraticExtension, "rref", counting)
+        flag = flag_at(FIELD, Partition((1, 1, 1)), [909])[0]
+        assert flag.bases[:2] == (((0, 0, 3),), ((0, 3, 0), (0, 0, 3)))
+        graded_pieces(flag, FIELD)
+        assert len(calls) <= 2
+
+    def test_unstable_diagonal_corner_raises(self, monkeypatch):
+        """A diagonal corner whose reduced basis has an entry outside the
+        base field is not Frobenius-stable; with ``intersect`` broken to
+        return such a line, the pieces raise as the fixed-point reference
+        does."""
+        partition = Partition((1, 1, 1))
+        flag = next(
+            f for f in flag_at(FIELD, partition, range(910)) if rank_table(f, FIELD)[2][2] == 1
+        )
+        line = ((FIELD.one, FIELD.lam, FIELD.zero),)
+        monkeypatch.setattr(QuadraticExtension, "intersect", lambda self, a, b: line)
+        with pytest.raises(InvalidInputError, match="not Frobenius-stable"):
             graded_pieces(flag, FIELD)
-            assert len(calls) == t * (t + 1) // 2
+        with pytest.raises(InvalidInputError, match="not Frobenius-stable"):
+            reference_complements(flag, FIELD)
 
     def _check_all_reductions(self, partition):
         flags = enumerate_flags(FIELD, partition)
