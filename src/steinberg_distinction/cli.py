@@ -46,13 +46,11 @@ from .oracles.flags import (
     BudgetExceededError,
     CertificationError,
     FlagCache,
+    _representative,
     count_flags,
     flag_at,
-    flag_profile,
-    graded_pieces,
     profile_histogram,
-    reduce_to_representative,
-    representative_flag,
+    reduction_fault,
     sample_stride,
 )
 
@@ -276,20 +274,11 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     # the same positions on a hit and on a miss
     sample = flag_at(field, partition, range(0, count, stride))
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
-    seen = set(histogram)
-    ok = seen == {s.flat() for s in expected}
-    targets = {}
-    for s in expected:
-        rep = representative_flag(s, field)
-        if flag_profile(rep, field) != s:
-            ok = False
-        targets[s] = graded_pieces(rep, field)
-    checked = 0
-    for flag in sample:
-        h = reduce_to_representative(flag, field, targets)
-        if not all(field.in_base(x) for row in h for x in row):
-            ok = False
-        checked += 1
+    # the memoised representatives the reductions below are carried onto
+    reps_ok = all(_representative(s, args.q)[0] == s for s in expected)
+    faults = [reduction_fault(flag, field) for flag in sample]
+    ok = set(histogram) == {s.flat() for s in expected} and reps_ok and not any(faults)
+    checked = len(sample)
     rows = sorted(histogram.items())
     # each reduction computes the profile of its flag once more
     stats["profiles_computed"] = stats["flags_enumerated"] + len(expected) + checked
@@ -410,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--reduce-samples", type=_positive_int, default=10)
     p.add_argument("--cache-dir", default=None, help="directory of cached oracle runs")
     common(p)

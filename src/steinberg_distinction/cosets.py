@@ -87,7 +87,7 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         try:
-            parts = tuple(int(tok) for tok in text.split(",") if tok.strip())
+            parts = tuple(int(tok) for tok in text.split(","))
         except ValueError as exc:
             raise InvalidInputError(f"bad partition {text!r}") from exc
         return cls(parts)

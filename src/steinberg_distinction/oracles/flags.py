@@ -17,11 +17,14 @@ lists the flags of ``enumerate_flags`` and is the reference for
 ``profile_histogram``, which walks orbit representatives instead: one
 V_1 per pattern of imaginary parts of each pivot block, then one partial
 flag per distinct partial rank table, each with the number of flags it
-stands for, every merge certified by a reduction to the canonical
-representative.  ``flag_at`` finds the flag at a walk position by
-arithmetic on it.  The on-disk cache (version 5) holds a point's orbit
-sizes and a CRC-32 of their text, so a file that is not exactly what
-``store`` wrote is a miss.
+stands for.  Its certificates and the command's sampled reductions are
+one orbit check, ``reduction_fault``: the flag's rank table, computed
+once, gives its profile and its graded pieces, each representative is
+built once per (profile, q), and an error inside the reduction fails the
+check.  ``flag_at`` finds the flag at a walk position by arithmetic on
+it.  The on-disk cache (version 5) holds a point's orbit sizes and a
+CRC-32 of their text, so a file that is not exactly what ``store``
+wrote is a miss.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "graded_pieces",
     "representative_flag",
     "reduce_to_representative",
+    "reduction_fault",
     "sample_stride",
     "FlagCache",
 ]
@@ -325,9 +329,8 @@ def profile_histogram(
             table = (_rank_row(field, basis, ()),)
             members[table].append((basis,))
             sizes[table] += field.p ** len(cells)
-    targets: dict[CosetMatrix, GradedPieces] = {}
     for depth, quotient in enumerate(_quotients(field, partition), 1):
-        _certify(field, Partition((*parts[:depth], n - sum(parts[:depth]))), members, targets)
+        _certify(field, Partition((*parts[:depth], n - sum(parts[:depth]))), members)
         below: dict[Table, list] = collections.defaultdict(list)
         below_sizes: collections.Counter = collections.Counter()
         for table, chains in members.items():
@@ -342,17 +345,10 @@ def profile_histogram(
     return {_profile_from_rows(parts, table).flat(): size for table, size in sizes.items()}
 
 
-def _certify(
-    field: QuadraticExtension,
-    coarse: Partition,
-    members: dict[Table, list],
-    targets: dict[CosetMatrix, GradedPieces],
-) -> None:
+def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, list]) -> None:
     """Check that the partial flags merged under each table of one level
-    are one H-orbit: each, as a flag of the coarse partition, has the
-    table's coset matrix as its profile, and its reduction onto that
-    matrix's representative has base-field entries.  ``targets`` keeps
-    the graded pieces of the representatives built so far."""
+    are one H-orbit: ``reduction_fault`` finds none for each, as a flag
+    of the coarse partition, against the table's coset matrix."""
     top = _rref_at(field, coarse.total, coarse.total, 0)
     for table, chains in members.items():
         if len(chains) < 2:
@@ -361,15 +357,10 @@ def _certify(
             profile = _profile_from_rows(coarse.parts, table)
         except InvalidInputError as exc:
             raise CertificationError(f"merged under table {table}: {exc}") from None
-        if profile not in targets:
-            targets[profile] = graded_pieces(representative_flag(profile, field), field)
         for chain in chains:
-            flag = Flag(coarse, (*chain, top))
-            if flag_profile(flag, field) != profile:
-                raise CertificationError(f"{chain} merged under table {table} of another profile")
-            h = reduce_to_representative(flag, field, targets)
-            if not all(field.in_base(x) for row in h for x in row):
-                raise CertificationError(f"{chain} merged under table {table} of another orbit")
+            fault = reduction_fault(Flag(coarse, (*chain, top)), field, profile)
+            if fault:
+                raise CertificationError(f"{chain} merged under table {table}: {fault}")
 
 
 def flag_at(
@@ -463,25 +454,19 @@ def _rank(field: QuadraticExtension, nonzero_rows: list[list[int]]) -> int:
 
 
 def flag_profile(flag: Flag, field: QuadraticExtension) -> CosetMatrix:
-    """Coset matrix of the flag's orbit under the base-field group.
-
-    The bases of the flag must be row-reduced, as every ``Flag`` built
-    by this package is; ``InvalidInputError`` otherwise, since the ranks
-    are read off the pivots.  That is checked from the definition by
-    ``QuadraticExtension.is_reduced``, with no reduction.  Entry (i, j)
-    counts the dimension jumps of the intersections with the Frobenius
-    image of the flag, by inclusion-exclusion on the table
-    r[i][j] = dim(V_i meet theta V_j), whose rows come from
-    ``_rank_row``.
-    """
-    bases = flag.bases[:-1]
-    if not all(map(field.is_reduced, bases)):
-        raise InvalidInputError("flag bases must be row-reduced")
-    return _profile_from_rows(flag.partition.parts, _rank_rows(field, bases))
+    """Coset matrix of the flag's orbit under the base-field group, by
+    inclusion-exclusion on its table r[i][j] = dim(V_i meet theta V_j)
+    from ``_rank_rows``, which refuses bases that are not row-reduced."""
+    return _profile_from_rows(flag.partition.parts, _rank_rows(field, flag.bases[:-1]))
 
 
 def _rank_rows(field: QuadraticExtension, bases: tuple[tuple[Vec, ...], ...]) -> Table:
-    """The rank table of the reduced bases of V_1, ..., V_{t - 1}."""
+    """The rank table of the bases of V_1, ..., V_{t - 1}, V_t being F^n.
+    Its ranks are read off the pivots, so a basis that is not row-reduced,
+    as none built by this package is, raises ``InvalidInputError``, by
+    ``QuadraticExtension.is_reduced`` once per basis, with no reduction."""
+    if not all(map(field.is_reduced, bases)):
+        raise InvalidInputError("flag bases must be row-reduced")
     return tuple(_rank_row(field, basis, bases[:i]) for i, basis in enumerate(bases))
 
 
@@ -543,7 +528,8 @@ def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
     meet[i][j] = V_i meet theta V_j, as the vectors of the corner's
     reduced basis that ``extend_to_complement`` picks.  For i < j the
     Frobenius image of S_{i,j} is used at (j, i); the diagonal pieces
-    are Frobenius-stable.  Bases that are not reduced are reduced first.
+    are Frobenius-stable.  V_t is F^n, and the other bases must be
+    row-reduced, as ``flag_profile`` reads the same rank table.
 
     The rank table r[i][j] = dim meet[i][j] of ``_rank_rows`` settles
     most of this without a reduction, and every short cut gives the
@@ -566,10 +552,14 @@ def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
     fixed points, so the pieces are chosen inside them, and a diagonal
     span with another entry raises ``InvalidInputError``.
     """
+    return _pieces(flag, field, _rank_rows(field, flag.bases[:-1]))
+
+
+def _pieces(flag: Flag, field: QuadraticExtension, table: Table) -> GradedPieces:
     parts = flag.partition.parts
-    t = len(parts)
-    bases = ((),) + tuple(b if field.is_reduced(b) else field.rref(b) for b in flag.bases)
-    r = _square(parts, _rank_rows(field, bases[1:t]))
+    t, n = len(parts), flag.partition.total
+    bases = ((),) + flag.bases[:-1] + (_rref_at(field, n, n, 0),)
+    r = _square(parts, table)
     frob = field.vec_frob
     meet: list[list[tuple[Vec, ...]]] = [[()] * (t + 1) for _ in range(t + 1)]
     for i in range(1, t + 1):
@@ -608,41 +598,61 @@ def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
     return out
 
 
-def reduce_to_representative(
-    flag: Flag,
-    field: QuadraticExtension,
-    targets: dict[CosetMatrix, GradedPieces] | None = None,
-) -> list[Vec]:
-    """Base-field matrix carrying the flag onto its canonical
-    representative.
+@functools.lru_cache(maxsize=1024)
+def _representative(profile: CosetMatrix, q: int) -> tuple[CosetMatrix, GradedPieces]:
+    """The profile and graded pieces of the canonical representative of
+    ``profile`` over F_{q^2}, from its one rank table, once per (profile,
+    q) in a process for every later reduction; not to be mutated."""
+    field = QuadraticExtension(q)
+    flag = representative_flag(profile, field)
+    table = _rank_rows(field, flag.bases[:-1])
+    return _profile_from_rows(profile.partition.parts, table), _pieces(flag, field, table)
 
+
+def reduce_to_representative(
+    flag: Flag, field: QuadraticExtension, profile: CosetMatrix | None = None
+) -> list[Vec]:
+    """Base-field matrix carrying the flag onto the canonical
+    representative of ``profile``, by default of the flag's own profile.
+
+    The flag's rank table is computed once and gives both its profile
+    and its graded pieces.  A flag of another profile lies in another
+    orbit, so it raises ``InvalidInputError`` before any reduction.
     Sends each graded piece of the flag onto the matching piece of the
     representative; off-diagonal partners are mapped by the Frobenius
     transport of each other, so the assembled matrix commutes with the
-    twist and therefore has base-field entries.  ``targets`` maps
-    profiles to the graded pieces of their representatives, so that a
-    caller reducing many flags builds each representative once; the
-    representative of a profile it lacks is built here.
+    twist and therefore has base-field entries.
     """
-    profile = flag_profile(flag, field)
-    dst = targets.get(profile) if targets else None
-    if dst is None:
-        dst = graded_pieces(representative_flag(profile, field), field)
-    src = graded_pieces(flag, field)
-    t = len(flag.partition)
-    order = [(i, j) for i in range(1, t + 1) for j in range(1, t + 1)]
-    src_vecs: list[Vec] = []
-    dst_vecs: list[Vec] = []
-    for key in order:
-        a, b = src.get(key, ()), dst.get(key, ())
-        if len(a) != len(b):
-            raise InvalidInputError("graded pieces of flag and representative differ")
-        src_vecs.extend(a)
-        dst_vecs.extend(b)
-    n = flag.partition.total
-    if len(src_vecs) != n:
+    table = _rank_rows(field, flag.bases[:-1])
+    own = _profile_from_rows(flag.partition.parts, table)
+    if profile is not None and own != profile:
+        raise InvalidInputError(f"flag has profile {list(own.flat())}, not {list(profile.flat())}")
+    dst = _representative(own, field.p)[1]
+    src = _pieces(flag, field, table)
+    # every (i, j) of 1..t, in order
+    keys = sorted(src)
+    if [len(src[k]) for k in keys] != [len(dst.get(k, ())) for k in keys]:
+        raise InvalidInputError("graded pieces of flag and representative differ")
+    src_vecs = [v for k in keys for v in src[k]]
+    if len(src_vecs) != flag.partition.total:
         raise InvalidInputError("graded pieces do not decompose the space")
-    return field.solve(src_vecs, dst_vecs)
+    return field.solve(src_vecs, [v for k in keys for v in dst[k]])
+
+
+def reduction_fault(
+    flag: Flag, field: QuadraticExtension, profile: CosetMatrix | None = None
+) -> str | None:
+    """The oracle's one orbit check: None when ``reduce_to_representative``
+    carries the flag onto the representative of ``profile``, by default
+    its own, by a base-field matrix, else what went wrong; an input error
+    or a singular system inside the reduction fails the check."""
+    try:
+        h = reduce_to_representative(flag, field, profile)
+    except (InvalidInputError, ZeroDivisionError) as exc:
+        return str(exc)
+    if not all(field.in_base(x) for row in h for x in row):
+        return "the reduction has an entry outside F_q"
+    return None
 
 
 def sample_stride(count: int, samples: int) -> int:

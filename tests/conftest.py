@@ -1,8 +1,11 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from steinberg_distinction.characters import ChiToken, SupportReport, SupportRule
 from steinberg_distinction.cosets import Partition
+from steinberg_distinction.oracles.flags import _representative
 
 
 def compositions(n: int):
@@ -17,6 +20,18 @@ def compositions(n: int):
                 cur += 1
         parts.append(cur)
         yield Partition(tuple(parts))
+
+
+def swapped_line_tables(rank_rows):
+    """``_rank_rows`` with the one entry r[1][1] of a line's table
+    swapped between 0 and 1, the two line profiles, and other tables
+    kept."""
+
+    def swapped(field, bases):
+        table = rank_rows(field, bases)
+        return ((1 - table[0][0],),) if len(bases) == 1 and len(bases[0]) == 1 else table
+
+    return swapped
 
 
 def delta_half_exponents(layout, kappa=Fraction(1)):
@@ -53,3 +68,13 @@ def reference_report(s, chi, invol, delta):
     return SupportReport(
         s=s, chi=chi, feasible=not violations, violations=tuple(violations)
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_representatives():
+    """Every test starts and ends with no representative memoised, so a
+    count of built flags does not depend on the tests run before it, and
+    a test that patches the builder leaves no wrong representative."""
+    _representative.cache_clear()
+    yield
+    _representative.cache_clear()

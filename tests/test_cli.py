@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
-from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag, Partition
+from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag, Partition, enumerate_coset_matrices
 from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import DEFAULT_BUDGET, count_flags
 
-from conftest import compositions
+from conftest import compositions, swapped_line_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -75,10 +75,15 @@ class TestEnumerate:
         data = json.loads(out1)
         assert data["count"] == 2
 
-    def test_bad_partition(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--case", "odd", "--partition", "x")
-        assert code == 2
-        assert "error" in err
+    @pytest.mark.parametrize("text", ["x", "1,,2", "1,2,", ",3"])
+    def test_bad_partition(self, capsys, text):
+        # an empty part is refused, not dropped
+        for argv in (
+            ["enumerate", "--case", "odd", "--partition", text],
+            ["oracle-flags", "--n", "3", "--q", "3", "--partition", text],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: bad partition {text!r}\n")
 
     def test_size_guard(self, capsys, monkeypatch):
         def refuse(*args):
@@ -508,12 +513,35 @@ class TestOracles:
         # the 910 flags are counted from 13 lines V_1, one per pattern of
         # imaginary parts; they fall under 2 partial tables and are all
         # merged, so each is certified as a (1, 2) flag against the
-        # canonical representative of its table.  Built are those 13 and
-        # their 2 representatives, then the 10 samples and one
-        # representative for each of the 4 orbits
+        # canonical representative of its table.  Built are those 13,
+        # then the 10 samples; the 2 representatives of the lines and
+        # the 4 of the orbits were built by the first run and are
+        # memoised per (profile, q), so this run builds none
         assert len(json.loads(expected)["orbit_sizes"]) == 4
-        assert len(built) == 13 + 2 + 10 + 4
-        assert built.count(Partition((1, 2))) == 13 + 2
+        assert len(built) == 13 + 10
+        assert built.count(Partition((1, 2))) == 13
+
+    def test_miss_then_hit_builds_each_representative_once(self, capsys, tmp_path, monkeypatch):
+        """A miss of (1, 1, 1), q = 3 builds the 2 representatives of the
+        certified lines and the 4 of the orbits; the hit after it, in the
+        same process, builds none, where each command built its own."""
+        real = flags_module.representative_flag
+        built = []
+
+        def counting(profile, field):
+            built.append((profile, field.p))
+            return real(profile, field)
+
+        monkeypatch.setattr(flags_module, "representative_flag", counting)
+        argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1", "--cache-dir", str(tmp_path)]
+        outputs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(built) == len(set(built)) == 2 + 4
+        assert sorted(len(profile.partition) for profile, _ in built) == [2, 2, 3, 3, 3, 3]
 
     @pytest.mark.parametrize("damage", ["profile", "reduction"])
     def test_flags_failed_certification_is_a_mismatch(self, capsys, tmp_path, monkeypatch, damage):
@@ -521,12 +549,9 @@ class TestOracles:
         MISMATCH, with no orbits, no traceback and no cache file."""
         if damage == "profile":
             # the partial flags certified at the root, (1, 2) flags, read
-            # as no profile; the command's own checks are of (1, 1, 1)
-            real = flags_module.flag_profile
-            monkeypatch.setattr(
-                flags_module, "flag_profile",
-                lambda flag, field: None if flag.partition.parts == (1, 2) else real(flag, field),
-            )
+            # a table of the other line profile than their merge table;
+            # the command's own checks are of (1, 1, 1)
+            monkeypatch.setattr(flags_module, "_rank_rows", swapped_line_tables(flags_module._rank_rows))
         else:
             # every certifying reduction has an entry outside F_q
             monkeypatch.setattr(
@@ -540,6 +565,31 @@ class TestOracles:
         assert out.splitlines()[0] == "910 flags, 0 orbits"
         assert out.splitlines()[-1] == "ORACLE MISMATCH"
         assert err.startswith("certification failed: ")
+        if damage == "profile":
+            assert "flag has profile" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "parts, cache", [("1,1,1", True), ("2,1", False)], ids=["certified-miss", "uncertified"]
+    )
+    def test_wrong_representative_is_a_mismatch(self, capsys, tmp_path, monkeypatch, parts, cache):
+        """A representative of another profile fails the orbit check of
+        the walk, on a miss of (1, 1, 1), and that of every sample, at
+        (2, 1) where nothing is certified: exit 1 with ORACLE MISMATCH,
+        no input error, no traceback and no cache file."""
+        real = flags_module.representative_flag
+
+        def other(profile, field):
+            s = next(s for s in enumerate_coset_matrices(profile.partition, CaseTag.ODD) if s != profile)
+            return real(s, field)
+
+        monkeypatch.setattr(flags_module, "representative_flag", other)
+        extra = ["--cache-dir", str(tmp_path)] if cache else []
+        code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", parts, *extra)
+        assert code == 1
+        assert out.splitlines()[-1] == "ORACLE MISMATCH"
+        assert not any(line.startswith("error:") for line in err.splitlines())
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
@@ -587,6 +637,8 @@ class TestUsageErrors:
             ["sweep", "--max-d", "0"],
             ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "0"],
             ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "-1"],
+            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--budget", "0"],
+            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--budget", "-1"],
         ],
     )
     def test_range_below_one_exits_2(self, capsys, argv):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import pytest
@@ -91,6 +92,15 @@ class TestEnumeration:
     def test_empty_partition_rejected(self):
         with pytest.raises(InvalidInputError):
             Partition(())
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",3", "", "1,x", "1 2"])
+    def test_parse_refuses_empty_and_bad_parts(self, text):
+        # an empty token is a bad part, not one to drop
+        with pytest.raises(InvalidInputError, match=f"^bad partition {re.escape(repr(text))}$"):
+            Partition.parse(text)
+
+    def test_parse_allows_spaces_around_parts(self):
+        assert Partition.parse(" 1, 2 ,3").parts == (1, 2, 3)
 
     @given(partitions, st.sampled_from(list(CaseTag)))
     @settings(max_examples=40, deadline=None)

@@ -31,6 +31,7 @@ from steinberg_distinction.oracles.flags import (
     _diagonal,
     _enumerate_rref,
     _profile_from_rows,
+    _representative,
     _rref_blocks,
     _rank,
     _rank_row,
@@ -43,11 +44,12 @@ from steinberg_distinction.oracles.flags import (
     graded_pieces,
     profile_histogram,
     reduce_to_representative,
+    reduction_fault,
     representative_flag,
     sample_stride,
 )
 
-from conftest import compositions
+from conftest import compositions, swapped_line_tables
 from pair_extension import PairExtension, decode, decode_rows, encode
 
 FIELD = QuadraticExtension(3)
@@ -788,6 +790,25 @@ def times(field, v, g):
     return tuple(out)
 
 
+def record_tables(monkeypatch):
+    """Make ``_rank_rows`` and ``is_reduced`` record the bases they are
+    given, in two lists that are returned."""
+    tables, checked = [], []
+    real_rows, real_reduced = flags_module._rank_rows, QuadraticExtension.is_reduced
+
+    def rows(field, bases):
+        tables.append(bases)
+        return real_rows(field, bases)
+
+    def reduced(self, basis):
+        checked.append(basis)
+        return real_reduced(self, basis)
+
+    monkeypatch.setattr(flags_module, "_rank_rows", rows)
+    monkeypatch.setattr(QuadraticExtension, "is_reduced", reduced)
+    return tables, checked
+
+
 class TestRepresentativeWalk:
     @pytest.mark.parametrize(
         "q, n, k", [(3, 2, 1), (3, 3, 1), (3, 3, 2), (3, 4, 2), (5, 3, 1), (5, 3, 2), (7, 2, 1)]
@@ -833,23 +854,52 @@ class TestRepresentativeWalk:
         reduced = collections.Counter()
         real = flags_module.reduce_to_representative
 
-        def counting(flag, field, targets=None):
+        def counting(flag, *args):
             reduced[flag.partition.parts] += 1
-            return real(flag, field, targets)
+            return real(flag, *args)
 
         monkeypatch.setattr(flags_module, "reduce_to_representative", counting)
         partition = Partition(parts)
         profile_histogram(FIELD, partition, budget=count_flags(partition, 9))
         assert reduced == certified
 
-    @pytest.mark.parametrize("damage", ["profile", "reduction"])
-    def test_failed_certification_raises(self, monkeypatch, damage):
+    @pytest.mark.parametrize(
+        "damage, fault",
+        [
+            ("profile", "flag has profile"),
+            ("reduction", "the reduction has an entry outside F_q"),
+            ("singular", "matrix is singular"),
+        ],
+        ids=["profile", "reduction", "singular"],
+    )
+    def test_failed_certification_raises(self, monkeypatch, damage, fault):
+        """A merged partial flag whose own table gives another profile
+        than its merge table fails before any reduction; so do a
+        reduction with an entry outside F_q and one that raises."""
         if damage == "profile":
-            monkeypatch.setattr(flags_module, "flag_profile", lambda flag, field: None)
-        else:
+            monkeypatch.setattr(flags_module, "_rank_rows", swapped_line_tables(flags_module._rank_rows))
+        elif damage == "reduction":
             monkeypatch.setattr(flags_module, "reduce_to_representative", lambda *args: [(FIELD.lam,)])
-        with pytest.raises(CertificationError, match="merged under table"):
+        else:
+            def singular(*args):
+                raise ZeroDivisionError("matrix is singular")
+
+            monkeypatch.setattr(QuadraticExtension, "solve", singular)
+        with pytest.raises(CertificationError, match=f"merged under table .*: {fault}"):
             profile_histogram(FIELD, Partition((1, 1, 1)))
+
+    def test_a_certified_partial_flag_costs_one_table(self, monkeypatch):
+        """At (1, 1, 1), q = 3 the 13 root lines are certified as (1, 2)
+        flags against the 2 representatives of their tables: one rank
+        table and one reducedness check each, 15 in all, where the check
+        of the profile, the profile inside the reduction and the graded
+        pieces took three tables per line and built 41."""
+        tables, checked = record_tables(monkeypatch)
+        profile_histogram(FIELD, Partition((1, 1, 1)))
+        assert len(tables) == 13 + 2
+        # each line once; the two representatives are lines at the root
+        assert len(set(tables)) == 13
+        assert checked == [basis for bases in tables for basis in bases]
 
     def test_orbit_sizes_must_sum_to_the_count(self, monkeypatch):
         monkeypatch.setattr(flags_module, "count_flags", lambda partition, q2: 911)
@@ -1168,9 +1218,13 @@ class TestProfiles:
         if damage != "zero-row":
             # the same spaces, so the full-rank reference still reads them
             assert rank_reference_flag_profile(damaged, FIELD) == flag_profile(flag, FIELD).entries
-        with pytest.raises(InvalidInputError) as err:
-            flag_profile(damaged, FIELD)
-        assert str(err.value) == "flag bases must be row-reduced"
+        # the pieces and the reduction read the same table, so they
+        # refuse the flag alike; the orbit check reports it as its fault
+        for read in (flag_profile, graded_pieces, reduce_to_representative):
+            with pytest.raises(InvalidInputError) as err:
+                read(damaged, FIELD)
+            assert str(err.value) == "flag bases must be row-reduced"
+        assert reduction_fault(damaged, FIELD) == "flag bases must be row-reduced"
 
     def test_reducedness_predicate_matches_rref(self):
         """``is_reduced`` reads reducedness off the definition; it must
@@ -1248,11 +1302,19 @@ class TestRepresentativesAndReduction:
         reps = [representative_flag(s, field) for s in enumerate_coset_matrices(partition, CaseTag.ODD)]
         for flag in flags + reps:
             assert graded_pieces(flag, field) == reference_complements(flag, field)
+        # the memo starts cold and builds each representative once; warm,
+        # it builds none and gives the same matrices
         fast = [reduce_to_representative(flag, field) for flag in flags]
-        # representatives built once and shared give the same matrices
-        targets = {flag_profile(rep, field): graded_pieces(rep, field) for rep in reps}
-        assert fast == [reduce_to_representative(flag, field, targets) for flag in flags]
-        monkeypatch.setattr(flags_module, "graded_pieces", reference_complements)
+        built = _representative.cache_info().misses
+        assert built == len({flag_profile(flag, field) for flag in flags})
+        assert fast == [reduce_to_representative(flag, field) for flag in flags]
+        assert _representative.cache_info().misses == built
+        # so do the reference pieces, on the flags and, from a cold memo,
+        # on the representatives
+        monkeypatch.setattr(
+            flags_module, "_pieces", lambda flag, field, table: reference_complements(flag, field)
+        )
+        _representative.cache_clear()
         assert fast == [reduce_to_representative(flag, field) for flag in flags]
 
     def test_one_intersection_per_corner(self, monkeypatch):
@@ -1340,6 +1402,35 @@ class TestRepresentativesAndReduction:
             graded_pieces(flag, FIELD)
         with pytest.raises(InvalidInputError, match="not Frobenius-stable"):
             reference_complements(flag, FIELD)
+
+    def test_one_reduction_computes_one_table(self, monkeypatch):
+        """A reduction reads the flag's profile and graded pieces off one
+        rank table and checks each basis of V_1, ..., V_{t - 1} once; the
+        representative, built on the first reduction onto it, costs one
+        table more, once."""
+        flag = flag_at(FIELD, Partition((1, 1, 1)), [500])[0]
+        tables, checked = record_tables(monkeypatch)
+        first = reduce_to_representative(flag, FIELD)
+        assert tables[0] == flag.bases[:-1] and len(tables) == 2
+        tables.clear()
+        checked.clear()
+        assert reduce_to_representative(flag, FIELD) == first
+        assert tables == [flag.bases[:-1]]
+        assert checked == list(flag.bases[:-1])
+
+    def test_representatives_memoised_per_profile_and_q(self):
+        """One profile has a representative at each q: reductions at
+        q = 3, 5 and 3 again, each carrying every (1, 1) flag onto the
+        representative of its field, share no pieces across fields."""
+        partition = Partition((1, 1))
+        for q in (3, 5, 3):
+            field = QuadraticExtension(q)
+            for flag in enumerate_flags(field, partition):
+                h = reduce_to_representative(flag, field)
+                rep = representative_flag(flag_profile(flag, field), field)
+                assert all(field.in_base(x) for row in h for x in row)
+                assert apply_matrix(field, h, flag).bases == rep.bases
+        assert _representative.cache_info().currsize == 4
 
     def _check_all_reductions(self, partition):
         flags = enumerate_flags(FIELD, partition)
