@@ -263,7 +263,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     }
     if histogram is None:
         try:
-            histogram = profile_histogram(field, partition, budget=args.budget)
+            histogram = profile_histogram(field, partition)
         except CertificationError as exc:
             # a mismatch of the oracle: no orbits are reported or cached
             print(f"certification failed: {exc}", file=sys.stderr)

@@ -86,8 +86,12 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
+        tokens = [tok.strip() for tok in text.split(",")]
         try:
-            parts = tuple(int(tok) for tok in text.split(","))
+            # ASCII digits only: int() also reads "1_0", "+1" and other scripts
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise ValueError("a part that is not ASCII digits")
+            parts = tuple(map(int, tokens))
         except ValueError as exc:
             raise InvalidInputError(f"bad partition {text!r}") from exc
         return cls(parts)

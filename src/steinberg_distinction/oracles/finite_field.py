@@ -12,7 +12,7 @@ so building them costs no Python arithmetic per entry and no new int
 object.  The arithmetic Frobenius x -> x^q fixes F_q and negates l, so
 it sends a + b l to a - b l.
 
-Subspaces are tuples of row-reduced rows; every operation is exact and
+Subspaces are tuples of row-reduced rows; every operation but ``rank``
 is one ``rref``: the sum reduces both bases together, the intersection
 is Zassenhaus's reduction of (a, a) over (b, 0), a complement is read
 off the pivot columns of the vectors taken as columns, and ``solve``
@@ -24,6 +24,7 @@ reducing it.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from ..cosets import InvalidInputError
@@ -179,7 +180,20 @@ class QuadraticExtension:
         return tuple(tuple(row) for row in mat[:pivot_row])
 
     def rank(self, rows: list[Vec]) -> int:
-        return len(self.rref(rows))
+        """Elimination on nonzero entries: each row, reduced against the
+        rows kept, one per leading column, is kept if anything is left."""
+        mul, sub, inv = self.mul_table, self.sub_table, self.inv_table
+        kept: dict[int, dict[int, Elt]] = {}
+        for row in rows:
+            left = {c: row[c] for c in itertools.compress(range(len(row)), row)}
+            while left and (lead := min(left)) in kept:
+                scale = mul[mul[left[lead]][inv[kept[lead][lead]]]]
+                for c, x in kept[lead].items():
+                    left[c] = sub[left.get(c, 0)][scale[x]]
+                left = {c: x for c, x in left.items() if x}
+            if left:
+                kept[lead] = left
+        return len(kept)
 
     def is_reduced(self, rows: tuple[Vec, ...]) -> bool:
         """Whether ``rref(rows) == rows``, from the definition and with no

@@ -8,35 +8,26 @@ the canonical representative of its profile by a base-field matrix,
 built from graded pieces that the rank table mostly settles without a
 row reduction.
 
-The depth-first walk ``_walk`` visits every flag and shares prefixes:
-the row r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table is
-computed once per node V_i, so a leaf pays one row.  The diagonal entry
-r[i][i] is looked up in a memo keyed by the imaginary parts of the
-basis, and a rank of two rows is a proportionality test.  The walk
-lists the flags of ``enumerate_flags`` and is the reference for
-``profile_histogram``, which walks orbit representatives instead: one
-V_1 per pattern of imaginary parts of each pivot block, then one partial
-flag per distinct partial rank table, each with the number of flags it
-stands for.  Its certificates and the command's sampled reductions are
-one orbit check, ``reduction_fault``: the flag's rank table, computed
-once, gives its profile and its graded pieces, each representative is
-built once per (profile, q), and an error inside the reduction fails the
-check.  ``flag_at`` finds the flag at a walk position by arithmetic on
-it.  The on-disk cache (version 5) holds a point's orbit sizes and a
-CRC-32 of their text, so a file that is not exactly what ``store``
-wrote is a miss.
+The depth-first walk ``_walk`` lists the flags of ``enumerate_flags``,
+each row r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table
+computed once per node V_i.  ``profile_histogram`` certifies the orbit
+sizes by orbit-stabiliser, and the command's samples, found by
+``flag_at``, go through the one orbit check ``reduction_fault``.  The
+cache (version 5) holds a point's orbit sizes and a CRC-32 of their
+text, so a file that is not exactly what ``store`` wrote is a miss.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
+import math
 import os
 import tempfile
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from ..cosets import (
@@ -45,6 +36,7 @@ from ..cosets import (
     InvalidInputError,
     Partition,
     build_us_odd,
+    enumerate_coset_matrices,
 )
 from .finite_field import QuadraticExtension, Vec, pivot
 
@@ -88,8 +80,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """The representative walk merged partial flags that it could not
-    show to be one orbit, or its orbit sizes miss the flag count."""
+    """The orbit sizes of ``profile_histogram`` are not certified."""
 
 
 @dataclass(frozen=True)
@@ -274,93 +265,75 @@ def enumerate_flags(
     return [Flag(partition, chain + (top,)) for chain, _ in _walk(field, partition, budget)]
 
 
-def profile_histogram(
-    field: QuadraticExtension,
-    partition: Partition,
-    budget: int = DEFAULT_BUDGET,
-) -> Histogram:
+def profile_histogram(field: QuadraticExtension, partition: Partition) -> Histogram:
     """The orbit sizes of the flags, keyed by the flat coset matrix of
-    the orbit, from a walk over orbit representatives instead of over
-    every flag; refused like ``_walk`` when the flags exceed the budget.
+    the orbit, from an orbit-stabiliser certificate that visits one
+    representative per orbit.  For each coset matrix s, the
+    representative F_s of ``_representative`` must have profile s, and
+    its orbit under H = GL_n(F_q) has |H| / |A_s^x| flags, where
+    A_s = {X in M_n(F_q) : X V_i <= V_i for every i}:
 
-    The root lemma.  Two reduced bases of one pivot block whose entries
-    have the same imaginary parts differ by real parts d_rc in F_q at
-    the free cells (r, c), and the unipotent base-field map
-    e_{p_r} -> e_{p_r} + sum_c d_rc e_c, fixing the other unit vectors,
-    carries the rows of one onto the rows of the other, because no free
-    column c is a pivot.  So the q^c bases of a block of c free cells
-    with one pattern of imaginary parts lie in one orbit of
-    H = GL_n(F_q), and the walk starts from the q^c patterns, each as
-    the basis with real parts 0 and multiplicity q^c.  It is the fact
-    ``_diagonal``'s memo rests on.
+    - h in H fixes F_s exactly when h lies in A_s, and the inverse of an
+      invertible X in A_s is a polynomial in X: the stabiliser is A_s^x.
+      ``_stabiliser_dim`` measures dim A_s; N(s) is left to the tests.
+    - rad A is nilpotent, so x is a unit of A exactly when it is one
+      modulo rad A: |A^x| = |rad A| |(A / rad A)^x|.
+    - Over F_{q^2}, A_s spans the algebra S of the X that keep F_s and
+      theta F_s.  The graded pieces S_ab split both, so X in S maps S_ab
+      into the sum of the S_cd with c <= a and d <= b, and S / rad S is
+      the product of the End(S_ab).  theta fixes each S_aa and swaps S_ab
+      with S_ba, so A_s / rad A_s is the theta-compatible Levi L_s =
+      prod_a M_{s_aa}(F_q) x prod_{a<b} M_{s_ab}(F_{q^2}), of dimension
+      sum_ab s_ab^2, and |A_s^x| = q^(dim A_s - sum_ab s_ab^2) |L_s^x|.
 
-    Deeper levels.  Each partial flag V_1 < ... < V_i has the same number
-    of extensions, and h in H carries those of a partial flag onto those
-    of its image with their rank tables, since h commutes with the
-    twist.  So a level keeps one representative chain for each distinct
-    partial rank table, with the summed multiplicity of the partial
-    flags it stands for, extends only the representatives through
-    ``_extensions``, and the last level is counted.
-
-    Certification.  A merge of equal partial tables assumes that they
-    are one H-orbit, which is the claim the oracle tests, so every
-    partial flag of a merged table, the representative included, is
-    checked as a flag of the coarse partition (n_1, ..., n_i, n - d_i):
-    its ``flag_profile`` must be the coset matrix of the table, and
-    ``reduce_to_representative`` must carry it onto the canonical
-    representative by a base-field matrix.  The last level is counted,
-    not extended, so its merges need no certificate.  The multiplicities
-    must sum to the flag count.  ``CertificationError`` otherwise.
+    The profile is H-invariant, so the profile classes partition the
+    flags and the orbit of F_s lies in the class of s: if the sizes of
+    distinct matrices sum to ``count_flags``, each class is one orbit and
+    none is missing.  ``CertificationError`` otherwise, or when a size is
+    not an integer.
     """
-    count = count_flags(partition, field.p * field.p)
-    if count > budget:
-        raise BudgetExceededError(count, budget)
-    n, parts = partition.total, partition.parts
-    if len(parts) == 1:
-        return {_profile_from_rows(parts, ()).flat(): 1}
-    # members[table]: the chains of bases of V_1, ..., V_i with that
-    # partial table, the representative first; sizes[table]: the flags
-    # they stand for
-    members: dict[Table, list] = collections.defaultdict(list)
-    sizes: collections.Counter = collections.Counter()
-    for pivots, cells in _rref_blocks(n, parts[0]):
-        for values in itertools.product(range(field.p), repeat=len(cells)):
-            basis = _rref(field, n, pivots, cells, values)
-            table = (_rank_row(field, basis, ()),)
-            members[table].append((basis,))
-            sizes[table] += field.p ** len(cells)
-    for depth, quotient in enumerate(_quotients(field, partition), 1):
-        _certify(field, Partition((*parts[:depth], n - sum(parts[:depth]))), members)
-        below: dict[Table, list] = collections.defaultdict(list)
-        below_sizes: collections.Counter = collections.Counter()
-        for table, chains in members.items():
-            chain = chains[0]
-            for basis in _extensions(field, n, chain[-1], quotient):
-                extended = table + (_rank_row(field, basis, chain),)
-                below[extended].append(chain + (basis,))
-                below_sizes[extended] += sizes[table]
-        members, sizes = below, below_sizes
-    if sum(sizes.values()) != count:
-        raise CertificationError(f"orbit sizes sum to {sum(sizes.values())}, not to {count} flags")
-    return {_profile_from_rows(parts, table).flat(): size for table, size in sizes.items()}
+    q, histogram = field.p, {}
+    group = _gl(partition.total, q)
+    for s in enumerate_coset_matrices(partition, CaseTag.ODD):
+        key, (profile, flag, _) = s.flat(), _representative(s, q)
+        if profile != s:
+            raise CertificationError(f"representative of {list(key)} has profile {list(profile.flat())}")
+        if key in histogram:
+            raise CertificationError(f"coset matrix {list(key)} is listed twice")
+        e, t = s.entries, s.size
+        levi = math.prod(_gl(e[a][b], q * q if a < b else q) for a in range(t) for b in range(a, t))
+        size = group / (Fraction(q) ** (_stabiliser_dim(field, flag) - sum(x * x for x in key)) * levi)
+        if size.denominator != 1:
+            raise CertificationError(f"the orbit of {list(key)} would have {size} flags")
+        histogram[key] = size.numerator
+    count = count_flags(partition, q * q)
+    if sum(histogram.values()) != count:
+        raise CertificationError(f"orbit sizes sum to {sum(histogram.values())}, not to {count} flags")
+    return histogram
 
 
-def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, list]) -> None:
-    """Check that the partial flags merged under each table of one level
-    are one H-orbit: ``reduction_fault`` finds none for each, as a flag
-    of the coarse partition, against the table's coset matrix."""
-    top = _rref_at(field, coarse.total, coarse.total, 0)
-    for table, chains in members.items():
-        if len(chains) < 2:
-            continue
-        try:
-            profile = _profile_from_rows(coarse.parts, table)
-        except InvalidInputError as exc:
-            raise CertificationError(f"merged under table {table}: {exc}") from None
-        for chain in chains:
-            fault = reduction_fault(Flag(coarse, (*chain, top)), field, profile)
-            if fault:
-                raise CertificationError(f"{chain} merged under table {table}: {fault}")
+def _gl(k: int, q: int) -> int:
+    return math.prod(q**k - q**i for i in range(k))
+
+
+def _stabiliser_dim(field: QuadraticExtension, flag: Flag) -> int:
+    """dim {X in M_n(F_q) : X V_i <= V_i}: n^2 less the rank of w_c X v = 0
+    and its Frobenius image, v in the reduced basis B of V_i, since u is in
+    V_i when w_c u = 0 for w_c = e_c - sum_r B_r[c] e_{p_r}, c off pivots p_r."""
+    n = flag.partition.total
+    mul, neg, frob = field.mul_table, field.neg_table, field.frob_table
+    rows = []
+    for basis in flag.bases[:-1]:
+        pivots = [pivot(row) for row in basis]
+        for c in (c for c in range(n) if c not in pivots):
+            w = [(c, field.one)] + [(p, neg[row[c]]) for p, row in zip(pivots, basis) if row[c]]
+            for v in basis:
+                condition = [field.zero] * (n * n)
+                for a, x in w:
+                    condition[a * n : a * n + n] = [mul[x][y] for y in v]
+                image = [frob[x] for x in condition]
+                rows += [condition] if image == condition else [condition, image]
+    return n * n - field.rank(rows)
 
 
 def flag_at(
@@ -599,14 +572,20 @@ def _pieces(flag: Flag, field: QuadraticExtension, table: Table) -> GradedPieces
 
 
 @functools.lru_cache(maxsize=1024)
-def _representative(profile: CosetMatrix, q: int) -> tuple[CosetMatrix, GradedPieces]:
-    """The profile and graded pieces of the canonical representative of
-    ``profile`` over F_{q^2}, from its one rank table, once per (profile,
-    q) in a process for every later reduction; not to be mutated."""
+def _representative(profile: CosetMatrix, q: int) -> tuple[CosetMatrix, Flag, Table]:
+    """The profile, canonical representative over F_{q^2} and rank table
+    of ``profile``, once per (profile, q) in a process; not to be mutated."""
     field = QuadraticExtension(q)
     flag = representative_flag(profile, field)
     table = _rank_rows(field, flag.bases[:-1])
-    return _profile_from_rows(profile.partition.parts, table), _pieces(flag, field, table)
+    return _profile_from_rows(profile.partition.parts, table), flag, table
+
+
+@functools.lru_cache(maxsize=1024)
+def _representative_pieces(profile: CosetMatrix, q: int) -> GradedPieces:
+    """The graded pieces of ``_representative``, which only reductions need."""
+    _, flag, table = _representative(profile, q)
+    return _pieces(flag, QuadraticExtension(q), table)
 
 
 def reduce_to_representative(
@@ -627,7 +606,7 @@ def reduce_to_representative(
     own = _profile_from_rows(flag.partition.parts, table)
     if profile is not None and own != profile:
         raise InvalidInputError(f"flag has profile {list(own.flat())}, not {list(profile.flat())}")
-    dst = _representative(own, field.p)[1]
+    dst = _representative_pieces(own, field.p)
     src = _pieces(flag, field, table)
     # every (i, j) of 1..t, in order
     keys = sorted(src)
@@ -656,8 +635,9 @@ def reduction_fault(
 
 
 def sample_stride(count: int, samples: int) -> int:
-    """The oracle reduces the flags at stream positions 0, stride,
-    2 stride, ...: about ``samples`` of them, and at least one."""
+    """The oracle reduces the flags at walk positions 0, stride,
+    2 stride, ... of ``flag_at``: about ``samples`` of them, and at
+    least one."""
     return max(1, count // samples)
 
 

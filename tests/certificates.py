@@ -8,12 +8,16 @@ and the tests use.  ``build_ws_even`` and
 cases and check them against the position involution of
 ``cosets.block_involution``; ``root_action`` tabulates the signs of
 Levi roots under that involution; ``minimal_orbit_analysis`` filters
-every orbit on the minimal partition through ``orbit_supports``.
+every orbit on the minimal partition through ``orbit_supports``;
+``flag_pair_dim`` and ``stabiliser_order`` give the stabiliser of a
+representative flag in closed form, for the mass formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import prod
 
 from steinberg_distinction.characters import ChiToken, minimal_partition, orbit_supports
 from steinberg_distinction.cosets import (
@@ -236,3 +240,41 @@ def minimal_orbit_analysis(
         for s in enumerate_coset_matrices(partition, case)
         if orbit_supports(s, chi).feasible
     ]
+
+
+def flag_pair_dim(s: CosetMatrix) -> int:
+    """N(s), the sum of s_ab s_cd over the pairs of cells (a, b), (c, d)
+    with c <= a and d <= b: the dimension of the endomorphisms that keep
+    a flag and its twist in relative position s, each graded piece S_ab
+    going into the sum of the S_cd below it."""
+    cells = [(a, b, x) for a, row in enumerate(s.entries) for b, x in enumerate(row) if x]
+    return sum(x * y for a, b, x in cells for c, d, y in cells if c <= a and d <= b)
+
+
+@cache
+def gl_order(k: int, q: int) -> int:
+    """|GL_k(F_q)|."""
+    return prod(q**k - q**i for i in range(k))
+
+
+def stabiliser_order(s: CosetMatrix, q: int) -> int:
+    """|Stab_H(F_s)| in closed form, from N(s) and the theta-compatible
+    Levi of s.
+
+    Odd case: H = GL_n(F_q) on the flags of F_{q^2}^n, and the order is
+    q^(N(s) - sum s_ab^2) prod_a |GL_{s_aa}(F_q)| prod_{a<b}
+    |GL_{s_ab}(F_{q^2})|.  Even case: H = GL_m(F_{q^2}) on the flags of
+    F_q^{2m}, and it is q^((N(s) - sum s_ab^2) / 2) prod_a
+    |GL_{s_aa / 2}(F_{q^2})| prod_{a<b} |GL_{s_ab}(F_q)|.
+    """
+    t, e = s.size, s.entries
+    unipotent = flag_pair_dim(s) - sum(x * x for row in e for x in row)
+    pairs = [(a, b) for a in range(t) for b in range(a + 1, t)]
+    if s.case is CaseTag.ODD:
+        levi = prod(gl_order(e[a][a], q) for a in range(t))
+        return q**unipotent * levi * prod(gl_order(e[a][b], q * q) for a, b in pairs)
+    half, odd = divmod(unipotent, 2)
+    if odd:
+        raise InvalidInputError(f"N(s) - sum s_ab^2 = {unipotent} is odd for {s.to_json()}")
+    levi = prod(gl_order(e[a][a] // 2, q * q) for a in range(t))
+    return q**half * levi * prod(gl_order(e[a][b], q) for a, b in pairs)

@@ -5,7 +5,7 @@ import pytest
 
 from steinberg_distinction.characters import ChiToken, SupportReport, SupportRule
 from steinberg_distinction.cosets import Partition
-from steinberg_distinction.oracles.flags import _representative
+from steinberg_distinction.oracles.flags import _representative, _representative_pieces
 
 
 def compositions(n: int):
@@ -76,5 +76,7 @@ def cold_representatives():
     count of built flags does not depend on the tests run before it, and
     a test that patches the builder leaves no wrong representative."""
     _representative.cache_clear()
+    _representative_pieces.cache_clear()
     yield
     _representative.cache_clear()
+    _representative_pieces.cache_clear()

@@ -1,0 +1,119 @@
+"""The representative walk: the flag oracle's orbit sizes found by
+walking orbit representatives of partial flags, each merge certified by
+a reduction.  ``flags.profile_histogram`` gets the same sizes from an
+orbit-stabiliser certificate; the tests keep this walk as its reference.
+"""
+
+from __future__ import annotations
+
+import collections
+import itertools
+
+from steinberg_distinction.cosets import InvalidInputError, Partition
+from steinberg_distinction.oracles.finite_field import QuadraticExtension
+from steinberg_distinction.oracles.flags import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    CertificationError,
+    Flag,
+    Histogram,
+    Table,
+    _extensions,
+    _profile_from_rows,
+    _quotients,
+    _rank_row,
+    _rref,
+    _rref_at,
+    _rref_blocks,
+    count_flags,
+    reduction_fault,
+)
+
+
+def walk_histogram(
+    field: QuadraticExtension,
+    partition: Partition,
+    budget: int = DEFAULT_BUDGET,
+) -> Histogram:
+    """The orbit sizes of the flags, keyed by the flat coset matrix of
+    the orbit, from a walk over orbit representatives instead of over
+    every flag; refused like ``_walk`` when the flags exceed the budget.
+
+    The root lemma.  Two reduced bases of one pivot block whose entries
+    have the same imaginary parts differ by real parts d_rc in F_q at
+    the free cells (r, c), and the unipotent base-field map
+    e_{p_r} -> e_{p_r} + sum_c d_rc e_c, fixing the other unit vectors,
+    carries the rows of one onto the rows of the other, because no free
+    column c is a pivot.  So the q^c bases of a block of c free cells
+    with one pattern of imaginary parts lie in one orbit of
+    H = GL_n(F_q), and the walk starts from the q^c patterns, each as
+    the basis with real parts 0 and multiplicity q^c.  It is the fact
+    ``_diagonal``'s memo rests on.
+
+    Deeper levels.  Each partial flag V_1 < ... < V_i has the same number
+    of extensions, and h in H carries those of a partial flag onto those
+    of its image with their rank tables, since h commutes with the
+    twist.  So a level keeps one representative chain for each distinct
+    partial rank table, with the summed multiplicity of the partial
+    flags it stands for, extends only the representatives through
+    ``_extensions``, and the last level is counted.
+
+    Certification.  A merge of equal partial tables assumes that they
+    are one H-orbit, which is the claim the oracle tests, so every
+    partial flag of a merged table, the representative included, is
+    checked as a flag of the coarse partition (n_1, ..., n_i, n - d_i):
+    its ``flag_profile`` must be the coset matrix of the table, and
+    ``reduce_to_representative`` must carry it onto the canonical
+    representative by a base-field matrix.  The last level is counted,
+    not extended, so its merges need no certificate.  The multiplicities
+    must sum to the flag count.  ``CertificationError`` otherwise.
+    """
+    count = count_flags(partition, field.p * field.p)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
+    n, parts = partition.total, partition.parts
+    if len(parts) == 1:
+        return {_profile_from_rows(parts, ()).flat(): 1}
+    # members[table]: the chains of bases of V_1, ..., V_i with that
+    # partial table, the representative first; sizes[table]: the flags
+    # they stand for
+    members: dict[Table, list] = collections.defaultdict(list)
+    sizes: collections.Counter = collections.Counter()
+    for pivots, cells in _rref_blocks(n, parts[0]):
+        for values in itertools.product(range(field.p), repeat=len(cells)):
+            basis = _rref(field, n, pivots, cells, values)
+            table = (_rank_row(field, basis, ()),)
+            members[table].append((basis,))
+            sizes[table] += field.p ** len(cells)
+    for depth, quotient in enumerate(_quotients(field, partition), 1):
+        _certify(field, Partition((*parts[:depth], n - sum(parts[:depth]))), members)
+        below: dict[Table, list] = collections.defaultdict(list)
+        below_sizes: collections.Counter = collections.Counter()
+        for table, chains in members.items():
+            chain = chains[0]
+            for basis in _extensions(field, n, chain[-1], quotient):
+                extended = table + (_rank_row(field, basis, chain),)
+                below[extended].append(chain + (basis,))
+                below_sizes[extended] += sizes[table]
+        members, sizes = below, below_sizes
+    if sum(sizes.values()) != count:
+        raise CertificationError(f"orbit sizes sum to {sum(sizes.values())}, not to {count} flags")
+    return {_profile_from_rows(parts, table).flat(): size for table, size in sizes.items()}
+
+
+def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, list]) -> None:
+    """Check that the partial flags merged under each table of one level
+    are one H-orbit: ``reduction_fault`` finds none for each, as a flag
+    of the coarse partition, against the table's coset matrix."""
+    top = _rref_at(field, coarse.total, coarse.total, 0)
+    for table, chains in members.items():
+        if len(chains) < 2:
+            continue
+        try:
+            profile = _profile_from_rows(coarse.parts, table)
+        except InvalidInputError as exc:
+            raise CertificationError(f"merged under table {table}: {exc}") from None
+        for chain in chains:
+            fault = reduction_fault(Flag(coarse, (*chain, top)), field, profile)
+            if fault:
+                raise CertificationError(f"{chain} merged under table {table}: {fault}")

@@ -46,11 +46,14 @@ from certificates import (
     build_ws_even,
     compose,
     extract_permutation_odd,
+    gl_order,
     inverse,
     reversal,
     root_action,
+    stabiliser_order,
 )
 from conftest import compositions, delta_half_exponents, reference_report
+from reference_walk import walk_histogram
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -192,24 +195,26 @@ def test_criterion_7_finite_field_oracle():
             ok = ok and all(top > size for key, size in hist.items() if key != anti)
         for s in enumerate_coset_matrices(partition, CaseTag.ODD):
             ok = ok and flag_profile(representative_flag(s, field), field) == s
-    # the minimal partitions of n = 4 and 5 through the representative
-    # walk, far above the default budget: 746,200 and 5.5e9 flags
+    # the minimal partitions of n = 4 and 5, far above the default
+    # budget (746,200 and 5.5e9 flags), through the certificate and the
+    # reference walk
     walked = []
     for partition in (Partition((1,) * 4), Partition((1,) * 5)):
         lap = time.monotonic()
         count = count_flags(partition, 9)
-        hist = profile_histogram(field, partition, budget=count)
+        hist = profile_histogram(field, partition)
         expected = {s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)}
         ok = ok and set(hist) == expected and sum(hist.values()) == count
         anti = anti_diagonal_matrix(partition, CaseTag.ODD).flat()
         ok = ok and all(hist[anti] > size for key, size in hist.items() if key != anti)
+        ok = ok and walk_histogram(field, partition, budget=count) == hist
         walked.append(f"{len(hist)} orbits in {time.monotonic() - lap:.2f}s")
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
     report(
         7, ok,
-        f"flag oracle n<=3 q=3 matches enumeration, reductions rational; 1^4 and 1^5 walked"
-        f" ({', '.join(walked)}), keys and sizes exact; {elapsed:.2f}s",
+        f"flag oracle n<=3 q=3 matches enumeration, reductions rational; 1^4 and 1^5 certified"
+        f" and equal to the walk ({', '.join(walked)}), keys and sizes exact; {elapsed:.2f}s",
     )
     assert ok
 
@@ -265,19 +270,48 @@ def test_criterion_10_multiplicity_one_count():
 
 def test_criterion_11_multiplicity_one_orbits():
     # criterion 10's alternating sum, with |H\G/P_lambda| the number of
-    # H-orbits on the lambda-flags of F_9^n that the representative walk
-    # finds at q = 3, not the coset matrix count
+    # H-orbits on the lambda-flags of F_9^n that the orbit-stabiliser
+    # certificate finds at q = 3, not the coset matrix count
     start = time.monotonic()
     field = QuadraticExtension(3)
     sums = [
         sum(
-            (-1) ** (n - len(partition.parts))
-            * len(profile_histogram(field, partition, budget=count_flags(partition, 9)))
+            (-1) ** (n - len(partition.parts)) * len(profile_histogram(field, partition))
             for partition in compositions(n)
         )
-        for n in range(1, 6)
+        for n in range(1, 8)
     ]
     elapsed = time.monotonic() - start
-    ok = sums == [1] * 5
-    report(11, ok, f"alternating orbit counts of the flag walk at q=3 are 1 for every n<=5, {elapsed:.2f}s")
+    ok = sums == [1] * 7 and elapsed < 5
+    report(11, ok, f"alternating certified orbit counts at q=3 are 1 for every n<=7, {elapsed:.2f}s")
     assert ok
+
+
+def test_criterion_12_mass_formula():
+    # orbit-stabiliser on the lambda-flags, H-orbits indexed by the coset
+    # matrices: sum_s |H| / |Stab_H(F_s)| is the number of lambda-flags,
+    # F_9^n-flags under GL_n(F_3) in the odd case and F_3^{2m}-flags
+    # under GL_m(F_9) in the even case, with the stabiliser in closed
+    # form.  A wrong matrix, not only a missing or repeated one, moves
+    # the sum.
+    start = time.monotonic()
+    points = [(CaseTag.ODD, 3, n) for n in range(1, 9)]
+    points += [(CaseTag.ODD, q, n) for q in (5, 7) for n in range(1, 7)]
+    points += [(CaseTag.EVEN, 3, n) for n in range(2, 11, 2)]
+    bad, checked = [], 0
+    for case, q, n in points:
+        group = gl_order(n, q) if case is CaseTag.ODD else gl_order(n // 2, q * q)
+        for partition in compositions(n):
+            matrices = enumerate_coset_matrices(partition, case)
+            mass = sum(Fraction(group, stabiliser_order(s, q)) for s in matrices)
+            checked += len(matrices)
+            if mass != count_flags(partition, q * q if case is CaseTag.ODD else q):
+                bad.append((case.value, q, partition.parts))
+    elapsed = time.monotonic() - start
+    ok = not bad
+    report(
+        12, ok,
+        f"mass formula sum |H|/|Stab| = flag count over {checked} matrices: odd n<=8 q=3, n<=6 q=5,7;"
+        f" even n<=10 q=3; {len(bad)} mismatches, {elapsed:.2f}s",
+    )
+    assert ok, bad

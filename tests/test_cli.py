@@ -22,7 +22,7 @@ from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.flags import DEFAULT_BUDGET, count_flags
 
-from conftest import compositions, swapped_line_tables
+from conftest import compositions
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -510,21 +510,16 @@ class TestOracles:
         )
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected)
-        # the 910 flags are counted from 13 lines V_1, one per pattern of
-        # imaginary parts; they fall under 2 partial tables and are all
-        # merged, so each is certified as a (1, 2) flag against the
-        # canonical representative of its table.  Built are those 13,
-        # then the 10 samples; the 2 representatives of the lines and
-        # the 4 of the orbits were built by the first run and are
-        # memoised per (profile, q), so this run builds none
+        # the 910 flags are certified from the 4 representatives of the
+        # orbits, which the first run built and which are memoised per
+        # (profile, q), so this run builds only the 10 samples
         assert len(json.loads(expected)["orbit_sizes"]) == 4
-        assert len(built) == 13 + 10
-        assert built.count(Partition((1, 2))) == 13
+        assert built == [Partition((1, 1, 1))] * 10
 
     def test_miss_then_hit_builds_each_representative_once(self, capsys, tmp_path, monkeypatch):
-        """A miss of (1, 1, 1), q = 3 builds the 2 representatives of the
-        certified lines and the 4 of the orbits; the hit after it, in the
-        same process, builds none, where each command built its own."""
+        """A miss of (1, 1, 1), q = 3 builds the 4 representatives of the
+        orbits once, for the certificate and the reductions; the hit
+        after it, in the same process, builds none."""
         real = flags_module.representative_flag
         built = []
 
@@ -540,23 +535,24 @@ class TestOracles:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
-        assert len(built) == len(set(built)) == 2 + 4
-        assert sorted(len(profile.partition) for profile, _ in built) == [2, 2, 3, 3, 3, 3]
+        assert len(built) == len(set(built)) == 4
+        assert [len(profile.partition) for profile, _ in built] == [3, 3, 3, 3]
 
-    @pytest.mark.parametrize("damage", ["profile", "reduction"])
+    @pytest.mark.parametrize("damage", ["profile", "dimension"])
     def test_flags_failed_certification_is_a_mismatch(self, capsys, tmp_path, monkeypatch, damage):
-        """A merge that the walk cannot certify gives exit 1 and ORACLE
-        MISMATCH, with no orbits, no traceback and no cache file."""
+        """An orbit-stabiliser certificate that fails gives exit 1 and
+        ORACLE MISMATCH, with no orbits, no traceback and no cache file."""
+        first, second = enumerate_coset_matrices(Partition((1, 1, 1)), CaseTag.ODD)[:2]
         if damage == "profile":
-            # the partial flags certified at the root, (1, 2) flags, read
-            # a table of the other line profile than their merge table;
-            # the command's own checks are of (1, 1, 1)
-            monkeypatch.setattr(flags_module, "_rank_rows", swapped_line_tables(flags_module._rank_rows))
-        else:
-            # every certifying reduction has an entry outside F_q
+            # the first orbit's representative is that of the second
+            real = flags_module.representative_flag
             monkeypatch.setattr(
-                flags_module, "reduce_to_representative", lambda *args, **kwargs: [(1,)]
+                flags_module, "representative_flag", lambda s, field: real(second if s == first else s, field)
             )
+        else:
+            # every stabiliser one dimension too large
+            real = flags_module._stabiliser_dim
+            monkeypatch.setattr(flags_module, "_stabiliser_dim", lambda field, flag: real(field, flag) + 1)
         code, out, err = run(
             capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1",
             "--cache-dir", str(tmp_path),
@@ -566,7 +562,7 @@ class TestOracles:
         assert out.splitlines()[-1] == "ORACLE MISMATCH"
         assert err.startswith("certification failed: ")
         if damage == "profile":
-            assert "flag has profile" in err
+            assert f"representative of {list(first.flat())} has profile {list(second.flat())}" in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
@@ -574,10 +570,10 @@ class TestOracles:
         "parts, cache", [("1,1,1", True), ("2,1", False)], ids=["certified-miss", "uncertified"]
     )
     def test_wrong_representative_is_a_mismatch(self, capsys, tmp_path, monkeypatch, parts, cache):
-        """A representative of another profile fails the orbit check of
-        the walk, on a miss of (1, 1, 1), and that of every sample, at
-        (2, 1) where nothing is certified: exit 1 with ORACLE MISMATCH,
-        no input error, no traceback and no cache file."""
+        """A representative of another profile fails the certificate, on
+        a miss of (1, 1, 1) and with the cache off at (2, 1), and the
+        orbit check of every sample: exit 1 with ORACLE MISMATCH, no input
+        error, no traceback and no cache file."""
         real = flags_module.representative_flag
 
         def other(profile, field):

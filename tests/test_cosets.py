@@ -93,7 +93,7 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             Partition(())
 
-    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",3", "", "1,x", "1 2"])
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",3", "", "1,x", "1 2", "1_0", "+1,+2", "\u0661"])
     def test_parse_refuses_empty_and_bad_parts(self, text):
         # an empty token is a bad part, not one to drop
         with pytest.raises(InvalidInputError, match=f"^bad partition {re.escape(repr(text))}$"):

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 import zlib
 
@@ -32,9 +33,11 @@ from steinberg_distinction.oracles.flags import (
     _enumerate_rref,
     _profile_from_rows,
     _representative,
+    _representative_pieces,
     _rref_blocks,
     _rank,
     _rank_row,
+    _stabiliser_dim,
     _walk,
     count_flags,
     enumerate_flags,
@@ -49,8 +52,11 @@ from steinberg_distinction.oracles.flags import (
     sample_stride,
 )
 
+import reference_walk
+from certificates import flag_pair_dim
 from conftest import compositions, swapped_line_tables
 from pair_extension import PairExtension, decode, decode_rows, encode
+from reference_walk import walk_histogram
 
 FIELD = QuadraticExtension(3)
 
@@ -371,7 +377,7 @@ def grid_flags(q, partition):
 @functools.cache
 def grid_histogram(q, partition):
     field = QuadraticExtension(q)
-    return profile_histogram(field, partition, budget=count_flags(partition, q * q))
+    return profile_histogram(field, partition)
 
 
 def random_glnq(field: QuadraticExtension, n: int, rng: random.Random):
@@ -691,10 +697,28 @@ class TestAgainstReference:
                     if any(v):
                         assert _rank(field, [u, v]) == field.rank([u, v])
 
+    def test_sparse_rank_matches_rref(self):
+        """``rank`` eliminates on nonzero entries, with no ``rref``: it is
+        the number of rows of the reduced form, on random sparse and dense
+        matrices with dependent rows."""
+        rng = random.Random(5)
+        for q in (3, 5, 7):
+            field = QuadraticExtension(q)
+            for _ in range(500):
+                width, density = rng.randint(1, 9), rng.choice([0.2, 0.5, 1.0])
+                rows = [
+                    [rng.randrange(q * q) if rng.random() < density else 0 for _ in range(width)]
+                    for _ in range(rng.randint(0, 8))
+                ]
+                if len(rows) > 1:
+                    c = rng.randrange(1, q * q)
+                    rows.append([field.add_table[x][field.mul_table[c][y]] for x, y in zip(*rows[:2])])
+                assert field.rank(rows) == len(reference_rref(field, rows))
+
     @pytest.mark.parametrize("point", WALK_GRID, ids=grid_id)
     def test_histogram_counts_the_stream(self, point):
-        """The representative walk's orbit sizes are the counted rank
-        tables of the walk over every flag."""
+        """The certified orbit sizes are the counted rank tables of the
+        walk over every flag."""
         q, partition = point
         count = count_flags(partition, q * q)
         tables = collections.Counter(table for _, table in _walk(QuadraticExtension(q), partition, count))
@@ -810,6 +834,8 @@ def record_tables(monkeypatch):
 
 
 class TestRepresentativeWalk:
+    """The reference walk of ``reference_walk.walk_histogram``."""
+
     @pytest.mark.parametrize(
         "q, n, k", [(3, 2, 1), (3, 3, 1), (3, 3, 2), (3, 4, 2), (5, 3, 1), (5, 3, 2), (7, 2, 1)]
     )
@@ -860,7 +886,7 @@ class TestRepresentativeWalk:
 
         monkeypatch.setattr(flags_module, "reduce_to_representative", counting)
         partition = Partition(parts)
-        profile_histogram(FIELD, partition, budget=count_flags(partition, 9))
+        walk_histogram(FIELD, partition, budget=count_flags(partition, 9))
         assert reduced == certified
 
     @pytest.mark.parametrize(
@@ -886,7 +912,7 @@ class TestRepresentativeWalk:
 
             monkeypatch.setattr(QuadraticExtension, "solve", singular)
         with pytest.raises(CertificationError, match=f"merged under table .*: {fault}"):
-            profile_histogram(FIELD, Partition((1, 1, 1)))
+            walk_histogram(FIELD, Partition((1, 1, 1)))
 
     def test_a_certified_partial_flag_costs_one_table(self, monkeypatch):
         """At (1, 1, 1), q = 3 the 13 root lines are certified as (1, 2)
@@ -895,22 +921,133 @@ class TestRepresentativeWalk:
         of the profile, the profile inside the reduction and the graded
         pieces took three tables per line and built 41."""
         tables, checked = record_tables(monkeypatch)
-        profile_histogram(FIELD, Partition((1, 1, 1)))
+        walk_histogram(FIELD, Partition((1, 1, 1)))
         assert len(tables) == 13 + 2
         # each line once; the two representatives are lines at the root
         assert len(set(tables)) == 13
         assert checked == [basis for bases in tables for basis in bases]
 
     def test_orbit_sizes_must_sum_to_the_count(self, monkeypatch):
-        monkeypatch.setattr(flags_module, "count_flags", lambda partition, q2: 911)
+        monkeypatch.setattr(reference_walk, "count_flags", lambda partition, q2: 911)
         with pytest.raises(CertificationError, match="orbit sizes sum to 910, not to 911 flags"):
-            profile_histogram(FIELD, Partition((1, 1, 1)))
+            walk_histogram(FIELD, Partition((1, 1, 1)))
 
     def test_budget_still_bounds_flags(self):
         partition = Partition((1, 1, 1, 1))
         with pytest.raises(BudgetExceededError, match="flag count 746200 exceeds budget 746199"):
-            profile_histogram(FIELD, partition, budget=746_199)
-        assert sum(profile_histogram(FIELD, partition, budget=746_200).values()) == 746_200
+            walk_histogram(FIELD, partition, budget=746_199)
+        assert sum(walk_histogram(FIELD, partition, budget=746_200).values()) == 746_200
+
+
+# The points where the certificate is compared with the reference walk,
+# orbit by orbit: WALK_GRID and every composition of n = 4 and 5 at q = 3.
+CERTIFICATE_GRID = WALK_GRID + [
+    (3, partition)
+    for n in (4, 5)
+    for partition in compositions(n)
+    if (3, partition) not in WALK_GRID
+]
+
+
+def another_listing(monkeypatch, listing):
+    """Make the certificate see ``listing(matrices)`` in place of the
+    coset matrices of a partition."""
+    real = flags_module.enumerate_coset_matrices
+    monkeypatch.setattr(flags_module, "enumerate_coset_matrices", lambda *args: listing(real(*args)))
+
+
+class TestCertificate:
+    """``profile_histogram``'s orbit-stabiliser certificate."""
+
+    @pytest.mark.parametrize("point", CERTIFICATE_GRID, ids=grid_id)
+    def test_certificate_is_the_walk(self, point):
+        q, partition = point
+        walked = walk_histogram(QuadraticExtension(q), partition, budget=count_flags(partition, q * q))
+        assert grid_histogram(*point) == walked
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_stabiliser_dim_is_n_of_s(self, q):
+        """The measured dim A_s is N(s) on every representative of n <= 5."""
+        field = QuadraticExtension(q)
+        for n in range(1, 6):
+            for partition in compositions(n):
+                for s in enumerate_coset_matrices(partition, CaseTag.ODD):
+                    flag = _representative(s, q)[1]
+                    assert _stabiliser_dim(field, flag) == flag_pair_dim(s), s
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 1), (2, 2)], ids=["1-1-1", "1-2-1", "2-2"])
+    def test_representative_of_another_profile_fails(self, monkeypatch, parts):
+        partition = Partition(parts)
+        matrices = enumerate_coset_matrices(partition, CaseTag.ODD)
+        for first, second in zip(matrices, matrices[1:] + matrices[:1]):
+            real = flags_module.representative_flag
+            monkeypatch.setattr(
+                flags_module, "representative_flag", lambda s, field: real(second if s == first else s, field)
+            )
+            _representative.cache_clear()
+            message = f"representative of {list(first.flat())} has profile {list(second.flat())}"
+            with pytest.raises(CertificationError, match=re.escape(message)):
+                profile_histogram(FIELD, partition)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("error", [1, -1])
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 1), (1, 1, 1, 1)], ids=["1-1-1", "1-2-1", "1-1-1-1"])
+    def test_stabiliser_dim_off_by_one_fails(self, monkeypatch, parts, error):
+        """A dimension one off for any one orbit moves its size by a
+        factor q, so the sum or the integrality fails."""
+        partition = Partition(parts)
+        real = flags_module._stabiliser_dim
+        for wrong in enumerate_coset_matrices(partition, CaseTag.ODD):
+            target = _representative(wrong, 3)[1]
+            monkeypatch.setattr(
+                flags_module, "_stabiliser_dim", lambda field, flag: real(field, flag) + error * (flag is target)
+            )
+            with pytest.raises(CertificationError):
+                profile_histogram(FIELD, partition)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 1), (2, 2)], ids=["1-1-1", "1-2-1", "2-2"])
+    def test_matrix_listed_twice_fails(self, monkeypatch, parts):
+        """One matrix listed twice in place of another keeps the count of
+        the list, as criterion 10 sees it, and fails the certificate."""
+        partition = Partition(parts)
+        size = len(enumerate_coset_matrices(partition, CaseTag.ODD))
+        for kept, lost in itertools.permutations(range(size), 2):
+            another_listing(monkeypatch, lambda out: [out[kept] if i == lost else s for i, s in enumerate(out)])
+            with pytest.raises(CertificationError, match="is listed twice"):
+                profile_histogram(FIELD, partition)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 1), (2, 2)], ids=["1-1-1", "1-2-1", "2-2"])
+    def test_matrix_dropped_fails(self, monkeypatch, parts):
+        partition = Partition(parts)
+        count = count_flags(partition, 9)
+        for lost, s in enumerate(enumerate_coset_matrices(partition, CaseTag.ODD)):
+            short = count - grid_histogram(3, partition)[s.flat()]
+            another_listing(monkeypatch, lambda out: out[:lost] + out[lost + 1:])
+            with pytest.raises(CertificationError, match=f"orbit sizes sum to {short}, not to {count} flags"):
+                profile_histogram(FIELD, partition)
+            monkeypatch.undo()
+
+    def test_sizes_must_sum_to_the_count(self, monkeypatch):
+        monkeypatch.setattr(flags_module, "count_flags", lambda partition, q2: 911)
+        with pytest.raises(CertificationError, match="orbit sizes sum to 910, not to 911 flags"):
+            profile_histogram(FIELD, Partition((1, 1, 1)))
+
+    def test_certificate_visits_no_flag(self, monkeypatch):
+        """Only the representatives are built and no flag is reduced, at
+        (1, 1, 1, 1), q = 3, far above the default budget."""
+        built = []
+        monkeypatch.setattr(flags_module.Flag, "__post_init__", lambda flag: built.append(flag.partition))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate reduced a flag")
+
+        monkeypatch.setattr(flags_module, "reduce_to_representative", refuse)
+        monkeypatch.setattr(flags_module, "_walk", refuse)
+        partition = Partition((1, 1, 1, 1))
+        assert sum(profile_histogram(FIELD, partition).values()) == 746_200
+        assert built == [partition] * 10
 
 
 class TestEnumeration:
@@ -939,16 +1076,16 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError) as err:
             enumerate_flags(FIELD, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
-        # the histogram refuses before it walks
+        # the reference walk refuses before it walks
         with pytest.raises(BudgetExceededError) as err:
-            profile_histogram(FIELD, Partition((1, 1, 1, 1)))
+            walk_histogram(FIELD, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
 
     @pytest.mark.parametrize("parts", [(2, 2), (1, 1, 2)], ids=["2-2", "1-1-2"])
     def test_n4_stream(self, parts):
         partition = Partition(parts)
         count = count_flags(partition, 9)
-        hist = profile_histogram(FIELD, partition, budget=count)
+        hist = profile_histogram(FIELD, partition)
         assert set(hist) == {
             s.flat() for s in enumerate_coset_matrices(partition, CaseTag.ODD)
         }
@@ -1315,6 +1452,7 @@ class TestRepresentativesAndReduction:
             flags_module, "_pieces", lambda flag, field, table: reference_complements(flag, field)
         )
         _representative.cache_clear()
+        _representative_pieces.cache_clear()
         assert fast == [reduce_to_representative(flag, field) for flag in flags]
 
     def test_one_intersection_per_corner(self, monkeypatch):
