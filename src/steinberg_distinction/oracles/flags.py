@@ -8,10 +8,13 @@ the canonical representative of its profile by a base-field matrix,
 built from graded pieces that the rank table mostly settles without a
 row reduction.
 
-The depth-first walk ``_walk`` lists the flags of ``enumerate_flags``,
-each row r[i][j] = dim(V_i meet theta V_j), j <= i, of the rank table
-computed once per node V_i.  ``profile_histogram`` certifies the orbit
-sizes by orbit-stabiliser, and the command's samples, found by
+``flag_at`` is the one way from a position to a flag: each digit of the
+position indexes a reduced basis by arithmetic, that of V_1 and then
+that of each quotient V_{i + 1} / V_i, so building a flag costs one
+``_rref_at`` per level and one ``_extend`` per level after the first,
+whatever the flag count; ``enumerate_flags`` is ``flag_at`` over every
+position.  ``profile_histogram`` certifies the orbit sizes by
+orbit-stabiliser, visiting no flag, and the command's samples, found by
 ``flag_at``, go through the one orbit check ``reduction_fault``.  The
 cache (version 5) holds a point's orbit sizes and a CRC-32 of their
 text, so a file that is not exactly what ``store`` wrote is a miss.
@@ -136,17 +139,12 @@ def _rref(field: QuadraticExtension, n: int, pivots, cells, values) -> tuple[Vec
     return tuple(map(tuple, rows))
 
 
-def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple[Vec, ...]]:
-    """All reduced row echelon bases of k-dimensional subspaces of F^n."""
-    for pivots, cells in _rref_blocks(n, k):
-        for values in itertools.product(field.elements(), repeat=len(cells)):
-            yield _rref(field, n, pivots, cells, values)
-
-
 def _rref_at(field: QuadraticExtension, n: int, k: int, index: int) -> tuple[Vec, ...]:
-    """The basis at ``index`` of ``_enumerate_rref``: a block of c free
-    cells holds q2^c bases, and within it the index is the base-q2
-    number of the cells' values, since the elements are 0..q2 - 1."""
+    """The reduced basis at ``index`` of the k-dimensional subspaces of
+    F^n, ordered by their pivot columns as ``_rref_blocks`` lists them: a
+    block of c free cells holds q2^c bases, and within it the index is the
+    base-q2 number of the cells' values, since the elements are
+    0..q2 - 1."""
     q2 = field.p * field.p
     for pivots, cells in _rref_blocks(n, k):
         if index < q2 ** len(cells):
@@ -156,103 +154,36 @@ def _rref_at(field: QuadraticExtension, n: int, k: int, index: int) -> tuple[Vec
     raise InvalidInputError(f"no {k}-dimensional subspace of F^{n} at that position")
 
 
-def _extensions(
-    field: QuadraticExtension,
-    n: int,
-    basis: tuple[Vec, ...],
-    quotients: list[tuple[Vec, ...]],
-) -> list[tuple[Vec, ...]]:
-    """Reduced bases of every subspace containing span(basis), one per
-    subspace of the quotient, in the order of ``_enumerate_rref``.
+def _extend(
+    field: QuadraticExtension, n: int, basis: tuple[Vec, ...], quotient: tuple[Vec, ...]
+) -> tuple[Vec, ...]:
+    """The reduced basis of span(basis) + U, where ``quotient`` is the
+    reduced basis of U in the coordinates off the pivots of ``basis``.
 
-    ``quotients`` are the reduced bases of the quotient subspaces in the
-    coordinates off the pivots of ``basis``; those coordinates span a
-    complement, so each quotient basis embeds into F^n already reduced
-    against ``basis``, and clearing its pivot columns from the rows of
-    ``basis`` leaves the union reduced.
+    Those coordinates span a complement of span(basis), so the quotient
+    basis embeds into F^n already reduced against ``basis``, and clearing
+    its pivot columns from the rows of ``basis`` leaves the union reduced.
     """
     mul, sub = field.mul_table, field.sub_table
-    old = [(pivot(row), row) for row in basis]
-    taken = {p for p, _ in old}
+    taken = {pivot(row) for row in basis}
     free = [c for c in range(n) if c not in taken]
-    out = []
-    for quotient in quotients:
-        rows = []
-        for row in quotient:
-            full = [0] * n
-            for c, x in zip(free, row):
-                full[c] = x
-            rows.append((free[pivot(row)], tuple(full)))
-        added = list(rows)
-        for p, vec in old:
-            for c, full in added:
-                a = vec[c]
-                if a:
-                    scale = mul[a]
-                    vec = tuple([sub[x][scale[y]] for x, y in zip(vec, full)])
-            rows.append((p, vec))
-        rows.sort()
-        out.append((tuple(p for p, _ in rows), tuple(row for _, row in rows)))
-    # _enumerate_rref orders by pivot columns first, then by entries
-    out.sort()
-    return [rows for _, rows in out]
-
-
-def _quotients(field: QuadraticExtension, partition: Partition) -> list[list[tuple[Vec, ...]]]:
-    # [d - 1]: the quotient subspaces that extend any V_d to V_{d + 1}
-    parts = partition.parts
-    return [
-        list(_enumerate_rref(field, partition.total - dim, part))
-        for dim, part in zip(itertools.accumulate(parts), parts[1:-1])
-    ]
-
-
-def _walk(
-    field: QuadraticExtension, partition: Partition, budget: int
-) -> Iterator[tuple[tuple[tuple[Vec, ...], ...], Table]]:
-    """Every flag of the given shape once, as the bases of V_1, ...,
-    V_{t - 1} and their rank table, refused with the count estimate
-    before the first when the flag variety exceeds the budget.
-
-    A depth-first walk over chains of ``_enumerate_rref`` bases, each
-    step built from the previous one through the subspaces of the
-    quotient, so no flag comes twice and none is filtered out; the order
-    is by V_1, then V_2, and so on.  A node V_i computes its row of the
-    rank table once for all its descendants; V_t = F^n costs nothing.
-    """
-    estimate = count_flags(partition, field.p * field.p)
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget)
-    n, t = partition.total, len(partition)
-    if t == 1:
-        yield (), ()
-        return
-    quotients = _quotients(field, partition)
-    # stack[d] iterates the bases of V_{d + 1} below the path whose
-    # bases and rank table rows are chains[d] and tables[d]
-    stack: list[Iterator[tuple[Vec, ...]]] = [_enumerate_rref(field, n, partition.parts[0])]
-    chains: list[tuple[tuple[Vec, ...], ...]] = [()]
-    tables: list[Table] = [()]
-    count = 0
-    while stack:
-        basis = next(stack[-1], None)
-        if basis is None:
-            stack.pop()
-            chains.pop()
-            tables.pop()
-            continue
-        depth = len(stack)
-        chain = chains[-1] + (basis,)
-        table = tables[-1] + (_rank_row(field, basis, chains[-1]),)
-        if depth < t - 1:
-            stack.append(iter(_extensions(field, n, basis, quotients[depth - 1])))
-            chains.append(chain)
-            tables.append(table)
-        else:
-            count += 1
-            yield chain, table
-    if count != estimate:
-        raise InvalidInputError(f"enumeration produced {count} flags, expected {estimate}")
+    rows = []
+    for row in quotient:
+        full = [0] * n
+        for c, x in zip(free, row):
+            full[c] = x
+        rows.append((free[pivot(row)], tuple(full)))
+    added = list(rows)
+    for vec in basis:
+        p = pivot(vec)
+        for c, full in added:
+            a = vec[c]
+            if a:
+                scale = mul[a]
+                vec = tuple([sub[x][scale[y]] for x, y in zip(vec, full)])
+        rows.append((p, vec))
+    rows.sort()
+    return tuple(row for _, row in rows)
 
 
 def enumerate_flags(
@@ -260,9 +191,13 @@ def enumerate_flags(
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Flag]:
-    """The flags of the walk, in its order."""
-    top = _rref_at(field, partition.total, partition.total, 0)
-    return [Flag(partition, chain + (top,)) for chain, _ in _walk(field, partition, budget)]
+    """Every flag of the given shape, in ``flag_at``'s position order,
+    refused with the count estimate before the first flag is built when
+    the flag variety exceeds the budget."""
+    count = count_flags(partition, field.p * field.p)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
+    return flag_at(field, partition, range(count))
 
 
 def profile_histogram(field: QuadraticExtension, partition: Partition) -> Histogram:
@@ -339,30 +274,36 @@ def _stabiliser_dim(field: QuadraticExtension, flag: Flag) -> int:
 def flag_at(
     field: QuadraticExtension, partition: Partition, positions: Iterable[int]
 ) -> list[Flag]:
-    """The flags that ``enumerate_flags`` lists at the given positions,
-    found without the walk.
+    """The flags at the given positions, each built level by level.
 
-    Every node at depth d of the walk has one child per subspace of its
-    quotient, so a position is a mixed-radix number: its leading digit
-    picks the basis of V_1 by arithmetic on ``_enumerate_rref``'s order,
-    and each later digit a child from the sorted ``_extensions`` of the
-    node above.
+    A position is a mixed-radix number.  Its leading digit is the index
+    of V_1 in ``_rref_at`` order, and the digit of level i > 1 is the
+    index, in ``_rref_at`` order, of the quotient V_i / V_{i - 1} as a
+    subspace of dimension n_i of the coordinates off the pivots of
+    V_{i - 1}, with radix the number of those subspaces.  The
+    coordinates off the pivots span a complement of V_{i - 1}, so each
+    subspace between V_{i - 1} and F^n of dimension d_{i - 1} + n_i is
+    V_{i - 1} + U for exactly one such U, and positions
+    0 .. ``count_flags`` - 1 are the flags, each once.
     """
-    n = partition.total
-    count = count_flags(partition, field.p * field.p)
-    quotients = _quotients(field, partition)
+    n, parts = partition.total, partition.parts
+    q2 = field.p * field.p
+    count = count_flags(partition, q2)
+    # (dim V_{i - 1}, n_i) for the levels after the first, with their radices
+    levels = list(zip(itertools.accumulate(parts), parts[1:-1]))
+    radices = [gaussian_binomial(n - dim, part, q2) for dim, part in levels]
     top = _rref_at(field, n, n, 0)
     flags = []
     for position in positions:
         if not 0 <= position < count:
             raise InvalidInputError(f"flag position {position} outside 0..{count - 1}")
         digits = []
-        for level in reversed(quotients):
-            position, digit = divmod(position, len(level))
+        for radix in reversed(radices):
+            position, digit = divmod(position, radix)
             digits.append(digit)
-        chain = [_rref_at(field, n, partition.parts[0], position)] if len(partition) > 1 else []
-        for level, digit in zip(quotients, reversed(digits)):
-            chain.append(_extensions(field, n, chain[-1], level)[digit])
+        chain = [_rref_at(field, n, parts[0], position)] if len(parts) > 1 else []
+        for (dim, part), digit in zip(levels, reversed(digits)):
+            chain.append(_extend(field, n, chain[-1], _rref_at(field, n - dim, part, digit)))
         flags.append(Flag(partition, (*chain, top)))
     return flags
 
@@ -635,9 +576,10 @@ def reduction_fault(
 
 
 def sample_stride(count: int, samples: int) -> int:
-    """The oracle reduces the flags at walk positions 0, stride,
-    2 stride, ... of ``flag_at``: about ``samples`` of them, and at
-    least one."""
+    """The oracle reduces the flags at positions 0, stride, 2 stride, ...
+    of ``flag_at``: about ``samples`` of them, and at least one.  The
+    leading digit of a position is V_1's, so the samples spread over the
+    V_1 bases in ``_rref_at`` order."""
     return max(1, count // samples)
 
 

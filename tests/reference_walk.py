@@ -1,16 +1,22 @@
-"""The representative walk: the flag oracle's orbit sizes found by
-walking orbit representatives of partial flags, each merge certified by
-a reduction.  ``flags.profile_histogram`` gets the same sizes from an
-orbit-stabiliser certificate; the tests keep this walk as its reference.
+"""Two walks the tests keep as references for the flag oracle.
+
+``_walk`` streams every flag with its rank table, depth first, each
+node's children in the order of its quotient's reduced bases, so the
+i-th flag it yields is ``flags.flag_at``'s flag at position i.
+``walk_histogram`` finds the orbit sizes by walking orbit
+representatives of partial flags, each merge certified by a reduction;
+``flags.profile_histogram`` gets the same sizes from an orbit-stabiliser
+certificate.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+from typing import Iterator
 
 from steinberg_distinction.cosets import InvalidInputError, Partition
-from steinberg_distinction.oracles.finite_field import QuadraticExtension
+from steinberg_distinction.oracles.finite_field import QuadraticExtension, Vec
 from steinberg_distinction.oracles.flags import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -18,9 +24,8 @@ from steinberg_distinction.oracles.flags import (
     Flag,
     Histogram,
     Table,
-    _extensions,
+    _extend,
     _profile_from_rows,
-    _quotients,
     _rank_row,
     _rref,
     _rref_at,
@@ -28,6 +33,72 @@ from steinberg_distinction.oracles.flags import (
     count_flags,
     reduction_fault,
 )
+
+
+def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple[Vec, ...]]:
+    """All reduced row echelon bases of k-dimensional subspaces of F^n,
+    in ``_rref_at`` order."""
+    for pivots, cells in _rref_blocks(n, k):
+        for values in itertools.product(field.elements(), repeat=len(cells)):
+            yield _rref(field, n, pivots, cells, values)
+
+
+def _children(
+    field: QuadraticExtension, n: int, basis: tuple[Vec, ...], part: int
+) -> Iterator[tuple[Vec, ...]]:
+    """The reduced bases of the subspaces V > span(basis) with
+    dim V = len(basis) + part, one per subspace of the quotient in the
+    coordinates off the pivots of ``basis``, in ``_rref_at`` order."""
+    for quotient in _enumerate_rref(field, n - len(basis), part):
+        yield _extend(field, n, basis, quotient)
+
+
+def _walk(
+    field: QuadraticExtension, partition: Partition, budget: int
+) -> Iterator[tuple[tuple[tuple[Vec, ...], ...], Table]]:
+    """Every flag of the given shape once, as the bases of V_1, ...,
+    V_{t - 1} and their rank table, refused with the count estimate
+    before the first when the flag variety exceeds the budget.
+
+    A depth-first walk over chains of reduced bases, each step built
+    from the previous one through the subspaces of the quotient, so no
+    flag comes twice and none is filtered out; the order is by V_1, then
+    by V_2 / V_1, and so on, each in ``_rref_at`` order.  A node V_i
+    computes its row of the rank table once for all its descendants;
+    V_t = F^n costs nothing.
+    """
+    estimate = count_flags(partition, field.p * field.p)
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget)
+    n, parts = partition.total, partition.parts
+    if len(parts) == 1:
+        yield (), ()
+        return
+    # stack[d] iterates the bases of V_{d + 1} below the path whose
+    # bases and rank table rows are chains[d] and tables[d]
+    stack: list[Iterator[tuple[Vec, ...]]] = [_enumerate_rref(field, n, parts[0])]
+    chains: list[tuple[tuple[Vec, ...], ...]] = [()]
+    tables: list[Table] = [()]
+    count = 0
+    while stack:
+        basis = next(stack[-1], None)
+        if basis is None:
+            stack.pop()
+            chains.pop()
+            tables.pop()
+            continue
+        depth = len(stack)
+        chain = chains[-1] + (basis,)
+        table = tables[-1] + (_rank_row(field, basis, chains[-1]),)
+        if depth < len(parts) - 1:
+            stack.append(_children(field, n, basis, parts[depth]))
+            chains.append(chain)
+            tables.append(table)
+        else:
+            count += 1
+            yield chain, table
+    if count != estimate:
+        raise InvalidInputError(f"enumeration produced {count} flags, expected {estimate}")
 
 
 def walk_histogram(
@@ -56,7 +127,7 @@ def walk_histogram(
     twist.  So a level keeps one representative chain for each distinct
     partial rank table, with the summed multiplicity of the partial
     flags it stands for, extends only the representatives through
-    ``_extensions``, and the last level is counted.
+    ``_children``, and the last level is counted.
 
     Certification.  A merge of equal partial tables assumes that they
     are one H-orbit, which is the claim the oracle tests, so every
@@ -85,13 +156,13 @@ def walk_histogram(
             table = (_rank_row(field, basis, ()),)
             members[table].append((basis,))
             sizes[table] += field.p ** len(cells)
-    for depth, quotient in enumerate(_quotients(field, partition), 1):
+    for depth, part in enumerate(parts[1:-1], 1):
         _certify(field, Partition((*parts[:depth], n - sum(parts[:depth]))), members)
         below: dict[Table, list] = collections.defaultdict(list)
         below_sizes: collections.Counter = collections.Counter()
         for table, chains in members.items():
             chain = chains[0]
-            for basis in _extensions(field, n, chain[-1], quotient):
+            for basis in _children(field, n, chain[-1], part):
                 extended = table + (_rank_row(field, basis, chain),)
                 below[extended].append(chain + (basis,))
                 below_sizes[extended] += sizes[table]

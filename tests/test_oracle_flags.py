@@ -30,7 +30,6 @@ from steinberg_distinction.oracles.flags import (
     Flag,
     FlagCache,
     _diagonal,
-    _enumerate_rref,
     _profile_from_rows,
     _representative,
     _representative_pieces,
@@ -38,7 +37,6 @@ from steinberg_distinction.oracles.flags import (
     _rank,
     _rank_row,
     _stabiliser_dim,
-    _walk,
     count_flags,
     enumerate_flags,
     flag_at,
@@ -56,7 +54,7 @@ import reference_walk
 from certificates import flag_pair_dim
 from conftest import compositions, swapped_line_tables
 from pair_extension import PairExtension, decode, decode_rows, encode
-from reference_walk import walk_histogram
+from reference_walk import _enumerate_rref, _walk, walk_histogram
 
 FIELD = QuadraticExtension(3)
 
@@ -360,14 +358,23 @@ def edit_cache(change, sign=True):
     return mangle
 
 
+def walked_flags(field, partition, budget):
+    """The reference walk's flags, in its order, each with its rank table."""
+    n = partition.total
+    top = tuple(tuple(field.one if c == r else field.zero for c in range(n)) for r in range(n))
+    for chain, table in _walk(field, partition, budget):
+        yield Flag(partition, chain + (top,)), table
+
+
 @functools.cache
 def grid_stream(q, partition):
     """The walk's flags, each with the coset matrix of its rank table."""
     field = QuadraticExtension(q)
     count = count_flags(partition, q * q)
-    flags = enumerate_flags(field, partition, budget=count)
-    tables = [table for _, table in _walk(field, partition, count)]
-    return [(flag, _profile_from_rows(partition.parts, table)) for flag, table in zip(flags, tables)]
+    return [
+        (flag, _profile_from_rows(partition.parts, table))
+        for flag, table in walked_flags(field, partition, count)
+    ]
 
 
 def grid_flags(q, partition):
@@ -631,11 +638,13 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_enumeration_matches_reference(self, point):
+        """The walk lists each flag of the filtered reference once; the
+        two orders differ."""
         q = point[0]
-        flags = grid_flags(*point)
-        assert [tuple(decode_rows(q, b) for b in f.bases) for f in flags] == [
-            f.bases for f in reference_enumerate_flags(*point)
-        ]
+        flags = [tuple(decode_rows(q, b) for b in f.bases) for f in grid_flags(*point)]
+        reference = [f.bases for f in reference_enumerate_flags(*point)]
+        assert len(flags) == len(set(flags)) == len(reference)
+        assert set(flags) == set(reference)
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_profiles_match_reference(self, point):
@@ -750,40 +759,32 @@ class TestFlagAt:
     def test_flag_at_is_the_walk(self, point):
         """At every position of a point with at most 3,000 flags, and at
         the 10-sample positions of a larger one, ``flag_at`` gives the
-        flag of ``enumerate_flags``, and its profile is the coset matrix
-        of the walk's rank table there."""
+        flag of the reference walk ``_walk``, and its profile is the coset
+        matrix of the walk's rank table there; ``enumerate_flags`` lists
+        the same flags where the walk covers every position."""
         q, partition = point
         field = QuadraticExtension(q)
         count = count_flags(partition, q * q)
-        if count <= 3000:
-            positions = range(count)
-            flags = enumerate_flags(field, partition, budget=count)
-            tables = [table for _, table in _walk(field, partition, count)]
-        else:
-            positions = range(0, count, sample_stride(count, 10))
-            top = flag_at(field, partition, [0])[0].bases[-1]
-            walked = [
-                (Flag(partition, chain + (top,)), table)
-                for i, (chain, table) in enumerate(_walk(field, partition, count))
-                if i in positions
-            ]
-            flags = dict(zip(positions, (flag for flag, _ in walked)))
-            tables = dict(zip(positions, (table for _, table in walked)))
+        positions = range(count) if count <= 3000 else range(0, count, sample_stride(count, 10))
+        walked = {
+            i: (flag, table)
+            for i, (flag, table) in enumerate(walked_flags(field, partition, count))
+            if i in positions
+        }
         found = flag_at(field, partition, positions)
-        assert found == [flags[i] for i in positions]
+        assert found == [walked[i][0] for i in positions]
+        if count <= 3000:
+            assert enumerate_flags(field, partition, budget=count) == found
         for flag, i in zip(found, positions):
-            assert flag_profile(flag, field) == _profile_from_rows(partition.parts, tables[i])
+            assert flag_profile(flag, field) == _profile_from_rows(partition.parts, walked[i][1])
 
     def test_flag_at_is_the_walk_with_two_later_digits(self):
         """(1, 1, 1, 1) at q = 3, the first point whose positions have two
         digits after the leading one (radices 820, 91, 10): its first
         1,820 flags, those below the first two lines."""
         partition = Partition((1, 1, 1, 1))
-        top = flag_at(FIELD, partition, [0])[0].bases[-1]
-        walked = itertools.islice(_walk(FIELD, partition, 746_200), 1820)
-        assert flag_at(FIELD, partition, range(1820)) == [
-            Flag(partition, chain + (top,)) for chain, _ in walked
-        ]
+        walked = itertools.islice(walked_flags(FIELD, partition, 746_200), 1820)
+        assert flag_at(FIELD, partition, range(1820)) == [flag for flag, _ in walked]
 
     def test_positions_outside_the_walk_refused(self):
         partition = Partition((1, 1))
@@ -792,16 +793,34 @@ class TestFlagAt:
                 flag_at(FIELD, partition, [position])
 
     def test_flag_at_skips_the_walk(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("flag_at walked the flags")
-
-        monkeypatch.setattr(flags_module, "_walk", refuse)
+        """The last of the 746,200 flags of F_9^4, above the default
+        budget, is <e_4> < <e_3, e_4> < <e_2, e_3, e_4> < F^4, built with
+        one embedding for each of its two levels after V_1."""
+        extended = []
+        real = flags_module._extend
+        monkeypatch.setattr(flags_module, "_extend", lambda *args: extended.append(1) or real(*args))
         partition = Partition((1, 1, 1, 1))
-        # the last of the 746,200 flags of F_9^4, above the default budget,
-        # is <e_4> < <e_3, e_4> < <e_2, e_3, e_4> < F^4
         (flag,) = flag_at(FIELD, partition, [746_199])
         e = [tuple(FIELD.one if c == r else FIELD.zero for c in range(4)) for r in range(4)]
         assert flag.bases == tuple(tuple(e[4 - d:]) for d in (1, 2, 3, 4))
+        assert len(extended) == 2
+
+    def test_one_basis_per_level_for_each_sample(self, monkeypatch):
+        """At (1^8), q = 3, the 10 sampled flags cost one ``_rref_at`` for
+        V_8 = F^8 and, for each sample, one ``_rref_at`` for each of V_1,
+        ..., V_7 and one ``_extend`` for each of V_2, ..., V_7: no level
+        lists the subspaces of its quotient."""
+        calls = collections.Counter()
+        for name in ("_rref_at", "_extend"):
+            real = getattr(flags_module, name)
+            monkeypatch.setattr(
+                flags_module, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
+            )
+        partition = Partition((1,) * 8)
+        count = count_flags(partition, 9)
+        found = flag_at(FIELD, partition, range(0, count, sample_stride(count, 10)))
+        assert len(found) == 10
+        assert calls == {"_rref_at": 1 + 10 * 7, "_extend": 10 * 6}
 
 
 def times(field, v, g):
@@ -1041,10 +1060,10 @@ class TestCertificate:
         monkeypatch.setattr(flags_module.Flag, "__post_init__", lambda flag: built.append(flag.partition))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the certificate reduced a flag")
+            raise AssertionError("the certificate built a flag at a position or reduced one")
 
         monkeypatch.setattr(flags_module, "reduce_to_representative", refuse)
-        monkeypatch.setattr(flags_module, "_walk", refuse)
+        monkeypatch.setattr(flags_module, "flag_at", refuse)
         partition = Partition((1, 1, 1, 1))
         assert sum(profile_histogram(FIELD, partition).values()) == 746_200
         assert built == [partition] * 10
@@ -1072,13 +1091,21 @@ class TestEnumeration:
         flags = enumerate_flags(FIELD, Partition((1, 1)))
         assert len(flags) == 10
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError) as err:
+    def test_budget_refusal(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a flag was built above the budget")
+
+        # refused before the first flag is built
+        monkeypatch.setattr(flags_module, "flag_at", refuse)
+        with pytest.raises(BudgetExceededError, match="flag count 746200 exceeds budget 10000") as err:
             enumerate_flags(FIELD, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
-        # the reference walk refuses before it walks
+        # the reference walks refuse before they walk
         with pytest.raises(BudgetExceededError) as err:
             walk_histogram(FIELD, Partition((1, 1, 1, 1)))
+        assert err.value.estimate == 746200
+        with pytest.raises(BudgetExceededError) as err:
+            next(_walk(FIELD, Partition((1, 1, 1, 1)), 746_199))
         assert err.value.estimate == 746200
 
     @pytest.mark.parametrize("parts", [(2, 2), (1, 1, 2)], ids=["2-2", "1-1-2"])
