@@ -145,14 +145,6 @@ class CosetMatrix:
             "entries": [list(row) for row in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CosetMatrix":
-        return cls(
-            case=CaseTag(data["case"]),
-            partition=Partition(tuple(data["partition"])),
-            entries=tuple(tuple(row) for row in data["entries"]),
-        )
-
 
 @dataclass(frozen=True)
 class FineLayout:
@@ -166,11 +158,6 @@ class FineLayout:
     blocks: tuple[tuple[int, int, int], ...]
     start_pos: tuple[int, ...]
     sub_partition: Partition
-
-    def interval(self, b: int) -> range:
-        """Positions (1-based, inclusive start) covered by block ``b``."""
-        start = self.start_pos[b]
-        return range(start, start + self.blocks[b][2])
 
 
 @dataclass(frozen=True)

@@ -529,24 +529,18 @@ def _representative_pieces(profile: CosetMatrix, q: int) -> GradedPieces:
     return _pieces(flag, QuadraticExtension(q), table)
 
 
-def reduce_to_representative(
-    flag: Flag, field: QuadraticExtension, profile: CosetMatrix | None = None
-) -> list[Vec]:
+def reduce_to_representative(flag: Flag, field: QuadraticExtension) -> list[Vec]:
     """Base-field matrix carrying the flag onto the canonical
-    representative of ``profile``, by default of the flag's own profile.
+    representative of its profile.
 
     The flag's rank table is computed once and gives both its profile
-    and its graded pieces.  A flag of another profile lies in another
-    orbit, so it raises ``InvalidInputError`` before any reduction.
-    Sends each graded piece of the flag onto the matching piece of the
-    representative; off-diagonal partners are mapped by the Frobenius
-    transport of each other, so the assembled matrix commutes with the
-    twist and therefore has base-field entries.
+    and its graded pieces.  Sends each graded piece of the flag onto the
+    matching piece of the representative; off-diagonal partners are
+    mapped by the Frobenius transport of each other, so the assembled
+    matrix commutes with the twist and therefore has base-field entries.
     """
     table = _rank_rows(field, flag.bases[:-1])
     own = _profile_from_rows(flag.partition.parts, table)
-    if profile is not None and own != profile:
-        raise InvalidInputError(f"flag has profile {list(own.flat())}, not {list(profile.flat())}")
     dst = _representative_pieces(own, field.p)
     src = _pieces(flag, field, table)
     # every (i, j) of 1..t, in order
@@ -559,15 +553,13 @@ def reduce_to_representative(
     return field.solve(src_vecs, [v for k in keys for v in dst[k]])
 
 
-def reduction_fault(
-    flag: Flag, field: QuadraticExtension, profile: CosetMatrix | None = None
-) -> str | None:
+def reduction_fault(flag: Flag, field: QuadraticExtension) -> str | None:
     """The oracle's one orbit check: None when ``reduce_to_representative``
-    carries the flag onto the representative of ``profile``, by default
-    its own, by a base-field matrix, else what went wrong; an input error
-    or a singular system inside the reduction fails the check."""
+    carries the flag onto the representative of its profile by a
+    base-field matrix, else what went wrong; an input error or a singular
+    system inside the reduction fails the check."""
     try:
-        h = reduce_to_representative(flag, field, profile)
+        h = reduce_to_representative(flag, field)
     except (InvalidInputError, ZeroDivisionError) as exc:
         return str(exc)
     if not all(field.in_base(x) for row in h for x in row):
@@ -575,12 +567,12 @@ def reduction_fault(
     return None
 
 
-def sample_stride(count: int, samples: int) -> int:
+def sample_stride(count: int) -> int:
     """The oracle reduces the flags at positions 0, stride, 2 stride, ...
-    of ``flag_at``: about ``samples`` of them, and at least one.  The
-    leading digit of a position is V_1's, so the samples spread over the
-    V_1 bases in ``_rref_at`` order."""
-    return max(1, count // samples)
+    of ``flag_at``: 10 to 19 of them, or every flag when there are
+    fewer.  The leading digit of a position is V_1's, so the samples
+    spread over the V_1 bases in ``_rref_at`` order."""
+    return max(1, count // 10)
 
 
 class FlagCache:

@@ -202,8 +202,8 @@ def root_action(s: CosetMatrix) -> RootActionReport:
             coarse[pos] = b
             pos += 1
     fine = [0] * (n + 1)
-    for b in range(len(layout.blocks)):
-        for p in layout.interval(b):
+    for b, (start, (_, _, size)) in enumerate(zip(layout.start_pos, layout.blocks)):
+        for p in range(start, start + size):
             fine[p] = b
     table = []
     violations = []

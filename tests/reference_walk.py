@@ -31,6 +31,7 @@ from steinberg_distinction.oracles.flags import (
     _rref_at,
     _rref_blocks,
     count_flags,
+    flag_profile,
     reduction_fault,
 )
 
@@ -174,8 +175,9 @@ def walk_histogram(
 
 def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, list]) -> None:
     """Check that the partial flags merged under each table of one level
-    are one H-orbit: ``reduction_fault`` finds none for each, as a flag
-    of the coarse partition, against the table's coset matrix."""
+    are one H-orbit: each, as a flag of the coarse partition, has the
+    table's coset matrix as its ``flag_profile``, and ``reduction_fault``
+    finds no fault in it."""
     top = _rref_at(field, coarse.total, coarse.total, 0)
     for table, chains in members.items():
         if len(chains) < 2:
@@ -185,6 +187,11 @@ def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, 
         except InvalidInputError as exc:
             raise CertificationError(f"merged under table {table}: {exc}") from None
         for chain in chains:
-            fault = reduction_fault(Flag(coarse, (*chain, top)), field, profile)
+            flag = Flag(coarse, (*chain, top))
+            own = flag_profile(flag, field)
+            if own != profile:
+                fault = f"flag has profile {list(own.flat())}, not {list(profile.flat())}"
+            else:
+                fault = reduction_fault(flag, field)
             if fault:
                 raise CertificationError(f"{chain} merged under table {table}: {fault}")

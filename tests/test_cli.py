@@ -449,46 +449,33 @@ class TestOracles:
             code, out, _ = run(capsys, *argv, *extra)
             assert code == 0
             stats.append(json.loads(out)["stats"])
-        # 10 flags, 2 representatives, 10 sampled reductions; a hit
-        # streams no flag and profiles only the representatives and the
-        # samples
+        # every one of the 10 flags is a sample
         assert stats == [
-            {"cache": "off", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
-            {"cache": "miss", "flags_enumerated": 10, "profiles_computed": 22, "reductions_checked": 10},
-            {"cache": "hit", "flags_enumerated": 0, "profiles_computed": 12, "reductions_checked": 10},
+            {"cache": "off", "reductions_checked": 10},
+            {"cache": "miss", "reductions_checked": 10},
+            {"cache": "hit", "reductions_checked": 10},
         ]
 
     @pytest.mark.parametrize("point", FLAG_POINTS, ids=lambda p: "n{}-q{}-{}".format(*p))
     def test_flags_cache_off_miss_hit_agree(self, capsys, tmp_path, point):
-        """At 1, 3, 10 and count + 1 samples the JSON outside ``stats``
-        is the same with the cache off, on a miss and on a hit, and with
-        the cache off at 10 samples it is the pinned output.  The file
-        holds no samples, so after the first miss every sample count
-        hits.  Strides that take count // stride + 1 flags, more than
-        the samples asked for (13 of 25 at n = 2, q = 5, 10 samples),
-        are reduced in full."""
+        """The JSON outside ``stats`` is the same with the cache off, on a
+        miss and on a hit, and with the cache off it is the pinned
+        output.  Strides that take count // stride + 1 flags, more than
+        10 (13 of 25 at n = 2, q = 5), are reduced in full."""
         n, q, parts = point
         argv = ["oracle-flags", "--n", str(n), "--q", str(q), "--partition", parts, "--format", "json"]
         pinned = json.loads(DIGESTS_PATH.read_text())[" ".join(argv)]
         count = count_flags(Partition.parse(parts), q * q)
-        cache = ["--cache-dir", str(tmp_path)]
-        outcomes = []
-        for samples in (1, 3, 10, count + 1):
-            outputs = []
-            for extra in ([], cache, cache):
-                code, out, err = run(capsys, *argv, "--reduce-samples", str(samples), *extra)
-                assert (code, err) == (0, "")
-                outputs.append(json.loads(out))
-            outcomes += [o.pop("stats")["cache"] for o in outputs]
-            assert outputs[0] == outputs[1] == outputs[2]
-            assert outputs[0]["reductions_checked"] == len(
-                range(0, count, max(1, count // samples))
-            )
-            if samples == 10:
-                code, out, _ = run(capsys, *argv)
+        outputs = []
+        for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, err) == (0, "")
+            outputs.append(json.loads(out))
+            if not extra:
                 assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout_sha256"]
-                assert json.loads(out)["stats"]["cache"] == "off"
-        assert outcomes == ["off", "miss", "hit"] + ["off", "hit", "hit"] * 3
+        assert [o.pop("stats")["cache"] for o in outputs] == ["off", "miss", "hit"]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]["reductions_checked"] == len(range(0, count, max(1, count // 10)))
         assert len(list(tmp_path.iterdir())) == 1
 
     def test_flags_stream_holds_no_list(self, capsys, monkeypatch):
@@ -589,12 +576,21 @@ class TestOracles:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
-    def test_flags_budget(self, capsys):
-        code, _, err = run(
-            capsys, "oracle-flags", "--n", "4", "--q", "3", "--partition", "1,1,1,1"
-        )
-        assert code == 2
-        assert "746200" in err
+    @pytest.mark.parametrize(
+        "n, parts, head",
+        [
+            # refused at the default budget of 10,000 flags when the
+            # budget, not n, bounded the oracle
+            (4, "1,1,1,1", "746200 flags, 10 orbits"),
+            (10, "10", "1 flags, 1 orbits"),
+            (10, "5,5", "818990894351617238824300 flags, 6 orbits"),
+        ],
+    )
+    def test_flags_admitted_up_to_n10(self, capsys, n, parts, head):
+        code, out, err = run(capsys, "oracle-flags", "--n", str(n), "--q", "3", "--partition", parts)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert (lines[0], lines[-1]) == (head, "oracle agrees")
 
     def test_quaternion(self, capsys):
         code, out, _ = run(capsys, "oracle-quaternion", "--alpha", "-1", "--beta", "3")
@@ -631,10 +627,6 @@ class TestUsageErrors:
             ["sweep", "--max-m", "0"],
             ["sweep", "--max-m", "-3", "--max-d", "2"],
             ["sweep", "--max-d", "0"],
-            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "0"],
-            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "-1"],
-            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--budget", "0"],
-            ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--budget", "-1"],
         ],
     )
     def test_range_below_one_exits_2(self, capsys, argv):
@@ -747,59 +739,60 @@ class TestUsageErrors:
         assert time_31 - time_3 < 0.25
         assert mb_31 - mb_3 < 35
 
-    def test_flags_budget_checked_before_the_field_is_built(self, capsys, monkeypatch):
-        def unbuilt(p):
-            raise AssertionError("field built")
-
-        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
-        code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "31", "--partition", "1,1,1")
-        assert (code, out) == (2, "")
-        # (1 + 961)(1 + 961 + 961^2) full flags over F_{31^2}
-        assert err == "error: flag count 889352646 exceeds budget 10000\n"
-
-    def test_flags_samples_bounded_on_a_hit(self, capsys, tmp_path, monkeypatch):
-        """The budget bounds the sampled flags on a cache hit too, where
-        the flag count is not checked: (1,1,1) at q = 3 with
-        --reduce-samples 100 samples the 910 flags at stride 9, 102 of
-        them."""
-        point = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1"]
-        cached = [*point, "--cache-dir", str(tmp_path), "--reduce-samples", "100"]
-        code, _, _ = run(capsys, *point, "--cache-dir", str(tmp_path))
-        assert code == 0
-        code, out, _ = run(capsys, *cached, "--budget", "102", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert (payload["stats"]["cache"], payload["reductions_checked"]) == ("hit", 102)
+    @pytest.mark.parametrize("n", [11, 3000])
+    def test_flags_refuses_n_above_10_before_any_work(self, capsys, tmp_path, monkeypatch, n):
+        """n > MAX_FLAG_N is refused before the field, the cache directory
+        or the orbit sizes are built; (3000) ran for more than 20 s."""
 
         def unbuilt(*args):
-            raise AssertionError("field or flag built")
+            raise AssertionError("work done")
 
-        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
-        monkeypatch.setattr(cli, "flag_at", unbuilt)
-        code, out, err = run(capsys, *cached, "--budget", "101")
-        assert (code, out) == (2, "")
-        assert err == "error: sample count 102 exceeds budget 101\n"
-
-    def test_flags_huge_sample_refused_on_a_hit(self, capsys, tmp_path, monkeypatch):
-        """A hit on (1^5) at q = 3 with --reduce-samples 10^9 would list
-        one flag in five, about 1.1e9 of them; it is refused before the
-        field is built.  The entry is written by hand: a hit trusts the
-        sizes of a signed file."""
-        partition = Partition((1,) * 5)
-        count = count_flags(partition, 9)
-        flags_module.FlagCache(str(tmp_path)).store(3, partition, {(0,) * 25: count})
-
-        def unbuilt(*args):
-            raise AssertionError("field or flag built")
-
-        monkeypatch.setattr(cli, "QuadraticExtension", unbuilt)
-        monkeypatch.setattr(cli, "flag_at", unbuilt)
+        for name in ("QuadraticExtension", "FlagCache", "profile_histogram", "count_flags"):
+            monkeypatch.setattr(cli, name, unbuilt)
+        start = time.monotonic()
         code, out, err = run(
-            capsys, "oracle-flags", "--n", "5", "--q", "3", "--partition", "1,1,1,1,1",
-            "--cache-dir", str(tmp_path), "--reduce-samples", str(10**9),
+            capsys, "oracle-flags", "--n", str(n), "--q", "3", "--partition", str(n),
+            "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: flag space dimension {n} exceeds budget 10\n"
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("n, parts", [(12, "6,6"), (40, "1,39")])
+    def test_flags_refuses_what_a_raised_budget_ran(self, capsys, n, parts):
+        """Points that ran when --budget was raised are refused by n."""
+        code, out, err = run(capsys, "oracle-flags", "--n", str(n), "--q", "3", "--partition", parts)
+        assert (code, out) == (2, "")
+        assert err == f"error: flag space dimension {n} exceeds budget 10\n"
+
+    def test_flags_refusal_ignores_a_cached_entry(self, capsys, tmp_path, monkeypatch):
+        """A signed cache entry for (11) does not admit it: a hit is
+        refused as a miss is, and the field is never built."""
+        partition = Partition((11,))
+        flags_module.FlagCache(str(tmp_path)).store(3, partition, {(0,): 1})
+        assert flags_module.FlagCache(str(tmp_path)).load(3, partition) == {(0,): 1}
+        entries = sorted(os.listdir(tmp_path))
+
+        def unbuilt(*args):
+            raise AssertionError("work done")
+
+        for name in ("QuadraticExtension", "profile_histogram"):
+            monkeypatch.setattr(cli, name, unbuilt)
+        code, out, err = run(
+            capsys, "oracle-flags", "--n", "11", "--q", "3", "--partition", "11",
+            "--cache-dir", str(tmp_path),
         )
         assert (code, out) == (2, "")
-        assert err == f"error: sample count {-(-count // 5)} exceeds budget {DEFAULT_BUDGET}\n"
+        assert err == "error: flag space dimension 11 exceeds budget 10\n"
+        assert sorted(os.listdir(tmp_path)) == entries
+
+    @pytest.mark.parametrize("option", ["--budget", "--reduce-samples"])
+    def test_flags_work_bounds_are_not_options(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", option, "10"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 10" in capsys.readouterr().err
 
     def test_flags_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
         # refused before the field is built; once a FileExistsError
@@ -939,7 +932,7 @@ OPTIONS = {
         "--kind", "--char", "--ram", "--shift", "--s-coeff", "--k", "--d", "--eval-q",
     },
     "oracle-flags": {
-        "--n", "--q", "--partition", "--budget", "--reduce-samples", "--cache-dir",
+        "--n", "--q", "--partition", "--cache-dir",
     },
     "oracle-quaternion": {"--alpha", "--beta"},
 }

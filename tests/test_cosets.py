@@ -115,10 +115,6 @@ class TestEnumeration:
         with pytest.raises(InvalidInputError):
             mat(CaseTag.EVEN, [[1, 0], [0, 1]])
 
-    def test_json_roundtrip(self):
-        s = mat(CaseTag.ODD, [[0, 2], [2, 0]])
-        assert CosetMatrix.from_json(s.to_json()) == s
-
     @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
     def test_count_matches_enumeration(self, case):
         for n in range(1, 8):

@@ -82,19 +82,19 @@ WALK_GRID = [
 # 10-sample positions of every n = 4 composition at q = 3.
 COMPLEMENT_POINTS = (
     [
-        pytest.param(3, partition, None, id="-".join(map(str, partition.parts)))
+        pytest.param(3, partition, False, id="-".join(map(str, partition.parts)))
         for n in range(1, 4)
         for partition in compositions(n)
     ]
     + [
-        pytest.param(q, partition, None, id=f"q{q}-" + "-".join(map(str, partition.parts)))
+        pytest.param(q, partition, False, id=f"q{q}-" + "-".join(map(str, partition.parts)))
         for q in (5, 7)
         for n in range(1, 4)
         for partition in compositions(n)
         if count_flags(partition, q * q) <= 3000
     ]
     + [
-        pytest.param(3, partition, 10, id="q3-" + "-".join(map(str, partition.parts)) + "-samples")
+        pytest.param(3, partition, True, id="q3-" + "-".join(map(str, partition.parts)) + "-samples")
         for partition in compositions(4)
     ]
 )
@@ -765,7 +765,7 @@ class TestFlagAt:
         q, partition = point
         field = QuadraticExtension(q)
         count = count_flags(partition, q * q)
-        positions = range(count) if count <= 3000 else range(0, count, sample_stride(count, 10))
+        positions = range(count) if count <= 3000 else range(0, count, sample_stride(count))
         walked = {
             i: (flag, table)
             for i, (flag, table) in enumerate(walked_flags(field, partition, count))
@@ -818,7 +818,7 @@ class TestFlagAt:
             )
         partition = Partition((1,) * 8)
         count = count_flags(partition, 9)
-        found = flag_at(FIELD, partition, range(0, count, sample_stride(count, 10)))
+        found = flag_at(FIELD, partition, range(0, count, sample_stride(count)))
         assert len(found) == 10
         assert calls == {"_rref_at": 1 + 10 * 7, "_extend": 10 * 6}
 
@@ -933,17 +933,20 @@ class TestRepresentativeWalk:
         with pytest.raises(CertificationError, match=f"merged under table .*: {fault}"):
             walk_histogram(FIELD, Partition((1, 1, 1)))
 
-    def test_a_certified_partial_flag_costs_one_table(self, monkeypatch):
+    def test_a_certified_partial_flag_costs_two_tables(self, monkeypatch):
         """At (1, 1, 1), q = 3 the 13 root lines are certified as (1, 2)
         flags against the 2 representatives of their tables: one rank
-        table and one reducedness check each, 15 in all, where the check
-        of the profile, the profile inside the reduction and the graded
-        pieces took three tables per line and built 41."""
+        table and one reducedness check for the ``flag_profile`` check and
+        one shared by the profile and the graded pieces inside the
+        reduction, 28 in all, where the check of the profile, the profile
+        inside the reduction and the graded pieces took three tables per
+        line and built 41."""
         tables, checked = record_tables(monkeypatch)
         walk_histogram(FIELD, Partition((1, 1, 1)))
-        assert len(tables) == 13 + 2
-        # each line once; the two representatives are lines at the root
-        assert len(set(tables)) == 13
+        assert len(tables) == 2 * 13 + 2
+        # each line twice, and the two representatives, lines at the
+        # root, once more
+        assert sorted(collections.Counter(tables).values()) == [2] * 11 + [3] * 2
         assert checked == [basis for bases in tables for basis in bases]
 
     def test_orbit_sizes_must_sum_to_the_count(self, monkeypatch):
@@ -1457,11 +1460,11 @@ class TestRepresentativesAndReduction:
     def test_reduction_every_full_flag_n3(self):
         self._check_all_reductions(Partition((1, 1, 1)))
 
-    @pytest.mark.parametrize("q, partition, samples", COMPLEMENT_POINTS)
-    def test_reduction_matches_reference_complements(self, q, partition, samples, monkeypatch):
+    @pytest.mark.parametrize("q, partition, sampled", COMPLEMENT_POINTS)
+    def test_reduction_matches_reference_complements(self, q, partition, sampled, monkeypatch):
         field = QuadraticExtension(q)
         count = count_flags(partition, q * q)
-        stride = 1 if samples is None else sample_stride(count, samples)
+        stride = sample_stride(count) if sampled else 1
         flags = flag_at(field, partition, range(0, count, stride))
         reps = [representative_flag(s, field) for s in enumerate_coset_matrices(partition, CaseTag.ODD)]
         for flag in flags + reps:
@@ -1508,7 +1511,7 @@ class TestRepresentativesAndReduction:
             t = len(partition)
             dims = [0, *itertools.accumulate(partition.parts)]
             count = count_flags(partition, q * q)
-            for flag in flag_at(field, partition, range(0, count, sample_stride(count, 200))):
+            for flag in flag_at(field, partition, range(0, count, max(1, count // 200))):
                 r = rank_table(flag, field)
                 for i in range(1, t + 1):
                     r[i][t] = r[t][i] = dims[i]

@@ -27,7 +27,7 @@ SEQUENCE = [
     ["lfactor", "--kind", "tate", "--char", "eta", "--ram", "ramified", "--format", "json"],
     ["sweep", "--max-m", "2", "--max-d", "2"],
     ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1"],
-    ["oracle-flags", "--n", "2", "--q", "3", "--partition", "1,1", "--reduce-samples", "0"],
+    ["oracle-flags", "--n", "two", "--q", "3", "--partition", "1,1"],
     ["oracle-quaternion", "--alpha", "-1", "--beta", "3"],
     ["oracle-quaternion", "--alpha", "4", "--beta", "1"],
     ["lfactor", "--kind", "i2", "--d", "1", "--eval-q", "2", "9", "--format", "json"],
