@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -80,7 +81,7 @@ def _dumps(obj, pad: str = "\n") -> str:
 
     With an indent the json module steps through every element in
     Python; here a list of exact ints, such as a matrix row or a
-    partition, is one join in C."""
+    partition, is one join in C, and a matrix one join per row."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -95,8 +96,18 @@ def _dumps(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {int}:
+        kinds = set(map(type, obj))
+        if kinds == {int}:
             items = map(str, obj)
+        elif (
+            kinds <= {list, tuple}
+            and all(obj)
+            and set(map(type, itertools.chain.from_iterable(obj))) == {int}
+        ):
+            # a matrix: rows of exact ints, none empty
+            row_pad = inner + "  "
+            sep = "," + row_pad
+            items = ["[" + row_pad + sep.join(map(str, row)) + inner + "]" for row in obj]
         else:
             items = [_dumps(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -140,17 +151,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise BudgetExceededError(estimate, DEFAULT_BUDGET, "coset matrix count")
     matrices = enumerate_coset_matrices(partition, case)
     opens = open_mask(matrices)
-    payload = {
-        "count": len(matrices),
-        "matrices": [
-            {**s.to_json(), "open": o} for s, o in zip(matrices, opens)
-        ],
-    }
-    lines = [f"{len(matrices)} coset matrices for partition {partition.parts} ({case.value})"]
+    if args.format == "json":
+        matrices_json = [{**s.to_json(), "open": o} for s, o in zip(matrices, opens)]
+        print(_dumps({"count": len(matrices), "matrices": matrices_json}))
+        return EXIT_OK
+    print(f"{len(matrices)} coset matrices for partition {partition.parts} ({case.value})")
     for idx, (s, o) in enumerate(zip(matrices, opens)):
         tag = " open" if o else ""
-        lines.append(f"  [{idx}] {list(list(r) for r in s.entries)}{tag}")
-    _emit(payload, lines, args.format)
+        print(f"  [{idx}] {list(list(r) for r in s.entries)}{tag}")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ are kept with the tests, in ``tests/certificates.py``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -110,6 +111,18 @@ class CosetMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # Whole-matrix checks first: matching row sums mean t rows, none
+        # empty, and a matrix equal to its transpose is square and
+        # symmetric.  Only a matrix they reject is checked cell by cell,
+        # for the first fault's message.
+        e = self.entries
+        if (
+            tuple(map(sum, e)) == self.partition.parts
+            and tuple(zip(*e)) == e
+            and min(map(min, e)) >= 0
+            and (self.case is CaseTag.ODD or not any(row[i] % 2 for i, row in enumerate(e)))
+        ):
+            return
         t = len(self.partition)
         if len(self.entries) != t or any(len(r) != t for r in self.entries):
             raise InvalidInputError("entries must be a t x t matrix")
@@ -314,49 +327,63 @@ def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetM
     Canonical order is descending lexicographic on the row-major
     flattening, so the diagonal-heavy matrices come first and the
     anti-diagonal (open-orbit) matrix comes last.
+
+    The upper triangle is filled row by row, left to right, each cell
+    trying its values in descending order.  No cell takes less than the
+    cells after it in its row can still make up, and the last cell of a
+    row is forced to what the row still owes, which is then never above
+    what its column owes.  So every branch of the search holds a matrix,
+    and the search meets the matrices in canonical order, with no sort:
+    the upper cells are filled in flattening order, and a lower cell
+    (i, j), j < i, copies the upper cell (j, i) of the earlier row j.
+    Where two matrices first differ in the flattening they differ at an
+    upper cell c, and every cell before c, upper or lower, was fixed
+    when the search reached c; there it took the larger value first.
+    In the even case the last row's diagonal is forced to what all rows
+    still owe together.  Each cell keeps the parity of that sum (a
+    diagonal cell is even, an off-diagonal one is paid twice), so it is
+    as even as the total.
     """
     if not isinstance(partition, Partition):
         raise InvalidInputError("partition must be a Partition")
     if case is CaseTag.EVEN and partition.total % 2:
         return []  # an even diagonal makes the total of the entries even
     t = len(partition)
+    step = 2 if case is CaseTag.EVEN else 1
     results: list[CosetMatrix] = []
     entries = [[0] * t for _ in range(t)]
-    remaining = list(partition.parts)
+    owed = list(partition.parts)
 
-    def fill(i: int, j: int) -> Iterator[None]:
-        if i == t:
-            yield None
+    def fill(i: int, j: int) -> None:
+        # row i owes ``due`` to the cells (i, j), ..., (i, t - 1)
+        due = owed[i]
+        if j == t - 1:
+            entries[i][j] = entries[j][i] = due
+            if i == j:
+                results.append(CosetMatrix(case, partition, tuple(map(tuple, entries))))
+            else:
+                owed[j] -= due
+                fill(i + 1, i + 1)
+                owed[j] += due
             return
-        if j == t:
-            if remaining[i] == 0:
-                yield from fill(i + 1, i + 1)
-            return
+        later = sum(owed[j + 1 :])
         if i == j:
-            step = 2 if case is CaseTag.EVEN else 1
-            top = remaining[i]
-            for v in range(0, top + 1, step):
+            top = due - due % step
+            for v in range(top, max(0, due - later) - 1, -step):
                 entries[i][i] = v
-                remaining[i] -= v
-                yield from fill(i, j + 1)
-                remaining[i] += v
-            entries[i][i] = 0
+                owed[i] = due - v
+                fill(i, i + 1)
+            owed[i] = due
         else:
-            top = min(remaining[i], remaining[j])
-            for v in range(top + 1):
+            for v in range(min(due, owed[j]), max(0, due - later) - 1, -1):
                 entries[i][j] = entries[j][i] = v
-                remaining[i] -= v
-                remaining[j] -= v
-                yield from fill(i, j + 1)
-                remaining[i] += v
-                remaining[j] += v
-            entries[i][j] = entries[j][i] = 0
+                owed[i] = due - v
+                owed[j] -= v
+                fill(i, j + 1)
+                owed[j] += v
+            owed[i] = due
 
-    for _ in fill(0, 0):
-        results.append(
-            CosetMatrix(case, partition, tuple(tuple(row) for row in entries))
-        )
-    results.sort(key=lambda s: s.flat(), reverse=True)
+    fill(0, 0)
     return results
 
 
@@ -467,18 +494,11 @@ class ClosureRelation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _rank_matrix(s: CosetMatrix) -> tuple[tuple[int, ...], ...]:
-    t = s.size
-    r = [[0] * t for _ in range(t)]
-    for i in range(t):
-        for j in range(t):
-            r[i][j] = (
-                s.entries[i][j]
-                + (r[i - 1][j] if i else 0)
-                + (r[i][j - 1] if j else 0)
-                - (r[i - 1][j - 1] if i and j else 0)
-            )
-    return tuple(tuple(row) for row in r)
+def _rank_table(s: CosetMatrix) -> tuple[int, ...]:
+    """The upper-left partial sums of ``s``, flattened row-major: row i
+    of the table is the running sum along the sum of rows 0 to i."""
+    columns = itertools.accumulate(s.entries, lambda a, b: tuple(map(operator.add, a, b)))
+    return tuple(itertools.chain.from_iterable(map(itertools.accumulate, columns)))
 
 
 def closure_compare(s: CosetMatrix, other: CosetMatrix) -> ClosureRelation:
@@ -489,9 +509,9 @@ def closure_compare(s: CosetMatrix, other: CosetMatrix) -> ClosureRelation:
     """
     if s.partition != other.partition or s.case is not other.case:
         raise InvalidInputError("matrices must share partition and case")
-    ra, rb = _rank_matrix(s), _rank_matrix(other)
-    le = all(ra[i][j] >= rb[i][j] for i in range(s.size) for j in range(s.size))
-    ge = all(ra[i][j] <= rb[i][j] for i in range(s.size) for j in range(s.size))
+    ra, rb = _rank_table(s), _rank_table(other)
+    le = all(map(operator.ge, ra, rb))
+    ge = all(map(operator.le, ra, rb))
     if le and ge:
         return ClosureRelation.EQUAL
     if le:
@@ -519,12 +539,12 @@ def open_mask(matrices: list[CosetMatrix]) -> list[bool]:
     maximal matrix above a matrix comes before it, so a matrix is open
     iff no open matrix visited earlier lies above it.
     """
-    ranks = [tuple(x for row in _rank_matrix(s) for x in row) for s in matrices]
+    ranks = list(map(_rank_table, matrices))
     opens = [False] * len(matrices)
     tops: list[tuple[int, ...]] = []
     for i in sorted(range(len(matrices)), key=lambda i: sum(ranks[i])):
         r = ranks[i]
-        if not any(all(a <= b for a, b in zip(top, r)) for top in tops):
+        if not any(all(map(operator.le, top, r)) for top in tops):
             opens[i] = True
             tops.append(r)
     return opens

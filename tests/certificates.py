@@ -11,6 +11,9 @@ Levi roots under that involution; ``minimal_orbit_analysis`` filters
 every orbit on the minimal partition through ``orbit_supports``;
 ``flag_pair_dim`` and ``stabiliser_order`` give the stabiliser of a
 representative flag in closed form, for the mass formula.
+``reference_coset_matrices`` and ``reference_validate`` are the
+cell-by-cell enumerator and validation loop that
+``enumerate_coset_matrices`` and ``CosetMatrix`` are checked against.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
+from typing import Iterator
 
 from steinberg_distinction.characters import ChiToken, minimal_partition, orbit_supports
 from steinberg_distinction.cosets import (
     CaseTag,
     CosetMatrix,
     InvalidInputError,
+    Partition,
     Permutation,
     block_involution,
     build_us_odd,
@@ -32,6 +37,73 @@ from steinberg_distinction.cosets import (
     validate_m_d,
 )
 from steinberg_distinction.lfactor import RationalFunc
+
+
+def reference_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetMatrix]:
+    """``enumerate_coset_matrices`` by brute force: each cell of the upper
+    triangle takes every value up to what its row and column still owe,
+    a row is kept only once it owes nothing, and the matrices are sorted
+    into canonical order (descending lexicographic on ``flat()``)."""
+    if case is CaseTag.EVEN and partition.total % 2:
+        return []
+    t = len(partition)
+    results: list[CosetMatrix] = []
+    entries = [[0] * t for _ in range(t)]
+    remaining = list(partition.parts)
+
+    def fill(i: int, j: int) -> Iterator[None]:
+        if i == t:
+            yield None
+            return
+        if j == t:
+            if remaining[i] == 0:
+                yield from fill(i + 1, i + 1)
+            return
+        if i == j:
+            step = 2 if case is CaseTag.EVEN else 1
+            top = remaining[i]
+            for v in range(0, top + 1, step):
+                entries[i][i] = v
+                remaining[i] -= v
+                yield from fill(i, j + 1)
+                remaining[i] += v
+            entries[i][i] = 0
+        else:
+            top = min(remaining[i], remaining[j])
+            for v in range(top + 1):
+                entries[i][j] = entries[j][i] = v
+                remaining[i] -= v
+                remaining[j] -= v
+                yield from fill(i, j + 1)
+                remaining[i] += v
+                remaining[j] += v
+            entries[i][j] = entries[j][i] = 0
+
+    for _ in fill(0, 0):
+        results.append(CosetMatrix(case, partition, tuple(tuple(row) for row in entries)))
+    results.sort(key=lambda s: s.flat(), reverse=True)
+    return results
+
+
+def reference_validate(case: CaseTag, partition: Partition, entries) -> None:
+    """The cell-by-cell checks of a coset matrix, raising the
+    ``InvalidInputError`` that ``CosetMatrix`` raises for the first
+    fault met."""
+    t = len(partition)
+    if len(entries) != t or any(len(r) != t for r in entries):
+        raise InvalidInputError("entries must be a t x t matrix")
+    if any(e < 0 for row in entries for e in row):
+        raise InvalidInputError("entries must be non-negative")
+    for i in range(t):
+        for j in range(t):
+            if entries[i][j] != entries[j][i]:
+                raise InvalidInputError("entries must be symmetric")
+        if sum(entries[i]) != partition.parts[i]:
+            raise InvalidInputError(
+                f"row {i} sums to {sum(entries[i])}, expected {partition.parts[i]}"
+            )
+        if case is CaseTag.EVEN and entries[i][i] % 2:
+            raise InvalidInputError("diagonal entries must be even in the even case")
 
 
 def compose(*perms: Permutation) -> Permutation:

@@ -357,6 +357,23 @@ json_text = st.text(
     st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'), st.characters())
 )
 json_ints = st.one_of(st.integers(), st.integers(min_value=2**64), st.integers(max_value=-(2**64)))
+# Matrix-shaped values: int rows (ragged and empty ones too), tuples,
+# rows with a bool (not an int here) and rows holding a list.
+int_rows = st.lists(json_ints, min_size=1, max_size=5)
+
+
+def rows_of(cells, min_size=1):
+    return st.lists(st.lists(cells, min_size=min_size, max_size=5), max_size=5)
+
+
+json_matrices = st.one_of(
+    rows_of(json_ints),
+    rows_of(json_ints, min_size=0),
+    st.lists(st.one_of(int_rows, int_rows.map(tuple)), max_size=5).map(tuple),
+    rows_of(st.one_of(json_ints, st.booleans())),
+    rows_of(st.booleans()),
+    rows_of(st.one_of(json_ints, st.lists(json_ints, max_size=3))),
+)
 json_trees = st.recursive(
     st.one_of(
         json_text,
@@ -366,6 +383,7 @@ json_trees = st.recursive(
         st.floats(),
         st.lists(json_ints),
         st.lists(st.one_of(json_ints, st.booleans())),
+        json_matrices,
     ),
     lambda children: st.one_of(
         st.lists(children),

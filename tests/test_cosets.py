@@ -47,6 +47,34 @@ partitions = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
 )
 
 
+@st.composite
+def candidate_matrices(draw):
+    """(case, partition, entries) for t <= 4 with small entries: often a
+    coset matrix, otherwise with any mix of faults (non-square, ragged,
+    negative, asymmetric, wrong row sums, odd even-case diagonal)."""
+    t = draw(st.integers(1, 4))
+    cell = st.integers(-1, 3) if draw(st.booleans()) else st.integers(0, 3)
+    rows = draw(st.lists(st.lists(cell, min_size=t, max_size=t), min_size=t, max_size=t))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(t)] for i in range(t)]
+    if draw(st.booleans()):
+        rows = [[x - x % 2 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    sums = [max(1, sum(row)) for row in rows]
+    if draw(st.booleans()):
+        sums[draw(st.integers(0, t - 1))] += draw(st.integers(1, 2))
+    shape = draw(st.sampled_from(["square", "square", "square", "long row", "short row", "extra row", "missing row"]))
+    if shape == "long row":
+        rows[draw(st.integers(0, t - 1))].append(draw(cell))
+    elif shape == "short row":
+        rows[draw(st.integers(0, t - 1))].pop()
+    elif shape == "extra row":
+        rows.append(draw(st.lists(cell, min_size=t, max_size=t)))
+    elif shape == "missing row":
+        rows.pop()
+    case = draw(st.sampled_from(list(CaseTag)))
+    return case, Partition(tuple(sums)), tuple(map(tuple, rows))
+
+
 def reference_extract_permutation_odd(s):
     """The sympy-backed extraction: u times the inverse of its twist,
     simplified entry by entry and read as a permutation matrix."""
@@ -114,6 +142,34 @@ class TestEnumeration:
             mat(CaseTag.ODD, [[0, 1], [0, 1]])
         with pytest.raises(InvalidInputError):
             mat(CaseTag.EVEN, [[1, 0], [0, 1]])
+
+    @given(candidate_matrices())
+    @settings(max_examples=500, deadline=None)
+    def test_validation_matches_reference_loop(self, candidate):
+        # the whole-matrix checks accept exactly what the cell-by-cell
+        # loop accepts, and a rejected matrix gets the loop's message
+        case, partition, entries = candidate
+        want = got = None
+        try:
+            certificates.reference_validate(case, partition, entries)
+        except InvalidInputError as exc:
+            want = str(exc)
+        try:
+            CosetMatrix(case, partition, entries)
+        except InvalidInputError as exc:
+            got = str(exc)
+        assert got == want
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_matches_reference_enumerator(self, case):
+        # the same list, order included: every composition of n <= 8
+        # (14,256 odd and 2,376 even matrices) and a few with larger parts
+        partitions = [p for n in range(1, 9) for p in compositions(n)]
+        partitions += [Partition(p) for p in ((4, 4, 4, 4), (5, 5), (3, 3, 3), (1, 2, 3, 4))]
+        for partition in partitions:
+            assert enumerate_coset_matrices(partition, case) == (
+                certificates.reference_coset_matrices(partition, case)
+            ), partition.parts
 
     @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
     def test_count_matches_enumeration(self, case):
