@@ -14,13 +14,13 @@ values on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 from .cosets import (
     CaseTag,
     CosetMatrix,
     FineLayout,
+    Frozen,
     InvalidInputError,
     Partition,
     fine_layout,
@@ -51,18 +51,21 @@ class SupportRule(Enum):
     FIXED_SIGN_OBSTRUCTION = "FIXED_SIGN_OBSTRUCTION"
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(Frozen):
     """Verdict of the per-orbit character equation."""
 
-    s: CosetMatrix
-    chi: ChiToken
-    feasible: bool
-    violations: tuple[tuple[int, SupportRule], ...]
+    __slots__ = ("s", "chi", "feasible", "violations")
 
-    def __post_init__(self) -> None:
-        if self.feasible != (not self.violations):
+    def __init__(
+        self, s: CosetMatrix, chi: ChiToken, feasible: bool,
+        violations: tuple[tuple[int, SupportRule], ...],
+    ) -> None:
+        if feasible != (not violations):
             raise InvalidInputError("feasible must mean no violations")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "violations", violations)
 
     def to_json(self) -> dict:
         return {

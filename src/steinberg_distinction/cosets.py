@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
-from typing import Iterator
 
 __all__ = [
     "CaseTag",
@@ -30,6 +29,7 @@ __all__ = [
     "SymbolicRepMatrix",
     "ClosureRelation",
     "InvalidInputError",
+    "Frozen",
     "validate_m_d",
     "COUNT_LIMIT",
     "count_coset_matrices",
@@ -49,6 +49,47 @@ class InvalidInputError(ValueError):
     """Raised when arguments violate a documented precondition."""
 
 
+class Frozen:
+    """Base of the package's immutable records.
+
+    A record lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Records are equal when
+    they are of one class with equal fields, hash as the tuple of their
+    fields and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # attrgetter reads the fields in C: a tuple, or one field bare
+        get = operator.attrgetter(*cls.__slots__)
+        bare = len(cls.__slots__) == 1
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),) if bare else get(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks the fields
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 class CaseTag(Enum):
     """Which of the two index-parity regimes a coset matrix lives in."""
 
@@ -66,17 +107,17 @@ def validate_m_d(case: CaseTag, m: int, d: int) -> None:
         raise InvalidInputError("odd case requires odd d")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Ordered composition of a positive integer into positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if not parts:
             raise InvalidInputError("partition must be nonempty")
-        if any(p < 1 for p in self.parts):
+        if any(p < 1 for p in parts):
             raise InvalidInputError("partition parts must be positive")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def total(self) -> int:
@@ -98,46 +139,47 @@ class Partition:
         return cls(parts)
 
 
-@dataclass(frozen=True)
-class CosetMatrix:
+class CosetMatrix(Frozen):
     """Symmetric non-negative integer matrix with row sums the partition.
 
     Even case: diagonal entries are even (diagonal blocks carry a
     rational structure of half the size).
     """
 
-    case: CaseTag
-    partition: Partition
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("case", "partition", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, case: CaseTag, partition: Partition, entries: tuple[tuple[int, ...], ...]
+    ) -> None:
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "entries", entries)
         # Whole-matrix checks first: matching row sums mean t rows, none
         # empty, and a matrix equal to its transpose is square and
         # symmetric.  Only a matrix they reject is checked cell by cell,
         # for the first fault's message.
-        e = self.entries
+        e = entries
         if (
-            tuple(map(sum, e)) == self.partition.parts
+            tuple(map(sum, e)) == partition.parts
             and tuple(zip(*e)) == e
             and min(map(min, e)) >= 0
-            and (self.case is CaseTag.ODD or not any(row[i] % 2 for i, row in enumerate(e)))
+            and (case is CaseTag.ODD or not any(row[i] % 2 for i, row in enumerate(e)))
         ):
             return
-        t = len(self.partition)
-        if len(self.entries) != t or any(len(r) != t for r in self.entries):
+        t = len(partition)
+        if len(e) != t or any(len(r) != t for r in e):
             raise InvalidInputError("entries must be a t x t matrix")
-        if any(e < 0 for row in self.entries for e in row):
+        if any(x < 0 for row in e for x in row):
             raise InvalidInputError("entries must be non-negative")
         for i in range(t):
             for j in range(t):
-                if self.entries[i][j] != self.entries[j][i]:
+                if e[i][j] != e[j][i]:
                     raise InvalidInputError("entries must be symmetric")
-            if sum(self.entries[i]) != self.partition.parts[i]:
+            if sum(e[i]) != partition.parts[i]:
                 raise InvalidInputError(
-                    f"row {i} sums to {sum(self.entries[i])}, "
-                    f"expected {self.partition.parts[i]}"
+                    f"row {i} sums to {sum(e[i])}, expected {partition.parts[i]}"
                 )
-            if self.case is CaseTag.EVEN and self.entries[i][i] % 2:
+            if case is CaseTag.EVEN and e[i][i] % 2:
                 raise InvalidInputError("diagonal entries must be even in the even case")
 
     @property
@@ -159,8 +201,7 @@ class CosetMatrix:
         }
 
 
-@dataclass(frozen=True)
-class FineLayout:
+class FineLayout(Frozen):
     """Row-major nonzero blocks of a coset matrix with their positions.
 
     ``blocks`` lists (row, col, size) with 1-based row/col; ``start_pos``
@@ -168,28 +209,32 @@ class FineLayout:
     The block sizes form the refining sub-partition.
     """
 
-    blocks: tuple[tuple[int, int, int], ...]
-    start_pos: tuple[int, ...]
-    sub_partition: Partition
+    __slots__ = ("blocks", "start_pos", "sub_partition")
+
+    def __init__(
+        self, blocks: tuple[tuple[int, int, int], ...], start_pos: tuple[int, ...],
+        sub_partition: Partition,
+    ) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "start_pos", start_pos)
+        object.__setattr__(self, "sub_partition", sub_partition)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """Bijection of {1, ..., n} given by its tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise InvalidInputError("images must be a bijection of 1..n")
+        object.__setattr__(self, "images", images)
 
     def __call__(self, p: int) -> int:
         return self.images[p - 1]
 
 
-@dataclass(frozen=True)
-class BlockInvolution:
+class BlockInvolution(Frozen):
     """Pairing of the fine blocks together with the position involution.
 
     ``pairing[b]`` is the index of the partner block of block ``b``
@@ -200,9 +245,14 @@ class BlockInvolution:
     paired blocks preserving order.
     """
 
-    pairing: tuple[int, ...]
-    fixed_blocks: frozenset[int]
-    position_map: Permutation
+    __slots__ = ("pairing", "fixed_blocks", "position_map")
+
+    def __init__(
+        self, pairing: tuple[int, ...], fixed_blocks: frozenset[int], position_map: Permutation
+    ) -> None:
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "fixed_blocks", fixed_blocks)
+        object.__setattr__(self, "position_map", position_map)
 
 
 # Symbol codes for symbolic representative matrices.
@@ -212,11 +262,13 @@ SYM_LAM = "l"
 SYM_NEG_LAM = "-l"
 
 
-@dataclass(frozen=True)
-class SymbolicRepMatrix:
+class SymbolicRepMatrix(Frozen):
     """n x n matrix over the symbol set {0, 1, l, -l} (odd case)."""
 
-    entries: tuple[tuple[str, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def substitute(self, zero, one, lam, neg):
         """Instantiate over an arbitrary coefficient domain.

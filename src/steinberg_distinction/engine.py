@@ -17,7 +17,6 @@ the engine against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .characters import (
@@ -30,6 +29,7 @@ from .characters import (
 from .cosets import (
     CaseTag,
     CosetMatrix,
+    Frozen,
     InvalidInputError,
     anti_diagonal_matrix,
     coarsen,
@@ -51,21 +51,24 @@ class VerdictStatus(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class DistinctionVerdict:
-    case: CaseTag
-    m: int
-    d: int
-    chi: ChiToken
-    status: VerdictStatus
-    multiplicity: int
-    trace: tuple[SupportReport, ...]
+class DistinctionVerdict(Frozen):
+    __slots__ = ("case", "m", "d", "chi", "status", "multiplicity", "trace")
 
-    def __post_init__(self) -> None:
-        if self.status is VerdictStatus.DISTINGUISHED and self.multiplicity != 1:
+    def __init__(
+        self, case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus,
+        multiplicity: int, trace: tuple[SupportReport, ...],
+    ) -> None:
+        if status is VerdictStatus.DISTINGUISHED and multiplicity != 1:
             raise InvalidInputError("distinguished verdicts have multiplicity 1")
-        if self.status is VerdictStatus.NOT_DISTINGUISHED and self.multiplicity != 0:
+        if status is VerdictStatus.NOT_DISTINGUISHED and multiplicity != 0:
             raise InvalidInputError("negative verdicts have multiplicity 0")
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "trace", trace)
 
     def to_json(self) -> dict:
         return {

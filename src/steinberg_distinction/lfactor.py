@@ -23,9 +23,10 @@ import functools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+from .cosets import Frozen
 
 __all__ = [
     "Poly",
@@ -284,13 +285,15 @@ def _evaluate(rows: Rows, s: int, r: int, t: Fraction) -> tuple[Fraction, Fracti
     return (a + b, Fraction(0)) if r == 1 else (a, b)
 
 
-@dataclass(frozen=True)
-class QuadraticValue:
+class QuadraticValue(Frozen):
     """The irrational number a + b sqrt(r): b is nonzero and r > 1 is squarefree."""
 
-    a: Fraction
-    b: Fraction
-    r: int
+    __slots__ = ("a", "b", "r")
+
+    def __init__(self, a: Fraction, b: Fraction, r: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "r", r)
 
     def __str__(self) -> str:
         """The spelling sympy gives the same number."""
@@ -312,13 +315,15 @@ class QuadraticValue:
 _ONE: Rows = ((1,),)
 
 
-@dataclass(frozen=True)
-class RationalFunc:
+class RationalFunc(Frozen):
     """Reduced fraction of Laurent polynomials in v and t, kept as the
     dense rows of its numerator and denominator; zero is () over 1."""
 
-    num: Rows
-    den: Rows
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Rows, den: Rows) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_expr(cls, num: Poly, den: Poly) -> "RationalFunc":
@@ -552,11 +557,16 @@ class SampleStatus(Enum):
     POLE = "pole"
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
-    value_at_t1: RationalFunc | None
-    samples: tuple[tuple[int, SampleStatus, str], ...]
-    nonvanishing: bool
+class NonvanishingReport(Frozen):
+    __slots__ = ("value_at_t1", "samples", "nonvanishing")
+
+    def __init__(
+        self, value_at_t1: RationalFunc | None,
+        samples: tuple[tuple[int, SampleStatus, str], ...], nonvanishing: bool,
+    ) -> None:
+        object.__setattr__(self, "value_at_t1", value_at_t1)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "nonvanishing", nonvanishing)
 
     def to_json(self) -> dict:
         return {

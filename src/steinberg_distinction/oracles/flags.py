@@ -29,13 +29,13 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from ..cosets import (
     CaseTag,
     CosetMatrix,
+    Frozen,
     InvalidInputError,
     Partition,
     build_us_odd,
@@ -86,18 +86,16 @@ class CertificationError(RuntimeError):
     """The orbit sizes of ``profile_histogram`` are not certified."""
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Frozen):
     """Nested subspaces given by row-reduced bases."""
 
-    partition: Partition
-    bases: tuple[tuple[Vec, ...], ...]
+    __slots__ = ("partition", "bases")
 
-    def __post_init__(self) -> None:
-        dims = [len(b) for b in self.bases]
-        prefix = list(itertools.accumulate(self.partition.parts))
-        if dims != prefix:
+    def __init__(self, partition: Partition, bases: tuple[tuple[Vec, ...], ...]) -> None:
+        if [len(b) for b in bases] != list(itertools.accumulate(partition.parts)):
             raise InvalidInputError("basis dimensions must match partition prefixes")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "bases", bases)
 
 
 def gaussian_binomial(n: int, k: int, q2: int) -> int:

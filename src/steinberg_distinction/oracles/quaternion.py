@@ -13,10 +13,9 @@ with exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..cosets import InvalidInputError
+from ..cosets import Frozen, InvalidInputError
 
 __all__ = ["QuaternionElem", "QuaternionAlgebra", "QuaternionCheckReport", "quaternion_model_check"]
 
@@ -33,11 +32,13 @@ def _is_rational_square(x: Fraction) -> bool:
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
-@dataclass(frozen=True)
-class QuaternionElem:
+class QuaternionElem(Frozen):
     """Coordinates (x0, x1, x2, x3) in the basis (1, i, j, ij)."""
 
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def of(cls, x0=0, x1=0, x2=0, x3=0) -> "QuaternionElem":
@@ -146,17 +147,25 @@ class QuaternionAlgebra:
         return self.m_mul(self.m_mul(s, self.m_theta(x)), self.m_inv(s))
 
 
-@dataclass(frozen=True)
-class QuaternionCheckReport:
-    alpha: Fraction
-    beta: Fraction
-    ok: bool
-    homomorphism: bool
-    involution: bool
-    orders_agree: bool
-    fixes_first_factor: bool
-    semilinear: bool
-    error: str | None = None
+class QuaternionCheckReport(Frozen):
+    __slots__ = (
+        "alpha", "beta", "ok", "homomorphism", "involution", "orders_agree",
+        "fixes_first_factor", "semilinear", "error",
+    )
+
+    def __init__(
+        self, alpha: Fraction, beta: Fraction, ok: bool, homomorphism: bool, involution: bool,
+        orders_agree: bool, fixes_first_factor: bool, semilinear: bool, error: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "homomorphism", homomorphism)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "orders_agree", orders_agree)
+        object.__setattr__(self, "fixes_first_factor", fixes_first_factor)
+        object.__setattr__(self, "semilinear", semilinear)
+        object.__setattr__(self, "error", error)
 
     def to_json(self) -> dict:
         return {

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -510,8 +509,10 @@ class TestOracles:
         monkeypatch.setattr(flags_module, "enumerate_flags", refuse)
         monkeypatch.setattr(cli, "enumerate_flags", refuse, raising=False)
         built = []
+        real = flags_module.Flag.__init__
         monkeypatch.setattr(
-            flags_module.Flag, "__post_init__", lambda flag: built.append(flag.partition)
+            flags_module.Flag, "__init__",
+            lambda flag, partition, bases: built.append(partition) or real(flag, partition, bases),
         )
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected)
@@ -969,9 +970,9 @@ def test_option_surface():
     }
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -988,15 +989,39 @@ class TestWithoutSympy:
         assert proc.stdout.strip() == "False"
 
     def test_cli_import_loads_only_what_commands_run(self):
-        # logging and the quaternion oracle load on first use; every
+        # logging and the quaternion oracle load on first use, and the
+        # records need no dataclasses (nor the inspect it imports); every
         # module the benchmark's tracer wraps loads with the CLI
         proc = run_python("import sys, steinberg_distinction.cli; print(sorted(sys.modules))")
         assert proc.returncode == 0, proc.stderr
         loaded = set(ast.literal_eval(proc.stdout))
-        deferred = ["logging", "sympy", "steinberg_distinction.oracles.quaternion"]
+        deferred = [
+            "logging", "sympy", "steinberg_distinction.oracles.quaternion", "dataclasses", "inspect"
+        ]
         assert [name for name in deferred if name in loaded] == []
         traced = ["engine", "characters", "cosets", "lfactor", "oracles.flags", "oracles.finite_field"]
         assert [name for name in traced if f"steinberg_distinction.{name}" not in loaded] == []
+
+    def test_cli_import_without_site_loads_no_typing(self):
+        # without site hooks nothing else preloads typing, so this sees
+        # what the package itself imports
+        proc = run_python("import sys, steinberg_distinction.cli; print(sorted(sys.modules))", "-S")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "site" not in loaded
+        deferred = ["typing", "dataclasses", "inspect", "logging"]
+        assert [name for name in deferred if name in loaded] == []
+
+    def test_quaternion_oracle_runs_without_dataclasses(self):
+        proc = run_python(
+            "import sys\n"
+            "from steinberg_distinction.cli import main\n"
+            "code = main(['oracle-quaternion', '--alpha', '-1', '--beta', '3'])\n"
+            "print(code, 'steinberg_distinction.oracles.quaternion' in sys.modules,"
+            " 'dataclasses' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True False"
 
     def test_commands_run_with_sympy_blocked(self):
         # a None entry makes every import of sympy fail

@@ -1060,7 +1060,11 @@ class TestCertificate:
         """Only the representatives are built and no flag is reduced, at
         (1, 1, 1, 1), q = 3, far above the default budget."""
         built = []
-        monkeypatch.setattr(flags_module.Flag, "__post_init__", lambda flag: built.append(flag.partition))
+        real = flags_module.Flag.__init__
+        monkeypatch.setattr(
+            flags_module.Flag, "__init__",
+            lambda flag, partition, bases: built.append(partition) or real(flag, partition, bases),
+        )
 
         def refuse(*args, **kwargs):
             raise AssertionError("the certificate built a flag at a position or reduced one")

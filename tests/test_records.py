@@ -1,0 +1,168 @@
+"""The package's records behave as the frozen dataclasses they replace:
+fields that cannot be set or deleted, equality within one class only, the
+hash and repr a frozen dataclass of the same fields gives, and keyword
+construction.  Each record also has no ``__dict__`` and survives copy and
+pickle, which rebuild it through its ``__init__``."""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from steinberg_distinction.characters import ChiToken, SupportReport, SupportRule
+from steinberg_distinction.cosets import (
+    BlockInvolution,
+    CaseTag,
+    CosetMatrix,
+    FineLayout,
+    Frozen,
+    InvalidInputError,
+    Partition,
+    Permutation,
+    SymbolicRepMatrix,
+)
+from steinberg_distinction.engine import DistinctionVerdict, VerdictStatus
+from steinberg_distinction.lfactor import (
+    NonvanishingReport,
+    QuadraticValue,
+    RationalFunc,
+    SampleStatus,
+)
+from steinberg_distinction.oracles.flags import Flag
+from steinberg_distinction.oracles.quaternion import QuaternionCheckReport, QuaternionElem
+
+
+def matrix():
+    return CosetMatrix(CaseTag.ODD, Partition((1, 2)), ((0, 1), (1, 1)))
+
+
+def report():
+    return SupportReport(matrix(), ChiToken.ETA, False, ((3, SupportRule.FIXED_SIGN_OBSTRUCTION),))
+
+
+# (class, its fields in declaration order, a builder of fresh field values)
+RECORDS = [
+    (Partition, ("parts",), lambda: ((1, 2),)),
+    (CosetMatrix, ("case", "partition", "entries"),
+     lambda: (CaseTag.ODD, Partition((1, 2)), ((0, 1), (1, 1)))),
+    (FineLayout, ("blocks", "start_pos", "sub_partition"),
+     lambda: (((1, 2, 1), (2, 1, 1), (2, 2, 1)), (1, 2, 3), Partition((1, 1, 1)))),
+    (Permutation, ("images",), lambda: ((2, 1, 3),)),
+    (BlockInvolution, ("pairing", "fixed_blocks", "position_map"),
+     lambda: ((1, 0, 2), frozenset({2}), Permutation((2, 1, 3)))),
+    (SymbolicRepMatrix, ("entries",), lambda: ((("0", "l"), ("-l", "1")),)),
+    (SupportReport, ("s", "chi", "feasible", "violations"),
+     lambda: (matrix(), ChiToken.ETA, False, ((3, SupportRule.FIXED_SIGN_OBSTRUCTION),))),
+    (DistinctionVerdict, ("case", "m", "d", "chi", "status", "multiplicity", "trace"),
+     lambda: (CaseTag.ODD, 2, 1, ChiToken.ETA, VerdictStatus.NOT_DISTINGUISHED, 0, (report(),))),
+    (QuadraticValue, ("a", "b", "r"), lambda: (Fraction(1, 2), Fraction(-3), 5)),
+    (RationalFunc, ("num", "den"), lambda: (((1,), (0, 2)), ((1,),))),
+    (NonvanishingReport, ("value_at_t1", "samples", "nonvanishing"),
+     lambda: (RationalFunc(((2,),), ((1,),)), ((2, SampleStatus.NONZERO, "2"),), True)),
+    (Flag, ("partition", "bases"), lambda: (Partition((1, 1)), (((1, 0),), ((1, 0), (0, 1))))),
+    (QuaternionElem, ("coords",),
+     lambda: ((Fraction(1), Fraction(0), Fraction(-2), Fraction(1, 3)),)),
+    (QuaternionCheckReport,
+     ("alpha", "beta", "ok", "homomorphism", "involution", "orders_agree",
+      "fixes_first_factor", "semilinear", "error"),
+     lambda: (Fraction(-1), Fraction(3), True, True, True, True, True, True, None)),
+]
+
+parametrize = pytest.mark.parametrize(
+    "cls, fields, values", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+
+
+def as_dataclass(cls, fields, values):
+    """The frozen dataclass the record replaces, holding the same values."""
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)(*values)
+
+
+def test_every_record_is_listed():
+    listed = {cls for cls, _, _ in RECORDS}
+    assert len(listed) == len(RECORDS) == 14
+    assert set(Frozen.__subclasses__()) == listed
+
+
+@parametrize
+def test_fields_are_slots_in_declaration_order(cls, fields, values):
+    record = cls(*values())
+    assert cls.__slots__ == fields
+    assert not hasattr(record, "__dict__")
+    assert tuple(getattr(record, name) for name in fields) == values()
+
+
+@parametrize
+def test_fields_cannot_be_set_or_deleted(cls, fields, values):
+    record = cls(*values())
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(*values())
+
+
+@parametrize
+def test_equality_and_hash_are_the_dataclass_ones(cls, fields, values):
+    record, twin = cls(*values()), cls(*values())
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(values()) == hash(as_dataclass(cls, fields, values()))
+    assert record != values() and values() != record
+    assert record != as_dataclass(cls, fields, values())
+    assert len({record, twin}) == 1
+
+
+@parametrize
+def test_repr_is_the_dataclass_one(cls, fields, values):
+    record = cls(*values())
+    assert repr(record) == repr(as_dataclass(cls, fields, values()))
+    assert repr(record).startswith(f"{cls.__name__}({fields[0]}=")
+
+
+@parametrize
+def test_keyword_construction(cls, fields, values):
+    assert cls(**dict(zip(fields, values()))) == cls(*values())
+
+
+@parametrize
+def test_copy_and_pickle_rebuild_an_equal_record(cls, fields, values):
+    record = cls(*values())
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record and hash(clone) == hash(record)
+
+
+def test_records_of_different_classes_with_equal_values_differ():
+    # both hold one tuple of ints, so only the class tells them apart
+    assert Partition((1, 2)) != Permutation((1, 2))
+    assert not Partition((1, 2)) == Permutation((1, 2))
+    assert hash(Partition((1, 2))) == hash(Permutation((1, 2)))
+    assert len({Partition((1, 2)), Permutation((1, 2))}) == 2
+
+
+def test_keyword_construction_used_by_the_package():
+    assert RationalFunc(num=(), den=((1,),)).is_zero()
+    r = SupportReport(s=matrix(), chi=ChiToken.TRIV, feasible=True, violations=())
+    assert r.feasible and r.s == matrix()
+    assert QuaternionCheckReport(Fraction(4), Fraction(1), *[False] * 6).error is None
+    refused = QuaternionCheckReport(Fraction(4), Fraction(1), *[False] * 6, error="square")
+    assert refused.error == "square" and refused.to_json()["error"] == "square"
+
+
+def test_checks_run_in_init_with_their_messages():
+    with pytest.raises(InvalidInputError, match="partition must be nonempty"):
+        Partition(())
+    with pytest.raises(InvalidInputError, match="partition parts must be positive"):
+        Partition((1, 0))
+    with pytest.raises(InvalidInputError, match="images must be a bijection"):
+        Permutation((1, 1))
+    with pytest.raises(InvalidInputError, match="feasible must mean no violations"):
+        SupportReport(matrix(), ChiToken.TRIV, True, ((1, SupportRule.PAIR_SUM_NONZERO),))
+    with pytest.raises(InvalidInputError, match="distinguished verdicts have multiplicity 1"):
+        DistinctionVerdict(CaseTag.ODD, 1, 1, ChiToken.TRIV, VerdictStatus.DISTINGUISHED, 0, ())
+    with pytest.raises(InvalidInputError, match="basis dimensions"):
+        Flag(Partition((2,)), (((1, 0),),))
+    with pytest.raises(InvalidInputError, match="row 1 sums to 1, expected 2"):
+        CosetMatrix(CaseTag.ODD, Partition((1, 2)), ((0, 1), (1, 0)))
