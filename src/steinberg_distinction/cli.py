@@ -49,10 +49,10 @@ from .oracles.flags import (
     FlagCache,
     _representative,
     count_flags,
-    flag_at,
     profile_histogram,
     reduction_fault,
     sample_stride,
+    translate,
 )
 
 EXIT_OK = 0
@@ -273,14 +273,14 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
         else:
             if cache:
                 cache.store(args.q, partition, histogram)
-    # the same positions on a hit and on a miss
-    sample = flag_at(field, partition, range(0, count, sample_stride(count)))
     expected = enumerate_coset_matrices(partition, CaseTag.ODD)
-    # the memoised representatives the reductions below are carried onto
-    reps_ok = all(_representative(s, args.q)[0] == s for s in expected)
-    faults = [reduction_fault(flag, field) for flag in sample]
+    # the certificate checked every representative's profile, unless a hit
+    reps_ok = outcome != "hit" or all(_representative(s, args.q)[0] == s for s in expected)
+    # the same orbits on a hit and on a miss: each F_s moved to g F_s
+    sampled = expected[:: sample_stride(len(expected))]
+    faults = [reduction_fault(translate(_representative(s, args.q)[1], field), field, s) for s in sampled]
     ok = set(histogram) == {s.flat() for s in expected} and reps_ok and not any(faults)
-    checked = len(sample)
+    checked = len(faults)
     rows = sorted(histogram.items())
     payload = {
         "n": args.n,

@@ -18,6 +18,7 @@ the engine against.
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 
 from .characters import (
     ChiToken,
@@ -28,7 +29,6 @@ from .characters import (
 )
 from .cosets import (
     CaseTag,
-    CosetMatrix,
     Frozen,
     InvalidInputError,
     anti_diagonal_matrix,
@@ -119,7 +119,8 @@ def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> Distinct
         coarse_open = coarsen(s0, k)
         partition = coarse_open.partition
         orbits = {coarse_open, *supporting_coset_matrices(partition, case, chi)}
-        for s in sorted(orbits, key=CosetMatrix.flat, reverse=True):
+        # one shape per partition: the rows compare as the flattening does
+        for s in sorted(orbits, key=attrgetter("entries"), reverse=True):
             report = orbit_supports(s, chi)
             trace.append(report)
             if s == coarse_open:

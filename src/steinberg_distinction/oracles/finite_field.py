@@ -179,13 +179,17 @@ class QuadraticExtension:
         # every row above pivot_row holds a pivot, every row below is zero
         return tuple(tuple(row) for row in mat[:pivot_row])
 
-    def rank(self, rows: list[Vec]) -> int:
-        """Elimination on nonzero entries: each row, reduced against the
-        rows kept, one per leading column, is kept if anything is left."""
+    def rank(self, rows: list[Vec] | list[dict[int, Elt]]) -> int:
+        """Elimination on nonzero entries: each row, dense or the dict of its
+        nonzero entries by column, reduced against the rows kept, one per
+        leading column, is kept if anything is left."""
         mul, sub, inv = self.mul_table, self.sub_table, self.inv_table
         kept: dict[int, dict[int, Elt]] = {}
         for row in rows:
-            left = {c: row[c] for c in itertools.compress(range(len(row)), row)}
+            if type(row) is dict:
+                left = dict(row)
+            else:
+                left = {c: row[c] for c in itertools.compress(range(len(row)), row)}
             while left and (lead := min(left)) in kept:
                 scale = mul[mul[left[lead]][inv[kept[lead][lead]]]]
                 for c, x in kept[lead].items():

@@ -1,23 +1,18 @@
-"""Finite-field flag enumeration and Galois-twist orbit invariants.
+"""Finite-field flags and Galois-twist orbit invariants.
 
-Desk-scale oracle for the odd (split) case: flags in F_{q^2}^n are
-enumerated through canonical row-reduced representatives, their
-invariant profile under the coordinate Frobenius twist is the coset
-matrix of their orbit, and the constructive reduction maps any flag to
-the canonical representative of its profile by a base-field matrix,
-built from graded pieces that the rank table mostly settles without a
-row reduction.
+Desk-scale oracle for the odd (split) case: the profile of a flag in
+F_{q^2}^n under the coordinate Frobenius twist is the coset matrix of
+its orbit, and the constructive reduction maps any flag to the
+canonical representative of its profile by a base-field matrix, built
+from graded pieces that the rank table mostly settles.
 
-``flag_at`` is the one way from a position to a flag: each digit of the
-position indexes a reduced basis by arithmetic, that of V_1 and then
-that of each quotient V_{i + 1} / V_i, so building a flag costs one
-``_rref_at`` per level and one ``_extend`` per level after the first,
-whatever the flag count; ``enumerate_flags`` is ``flag_at`` over every
-position.  ``profile_histogram`` certifies the orbit sizes by
-orbit-stabiliser, visiting no flag, and the command's samples, found by
-``flag_at``, go through the one orbit check ``reduction_fault``.  The
-cache (version 5) holds a point's orbit sizes and a CRC-32 of their
-text, so a file that is not exactly what ``store`` wrote is a miss.
+``profile_histogram`` certifies the orbit sizes by orbit-stabiliser,
+visiting one representative per orbit.  ``reduction_fault`` checks the
+reduction orbit by orbit: the reduction of g F_s, the representative
+F_s moved by the fixed base-field matrix g of ``translate``, must be a
+base-field h with h g F_s = F_s.  The cache (version 5) holds a point's
+orbit sizes and a CRC-32 of their text, so a file that is not exactly
+what ``store`` wrote is a miss.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import math
 import os
 import tempfile
 import zlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
 from ..cosets import (
@@ -51,13 +46,13 @@ __all__ = [
     "count_flags",
     "enumerate_flags",
     "profile_histogram",
-    "flag_at",
     "flag_profile",
     "graded_pieces",
     "representative_flag",
     "reduce_to_representative",
     "reduction_fault",
     "sample_stride",
+    "translate",
     "FlagCache",
 ]
 
@@ -137,21 +132,6 @@ def _rref(field: QuadraticExtension, n: int, pivots, cells, values) -> tuple[Vec
     return tuple(map(tuple, rows))
 
 
-def _rref_at(field: QuadraticExtension, n: int, k: int, index: int) -> tuple[Vec, ...]:
-    """The reduced basis at ``index`` of the k-dimensional subspaces of
-    F^n, ordered by their pivot columns as ``_rref_blocks`` lists them: a
-    block of c free cells holds q2^c bases, and within it the index is the
-    base-q2 number of the cells' values, since the elements are
-    0..q2 - 1."""
-    q2 = field.p * field.p
-    for pivots, cells in _rref_blocks(n, k):
-        if index < q2 ** len(cells):
-            values = [index // q2**e % q2 for e in reversed(range(len(cells)))]
-            return _rref(field, n, pivots, cells, values)
-        index -= q2 ** len(cells)
-    raise InvalidInputError(f"no {k}-dimensional subspace of F^{n} at that position")
-
-
 def _extend(
     field: QuadraticExtension, n: int, basis: tuple[Vec, ...], quotient: tuple[Vec, ...]
 ) -> tuple[Vec, ...]:
@@ -189,13 +169,27 @@ def enumerate_flags(
     partition: Partition,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Flag]:
-    """Every flag of the given shape, in ``flag_at``'s position order,
-    refused with the count estimate before the first flag is built when
-    the flag variety exceeds the budget."""
-    count = count_flags(partition, field.p * field.p)
+    """Every flag of the given shape, depth first, refused with the count
+    estimate before the first is built when it exceeds the budget.  Each
+    V_{i + 1} is V_i + U for exactly one U among the reduced bases of the
+    coordinates off the pivots of V_i, which span a complement of V_i; a
+    level lists them by ``_rref_blocks`` and then by the free cells."""
+    n, q2 = partition.total, field.p * field.p
+    count = count_flags(partition, q2)
     if count > budget:
         raise BudgetExceededError(count, budget)
-    return flag_at(field, partition, range(count))
+    chains, dim = [()], 0
+    for part in partition.parts[:-1]:
+        quotients = [
+            _rref(field, n - dim, pivots, cells, values)
+            for pivots, cells in _rref_blocks(n - dim, part)
+            for values in itertools.product(range(q2), repeat=len(cells))
+        ]
+        chains = [(*c, _extend(field, n, c[-1] if c else (), u)) for c in chains for u in quotients]
+        dim += part
+    # the identity rows: V_t = F^n
+    top = _rref(field, n, range(n), (), ())
+    return [Flag(partition, (*chain, top)) for chain in chains]
 
 
 def profile_histogram(field: QuadraticExtension, partition: Partition) -> Histogram:
@@ -252,7 +246,8 @@ def _gl(k: int, q: int) -> int:
 def _stabiliser_dim(field: QuadraticExtension, flag: Flag) -> int:
     """dim {X in M_n(F_q) : X V_i <= V_i}: n^2 less the rank of w_c X v = 0
     and its Frobenius image, v in the reduced basis B of V_i, since u is in
-    V_i when w_c u = 0 for w_c = e_c - sum_r B_r[c] e_{p_r}, c off pivots p_r."""
+    V_i when w_c u = 0 for w_c = e_c - sum_r B_r[c] e_{p_r}, c off pivots p_r.
+    A condition is its nonzero entries, that of X[a][j] at a n + j."""
     n = flag.partition.total
     mul, neg, frob = field.mul_table, field.neg_table, field.frob_table
     rows = []
@@ -261,49 +256,10 @@ def _stabiliser_dim(field: QuadraticExtension, flag: Flag) -> int:
         for c in (c for c in range(n) if c not in pivots):
             w = [(c, field.one)] + [(p, neg[row[c]]) for p, row in zip(pivots, basis) if row[c]]
             for v in basis:
-                condition = [field.zero] * (n * n)
-                for a, x in w:
-                    condition[a * n : a * n + n] = [mul[x][y] for y in v]
-                image = [frob[x] for x in condition]
+                condition = {a * n + j: mul[x][y] for a, x in w for j, y in enumerate(v) if y}
+                image = {k: frob[x] for k, x in condition.items()}
                 rows += [condition] if image == condition else [condition, image]
     return n * n - field.rank(rows)
-
-
-def flag_at(
-    field: QuadraticExtension, partition: Partition, positions: Iterable[int]
-) -> list[Flag]:
-    """The flags at the given positions, each built level by level.
-
-    A position is a mixed-radix number.  Its leading digit is the index
-    of V_1 in ``_rref_at`` order, and the digit of level i > 1 is the
-    index, in ``_rref_at`` order, of the quotient V_i / V_{i - 1} as a
-    subspace of dimension n_i of the coordinates off the pivots of
-    V_{i - 1}, with radix the number of those subspaces.  The
-    coordinates off the pivots span a complement of V_{i - 1}, so each
-    subspace between V_{i - 1} and F^n of dimension d_{i - 1} + n_i is
-    V_{i - 1} + U for exactly one such U, and positions
-    0 .. ``count_flags`` - 1 are the flags, each once.
-    """
-    n, parts = partition.total, partition.parts
-    q2 = field.p * field.p
-    count = count_flags(partition, q2)
-    # (dim V_{i - 1}, n_i) for the levels after the first, with their radices
-    levels = list(zip(itertools.accumulate(parts), parts[1:-1]))
-    radices = [gaussian_binomial(n - dim, part, q2) for dim, part in levels]
-    top = _rref_at(field, n, n, 0)
-    flags = []
-    for position in positions:
-        if not 0 <= position < count:
-            raise InvalidInputError(f"flag position {position} outside 0..{count - 1}")
-        digits = []
-        for radix in reversed(radices):
-            position, digit = divmod(position, radix)
-            digits.append(digit)
-        chain = [_rref_at(field, n, parts[0], position)] if len(parts) > 1 else []
-        for (dim, part), digit in zip(levels, reversed(digits)):
-            chain.append(_extend(field, n, chain[-1], _rref_at(field, n - dim, part, digit)))
-        flags.append(Flag(partition, (*chain, top)))
-    return flags
 
 
 def _rank_row(
@@ -470,7 +426,8 @@ def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
 def _pieces(flag: Flag, field: QuadraticExtension, table: Table) -> GradedPieces:
     parts = flag.partition.parts
     t, n = len(parts), flag.partition.total
-    bases = ((),) + flag.bases[:-1] + (_rref_at(field, n, n, 0),)
+    # V_t = F^n, as the identity rows
+    bases = ((),) + flag.bases[:-1] + (_rref(field, n, range(n), (), ()),)
     r = _square(parts, table)
     frob = field.vec_frob
     meet: list[list[tuple[Vec, ...]]] = [[()] * (t + 1) for _ in range(t + 1)]
@@ -551,25 +508,57 @@ def reduce_to_representative(flag: Flag, field: QuadraticExtension) -> list[Vec]
     return field.solve(src_vecs, [v for k in keys for v in dst[k]])
 
 
-def reduction_fault(flag: Flag, field: QuadraticExtension) -> str | None:
+def reduction_fault(flag: Flag, field: QuadraticExtension, profile: CosetMatrix) -> str | None:
     """The oracle's one orbit check: None when ``reduce_to_representative``
-    carries the flag onto the representative of its profile by a
-    base-field matrix, else what went wrong; an input error or a singular
-    system inside the reduction fails the check."""
+    gives a base-field matrix h that carries each V_i of the flag onto
+    the V_i of the representative of ``profile``, the orbit the flag must
+    lie in, else what went wrong; an input error or a singular system
+    inside the reduction or the representative fails the check."""
     try:
         h = reduce_to_representative(flag, field)
+        target = _representative(profile, field.p)[1]
     except (InvalidInputError, ZeroDivisionError) as exc:
         return str(exc)
     if not all(field.in_base(x) for row in h for x in row):
         return "the reduction has an entry outside F_q"
+    if _carry(field, h, flag) != target:
+        return "the reduction does not carry the flag onto its representative"
     return None
 
 
+def translate(flag: Flag, field: QuadraticExtension) -> Flag:
+    """g F for the cyclic shift e_j -> e_{j + 1} (mod n) times the unipotent
+    J = 1 + the superdiagonal of ones, so g e_0 = e_1 and g e_j = e_j +
+    e_{j + 1}.  g moves every representative of two parts or more of the
+    compositions of n <= 8 at q = 3, n <= 6 at q = 5 and n <= 5 at q = 7."""
+    n, one, zero = flag.partition.total, field.one, field.zero
+    # row i of the shift times J is row i - 1 of J
+    g = [[one if j - (i - 1) % n in (0, 1) else zero for j in range(n)] for i in range(n)]
+    return _carry(field, g, flag)
+
+
+def _carry(field: QuadraticExtension, g: list[Vec], flag: Flag) -> Flag:
+    """g F, each level reduced again, for g given by its rows: g v is the
+    sum of v[j] times column j of g."""
+    mul, add = field.mul_table, field.add_table
+    columns = list(zip(*g))
+    bases = []
+    for basis in flag.bases:
+        rows = []
+        for v in basis:
+            out = [field.zero] * len(v)
+            for x, column in zip(v, columns):
+                if x:
+                    scale = mul[x]
+                    out = [add[a][scale[b]] for a, b in zip(out, column)]
+            rows.append(out)
+        bases.append(field.rref(rows))
+    return Flag(flag.partition, tuple(bases))
+
+
 def sample_stride(count: int) -> int:
-    """The oracle reduces the flags at positions 0, stride, 2 stride, ...
-    of ``flag_at``: 10 to 19 of them, or every flag when there are
-    fewer.  The leading digit of a position is V_1's, so the samples
-    spread over the V_1 bases in ``_rref_at`` order."""
+    """The oracle checks the orbits at 0, stride, 2 stride, ... of a
+    partition's coset matrices: all of fewer than 20, else 10 to 19."""
     return max(1, count // 10)
 
 

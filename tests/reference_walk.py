@@ -1,8 +1,8 @@
 """Two walks the tests keep as references for the flag oracle.
 
 ``_walk`` streams every flag with its rank table, depth first, each
-node's children in the order of its quotient's reduced bases, so the
-i-th flag it yields is ``flags.flag_at``'s flag at position i.
+node's children in the order of its quotient's reduced bases, so it
+yields the flags in ``flags.enumerate_flags``'s order.
 ``walk_histogram`` finds the orbit sizes by walking orbit
 representatives of partial flags, each merge certified by a reduction;
 ``flags.profile_histogram`` gets the same sizes from an orbit-stabiliser
@@ -28,7 +28,6 @@ from steinberg_distinction.oracles.flags import (
     _profile_from_rows,
     _rank_row,
     _rref,
-    _rref_at,
     _rref_blocks,
     count_flags,
     flag_profile,
@@ -38,7 +37,7 @@ from steinberg_distinction.oracles.flags import (
 
 def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple[Vec, ...]]:
     """All reduced row echelon bases of k-dimensional subspaces of F^n,
-    in ``_rref_at`` order."""
+    by pivot columns and then by the values of the free cells."""
     for pivots, cells in _rref_blocks(n, k):
         for values in itertools.product(field.elements(), repeat=len(cells)):
             yield _rref(field, n, pivots, cells, values)
@@ -49,7 +48,7 @@ def _children(
 ) -> Iterator[tuple[Vec, ...]]:
     """The reduced bases of the subspaces V > span(basis) with
     dim V = len(basis) + part, one per subspace of the quotient in the
-    coordinates off the pivots of ``basis``, in ``_rref_at`` order."""
+    coordinates off the pivots of ``basis``, in ``_enumerate_rref`` order."""
     for quotient in _enumerate_rref(field, n - len(basis), part):
         yield _extend(field, n, basis, quotient)
 
@@ -64,7 +63,7 @@ def _walk(
     A depth-first walk over chains of reduced bases, each step built
     from the previous one through the subspaces of the quotient, so no
     flag comes twice and none is filtered out; the order is by V_1, then
-    by V_2 / V_1, and so on, each in ``_rref_at`` order.  A node V_i
+    by V_2 / V_1, and so on, each in ``_enumerate_rref`` order.  A node V_i
     computes its row of the rank table once for all its descendants;
     V_t = F^n costs nothing.
     """
@@ -177,8 +176,9 @@ def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, 
     """Check that the partial flags merged under each table of one level
     are one H-orbit: each, as a flag of the coarse partition, has the
     table's coset matrix as its ``flag_profile``, and ``reduction_fault``
-    finds no fault in it."""
-    top = _rref_at(field, coarse.total, coarse.total, 0)
+    finds no fault in carrying it onto that matrix's representative."""
+    # V_t = F^n, as the identity rows
+    top = _rref(field, coarse.total, range(coarse.total), (), ())
     for table, chains in members.items():
         if len(chains) < 2:
             continue
@@ -192,6 +192,6 @@ def _certify(field: QuadraticExtension, coarse: Partition, members: dict[Table, 
             if own != profile:
                 fault = f"flag has profile {list(own.flat())}, not {list(profile.flat())}"
             else:
-                fault = reduction_fault(flag, field)
+                fault = reduction_fault(flag, field, profile)
             if fault:
                 raise CertificationError(f"{chain} merged under table {table}: {fault}")

@@ -19,7 +19,8 @@ from steinberg_distinction.cli import main
 from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag, Partition, enumerate_coset_matrices
 from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
-from steinberg_distinction.oracles.flags import DEFAULT_BUDGET, count_flags
+from steinberg_distinction.oracles.finite_field import QuadraticExtension
+from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
 
 from conftest import compositions
 
@@ -466,23 +467,21 @@ class TestOracles:
             code, out, _ = run(capsys, *argv, *extra)
             assert code == 0
             stats.append(json.loads(out)["stats"])
-        # every one of the 10 flags is a sample
+        # each of the 2 orbits is checked
         assert stats == [
-            {"cache": "off", "reductions_checked": 10},
-            {"cache": "miss", "reductions_checked": 10},
-            {"cache": "hit", "reductions_checked": 10},
+            {"cache": "off", "reductions_checked": 2},
+            {"cache": "miss", "reductions_checked": 2},
+            {"cache": "hit", "reductions_checked": 2},
         ]
 
     @pytest.mark.parametrize("point", FLAG_POINTS, ids=lambda p: "n{}-q{}-{}".format(*p))
     def test_flags_cache_off_miss_hit_agree(self, capsys, tmp_path, point):
         """The JSON outside ``stats`` is the same with the cache off, on a
         miss and on a hit, and with the cache off it is the pinned
-        output.  Strides that take count // stride + 1 flags, more than
-        10 (13 of 25 at n = 2, q = 5), are reduced in full."""
+        output.  Every orbit is checked: each point has fewer than 20."""
         n, q, parts = point
         argv = ["oracle-flags", "--n", str(n), "--q", str(q), "--partition", parts, "--format", "json"]
         pinned = json.loads(DIGESTS_PATH.read_text())[" ".join(argv)]
-        count = count_flags(Partition.parse(parts), q * q)
         outputs = []
         for extra in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
             code, out, err = run(capsys, *argv, *extra)
@@ -492,13 +491,13 @@ class TestOracles:
                 assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout_sha256"]
         assert [o.pop("stats")["cache"] for o in outputs] == ["off", "miss", "hit"]
         assert outputs[0] == outputs[1] == outputs[2]
-        assert outputs[0]["reductions_checked"] == len(range(0, count, max(1, count // 10)))
+        assert outputs[0]["reductions_checked"] == len(outputs[0]["orbit_sizes"])
         assert len(list(tmp_path.iterdir())) == 1
 
     def test_flags_stream_holds_no_list(self, capsys, monkeypatch):
-        """The command counts rank tables and looks its samples up by
-        position: it lists no flags and builds a ``Flag`` only for the
-        samples and the representatives."""
+        """The command lists no flags and builds a ``Flag`` only for the
+        representatives and, for each checked orbit, the translate g F_s
+        and its image under the reduction."""
         argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1", "--format", "json"]
         code, expected, _ = run(capsys, *argv)
         assert code == 0
@@ -518,9 +517,9 @@ class TestOracles:
         assert (code, out) == (0, expected)
         # the 910 flags are certified from the 4 representatives of the
         # orbits, which the first run built and which are memoised per
-        # (profile, q), so this run builds only the 10 samples
+        # (profile, q), so this run builds two flags for each orbit
         assert len(json.loads(expected)["orbit_sizes"]) == 4
-        assert built == [Partition((1, 1, 1))] * 10
+        assert built == [Partition((1, 1, 1))] * 8
 
     def test_miss_then_hit_builds_each_representative_once(self, capsys, tmp_path, monkeypatch):
         """A miss of (1, 1, 1), q = 3 builds the 4 representatives of the
@@ -594,6 +593,113 @@ class TestOracles:
         assert not any(line.startswith("error:") for line in err.splitlines())
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "point",
+        FLAG_POINTS + [(4, 3, "1,1,1,1"), (5, 3, "1,2,1,1"), (6, 3, "1,1,1,1,1,1")],
+        ids=lambda p: "n{}-q{}-{}".format(*p),
+    )
+    def test_checked_orbits_and_their_translates(self, capsys, monkeypatch, point):
+        """The command checks the orbits at 0, stride, 2 stride, ... of the
+        canonical list, every orbit when there are fewer than 20 (10 of
+        (1,1,1,1) and 13 of (1,2,1,1)) and 11 of the 76 of (1^6), each
+        from a translate g F_s that is not F_s unless the partition has
+        one part."""
+        n, q, parts = point
+        moved = []
+        real = flags_module.translate
+
+        def recording(flag, field):
+            moved.append((flag, real(flag, field)))
+            return moved[-1][1]
+
+        monkeypatch.setattr(cli, "translate", recording)
+        code, out, err = run(capsys, "oracle-flags", "--n", str(n), "--q", str(q), "--partition", parts)
+        assert (code, err) == (0, "")
+        partition = Partition.parse(parts)
+        matrices = enumerate_coset_matrices(partition, CaseTag.ODD)
+        sampled = matrices[:: max(1, len(matrices) // 10)]
+        assert out.splitlines()[-2:] == [f"reductions checked: {len(sampled)}", "oracle agrees"]
+        if len(matrices) < 20:
+            assert sampled == matrices
+        field = QuadraticExtension(q)
+        assert [flags_module.flag_profile(flag, field) for flag, _ in moved] == sampled
+        assert all((new != flag) == (len(partition) > 1) for flag, new in moved)
+
+    @pytest.mark.parametrize("parts", ["1,1,1,1", "1,2,1,1"])
+    def test_replaced_piece_of_any_orbit_is_a_mismatch(self, capsys, monkeypatch, parts):
+        """One graded piece of one representative replaced by l times
+        itself, the first nonempty piece of each orbit in turn, makes the
+        command report a mismatch: each of the 10 orbits of (1,1,1,1) and
+        the 13 of (1,2,1,1) is checked."""
+        partition = Partition.parse(parts)
+        real = flags_module._representative_pieces
+        for damaged in enumerate_coset_matrices(partition, CaseTag.ODD):
+
+            def pieces(profile, q, damaged=damaged):
+                out = real(profile, q)
+                if profile != damaged:
+                    return out
+                key = min(k for k, piece in out.items() if piece)
+                lam = QuadraticExtension(q).mul_table[QuadraticExtension(q).lam]
+                return {**out, key: tuple(tuple(lam[x] for x in v) for v in out[key])}
+
+            monkeypatch.setattr(flags_module, "_representative_pieces", pieces)
+            code, out, err = run(capsys, "oracle-flags", "--n", str(partition.total), "--q", "3", "--partition", parts)
+            assert (code, out.splitlines()[-1], err) == (1, "ORACLE MISMATCH", ""), damaged
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], ids=str)
+    def test_dropped_frobenius_transport_is_a_mismatch(self, capsys, monkeypatch, pair):
+        """Graded pieces whose (b, a) piece is the (a, b) piece itself, not
+        its Frobenius image, for one pair a < b: at (1,1,1,1) the command
+        reports a mismatch."""
+        a, b = pair
+        real = flags_module._pieces
+
+        def untransported(flag, field, table):
+            pieces = real(flag, field, table)
+            return {**pieces, (b, a): pieces[(a, b)]}
+
+        monkeypatch.setattr(flags_module, "_pieces", untransported)
+        code, out, err = run(capsys, "oracle-flags", "--n", "4", "--q", "3", "--partition", "1,1,1,1")
+        assert (code, out.splitlines()[-1], err) == (1, "ORACLE MISMATCH", "")
+
+    def test_miss_checks_each_representative_once(self, capsys, tmp_path):
+        """On a miss at (1^6), q = 3 the certificate looks up the
+        representative of each of the 76 orbits and checks its profile,
+        and the command does not look them up again: it looks up only
+        the 11 it checks, three times each (to translate, as the target
+        and for the reduction's pieces).  A hit ran no certificate, so it
+        checks every profile itself."""
+        argv = ["oracle-flags", "--n", "6", "--q", "3", "--partition", "1,1,1,1,1,1", "--cache-dir", str(tmp_path)]
+        lookups = []
+        for _ in range(2):
+            flags_module._representative.cache_clear()
+            flags_module._representative_pieces.cache_clear()
+            code, out, _ = run(capsys, *argv)
+            assert (code, out.splitlines()[-1]) == (0, "oracle agrees")
+            info = flags_module._representative.cache_info()
+            lookups.append((info.misses, info.hits))
+        assert lookups == [(76, 3 * 11), (76, 3 * 11)]
+
+    def test_wrong_representative_on_a_hit_is_a_mismatch(self, capsys, tmp_path, monkeypatch):
+        """A hit runs no certificate, so a representative of another
+        profile is caught by the hit's own check of every profile."""
+        argv = ["oracle-flags", "--n", "3", "--q", "3", "--partition", "1,1,1", "--cache-dir", str(tmp_path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        first, second = enumerate_coset_matrices(Partition((1, 1, 1)), CaseTag.ODD)[:2]
+        real = flags_module.representative_flag
+        monkeypatch.setattr(
+            flags_module, "representative_flag", lambda s, field: real(second if s == first else s, field)
+        )
+        flags_module._representative.cache_clear()
+        flags_module._representative_pieces.cache_clear()
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["stats"]["cache"] == "hit"
+        assert json.loads(out)["ok"] is False
 
     @pytest.mark.parametrize(
         "n, parts, head",

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from steinberg_distinction import engine
-from steinberg_distinction.characters import ChiToken, orbit_supports
+from steinberg_distinction.characters import ChiToken, SupportReport, orbit_supports
 from steinberg_distinction.cosets import (
     CaseTag,
     CosetMatrix,
@@ -183,3 +183,21 @@ class TestLargeM:
             else:
                 assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
         assert sys.getrecursionlimit() == limit
+
+
+def test_orbits_of_a_step_are_traced_in_canonical_order(monkeypatch):
+    """With every orbit of each coarsening reported as supporting, the
+    trace lists them in the canonical, descending order of
+    ``enumerate_coset_matrices``, so the sort of each step is seen."""
+    monkeypatch.setattr(
+        engine, "supporting_coset_matrices", lambda partition, case, chi: enumerate_coset_matrices(partition, case)
+    )
+    monkeypatch.setattr(
+        engine, "orbit_supports", lambda s, chi: SupportReport(s=s, chi=chi, feasible=True, violations=())
+    )
+    for case, m, d in ((CaseTag.ODD, 4, 1), (CaseTag.EVEN, 2, 2)):
+        verdict = steinberg_decision(case, m, d, ChiToken.TRIV)
+        s0 = verdict.trace[0].s
+        steps = [enumerate_coset_matrices(coarsen(s0, k).partition, case) for k in range(1, s0.partition.total)]
+        assert [report.s for report in verdict.trace] == [s0] + [s for step in steps for s in step]
+        assert max(map(len, steps)) > 1

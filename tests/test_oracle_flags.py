@@ -39,7 +39,6 @@ from steinberg_distinction.oracles.flags import (
     _stabiliser_dim,
     count_flags,
     enumerate_flags,
-    flag_at,
     flag_profile,
     gaussian_binomial,
     graded_pieces,
@@ -47,7 +46,7 @@ from steinberg_distinction.oracles.flags import (
     reduce_to_representative,
     reduction_fault,
     representative_flag,
-    sample_stride,
+    translate,
 )
 
 import reference_walk
@@ -79,7 +78,8 @@ WALK_GRID = [
 # The flags on which graded_pieces is compared with three intersections
 # per corner: every flag of each composition of n <= 3 at q = 3, and at
 # q = 5 and 7 where the composition has at most 3,000 flags; the
-# 10-sample positions of every n = 4 composition at q = 3.
+# translate of each orbit's representative at every n = 4 composition at
+# q = 3.
 COMPLEMENT_POINTS = (
     [
         pytest.param(3, partition, False, id="-".join(map(str, partition.parts)))
@@ -94,7 +94,7 @@ COMPLEMENT_POINTS = (
         if count_flags(partition, q * q) <= 3000
     ]
     + [
-        pytest.param(3, partition, True, id="q3-" + "-".join(map(str, partition.parts)) + "-samples")
+        pytest.param(3, partition, True, id="q3-" + "-".join(map(str, partition.parts)) + "-translates")
         for partition in compositions(4)
     ]
 )
@@ -192,6 +192,27 @@ def reference_enumerate_flags(q, partition):
             if not chain or contains(cand, chain[-1])
         ]
     return [Flag(partition, chain) for chain in chains]
+
+
+def listing_key(bases):
+    """The place of a pair-coded flag in ``enumerate_flags``'s order, read
+    off its bases alone: level by level, the reduced basis of V_{i + 1} /
+    V_i in the coordinates off the pivots of V_i, by its pivots and then
+    its entries.  That basis is the rows of V_{i + 1} whose pivots are
+    not V_i's, restricted to those coordinates, since the pivots of V_i
+    are among those of V_{i + 1} and a reduced row is zero on every other
+    pivot column."""
+
+    def first(row):
+        return next(c for c, x in enumerate(row) if x != (0, 0))
+
+    key, taken = [], set()
+    for basis in bases[:-1]:
+        free = [c for c in range(len(basis[0])) if c not in taken]
+        quotient = tuple(tuple(row[c] for c in free) for row in basis if first(row) not in taken)
+        key.append((tuple(map(first, quotient)), quotient))
+        taken = set(map(first, basis))
+    return key
 
 
 def reference_flag_profile(flag, field):
@@ -375,10 +396,6 @@ def grid_stream(q, partition):
         (flag, _profile_from_rows(partition.parts, table))
         for flag, table in walked_flags(field, partition, count)
     ]
-
-
-def grid_flags(q, partition):
-    return [flag for flag, _ in grid_stream(q, partition)]
 
 
 @functools.cache
@@ -638,13 +655,14 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_enumeration_matches_reference(self, point):
-        """The walk lists each flag of the filtered reference once; the
-        two orders differ."""
-        q = point[0]
-        flags = [tuple(decode_rows(q, b) for b in f.bases) for f in grid_flags(*point)]
+        """``enumerate_flags`` lists each flag of the filtered reference
+        once, in the reference's flags sorted by ``listing_key``."""
+        q, partition = point
+        listed = enumerate_flags(QuadraticExtension(q), partition, budget=count_flags(partition, q * q))
+        flags = [tuple(decode_rows(q, b) for b in f.bases) for f in listed]
         reference = [f.bases for f in reference_enumerate_flags(*point)]
         assert len(flags) == len(set(flags)) == len(reference)
-        assert set(flags) == set(reference)
+        assert flags == sorted(reference, key=listing_key)
 
     @pytest.mark.parametrize("point", GRID, ids=grid_id)
     def test_profiles_match_reference(self, point):
@@ -709,7 +727,8 @@ class TestAgainstReference:
     def test_sparse_rank_matches_rref(self):
         """``rank`` eliminates on nonzero entries, with no ``rref``: it is
         the number of rows of the reduced form, on random sparse and dense
-        matrices with dependent rows."""
+        matrices with dependent rows, given as lists or as the dicts of
+        their nonzero entries, which it leaves as they were."""
         rng = random.Random(5)
         for q in (3, 5, 7):
             field = QuadraticExtension(q)
@@ -723,6 +742,9 @@ class TestAgainstReference:
                     c = rng.randrange(1, q * q)
                     rows.append([field.add_table[x][field.mul_table[c][y]] for x, y in zip(*rows[:2])])
                 assert field.rank(rows) == len(reference_rref(field, rows))
+                sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+                kept = [dict(row) for row in sparse]
+                assert field.rank(sparse) == len(reference_rref(field, rows)) and sparse == kept
 
     @pytest.mark.parametrize("point", WALK_GRID, ids=grid_id)
     def test_histogram_counts_the_stream(self, point):
@@ -749,78 +771,28 @@ class TestAgainstReference:
 
 
 # Every composition of n <= 3 at q = 3, 5 and 7, and (1, 1, 2) at q = 3.
-FLAG_AT_GRID = [
+ENUMERATION_GRID = [
     (q, partition) for q in (3, 5, 7) for n in range(1, 4) for partition in compositions(n)
 ] + [(3, Partition((1, 1, 2)))]
 
 
-class TestFlagAt:
-    @pytest.mark.parametrize("point", FLAG_AT_GRID, ids=grid_id)
-    def test_flag_at_is_the_walk(self, point):
-        """At every position of a point with at most 3,000 flags, and at
-        the 10-sample positions of a larger one, ``flag_at`` gives the
-        flag of the reference walk ``_walk``, and its profile is the coset
-        matrix of the walk's rank table there; ``enumerate_flags`` lists
-        the same flags where the walk covers every position."""
+class TestEnumerateFlags:
+    @pytest.mark.parametrize("point", ENUMERATION_GRID, ids=grid_id)
+    def test_enumerate_flags_is_the_walk(self, point):
+        """``enumerate_flags`` lists the flags of the reference walk
+        ``_walk`` in its order, and the profile of each is the coset
+        matrix of the walk's rank table there."""
         q, partition = point
         field = QuadraticExtension(q)
         count = count_flags(partition, q * q)
-        positions = range(count) if count <= 3000 else range(0, count, sample_stride(count))
-        walked = {
-            i: (flag, table)
-            for i, (flag, table) in enumerate(walked_flags(field, partition, count))
-            if i in positions
-        }
-        found = flag_at(field, partition, positions)
-        assert found == [walked[i][0] for i in positions]
-        if count <= 3000:
-            assert enumerate_flags(field, partition, budget=count) == found
-        for flag, i in zip(found, positions):
-            assert flag_profile(flag, field) == _profile_from_rows(partition.parts, walked[i][1])
-
-    def test_flag_at_is_the_walk_with_two_later_digits(self):
-        """(1, 1, 1, 1) at q = 3, the first point whose positions have two
-        digits after the leading one (radices 820, 91, 10): its first
-        1,820 flags, those below the first two lines."""
-        partition = Partition((1, 1, 1, 1))
-        walked = itertools.islice(walked_flags(FIELD, partition, 746_200), 1820)
-        assert flag_at(FIELD, partition, range(1820)) == [flag for flag, _ in walked]
-
-    def test_positions_outside_the_walk_refused(self):
-        partition = Partition((1, 1))
-        for position in (-1, 10):
-            with pytest.raises(InvalidInputError, match="outside 0..9"):
-                flag_at(FIELD, partition, [position])
-
-    def test_flag_at_skips_the_walk(self, monkeypatch):
-        """The last of the 746,200 flags of F_9^4, above the default
-        budget, is <e_4> < <e_3, e_4> < <e_2, e_3, e_4> < F^4, built with
-        one embedding for each of its two levels after V_1."""
-        extended = []
-        real = flags_module._extend
-        monkeypatch.setattr(flags_module, "_extend", lambda *args: extended.append(1) or real(*args))
-        partition = Partition((1, 1, 1, 1))
-        (flag,) = flag_at(FIELD, partition, [746_199])
-        e = [tuple(FIELD.one if c == r else FIELD.zero for c in range(4)) for r in range(4)]
-        assert flag.bases == tuple(tuple(e[4 - d:]) for d in (1, 2, 3, 4))
-        assert len(extended) == 2
-
-    def test_one_basis_per_level_for_each_sample(self, monkeypatch):
-        """At (1^8), q = 3, the 10 sampled flags cost one ``_rref_at`` for
-        V_8 = F^8 and, for each sample, one ``_rref_at`` for each of V_1,
-        ..., V_7 and one ``_extend`` for each of V_2, ..., V_7: no level
-        lists the subspaces of its quotient."""
-        calls = collections.Counter()
-        for name in ("_rref_at", "_extend"):
-            real = getattr(flags_module, name)
-            monkeypatch.setattr(
-                flags_module, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args)
-            )
-        partition = Partition((1,) * 8)
-        count = count_flags(partition, 9)
-        found = flag_at(FIELD, partition, range(0, count, sample_stride(count)))
-        assert len(found) == 10
-        assert calls == {"_rref_at": 1 + 10 * 7, "_extend": 10 * 6}
+        walked = list(walked_flags(field, partition, count))
+        listed = enumerate_flags(field, partition, budget=count)
+        assert listed == [flag for flag, _ in walked]
+        # every profile, or those of 10 to 19 spread flags of a point with
+        # more than 3,000
+        step = 1 if count <= 3000 else count // 10
+        for flag, (_, table) in itertools.islice(zip(listed, walked), 0, None, step):
+            assert flag_profile(flag, field) == _profile_from_rows(partition.parts, table)
 
 
 def times(field, v, g):
@@ -1067,10 +1039,10 @@ class TestCertificate:
         )
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the certificate built a flag at a position or reduced one")
+            raise AssertionError("the certificate listed, moved or reduced a flag")
 
-        monkeypatch.setattr(flags_module, "reduce_to_representative", refuse)
-        monkeypatch.setattr(flags_module, "flag_at", refuse)
+        for name in ("reduce_to_representative", "translate", "enumerate_flags"):
+            monkeypatch.setattr(flags_module, name, refuse)
         partition = Partition((1, 1, 1, 1))
         assert sum(profile_histogram(FIELD, partition).values()) == 746_200
         assert built == [partition] * 10
@@ -1102,8 +1074,9 @@ class TestEnumeration:
         def refuse(*args, **kwargs):
             raise AssertionError("a flag was built above the budget")
 
-        # refused before the first flag is built
-        monkeypatch.setattr(flags_module, "flag_at", refuse)
+        # refused before the first basis is built
+        for name in ("_rref", "_extend"):
+            monkeypatch.setattr(flags_module, name, refuse)
         with pytest.raises(BudgetExceededError, match="flag count 746200 exceeds budget 10000") as err:
             enumerate_flags(FIELD, Partition((1, 1, 1, 1)))
         assert err.value.estimate == 746200
@@ -1395,7 +1368,7 @@ class TestProfiles:
             with pytest.raises(InvalidInputError) as err:
                 read(damaged, FIELD)
             assert str(err.value) == "flag bases must be row-reduced"
-        assert reduction_fault(damaged, FIELD) == "flag bases must be row-reduced"
+        assert reduction_fault(damaged, FIELD, flag_profile(flag, FIELD)) == "flag bases must be row-reduced"
 
     def test_reducedness_predicate_matches_rref(self):
         """``is_reduced`` reads reducedness off the definition; it must
@@ -1464,13 +1437,14 @@ class TestRepresentativesAndReduction:
     def test_reduction_every_full_flag_n3(self):
         self._check_all_reductions(Partition((1, 1, 1)))
 
-    @pytest.mark.parametrize("q, partition, sampled", COMPLEMENT_POINTS)
-    def test_reduction_matches_reference_complements(self, q, partition, sampled, monkeypatch):
+    @pytest.mark.parametrize("q, partition, translated", COMPLEMENT_POINTS)
+    def test_reduction_matches_reference_complements(self, q, partition, translated, monkeypatch):
         field = QuadraticExtension(q)
-        count = count_flags(partition, q * q)
-        stride = sample_stride(count) if sampled else 1
-        flags = flag_at(field, partition, range(0, count, stride))
         reps = [representative_flag(s, field) for s in enumerate_coset_matrices(partition, CaseTag.ODD)]
+        if translated:
+            flags = [translate(rep, field) for rep in reps]
+        else:
+            flags = enumerate_flags(field, partition, budget=count_flags(partition, q * q))
         for flag in flags + reps:
             assert graded_pieces(flag, field) == reference_complements(flag, field)
         # the memo starts cold and builds each representative once; warm,
@@ -1515,7 +1489,7 @@ class TestRepresentativesAndReduction:
             t = len(partition)
             dims = [0, *itertools.accumulate(partition.parts)]
             count = count_flags(partition, q * q)
-            for flag in flag_at(field, partition, range(0, count, max(1, count // 200))):
+            for flag in enumerate_flags(field, partition, budget=count)[:: max(1, count // 200)]:
                 r = rank_table(flag, field)
                 for i in range(1, t + 1):
                     r[i][t] = r[t][i] = dims[i]
@@ -1554,7 +1528,7 @@ class TestRepresentativesAndReduction:
             return original(self, rows)
 
         monkeypatch.setattr(QuadraticExtension, "rref", counting)
-        flag = flag_at(FIELD, Partition((1, 1, 1)), [909])[0]
+        flag = enumerate_flags(FIELD, Partition((1, 1, 1)))[909]
         assert flag.bases[:2] == (((0, 0, 3),), ((0, 3, 0), (0, 0, 3)))
         graded_pieces(flag, FIELD)
         assert len(calls) <= 2
@@ -1566,7 +1540,7 @@ class TestRepresentativesAndReduction:
         does."""
         partition = Partition((1, 1, 1))
         flag = next(
-            f for f in flag_at(FIELD, partition, range(910)) if rank_table(f, FIELD)[2][2] == 1
+            f for f in enumerate_flags(FIELD, partition) if rank_table(f, FIELD)[2][2] == 1
         )
         line = ((FIELD.one, FIELD.lam, FIELD.zero),)
         monkeypatch.setattr(QuadraticExtension, "intersect", lambda self, a, b: line)
@@ -1580,7 +1554,7 @@ class TestRepresentativesAndReduction:
         rank table and checks each basis of V_1, ..., V_{t - 1} once; the
         representative, built on the first reduction onto it, costs one
         table more, once."""
-        flag = flag_at(FIELD, Partition((1, 1, 1)), [500])[0]
+        flag = enumerate_flags(FIELD, Partition((1, 1, 1)))[500]
         tables, checked = record_tables(monkeypatch)
         first = reduce_to_representative(flag, FIELD)
         assert tables[0] == flag.bases[:-1] and len(tables) == 2
@@ -1612,3 +1586,71 @@ class TestRepresentativesAndReduction:
             rep = representative_flag(flag_profile(flag, FIELD), FIELD)
             moved = apply_matrix(FIELD, h, flag)
             assert moved.bases == rep.bases
+
+
+# Every composition of n <= 6 at q = 3 and of n <= 4 at q = 5 and 7.
+TRANSLATE_GRID = [
+    (q, partition)
+    for q, top in ((3, 6), (5, 4), (7, 4))
+    for n in range(1, top + 1)
+    for partition in compositions(n)
+]
+
+
+def shift_times_j(field, n):
+    """g of ``translate``, as a matrix: g e_0 = e_1 and g e_j = e_j + e_{j+1}."""
+    g = [[field.zero] * n for _ in range(n)]
+    for j in range(n):
+        g[(j + 1) % n][j] = field.one
+        if j:
+            g[j][j] = field.one
+    return [tuple(row) for row in g]
+
+
+class TestOrbitCheck:
+    """``translate`` and the orbit check ``reduction_fault``."""
+
+    @pytest.mark.parametrize("point", TRANSLATE_GRID, ids=grid_id)
+    def test_translate_moves_every_representative(self, point):
+        """g F_s is the image of F_s under an invertible base-field matrix,
+        multiplied out over the pair-coded field; it has profile s, it is
+        not F_s unless the partition has one part, and the reduction
+        carries it back onto F_s."""
+        q, partition = point
+        field = QuadraticExtension(q)
+        g = shift_times_j(field, partition.total)
+        assert field.rank(g) == partition.total
+        for s in enumerate_coset_matrices(partition, CaseTag.ODD):
+            rep = representative_flag(s, field)
+            moved = translate(rep, field)
+            assert moved == apply_matrix(field, g, rep)
+            assert flag_profile(moved, field) == s
+            assert (moved != rep) == (len(partition) > 1)
+            assert reduction_fault(moved, field, s) is None
+
+    @pytest.mark.parametrize("parts", [(1, 1), (1, 1, 1), (2, 1), (1, 2, 1), (3,)], ids=["1-1", "1-1-1", "2-1", "1-2-1", "3"])
+    def test_identity_reduction_is_a_fault(self, monkeypatch, parts):
+        """A reduction that returns the identity has base-field entries,
+        so only the second condition, h g V_i = V_i, sees that it leaves
+        g F_s where it was: every orbit of a partition with two parts or
+        more fails, and the one flag of a single part passes."""
+        partition = Partition(parts)
+        n = partition.total
+        identity = [tuple(FIELD.one if c == r else FIELD.zero for c in range(n)) for r in range(n)]
+        monkeypatch.setattr(flags_module, "reduce_to_representative", lambda flag, field: identity)
+        for s in enumerate_coset_matrices(partition, CaseTag.ODD):
+            rep = representative_flag(s, FIELD)
+            fault = reduction_fault(translate(rep, FIELD), FIELD, s)
+            if len(parts) > 1:
+                assert fault == "the reduction does not carry the flag onto its representative"
+            else:
+                assert fault is None
+
+    def test_another_target_is_a_fault(self):
+        """The reduction of g F_s lands on F_s, so asked to reach the
+        representative of another orbit it fails."""
+        matrices = enumerate_coset_matrices(Partition((1, 1, 1)), CaseTag.ODD)
+        for s, other in zip(matrices, matrices[1:] + matrices[:1]):
+            moved = translate(representative_flag(s, FIELD), FIELD)
+            fault = reduction_fault(moved, FIELD, other)
+            assert fault == "the reduction does not carry the flag onto its representative"
