@@ -121,6 +121,43 @@ def _dumps(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
+def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> str:
+    """``_dumps({"count": ..., "matrices": [{**s.to_json(), "open": o}, ...]})``
+    for the coset matrices of one partition and case and their
+    ``open_mask``, built without a dict per matrix.
+
+    The matrices share their case and partition, so the text of a
+    matrix up to its first row, and after its last row the two tails
+    (open or not), are laid out once; rows repeat from matrix to matrix,
+    so each distinct row is laid out once."""
+    if not matrices:
+        return _dumps({"count": 0, "matrices": []})
+    first = matrices[0]
+    pad = "\n    "  # a matrix
+    key = pad + "  "  # its keys
+    row = key + "  "  # its rows
+    cell = row + "  "  # their cells
+    head = (
+        "{" + key + '"case": ' + _dumps(first.case.value, key)
+        + "," + key + '"partition": ' + _dumps(list(first.partition.parts), key)
+        + "," + key + '"entries": [' + row
+    )
+    tails = [key + "]," + key + '"open": ' + _dumps(o) + pad + "}" for o in (False, True)]
+    texts = {
+        r: "[" + cell + ("," + cell).join(map(str, r)) + row + "]"
+        for r in set(itertools.chain.from_iterable(s.entries for s in matrices))
+    }
+    row_sep = "," + row
+    items = [
+        head + row_sep.join(map(texts.__getitem__, s.entries)) + tails[o]
+        for s, o in zip(matrices, opens)
+    ]
+    return (
+        '{\n  "count": ' + str(len(matrices)) + ',\n  "matrices": ['
+        + pad + ("," + pad).join(items) + "\n  ]\n}"
+    )
+
+
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(_dumps(payload))
@@ -152,8 +189,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     matrices = enumerate_coset_matrices(partition, case)
     opens = open_mask(matrices)
     if args.format == "json":
-        matrices_json = [{**s.to_json(), "open": o} for s, o in zip(matrices, opens)]
-        print(_dumps({"count": len(matrices), "matrices": matrices_json}))
+        print(_matrices_json(matrices, opens))
         return EXIT_OK
     print(f"{len(matrices)} coset matrices for partition {partition.parts} ({case.value})")
     for idx, (s, o) in enumerate(zip(matrices, opens)):

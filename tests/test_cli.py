@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from steinberg_distinction import cli, engine
 from steinberg_distinction.cli import main
-from steinberg_distinction.cosets import COUNT_LIMIT, CaseTag, Partition, enumerate_coset_matrices
+from steinberg_distinction.cosets import (
+    COUNT_LIMIT,
+    CaseTag,
+    CosetMatrix,
+    Partition,
+    enumerate_coset_matrices,
+    open_mask,
+)
 from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.finite_field import QuadraticExtension
@@ -145,6 +152,62 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--case", "odd", "--partition", ",".join(["1"] * 10))
         assert code == 0
         assert out.startswith("9496 coset matrices")
+
+
+def dict_payload(partition, case):
+    """The matrices of one partition and case with their ``open_mask``,
+    and the text `_dumps` writes for them as a dict per matrix."""
+    matrices = enumerate_coset_matrices(partition, case)
+    opens = open_mask(matrices)
+    payload = {
+        "count": len(matrices),
+        "matrices": [{**s.to_json(), "open": o} for s, o in zip(matrices, opens)],
+    }
+    return matrices, opens, cli._dumps(payload)
+
+
+class TestMatricesJson:
+    """`enumerate --format json` lays out its matrices from one template
+    per partition; `_dumps` of a dict per matrix is the reference."""
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_dumps_on_every_composition(self, n, case):
+        # the even case at an odd total has no matrix: an empty list
+        for partition in compositions(n):
+            matrices, opens, want = dict_payload(partition, case)
+            assert cli._matrices_json(matrices, opens) == want, partition
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_matches_dumps_on_ones(self, n):
+        # digests, as a diff of texts this long would take minutes
+        matrices, opens, want = dict_payload(Partition((1,) * n), CaseTag.ODD)
+        got = cli._matrices_json(matrices, opens)
+        assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_no_state_between_calls(self):
+        # different cases, partitions and rows, in turn and back again
+        calls = [
+            (Partition((1, 2, 1)), CaseTag.ODD),
+            (Partition((2, 2)), CaseTag.EVEN),
+            (Partition((2, 1)), CaseTag.ODD),
+            (Partition((1, 2, 1)), CaseTag.ODD),
+        ]
+        for partition, case in calls:
+            matrices, opens, want = dict_payload(partition, case)
+            assert cli._matrices_json(matrices, opens) == want, partition
+
+    def test_enumerate_builds_no_dict_per_matrix(self, capsys, monkeypatch):
+        _, _, want = dict_payload(Partition((1, 2, 1, 2)), CaseTag.ODD)
+
+        def refuse(self):
+            raise AssertionError("enumerate built a dict per matrix")
+
+        monkeypatch.setattr(CosetMatrix, "to_json", refuse)
+        code, out, _ = run(
+            capsys, "enumerate", "--case", "odd", "--partition", "1,2,1,2", "--format", "json"
+        )
+        assert (code, out) == (0, want + "\n")
 
 
 class TestSupportAndSteinberg:
@@ -333,8 +396,11 @@ def test_output_bytes_pinned():
     digests were recorded before the support test moved from rational
     to integer exponents, the lfactor ones before `RationalFunc` moved
     to dense rows, and the JSON ones added with them before `_dumps`
-    replaced `json.dumps(payload, indent=2)`; an intended output change
-    must re-record them."""
+    replaced `json.dumps(payload, indent=2)`.  The enumerate digests
+    were recorded while `enumerate` still wrote a dict per matrix through
+    `_dumps`; it now lays its matrices out from one template per
+    partition and memoised row texts, which `TestMatricesJson` holds to
+    `_dumps`.  An intended output change must re-record them."""
     pinned = json.loads(DIGESTS_PATH.read_text())
     assert sorted(pinned) == sorted(pinned_commands())
     changed = []
