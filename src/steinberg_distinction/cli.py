@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .characters import ChiToken, orbit_supports
@@ -69,6 +70,9 @@ MAX_SWEEP_ROWS = 10_000
 # at most 9,496 orbits (those of 1^10), 252 pivot sets per level and
 # stabiliser conditions in 100 unknowns; (1^10) takes about 40 s
 MAX_FLAG_N = 10
+# enumerate --format json writes its text a block at a time, so that it
+# is never held whole: (1^10) odd, 16 MB, goes out in 10 writes
+MATRICES_PER_BLOCK = 1024
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -121,17 +125,19 @@ def _dumps(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> str:
+def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> Iterator[str]:
     """``_dumps({"count": ..., "matrices": [{**s.to_json(), "open": o}, ...]})``
     for the coset matrices of one partition and case and their
-    ``open_mask``, built without a dict per matrix.
+    ``open_mask``, in blocks of ``MATRICES_PER_BLOCK`` matrices, built
+    without a dict per matrix.
 
     The matrices share their case and partition, so the text of a
     matrix up to its first row, and after its last row the two tails
     (open or not), are laid out once; rows repeat from matrix to matrix,
     so each distinct row is laid out once."""
     if not matrices:
-        return _dumps({"count": 0, "matrices": []})
+        yield _dumps({"count": 0, "matrices": []})
+        return
     first = matrices[0]
     pad = "\n    "  # a matrix
     key = pad + "  "  # its keys
@@ -148,14 +154,17 @@ def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> str:
         for r in set(itertools.chain.from_iterable(s.entries for s in matrices))
     }
     row_sep = "," + row
-    items = [
-        head + row_sep.join(map(texts.__getitem__, s.entries)) + tails[o]
-        for s, o in zip(matrices, opens)
-    ]
-    return (
-        '{\n  "count": ' + str(len(matrices)) + ',\n  "matrices": ['
-        + pad + ("," + pad).join(items) + "\n  ]\n}"
-    )
+    text = '{\n  "count": ' + str(len(matrices)) + ',\n  "matrices": ['
+    for start in range(0, len(matrices), MATRICES_PER_BLOCK):
+        if start:
+            yield text
+            text = ","
+        stop = start + MATRICES_PER_BLOCK
+        text += pad + ("," + pad).join(
+            head + row_sep.join(map(texts.__getitem__, s.entries)) + tails[o]
+            for s, o in zip(matrices[start:stop], opens[start:stop])
+        )
+    yield text + "\n  ]\n}"
 
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
@@ -189,7 +198,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     matrices = enumerate_coset_matrices(partition, case)
     opens = open_mask(matrices)
     if args.format == "json":
-        print(_matrices_json(matrices, opens))
+        for block in _matrices_json(matrices, opens):
+            sys.stdout.write(block)
+        # the newline in a write of its own, as print wrote it
+        print()
         return EXIT_OK
     print(f"{len(matrices)} coset matrices for partition {partition.parts} ({case.value})")
     for idx, (s, o) in enumerate(zip(matrices, opens)):

@@ -10,11 +10,14 @@ denominator's lowest (t, v) term positive.
 
 Everything is exact integer arithmetic in plain Python.  Numerator and
 denominator are stored as dense polynomials in Z[v][t]: one row of
-v-coefficients per power of t.  Arithmetic runs on the rows and divides
-out their exact gcd, taken by a primitive pseudo-remainder sequence over
-Z[v][t] whose contents are gcds in Z[v], found the same way over Z.
-Values at v = sqrt(q) are exact elements a + b sqrt(r) of Q(sqrt(q)),
-with r squarefree.
+v-coefficients per power of t.  Arithmetic runs on the rows, multiplying
+only their nonzero terms, and divides out their exact gcd.  When either
+side is a single term that gcd is a term too, read off the lowest powers
+of t and v; otherwise a primitive pseudo-remainder sequence over Z[v][t]
+finds it, with contents that are gcds in Z[v], found the same way over
+Z.  Values at v = sqrt(q) are exact elements a + b sqrt(r) of
+Q(sqrt(q)), with r squarefree, computed in integers by Horner's rule and
+divided once at the end.
 """
 
 from __future__ import annotations
@@ -127,11 +130,13 @@ class _Dense:
             return []
         add, mul = self.base.add, self.base.mul
         out = [self.base.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
+        a = [(i, x) for i, x in enumerate(a) if x]
+        b = [(j, y) for j, y in enumerate(b) if y]
+        if len(a) > len(b):
+            a, b = b, a
+        for i, x in a:
+            for j, y in b:
+                out[i + j] = add(out[i + j], mul(x, y))
         # over an integral domain the leading product is nonzero
         return out
 
@@ -246,9 +251,9 @@ MAX_RESIDUE_SIZE = 10**15
 MAX_VALUE_DIGITS = 4000
 
 # Factors whose denominator would have more dense coefficients than this
-# are refused.  Their cost grows about as the 1.5th power of that count:
-# with Python 3.11 on a 2-core VM, gj k = 25, d = 1 (8,164) takes 0.1 s
-# and k = 40 (32,841) 1.0 s.  Sparse factors, with a large d or s
+# are refused.  Their cost grows about as the 1.4th power of that count:
+# with Python 3.11 on a 2-core VM, gj k = 25, d = 1 (8,164) takes 0.02 s
+# and k = 40 (32,841) 0.15 s.  Sparse factors, with a large d or s
 # coefficient, are counted the same way, although they cost less.
 MAX_FACTOR_SIZE = 10_000
 
@@ -273,16 +278,25 @@ def _split_square(q: int) -> tuple[int, int]:
     return s, r * q
 
 
-def _evaluate(rows: Rows, s: int, r: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    """(a, b) with the polynomial at v = s sqrt(r) equal to a + b sqrt(r)."""
-    a = b = Fraction(0)
-    for coeff, v_exp, t_exp in _terms(rows):
-        c = coeff * Fraction(s) ** v_exp * Fraction(r) ** (v_exp // 2) * t**t_exp
-        if v_exp % 2:
-            b += c
-        else:
-            a += c
-    return (a + b, Fraction(0)) if r == 1 else (a, b)
+def _evaluate(rows: Rows, q: int, s: int, r: int, t: Fraction, top: int) -> tuple[int, int]:
+    """(a, b) with d^top times the polynomial at v = s sqrt(r) = sqrt(q)
+    equal to a + b sqrt(r), for t = n/d and top at least its t-degree."""
+    n, d = t.numerator, t.denominator
+    a = b = 0
+    scale = d ** (top + 1 - len(rows))
+    # Horner in t from the top row down, the row of t^i scaled by
+    # d^(top - i), and in q on each row's even and odd v-coefficients:
+    # v^(2k) = q^k and v^(2k + 1) = q^k s sqrt(r)
+    for row in reversed(rows):
+        even = odd = 0
+        for c in reversed(row[0::2]):
+            even = even * q + c
+        for c in reversed(row[1::2]):
+            odd = odd * q + c
+        a = a * n + even * scale
+        b = b * n + odd * scale
+        scale *= d
+    return (a + b * s, 0) if r == 1 else (a, b * s)
 
 
 class QuadraticValue(Frozen):
@@ -395,14 +409,16 @@ class RationalFunc(Frozen):
                 f" more than {MAX_VALUE_DIGITS}"
             )
         s, r = _split_square(q)
-        da, db = _evaluate(self.den, s, r, t)
+        # one scale d^top for both sides, which cancels in their ratio
+        top = max(len(self.num), len(self.den)) - 1
+        da, db = _evaluate(self.den, q, s, r, t, top)
         if not da and not db:
             return None
-        na, nb = _evaluate(self.num, s, r, t)
+        na, nb = _evaluate(self.num, q, s, r, t, top)
         norm = da * da - db * db * r
-        a = (na * da - nb * db * r) / norm
-        b = (nb * da - na * db) / norm
-        return QuadraticValue(a, b, r) if b else a
+        a = Fraction(na * da - nb * db * r, norm)
+        b = nb * da - na * db
+        return QuadraticValue(a, Fraction(b, norm), r) if b else a
 
     def render(self) -> str:
         num = _render_rows(self.num)
@@ -425,9 +441,18 @@ def _reduced(num: list, den: list) -> RationalFunc:
         raise LFactorError("denominator vanishes")
     if not num:
         return RationalFunc(num=(), den=_ONE)
-    g = _ZVT.gcd(num, den)
-    if not _ZVT.is_unit(g):
-        num, den = _ZVT.divexact(num, g), _ZVT.divexact(den, g)
+    if _is_term(num) or _is_term(den):
+        # the gcd is then a term too: the lowest power of t and of v in
+        # either side, times the joint content divided out below
+        low_t = min(_low(num), _low(den))
+        low_v = min(_low(row) for p in (num, den) for row in p if row)
+        if low_t or low_v:
+            num = [row[low_v:] for row in num[low_t:]]
+            den = [row[low_v:] for row in den[low_t:]]
+    else:
+        g = _ZVT.gcd(num, den)
+        if not _ZVT.is_unit(g):
+            num, den = _ZVT.divexact(num, g), _ZVT.divexact(den, g)
     content = math.gcd(*(c for p in (num, den) for row in p for c in row))
     if next(c for row in den for c in row if c) < 0:
         content = -content
@@ -435,6 +460,16 @@ def _reduced(num: list, den: list) -> RationalFunc:
         num=tuple(tuple(c // content for c in row) for row in num),
         den=tuple(tuple(c // content for c in row) for row in den),
     )
+
+
+def _is_term(p) -> bool:
+    """Whether the nonzero dense polynomial p has a single nonzero term."""
+    return not any(p[-1][:-1]) and not any(p[:-1])
+
+
+def _low(p) -> int:
+    """The lowest degree of a nonzero dense polynomial."""
+    return next(i for i, c in enumerate(p) if c)
 
 
 def _render_rows(rows: Rows) -> str:

@@ -176,13 +176,13 @@ class TestMatricesJson:
         # the even case at an odd total has no matrix: an empty list
         for partition in compositions(n):
             matrices, opens, want = dict_payload(partition, case)
-            assert cli._matrices_json(matrices, opens) == want, partition
+            assert "".join(cli._matrices_json(matrices, opens)) == want, partition
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_matches_dumps_on_ones(self, n):
         # digests, as a diff of texts this long would take minutes
         matrices, opens, want = dict_payload(Partition((1,) * n), CaseTag.ODD)
-        got = cli._matrices_json(matrices, opens)
+        got = "".join(cli._matrices_json(matrices, opens))
         assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_no_state_between_calls(self):
@@ -195,7 +195,54 @@ class TestMatricesJson:
         ]
         for partition, case in calls:
             matrices, opens, want = dict_payload(partition, case)
-            assert cli._matrices_json(matrices, opens) == want, partition
+            assert "".join(cli._matrices_json(matrices, opens)) == want, partition
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_blocks_join_at_any_size(self, size, monkeypatch):
+        monkeypatch.setattr(cli, "MATRICES_PER_BLOCK", size)
+        for partition, case in [(Partition((1, 2, 1)), CaseTag.ODD), (Partition((2, 2)), CaseTag.EVEN)]:
+            matrices, opens, want = dict_payload(partition, case)
+            blocks = list(cli._matrices_json(matrices, opens))
+            assert len(blocks) == -(-len(matrices) // size), (partition, size)
+            assert "".join(blocks) == want, (partition, size)
+
+    def test_enumerate_writes_a_block_at_a_time(self, monkeypatch):
+        # (1^7) odd, the largest output of the benchmark's enumerate
+        # workload, is one write of text and one of its newline; (1^8)
+        # odd in blocks of 100 is eight and the newline
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(len(text))
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["enumerate", "--case", "odd", "--partition", "1,1,1,1,1,1,1", "--format", "json"]) == 0
+        assert len(writes) == 2
+        writes.clear()
+        monkeypatch.setattr(cli, "MATRICES_PER_BLOCK", 100)
+        assert main(["enumerate", "--case", "odd", "--partition", "1,1,1,1,1,1,1,1", "--format", "json"]) == 0
+        assert len(writes) == 9
+        _, _, want = dict_payload(Partition((1,) * 8), CaseTag.ODD)
+        assert sum(writes) == len(want) + 1
+
+    def test_json_peak_is_near_the_table_peak(self):
+        # (1^10) odd: 16 MB of JSON, never held whole, peaked 39 MB above
+        # the table output when the text went out in one string
+        def peak_mb(*fmt):
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_CHILD, "enumerate", "--case", "odd",
+                 "--partition", ",".join(["1"] * 10), *fmt],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr) / 1024
+
+        assert peak_mb("--format", "json") - peak_mb() < 10
 
     def test_enumerate_builds_no_dict_per_matrix(self, capsys, monkeypatch):
         _, _, want = dict_payload(Partition((1, 2, 1, 2)), CaseTag.ODD)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinberg_distinction.lfactor import (
@@ -21,6 +21,7 @@ from steinberg_distinction.lfactor import (
     tate_L,
     tate_L_quadratic_ext,
 )
+from steinberg_distinction.lfactor import _ZVT, _reduced, _split_square, _terms, _to_dense
 
 # -- sympy-backed reference --------------------------------------------------
 # The rational-function arithmetic as it was built on sympy expression
@@ -436,3 +437,183 @@ class TestExactValues:
         assert time.monotonic() - start < 1
         with pytest.raises(LFactorError, match=f"exceeds {MAX_RESIDUE_SIZE}"):
             rf.eval_exact(MAX_RESIDUE_SIZE + 1)
+
+
+# -- the exact arithmetic before its short cuts -------------------------------
+# `_reduced` and `_evaluate` as they were before a single-term side took
+# its gcd in closed form and values were taken in integers, kept as the
+# references of the fast paths.
+
+
+def reduced_by_prs(num, den):
+    """`_reduced` with the primitive pseudo-remainder sequence on every pair."""
+    if not den:
+        raise LFactorError("denominator vanishes")
+    if not num:
+        return RationalFunc(num=(), den=((1,),))
+    g = _ZVT.gcd(num, den)
+    if not _ZVT.is_unit(g):
+        num, den = _ZVT.divexact(num, g), _ZVT.divexact(den, g)
+    content = math.gcd(*(c for p in (num, den) for row in p for c in row))
+    if next(c for row in den for c in row if c) < 0:
+        content = -content
+    return RationalFunc(
+        num=tuple(tuple(c // content for c in row) for row in num),
+        den=tuple(tuple(c // content for c in row) for row in den),
+    )
+
+
+def evaluate_in_fractions(rows, s, r, t):
+    """(a, b) with the polynomial at v = s sqrt(r) equal to a + b sqrt(r)."""
+    a = b = Fraction(0)
+    for coeff, v_exp, t_exp in _terms(rows):
+        c = coeff * Fraction(s) ** v_exp * Fraction(r) ** (v_exp // 2) * t**t_exp
+        if v_exp % 2:
+            b += c
+        else:
+            a += c
+    return (a + b, Fraction(0)) if r == 1 else (a, b)
+
+
+def eval_in_fractions(rf, q, t_value):
+    """`eval_exact` on `evaluate_in_fractions`, without its size checks."""
+    t = Fraction(t_value)
+    s, r = _split_square(q)
+    da, db = evaluate_in_fractions(rf.den, s, r, t)
+    if not da and not db:
+        return None
+    na, nb = evaluate_in_fractions(rf.num, s, r, t)
+    norm = da * da - db * db * r
+    a = (na * da - nb * db * r) / norm
+    b = (nb * da - na * db) / norm
+    return QuadraticValue(a, b, r) if b else a
+
+
+def dense(terms):
+    """The terms, with exponents at least 0, as rows of Z[v][t]."""
+    return _to_dense({key: c for key, c in poly(terms).items() if c}, 0)
+
+
+def times(terms, term):
+    c, a, b = term
+    return [(c * c0, a + a0, b + b0) for c0, a0, b0 in terms]
+
+
+nonneg_monomials = st.tuples(st.integers(-5, 5).filter(bool), st.integers(0, 4), st.integers(0, 4))
+
+
+class TestTermGcd:
+    """A side with a single term c v^a t^b has a term for gcd: the lowest
+    power of t and of v over both sides, and the joint content."""
+
+    @given(
+        nonneg_monomials,
+        st.lists(nonneg_monomials, min_size=1, max_size=4),
+        nonneg_monomials,
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_common_term_divided_out(self, term, other, common, term_over):
+        one, many = times([term], common), times(other, common)
+        assume(any(poly(many).values()))
+        num, den = (dense(one), dense(many)) if term_over else (dense(many), dense(one))
+        assert _reduced(num, den) == reduced_by_prs(num, den)
+
+    @pytest.mark.parametrize(
+        "num, den, want",
+        [
+            # the lowest t from the term over it, the lowest v from below
+            (
+                [(2, 4, 1)], [(6, 5, 3), (4, 2, 4)],
+                (((0, 0, 1),), ((), (), (0, 0, 0, 3), (2,))),
+            ),
+            # the lowest t from below, the lowest v from the term
+            (
+                [(2, 1, 3)], [(4, 3, 1), (6, 5, 2)],
+                (((), (), (1,)), ((0, 0, 2), (0, 0, 0, 0, 3))),
+            ),
+            # the same with the term below, once negative
+            (
+                [(6, 5, 3), (4, 2, 4)], [(2, 4, 1)],
+                (((), (), (0, 0, 0, 3), (2,)), ((0, 0, 1),)),
+            ),
+            (
+                [(4, 3, 1), (6, 5, 2)], [(-2, 1, 3)],
+                (((0, 0, -2), (0, 0, 0, 0, -3)), ((), (), (1,))),
+            ),
+        ],
+    )
+    def test_lowest_powers_from_either_side(self, num, den, want):
+        num, den = dense(num), dense(den)
+        got = _reduced(num, den)
+        assert (got.num, got.den) == want
+        assert got == reduced_by_prs(num, den)
+
+    def test_arguments_untouched(self):
+        num, den = dense([(2, 4, 1)]), dense([(6, 5, 3), (4, 2, 4)])
+        before = repr((num, den))
+        _reduced(num, den)
+        assert repr((num, den)) == before
+
+
+# t = 0 and a negative t with a denominator; q = 1, squares (4, 9), and
+# non-squares with a square factor s > 1 (12, 50, 72, 98 and 10^15)
+EVAL_Q = [1, *Q_GRID, MAX_RESIDUE_SIZE]
+EVAL_T = [*T_GRID, Fraction(0), Fraction(-2, 3)]
+
+
+def assert_values_equal(rf):
+    for q in EVAL_Q:
+        for t in EVAL_T:
+            got, want = rf.eval_exact(q, t), eval_in_fractions(rf, q, t)
+            assert (type(got), got, str(got)) == (type(want), want, str(want)), (rf.render(), q, t)
+
+
+class TestIntegerEvaluation:
+    """`eval_exact` in integers equals the evaluation in Fractions."""
+
+    def test_grid_covers_square_factors(self):
+        splits = {q: _split_square(q) for q in EVAL_Q}
+        assert {q for q, (s, r) in splits.items() if s > 1 and r > 1} >= {12, 50, 72, 98, MAX_RESIDUE_SIZE}
+        assert {q for q, (s, r) in splits.items() if r == 1} == {1, 4, 9}
+
+    @given(fractions_)
+    @settings(max_examples=60, deadline=None)
+    def test_random_fractions(self, x):
+        num, den = x
+        assert_values_equal(RationalFunc.from_expr(poly(num), poly(den)))
+
+    def test_factors(self):
+        for rf in [
+            i2_ratio(1, RamificationTag.UNRAMIFIED),
+            i2_ratio(3, RamificationTag.RAMIFIED),
+            gj_L_trivial(2, 1, Fraction(-1, 2), 1),
+            gj_L_trivial(6, 2, Fraction(-1, 2), 1),
+            tate_L(TateChar.ETA, RamificationTag.UNRAMIFIED, Fraction(1, 2), 1),
+            tate_L(TateChar.TRIV_F, RamificationTag.UNRAMIFIED, Fraction(-3, 2), 3),
+        ]:
+            assert_values_equal(rf)
+
+    def test_zero_numerator(self):
+        zero = RationalFunc.from_expr({}, {(0, 0): 1, (1, 2): 3})
+        assert zero.is_zero()
+        assert_values_equal(zero)
+        assert zero.eval_exact(2, Fraction(-2, 3)) == 0
+
+    @pytest.mark.parametrize(
+        "den, q, t",
+        [
+            ({(0, 0): 1, (1, 1): -1}, 4, Fraction(1, 2)),  # 1 - v t at v = 2
+            ({(0, 0): 1, (2, 1): -1}, 2, Fraction(1, 2)),  # 1 - v^2 t at v^2 = 2
+            ({(0, 0): 8, (2, 2): -9}, 2, Fraction(-2, 3)),  # 8 - 9 v^2 t^2 at t^2 = 4/9
+            ({(3, 1): 1, (1, 0): -2}, 2, Fraction(1)),  # v^3 t - 2 v, all of it in sqrt(2)
+            ({(0, 0): 1, (0, 1): -1}, 1, Fraction(1)),  # 1 - t at q = 1
+            ({(1, 0): 1}, 1, Fraction(0)),  # v at t = 0: no pole
+        ],
+    )
+    def test_poles(self, den, q, t):
+        rf = RationalFunc.from_expr({(0, 0): 1, (3, 1): 1}, den)
+        want = eval_in_fractions(rf, q, t)
+        assert rf.eval_exact(q, t) == want
+        assert (want is None) == (den != {(1, 0): 1})
+        assert_values_equal(rf)
