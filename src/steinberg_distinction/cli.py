@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .characters import ChiToken, orbit_supports
+from .characters import ChiToken, SupportRule, orbit_supports
 from .cosets import (
     COUNT_LIMIT,
     CaseTag,
@@ -28,6 +28,7 @@ from .cosets import (
     open_mask,
 )
 from .engine import (
+    DistinctionVerdict,
     VerdictStatus,
     cross_check,
     exponent_parity_formula,
@@ -73,6 +74,8 @@ MAX_FLAG_N = 10
 # enumerate --format json writes its text a block at a time, so that it
 # is never held whole: (1^10) odd, 16 MB, goes out in 10 writes
 MATRICES_PER_BLOCK = 1024
+# and steinberg's a block of trace entries at a time: odd m = 200, 137 MB, in 13
+TRACE_ENTRIES_PER_BLOCK = 16
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -167,6 +170,53 @@ def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> Iterator[s
     yield text + "\n  ]\n}"
 
 
+def _verdict_json(verdict: DistinctionVerdict) -> Iterator[str]:
+    """``_dumps(verdict.to_json())`` for a verdict of
+    ``steinberg_decision``, whose every trace entry has the verdict's
+    case and chi token, in blocks of ``TRACE_ENTRIES_PER_BLOCK`` entries,
+    built without a dict per entry: each fills one template laid out once
+    per command, and each distinct partition and row of a block is laid
+    out once."""
+    text = _dumps({
+        "case": verdict.case.value, "m": verdict.m, "d": verdict.d, "chi": verdict.chi.value,
+        "status": verdict.status.value, "multiplicity": verdict.multiplicity,
+    })[:-2] + ',\n  "trace": ['
+    pad = "\n    "  # a trace entry
+    key = pad + "  "  # its keys
+    report = key + "  "  # the report's keys
+    matrix = report + "  "  # the matrix's keys, and a violation
+    row = matrix + "  "  # its rows, and a violation's keys
+    cell = row + "  "  # their cells
+    template = (
+        "{" + key + '"partition": %s,' + key + '"report": {' + report + '"s": {' + matrix
+        + '"case": ' + _encode_str(verdict.case.value) + "," + matrix + '"partition": %s,'
+        + matrix + '"entries": [' + row + "%s" + matrix + "]" + report + "}," + report
+        + '"chi": ' + _encode_str(verdict.chi.value) + "," + report + '"feasible": %s,'
+        + report + '"violations": %s' + key + "}" + pad + "}"
+    )
+    rules = {v: "," + row + '"rule": ' + _encode_str(v.value) + matrix + "}" for v in SupportRule}
+    for start in range(0, len(verdict.trace), TRACE_ENTRIES_PER_BLOCK):
+        if start:
+            yield text
+            text = ","
+        reports = verdict.trace[start : start + TRACE_ENTRIES_PER_BLOCK]
+        parts = {p: (_dumps(p, key), _dumps(p, matrix)) for p in {r.s.partition.parts for r in reports}}
+        rows = set(itertools.chain.from_iterable(r.s.entries for r in reports))
+        rows = {e: "[" + cell + ("," + cell).join(map(str, e)) + row + "]" for e in rows}
+        text += pad + ("," + pad).join(
+            template % (
+                *parts[r.s.partition.parts],
+                ("," + row).join(map(rows.__getitem__, r.s.entries)),
+                "true" if r.feasible else "false",
+                "[" + matrix + ("," + matrix).join(
+                    "{" + row + '"block": ' + str(b) + rules[v] for b, v in r.violations
+                ) + report + "]" if r.violations else "[]",
+            )
+            for r in reports
+        )
+    yield text + ("\n  ]\n}" if verdict.trace else "]\n}")
+
+
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
         print(_dumps(payload))
@@ -231,11 +281,14 @@ def _refuse_large_decision(case: CaseTag, m: int) -> None:
 def cmd_steinberg(args: argparse.Namespace) -> int:
     _refuse_large_decision(CaseTag(args.case), args.m)
     verdict = steinberg_decision(CaseTag(args.case), args.m, args.d, ChiToken(args.chi))
-    lines = [
-        f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
-        f"{verdict.status.value} (multiplicity {verdict.multiplicity})"
-    ]
-    _emit(verdict.to_json(), lines, args.format)
+    if args.format == "json":
+        sys.stdout.writelines(_verdict_json(verdict))
+        print()
+    else:
+        print(
+            f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
+            f"{verdict.status.value} (multiplicity {verdict.multiplicity})"
+        )
     return EXIT_OK if verdict.status is not VerdictStatus.INCONCLUSIVE else EXIT_FAIL
 
 

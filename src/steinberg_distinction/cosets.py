@@ -115,7 +115,7 @@ class Partition(Frozen):
     def __init__(self, parts: tuple[int, ...]) -> None:
         if not parts:
             raise InvalidInputError("partition must be nonempty")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise InvalidInputError("partition parts must be positive")
         object.__setattr__(self, "parts", parts)
 
@@ -441,20 +441,14 @@ def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetM
 
 def fine_layout(s: CosetMatrix) -> FineLayout:
     """Row-major nonzero blocks with 1-based prefix positions."""
-    blocks = []
-    for i in range(s.size):
-        for j in range(s.size):
-            if s.entries[i][j] > 0:
-                blocks.append((i + 1, j + 1, s.entries[i][j]))
-    starts = []
-    pos = 1
-    for _, _, k in blocks:
-        starts.append(pos)
-        pos += k
+    blocks = tuple(
+        (i, j, k) for i, row in enumerate(s.entries, 1) for j, k in enumerate(row, 1) if k
+    )
+    sizes = tuple(filter(None, itertools.chain.from_iterable(s.entries)))
     return FineLayout(
-        blocks=tuple(blocks),
-        start_pos=tuple(starts),
-        sub_partition=Partition(tuple(k for _, _, k in blocks)),
+        blocks=blocks,
+        start_pos=tuple(itertools.accumulate(sizes[:-1], initial=1)),
+        sub_partition=Partition(sizes),
     )
 
 
@@ -526,17 +520,14 @@ def coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
     if not 1 <= k < t:
         raise InvalidInputError(f"merge index {k} out of range for size {t}")
     k -= 1
-    rows = []
-    for i in list(range(k)) + [None] + list(range(k + 2, t)):
-        if i is None:
-            row = [s.entries[k][j] + s.entries[k + 1][j] for j in range(t)]
-        else:
-            row = list(s.entries[i])
-        merged = row[:k] + [row[k] + row[k + 1]] + row[k + 2 :]
-        rows.append(tuple(merged))
+    e = s.entries
+    rows = e[:k] + (tuple(map(operator.add, e[k], e[k + 1])),) + e[k + 2 :]
     parts = s.partition.parts
-    new_parts = parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]
-    return CosetMatrix(s.case, Partition(new_parts), tuple(rows))
+    return CosetMatrix(
+        s.case,
+        Partition(parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]),
+        tuple(row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in rows),
+    )
 
 
 class ClosureRelation(Enum):

@@ -95,12 +95,12 @@ def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> Distinct
     corresponding induced space), while any other supporting orbit is
     INCONCLUSIVE; (3) otherwise DISTINGUISHED with multiplicity one.
 
-    Step (2) visits only the orbits ``supporting_coset_matrices``
-    generates, plus the coarsening of the open orbit at its canonical
-    position, and reports each through ``orbit_supports``.  The trace
-    is the one the brute-force oracle gives: every supporting orbit and
-    the coarsening, in canonical order per partition.  A generated
-    orbit that ``orbit_supports`` rejects raises RuntimeError.
+    Step (2) visits the orbits ``supporting_coset_matrices`` generates,
+    in canonical order, and the coarsening of the open orbit, sorted in
+    only when they lack it (no set is built); each is reported through
+    ``orbit_supports``, and a generated orbit it rejects raises
+    RuntimeError.  The trace is the one the brute-force oracle gives:
+    every supporting orbit and the coarsening, canonical per partition.
     """
     validate_m_d(case, m, d)
     n = 2 * m if case is CaseTag.EVEN else m
@@ -117,10 +117,11 @@ def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> Distinct
     stray_support = False
     for k in range(1, n):
         coarse_open = coarsen(s0, k)
-        partition = coarse_open.partition
-        orbits = {coarse_open, *supporting_coset_matrices(partition, case, chi)}
-        # one shape per partition: the rows compare as the flattening does
-        for s in sorted(orbits, key=attrgetter("entries"), reverse=True):
+        orbits = supporting_coset_matrices(coarse_open.partition, case, chi)
+        if coarse_open not in orbits:
+            # one shape per partition: the rows compare as the flattening does
+            orbits = sorted([coarse_open, *orbits], key=attrgetter("entries"), reverse=True)
+        for s in orbits:
             report = orbit_supports(s, chi)
             trace.append(report)
             if s == coarse_open:

@@ -13,7 +13,9 @@ every orbit on the minimal partition through ``orbit_supports``;
 representative flag in closed form, for the mass formula.
 ``reference_coset_matrices`` and ``reference_validate`` are the
 cell-by-cell enumerator and validation loop that
-``enumerate_coset_matrices`` and ``CosetMatrix`` are checked against.
+``enumerate_coset_matrices`` and ``CosetMatrix`` are checked against;
+``reference_fine_layout`` and ``reference_coarsen`` are the cell-by-cell
+loops that ``fine_layout`` and ``coarsen`` are checked against.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from steinberg_distinction.characters import ChiToken, minimal_partition, orbit_
 from steinberg_distinction.cosets import (
     CaseTag,
     CosetMatrix,
+    FineLayout,
     InvalidInputError,
     Partition,
     Permutation,
@@ -104,6 +107,47 @@ def reference_validate(case: CaseTag, partition: Partition, entries) -> None:
             )
         if case is CaseTag.EVEN and entries[i][i] % 2:
             raise InvalidInputError("diagonal entries must be even in the even case")
+
+
+def reference_fine_layout(s: CosetMatrix) -> FineLayout:
+    """``fine_layout`` cell by cell: the nonzero cells in row-major
+    order, and their running start positions."""
+    blocks = []
+    for i in range(s.size):
+        for j in range(s.size):
+            if s.entries[i][j] > 0:
+                blocks.append((i + 1, j + 1, s.entries[i][j]))
+    starts = []
+    pos = 1
+    for _, _, k in blocks:
+        starts.append(pos)
+        pos += k
+    return FineLayout(
+        blocks=tuple(blocks),
+        start_pos=tuple(starts),
+        sub_partition=Partition(tuple(k for _, _, k in blocks)),
+    )
+
+
+def reference_coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
+    """``coarsen`` cell by cell: a list per row, the merged row summed
+    entry by entry."""
+    t = s.size
+    k = merge_index
+    if not 1 <= k < t:
+        raise InvalidInputError(f"merge index {k} out of range for size {t}")
+    k -= 1
+    rows = []
+    for i in list(range(k)) + [None] + list(range(k + 2, t)):
+        if i is None:
+            row = [s.entries[k][j] + s.entries[k + 1][j] for j in range(t)]
+        else:
+            row = list(s.entries[i])
+        merged = row[:k] + [row[k] + row[k + 1]] + row[k + 2 :]
+        rows.append(tuple(merged))
+    parts = s.partition.parts
+    new_parts = parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]
+    return CosetMatrix(s.case, Partition(new_parts), tuple(rows))
 
 
 def compose(*perms: Permutation) -> Permutation:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg_distinction import cli, engine
+from steinberg_distinction.characters import ChiToken, SupportReport
 from steinberg_distinction.cli import main
 from steinberg_distinction.cosets import (
     COUNT_LIMIT,
@@ -253,6 +254,72 @@ class TestMatricesJson:
         monkeypatch.setattr(CosetMatrix, "to_json", refuse)
         code, out, _ = run(
             capsys, "enumerate", "--case", "odd", "--partition", "1,2,1,2", "--format", "json"
+        )
+        assert (code, out) == (0, want + "\n")
+
+
+class TestVerdictJson:
+    """`steinberg --format json` lays out its verdict from one template
+    per command; `_dumps` of `verdict.to_json()` is the reference."""
+
+    def test_matches_dumps(self):
+        verdicts = [
+            engine.steinberg_decision(CaseTag(case), m, d, chi)
+            for case, d, top in (("odd", 1, 40), ("even", 2, 20))
+            for m in range(1, top + 1)
+            for chi in ChiToken
+        ]
+        size = cli.TRACE_ENTRIES_PER_BLOCK
+        lengths = {len(v.trace) for v in verdicts}
+        # a trace one below, at and one above a multiple of the block size
+        assert {size - 1, size, size + 1} <= lengths
+        # and verdicts with violations: odd m, eta, stops at the open orbit
+        assert any(v.case is CaseTag.ODD and v.trace[-1].violations for v in verdicts)
+        for v in verdicts:
+            assert "".join(cli._verdict_json(v)) == cli._dumps(v.to_json()), (v.case, v.m, v.chi)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_blocks_join_at_any_size(self, size, monkeypatch):
+        monkeypatch.setattr(cli, "TRACE_ENTRIES_PER_BLOCK", size)
+        for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.ETA), (CaseTag.EVEN, 3, 2, ChiToken.TRIV),
+                                (CaseTag.ODD, 3, 1, ChiToken.ETA)]:
+            v = engine.steinberg_decision(case, m, d, chi)
+            blocks = list(cli._verdict_json(v))
+            assert len(blocks) == -(-len(v.trace) // size), (case, m, size)
+            assert "".join(blocks) == cli._dumps(v.to_json()), (case, m, size)
+
+    def test_empty_trace(self):
+        v = engine.DistinctionVerdict(
+            CaseTag.ODD, 1, 1, ChiToken.TRIV, engine.VerdictStatus.INCONCLUSIVE, 0, ()
+        )
+        assert "".join(cli._verdict_json(v)) == cli._dumps(v.to_json())
+
+    def test_steinberg_writes_a_block_at_a_time(self, monkeypatch):
+        # odd m = 40: 40 trace entries in blocks of 16 are three writes
+        # of text and one of its newline
+        writes = []
+
+        class Sink(io.TextIOBase):
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        argv = ["steinberg", "--case", "odd", "--m", "40", "--d", "1", "--chi", "triv", "--format", "json"]
+        assert main(argv) == 0
+        v = engine.steinberg_decision(CaseTag.ODD, 40, 1, ChiToken.TRIV)
+        assert len(writes) == 4
+        assert "".join(writes) == cli._dumps(v.to_json()) + "\n"
+
+    def test_steinberg_builds_no_dicts(self, capsys, monkeypatch):
+        want = cli._dumps(engine.steinberg_decision(CaseTag.EVEN, 3, 2, ChiToken.ETA).to_json())
+
+        def refuse(self):
+            raise AssertionError("steinberg built a to_json dict")
+
+        for cls in (engine.DistinctionVerdict, SupportReport, CosetMatrix):
+            monkeypatch.setattr(cls, "to_json", refuse)
+        code, out, _ = run(
+            capsys, "steinberg", "--case", "even", "--m", "3", "--d", "2", "--chi", "eta", "--format", "json"
         )
         assert (code, out) == (0, want + "\n")
 
@@ -1266,6 +1333,24 @@ def test_closed_pipe_exits_1_silently():
     proc = subprocess.Popen(
         [sys.executable, "-m", "steinberg_distinction", "enumerate", "--case", "odd",
          "--partition", "1,1,1,1,1,1,1", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_closed_pipe_mid_trace_exits_1_silently():
+    # odd m = 60 writes 3.8 MB in four blocks, each more than a pipe
+    # buffer holds, so a block written after the reader closes its end
+    # fails whether or not a write follows the last one
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinberg_distinction", "steinberg", "--case", "odd",
+         "--m", "60", "--d", "1", "--chi", "triv", "--format", "json"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

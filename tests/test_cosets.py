@@ -412,6 +412,31 @@ class TestCoarsenAndEmbed:
         assert merged.partition.total == partition.total
 
 
+class TestAgainstCellLoops:
+    """`fine_layout` and `coarsen` against the cell-by-cell loops they
+    replaced, on every coset matrix of every composition of n <= 7."""
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_matrix_and_merge_index(self, n, case):
+        checked = 0
+        for partition in compositions(n):
+            for s in enumerate_coset_matrices(partition, case):
+                assert fine_layout(s) == certificates.reference_fine_layout(s), s
+                for k in range(1, len(partition)):
+                    assert coarsen(s, k) == certificates.reference_coarsen(s, k), (s, k)
+                checked += 1
+        # the even case has matrices only at an even total
+        assert checked or (case is CaseTag.EVEN and n % 2)
+
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_out_of_range_merge_index(self, k):
+        s = mat(CaseTag.ODD, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        for merge in (coarsen, certificates.reference_coarsen):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                merge(s, k)
+
+
 class TestClosure:
     def test_open_antidiagonal_minimal(self):
         for n in range(1, 6):
