@@ -25,6 +25,7 @@ from .cosets import (
     Partition,
     count_coset_matrices,
     enumerate_coset_matrices,
+    involution_count,
     open_mask,
 )
 from .engine import (
@@ -240,11 +241,13 @@ def _parse_matrix(text: str) -> list[list[int]]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     case = CaseTag(args.case)
-    estimate = count_coset_matrices(partition, case)
-    if estimate is None:
-        raise BudgetExceededError(COUNT_LIMIT, DEFAULT_BUDGET, "coset matrix count over")
-    if estimate > DEFAULT_BUDGET:
-        raise BudgetExceededError(estimate, DEFAULT_BUDGET, "coset matrix count")
+    # no partition of n has more matrices than n points have involutions
+    if involution_count(partition.total, DEFAULT_BUDGET) > DEFAULT_BUDGET:
+        estimate = count_coset_matrices(partition, case)
+        if estimate is None:
+            raise BudgetExceededError(COUNT_LIMIT, DEFAULT_BUDGET, "coset matrix count over")
+        if estimate > DEFAULT_BUDGET:
+            raise BudgetExceededError(estimate, DEFAULT_BUDGET, "coset matrix count")
     matrices = enumerate_coset_matrices(partition, case)
     opens = open_mask(matrices)
     if args.format == "json":

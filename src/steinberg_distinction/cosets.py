@@ -33,6 +33,7 @@ __all__ = [
     "validate_m_d",
     "COUNT_LIMIT",
     "count_coset_matrices",
+    "involution_count",
     "enumerate_coset_matrices",
     "fine_layout",
     "block_involution",
@@ -373,6 +374,27 @@ def count_coset_matrices(partition: Partition, case: CaseTag) -> int | None:
     return memo[root]
 
 
+def involution_count(n: int, limit: int) -> int:
+    """I(n), the number of involutions of n points, once it is at most
+    ``limit``; else some I(k), k <= n, above ``limit``, as the recurrence
+    I(k) = I(k - 1) + (k - 1) I(k - 2) stops there.
+
+    I(n) bounds the coset matrices of every partition of n, in either
+    case.  Cut 1..n into blocks of the parts' sizes and lift s to the
+    involution that fixes s_ii points of block i and pairs the next s_ij
+    points of block i, i < j, with the next s_ij of block j (in the even
+    case, pairs the s_ii points among themselves instead of fixing
+    them).  Block i sends s_ij points into block j, so s is read back
+    off its lift.
+    """
+    before, count = 1, 1  # I(0), I(1)
+    for k in range(2, n + 1):
+        if count > limit:
+            break
+        before, count = count, count + (k - 1) * before
+    return count
+
+
 def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetMatrix]:
     """All coset matrices for the partition, in canonical order.
 
@@ -576,21 +598,30 @@ def open_mask(matrices: list[CosetMatrix]) -> list[bool]:
     """``is_open`` of each of the coset matrices of one partition and case.
 
     ``matrices`` must be all of them, as ``enumerate_coset_matrices``
-    returns them.  A matrix lies strictly below another iff its rank
-    table dominates the other's entrywise and differs, which strictly
-    raises the sum of the table.  Visiting by ascending rank sum, every
-    maximal matrix above a matrix comes before it, so a matrix is open
-    iff no open matrix visited earlier lies above it.
+    returns them.  Exactly one of them is open, and it has a closed form.
+    Let N_i be the partial sums of the partition (N_0 = 0) and L[i][j] =
+    max(0, N_i + N_j - n).  Every rank table R is at least L entrywise:
+    R[i][j] >= 0, and R[i][j] is N_i less the mass of rows <= i in
+    columns > j, which is at most n - N_j.  L is itself a rank table:
+    its second differences s* are non-negative (max(0, x + y) is
+    supermodular) and symmetric, have the parts as row sums, and in the
+    even case (n even) have an even diagonal, as L[i][i] =
+    max(0, 2 N_i - n) is then even.  A matrix is determined by its rank
+    table, so every other matrix lies strictly below s*, the one open
+    matrix.
     """
-    ranks = list(map(_rank_table, matrices))
-    opens = [False] * len(matrices)
-    tops: list[tuple[int, ...]] = []
-    for i in sorted(range(len(matrices)), key=lambda i: sum(ranks[i])):
-        r = ranks[i]
-        if not any(all(map(operator.le, top, r)) for top in tops):
-            opens[i] = True
-            tops.append(r)
-    return opens
+    if not matrices:
+        return []
+    parts = matrices[0].partition.parts
+    n = sum(parts)
+    sums = list(itertools.accumulate(parts, initial=0))
+    table = [[a + b - n if a + b > n else 0 for b in sums] for a in sums]
+    # s*[i][j] = L[i][j] - L[i][j - 1] - L[i - 1][j] + L[i - 1][j - 1]
+    top = tuple(
+        tuple(d - c - b + a for a, b, c, d in zip(above, above[1:], below, below[1:]))
+        for above, below in zip(table, table[1:])
+    )
+    return [s.entries == top for s in matrices]
 
 
 def anti_diagonal_matrix(partition: Partition, case: CaseTag) -> CosetMatrix:

@@ -517,12 +517,13 @@ def reduction_fault(flag: Flag, field: QuadraticExtension, profile: CosetMatrix)
     try:
         h = reduce_to_representative(flag, field)
         target = _representative(profile, field.p)[1]
+        if not all(field.in_base(x) for row in h for x in row):
+            return "the reduction has an entry outside F_q"
+        # a singular h drops a dimension, which Flag refuses
+        if _carry(field, h, flag) != target:
+            return "the reduction does not carry the flag onto its representative"
     except (InvalidInputError, ZeroDivisionError) as exc:
         return str(exc)
-    if not all(field.in_base(x) for row in h for x in row):
-        return "the reduction has an entry outside F_q"
-    if _carry(field, h, flag) != target:
-        return "the reduction does not carry the flag onto its representative"
     return None
 
 

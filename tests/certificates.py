@@ -15,7 +15,9 @@ representative flag in closed form, for the mass formula.
 cell-by-cell enumerator and validation loop that
 ``enumerate_coset_matrices`` and ``CosetMatrix`` are checked against;
 ``reference_fine_layout`` and ``reference_coarsen`` are the cell-by-cell
-loops that ``fine_layout`` and ``coarsen`` are checked against.
+loops that ``fine_layout`` and ``coarsen`` are checked against, and
+``reference_open_mask`` the dominance scan that ``open_mask``'s closed
+form is checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
+from operator import le
 from typing import Iterator
 
 from steinberg_distinction.characters import ChiToken, minimal_partition, orbit_supports
@@ -33,6 +36,7 @@ from steinberg_distinction.cosets import (
     InvalidInputError,
     Partition,
     Permutation,
+    _rank_table,
     block_involution,
     build_us_odd,
     enumerate_coset_matrices,
@@ -148,6 +152,25 @@ def reference_coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
     parts = s.partition.parts
     new_parts = parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]
     return CosetMatrix(s.case, Partition(new_parts), tuple(rows))
+
+
+def reference_open_mask(matrices: list[CosetMatrix]) -> list[bool]:
+    """``open_mask`` by a dominance scan of the rank tables.
+
+    A matrix lies strictly below another iff its rank table dominates
+    the other's entrywise and differs, which strictly raises the sum of
+    the table.  Visiting by ascending rank sum, every maximal matrix
+    above a matrix comes before it, so a matrix is open iff no open
+    matrix visited earlier lies above it."""
+    ranks = list(map(_rank_table, matrices))
+    opens = [False] * len(matrices)
+    tops: list[tuple[int, ...]] = []
+    for i in sorted(range(len(matrices)), key=lambda i: sum(ranks[i])):
+        r = ranks[i]
+        if not any(all(map(le, top, r)) for top in tops):
+            opens[i] = True
+            tops.append(r)
+    return opens
 
 
 def compose(*perms: Permutation) -> Permutation:

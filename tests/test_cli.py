@@ -154,6 +154,25 @@ class TestEnumerate:
         assert code == 0
         assert out.startswith("9496 coset matrices")
 
+    @pytest.mark.parametrize("case, count", [("odd", 9496), ("even", 945)])
+    def test_no_count_within_the_involution_bound(self, capsys, monkeypatch, case, count):
+        # 10 points have 9,496 involutions, within the budget, so no
+        # partition of 10 is counted before it is listed
+        def refuse(*args):
+            raise AssertionError("counted a partition the involution bound admits")
+
+        monkeypatch.setattr(cli, "count_coset_matrices", refuse)
+        code, out, err = run(capsys, "enumerate", "--case", case, "--partition", ",".join(["1"] * 10))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"{count} coset matrices")
+        assert out.count(" open\n") == 1
+
+    def test_eleven_points_are_counted(self, capsys):
+        # 11 points have 35,696 involutions, above the budget: counted and refused
+        code, out, err = run(capsys, "enumerate", "--case", "odd", "--partition", ",".join(["1"] * 11))
+        assert (code, out) == (2, "")
+        assert err == "error: coset matrix count 35696 exceeds budget 10000\n"
+
 
 def dict_payload(partition, case):
     """The matrices of one partition and case with their ``open_mask``,
@@ -829,6 +848,25 @@ class TestOracles:
             assert (code, out.splitlines()[-1], err) == (1, "ORACLE MISMATCH", ""), damaged
             monkeypatch.undo()
 
+    def test_singular_reduction_is_a_mismatch(self, capsys, monkeypatch):
+        """Representative pieces where one piece repeats a vector of
+        another make the reduction h singular, so h F drops a dimension:
+        the orbit check fails with exit 1 and ORACLE MISMATCH, not with
+        an input error."""
+        real = flags_module._representative_pieces
+
+        def repeated(profile, q):
+            out = real(profile, q)
+            keys = [k for k, piece in out.items() if piece]
+            first, last = keys[0], keys[-1]
+            if first == last:
+                return out
+            return {**out, last: (out[first][0], *out[last][1:])}
+
+        monkeypatch.setattr(flags_module, "_representative_pieces", repeated)
+        code, out, err = run(capsys, "oracle-flags", "--n", "3", "--q", "3", "--partition", "2,1")
+        assert (code, out.splitlines()[-1], err) == (1, "ORACLE MISMATCH", "")
+
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], ids=str)
     def test_dropped_frobenius_transport_is_a_mismatch(self, capsys, monkeypatch, pair):
         """Graded pieces whose (b, a) piece is the (a, b) piece itself, not
@@ -1333,6 +1371,24 @@ def test_closed_pipe_exits_1_silently():
     proc = subprocess.Popen(
         [sys.executable, "-m", "steinberg_distinction", "enumerate", "--case", "odd",
          "--partition", "1,1,1,1,1,1,1", "--format", "json"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_closed_pipe_mid_matrices_exits_1_silently():
+    # (1^10) odd writes 16 MB in 10 blocks, each more than a pipe buffer
+    # holds, so a block written after the reader closes its end fails
+    # whether or not a write follows the last one
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinberg_distinction", "enumerate", "--case", "odd",
+         "--partition", "1,1,1,1,1,1,1,1,1,1", "--format", "json"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import operator
+import random
 import re
 import warnings
 
@@ -25,9 +27,11 @@ from steinberg_distinction.cosets import (
     count_coset_matrices,
     enumerate_coset_matrices,
     fine_layout,
+    involution_count,
     is_open,
     open_mask,
 )
+from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
 
 import certificates
 from certificates import (
@@ -488,6 +492,92 @@ class TestClosure:
         b = mat(CaseTag.ODD, [[2]])
         with pytest.raises(InvalidInputError):
             closure_compare(a, b)
+
+
+@functools.cache
+def few_part_partitions():
+    """Seeded partitions of at most 4 parts, each at most 12, that have
+    at most 20,000 coset matrices in either case."""
+    rng = random.Random(30)
+    out = []
+    while len(out) < 300:
+        partition = Partition(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4))))
+        counts = [count_coset_matrices(partition, case) for case in CaseTag]
+        if all(c is not None and c <= 20_000 for c in counts):
+            out.append(partition)
+    return tuple(out)
+
+
+def lower_table(partition):
+    """L[i][j] = max(0, N_i + N_j - n) for i, j in 1..t, flattened
+    row-major, N_i the partial sums of the parts."""
+    n = partition.total
+    sums = list(itertools.accumulate(partition.parts))
+    return tuple(max(0, a + b - n) for a in sums for b in sums)
+
+
+class TestOpenClosedForm:
+    """``open_mask`` builds the one open matrix in closed form; the
+    dominance scan of the rank tables it replaced is the reference."""
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dominance_scan_on_every_composition(self, n, case):
+        for partition in compositions(n):
+            matrices = enumerate_coset_matrices(partition, case)
+            mask = open_mask(matrices)
+            assert mask == certificates.reference_open_mask(matrices), partition.parts
+            # one open matrix, unless there is none at all
+            assert mask.count(True) == (1 if matrices else 0), partition.parts
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_matches_dominance_scan_on_few_parts(self, case):
+        for partition in few_part_partitions():
+            matrices = enumerate_coset_matrices(partition, case)
+            assert open_mask(matrices) == certificates.reference_open_mask(matrices), partition.parts
+
+    def test_empty(self):
+        assert open_mask([]) == []
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_every_rank_table_is_at_least_the_lower_table(self, case):
+        # and the open matrix's table is the lower table itself
+        partitions = [p for n in range(1, 9) for p in compositions(n)]
+        for partition in (*partitions, *few_part_partitions()[:60]):
+            matrices = enumerate_coset_matrices(partition, case)
+            low = lower_table(partition)
+            for s in matrices:
+                assert all(map(operator.ge, cosets._rank_table(s), low)), s
+            for s, o in zip(matrices, open_mask(matrices)):
+                assert (cosets._rank_table(s) == low) == o, s
+
+
+class TestInvolutionBound:
+    """No partition of n has more coset matrices, in either case, than
+    n points have involutions."""
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_count_is_at_most_the_involutions(self, case):
+        for n in range(1, 9):
+            bound = involution_count(n, 10**9)
+            for partition in compositions(n):
+                assert count_coset_matrices(partition, case) <= bound, partition.parts
+
+    def test_recurrence(self):
+        counts = [involution_count(n, 10**9) for n in range(13)]
+        assert counts == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152]
+        # 1^n has one odd-case matrix per involution
+        assert counts[1:9] == [len(enumerate_coset_matrices(Partition((1,) * n), CaseTag.ODD)) for n in range(1, 9)]
+
+    def test_stops_past_the_limit(self):
+        # the first value above the limit, however large n is
+        assert involution_count(10, DEFAULT_BUDGET) == 9496
+        assert involution_count(11, DEFAULT_BUDGET) == 35696
+        assert involution_count(10**6, DEFAULT_BUDGET) == 35696
+        assert involution_count(10**6, 0) == 1
+
+    def test_budget_lies_between_ten_and_eleven_points(self):
+        assert involution_count(10, DEFAULT_BUDGET) <= DEFAULT_BUDGET < involution_count(11, DEFAULT_BUDGET)
 
 
 class TestRootAction:
