@@ -7,7 +7,6 @@ from .characters import (
     SupportReport,
     SupportRule,
     orbit_supports,
-    supporting_coset_matrices,
 )
 from .cosets import (
     CaseTag,
@@ -64,7 +63,6 @@ __all__ = [
     "SupportRule",
     "SupportReport",
     "orbit_supports",
-    "supporting_coset_matrices",
     "VerdictStatus",
     "DistinctionVerdict",
     "steinberg_decision",

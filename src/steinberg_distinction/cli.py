@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a verification or decision fails
-(inconclusive verdict, oracle mismatch, vanishing value), 2 on invalid
-input.
+Exit codes: 0 on success, 1 when a verification fails (a sweep that
+disagrees with the parity formula, an oracle mismatch, a vanishing
+value), 2 on invalid input.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .characters import ChiToken, SupportRule, orbit_supports
+from .characters import ChiToken, SupportReport, SupportRule, orbit_supports
 from .cosets import (
     COUNT_LIMIT,
     CaseTag,
@@ -28,13 +28,7 @@ from .cosets import (
     involution_count,
     open_mask,
 )
-from .engine import (
-    DistinctionVerdict,
-    VerdictStatus,
-    cross_check,
-    exponent_parity_formula,
-    steinberg_decision,
-)
+from .engine import VerdictStatus, _decide, cross_check, exponent_parity_formula
 from .lfactor import (
     LFactorError,
     RamificationTag,
@@ -62,9 +56,13 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# a decision at degree n (n = m odd, 2 m even) builds a trace of about
-# n^3 cells; the bound admits odd m <= 200 and even m <= 100
+# the JSON trace of a decision at degree n (n = m odd, 2 m even) has
+# about n^3 cells; the bound admits odd m <= 200 and even m <= 100.  A
+# sweep, whose cost is a sum over m, keeps it too
 MAX_TRACE_CELLS = 200**3
+# a status alone is read from at most two reports of n^2 dense cells; the
+# bound admits odd m <= 1000 and even m <= 500 in table output
+MAX_REPORT_CELLS = 1000**2
 # a sweep cross-checks and keeps one row per (m, d), yet d reaches a
 # verdict only through its parity
 MAX_SWEEP_ROWS = 10_000
@@ -171,16 +169,20 @@ def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> Iterator[s
     yield text + "\n  ]\n}"
 
 
-def _verdict_json(verdict: DistinctionVerdict) -> Iterator[str]:
-    """``_dumps(verdict.to_json())`` for a verdict of
-    ``steinberg_decision``, whose every trace entry has the verdict's
-    case and chi token, in blocks of ``TRACE_ENTRIES_PER_BLOCK`` entries,
-    built without a dict per entry: each fills one template laid out once
-    per command, and each distinct partition and row of a block is laid
-    out once."""
+def _verdict_json(
+    case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus, multiplicity: int,
+    trace: Iterable[SupportReport],
+) -> Iterator[str]:
+    """``_dumps(DistinctionVerdict(case, ..., tuple(trace)).to_json())``
+    for a trace whose every entry has the verdict's case and chi token,
+    in blocks of ``TRACE_ENTRIES_PER_BLOCK`` entries, built without a
+    dict per entry.  ``trace`` is read a block at a time, so an iterator
+    that computes its reports as they are reached is never held whole.
+    Each entry fills one template laid out once per command, and each
+    distinct partition and row of a block is laid out once."""
     text = _dumps({
-        "case": verdict.case.value, "m": verdict.m, "d": verdict.d, "chi": verdict.chi.value,
-        "status": verdict.status.value, "multiplicity": verdict.multiplicity,
+        "case": case.value, "m": m, "d": d, "chi": chi.value,
+        "status": status.value, "multiplicity": multiplicity,
     })[:-2] + ',\n  "trace": ['
     pad = "\n    "  # a trace entry
     key = pad + "  "  # its keys
@@ -190,17 +192,19 @@ def _verdict_json(verdict: DistinctionVerdict) -> Iterator[str]:
     cell = row + "  "  # their cells
     template = (
         "{" + key + '"partition": %s,' + key + '"report": {' + report + '"s": {' + matrix
-        + '"case": ' + _encode_str(verdict.case.value) + "," + matrix + '"partition": %s,'
+        + '"case": ' + _encode_str(case.value) + "," + matrix + '"partition": %s,'
         + matrix + '"entries": [' + row + "%s" + matrix + "]" + report + "}," + report
-        + '"chi": ' + _encode_str(verdict.chi.value) + "," + report + '"feasible": %s,'
+        + '"chi": ' + _encode_str(chi.value) + "," + report + '"feasible": %s,'
         + report + '"violations": %s' + key + "}" + pad + "}"
     )
     rules = {v: "," + row + '"rule": ' + _encode_str(v.value) + matrix + "}" for v in SupportRule}
-    for start in range(0, len(verdict.trace), TRACE_ENTRIES_PER_BLOCK):
-        if start:
+    trace = iter(trace)
+    traced = False
+    for reports in iter(lambda: list(itertools.islice(trace, TRACE_ENTRIES_PER_BLOCK)), []):
+        if traced:
             yield text
             text = ","
-        reports = verdict.trace[start : start + TRACE_ENTRIES_PER_BLOCK]
+        traced = True
         parts = {p: (_dumps(p, key), _dumps(p, matrix)) for p in {r.s.partition.parts for r in reports}}
         rows = set(itertools.chain.from_iterable(r.s.entries for r in reports))
         rows = {e: "[" + cell + ("," + cell).join(map(str, e)) + row + "]" for e in rows}
@@ -215,7 +219,7 @@ def _verdict_json(verdict: DistinctionVerdict) -> Iterator[str]:
             )
             for r in reports
         )
-    yield text + ("\n  ]\n}" if verdict.trace else "]\n}")
+    yield text + ("\n  ]\n}" if traced else "]\n}")
 
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
@@ -275,29 +279,35 @@ def cmd_support(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _refuse_large_decision(case: CaseTag, m: int) -> None:
+def _refuse_large_decision(case: CaseTag, m: int, traced: bool) -> None:
+    """Refuse a decision whose reports, or with ``traced`` its trace,
+    would exceed their cell bound, before anything is built."""
     n = 2 * m if case is CaseTag.EVEN else m
-    if n**3 > MAX_TRACE_CELLS:
+    if traced and n**3 > MAX_TRACE_CELLS:
         raise BudgetExceededError(n**3, MAX_TRACE_CELLS, "decision trace cell count")
+    if n**2 > MAX_REPORT_CELLS:
+        raise BudgetExceededError(n**2, MAX_REPORT_CELLS, "decision report cell count")
 
 
 def cmd_steinberg(args: argparse.Namespace) -> int:
-    _refuse_large_decision(CaseTag(args.case), args.m)
-    verdict = steinberg_decision(CaseTag(args.case), args.m, args.d, ChiToken(args.chi))
+    case, chi = CaseTag(args.case), ChiToken(args.chi)
+    _refuse_large_decision(case, args.m, args.format == "json")
+    status, trace = _decide(case, args.m, args.d, chi)
+    multiplicity = 1 if status is VerdictStatus.DISTINGUISHED else 0
     if args.format == "json":
-        sys.stdout.writelines(_verdict_json(verdict))
+        sys.stdout.writelines(_verdict_json(case, args.m, args.d, chi, status, multiplicity, trace))
         print()
     else:
         print(
             f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
-            f"{verdict.status.value} (multiplicity {verdict.multiplicity})"
+            f"{status.value} (multiplicity {multiplicity})"
         )
-    return EXIT_OK if verdict.status is not VerdictStatus.INCONCLUSIVE else EXIT_FAIL
+    return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # the largest decision: the even case at max_m once max_d >= 2
-    _refuse_large_decision(CaseTag.EVEN if args.max_d >= 2 else CaseTag.ODD, args.max_m)
+    _refuse_large_decision(CaseTag.EVEN if args.max_d >= 2 else CaseTag.ODD, args.max_m, True)
     if args.max_m * args.max_d > MAX_SWEEP_ROWS:
         raise BudgetExceededError(args.max_m * args.max_d, MAX_SWEEP_ROWS, "sweep row count")
     rows = []

@@ -183,6 +183,18 @@ class CosetMatrix(Frozen):
             if case is CaseTag.EVEN and e[i][i] % 2:
                 raise InvalidInputError("diagonal entries must be even in the even case")
 
+    @classmethod
+    def _trusted(
+        cls, case: CaseTag, partition: Partition, entries: tuple[tuple[int, ...], ...]
+    ) -> "CosetMatrix":
+        """A matrix from a generator of this module, whose construction
+        guarantees what ``__init__`` checks: no check is run."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "case", case)
+        object.__setattr__(s, "partition", partition)
+        object.__setattr__(s, "entries", entries)
+        return s
+
     @property
     def size(self) -> int:
         return len(self.partition)
@@ -427,6 +439,7 @@ def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetM
     results: list[CosetMatrix] = []
     entries = [[0] * t for _ in range(t)]
     owed = list(partition.parts)
+    trusted = CosetMatrix._trusted
 
     def fill(i: int, j: int) -> None:
         # row i owes ``due`` to the cells (i, j), ..., (i, t - 1)
@@ -434,7 +447,7 @@ def enumerate_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetM
         if j == t - 1:
             entries[i][j] = entries[j][i] = due
             if i == j:
-                results.append(CosetMatrix(case, partition, tuple(map(tuple, entries))))
+                results.append(trusted(case, partition, tuple(map(tuple, entries))))
             else:
                 owed[j] -= due
                 fill(i + 1, i + 1)
@@ -545,7 +558,8 @@ def coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
     e = s.entries
     rows = e[:k] + (tuple(map(operator.add, e[k], e[k + 1])),) + e[k + 2 :]
     parts = s.partition.parts
-    return CosetMatrix(
+    # the merge of a coset matrix is one: row sums, symmetry and parity hold
+    return CosetMatrix._trusted(
         s.case,
         Partition(parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]),
         tuple(row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in rows),
@@ -627,13 +641,16 @@ def open_mask(matrices: list[CosetMatrix]) -> list[bool]:
 def anti_diagonal_matrix(partition: Partition, case: CaseTag) -> CosetMatrix:
     """The anti-diagonal parameter on a constant partition (open orbit).
 
-    Defined whenever part i equals part t+1-i; entries sit at (i, t+1-i).
+    Defined whenever part i equals part t+1-i, and in the even case the
+    middle part of an odd t is even; entries sit at (i, t+1-i).
     """
     t = len(partition)
+    parts = partition.parts
+    if parts != parts[::-1]:
+        raise InvalidInputError("partition is not symmetric")
+    if case is CaseTag.EVEN and t % 2 and parts[t // 2] % 2:
+        raise InvalidInputError("diagonal entries must be even in the even case")
     entries = [[0] * t for _ in range(t)]
     for i in range(t):
-        j = t - 1 - i
-        if partition.parts[i] != partition.parts[j]:
-            raise InvalidInputError("partition is not symmetric")
-        entries[i][j] = partition.parts[i]
-    return CosetMatrix(case, partition, tuple(tuple(r) for r in entries))
+        entries[i][t - 1 - i] = parts[i]
+    return CosetMatrix._trusted(case, partition, tuple(map(tuple, entries)))

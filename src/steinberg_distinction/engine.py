@@ -1,34 +1,60 @@
 """Distinction decision procedure for twisted Steinberg representations.
 
-The engine runs the combinatorial proof skeleton: the open orbit on the
-minimal partition must support the character, and no next-to-minimal
-parabolic may support it through the coarsening of the open orbit.  A
-supporting next-to-minimal orbit other than that coarsening is outside
-the reach of the combinatorics and is surfaced as INCONCLUSIVE rather
-than guessed.
+The engine runs the combinatorial proof skeleton at degree n (n = m in
+the odd case, 2m in the even case): (1) the open orbit s0, the
+anti-diagonal matrix on the minimal partition 1^n, must support the
+character, else NOT_DISTINGUISHED; (2) a supporting orbit on a
+next-to-minimal partition kills distinction; (3) otherwise DISTINGUISHED
+with multiplicity one.
 
-Only the supporting next-to-minimal orbits are looked at: they are
-generated directly by ``characters.supporting_coset_matrices``, so the
-cost no longer grows with the number of orbits.  Enumerating every
-orbit with ``cosets.enumerate_coset_matrices`` and filtering it through
-``characters.orbit_supports`` is the brute-force oracle the tests check
-the engine against.
+Step (2) needs no search, by the coarsening lemma.  Let lambda_k be 1^n
+with positions k and k + 1 merged.  An orbit on lambda_k supports a
+character only when k = n/2, the orbit is coarsen(s0, n/2) and the
+character is ``triv``:
+
+- A supporting orbit's row-major fine layout mirrors itself
+  (``orbit_supports``): block (i, j) of size c and its partner (j, i)
+  start at positions summing to n + 2 - c.  So a unit block at position
+  x has its partner at n + 1 - x, and positions grow with the row index.
+- Row k holds either one diagonal block of size 2 or two unit blocks, at
+  positions k and k + 1 in column order; every other row holds one unit
+  block.
+- One block of size 2 is centred: 2k + 2 = n + 2, so k = n/2.  Every
+  other block pairs x with n + 1 - x, so the matrix is coarsen(s0, n/2).
+- Two unit blocks off the diagonal have their partners at n + 1 - k and
+  n - k, so the partner of the first lies in a later row than the
+  partner of the second.  That contradicts the column order.
+- A diagonal unit block would need k = (n +- 1)/2, and the other
+  block's partner then lands on the wrong side of row k.
+- ``eta`` rejects the size-2 diagonal block of coarsen(s0, n/2), and
+  ``triv`` accepts it: the block is centred, so its exponent is 0.
+
+So the status is read from at most two support reports: s0's and, at
+even n, coarsen(s0, n/2)'s.  With step (1) this is the parity rule: at
+odd n the centre block of s0 kills ``eta``, and at even n the
+coarsening kills ``triv``.  The trace is the one the brute-force
+oracle gives: s0's report and, when s0 supports the character, the
+report of coarsen(s0, k) for k = 1, ..., n - 1.  That oracle
+(enumerating every orbit of each lambda_k with
+``cosets.enumerate_coset_matrices`` and filtering it through
+``orbit_supports``) and the generator of the supporting orbits are kept
+with the tests, which check the lemma at every step for n <= 60.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
-from operator import attrgetter
 
 from .characters import (
     ChiToken,
     SupportReport,
     minimal_partition,
     orbit_supports,
-    supporting_coset_matrices,
 )
 from .cosets import (
     CaseTag,
+    CosetMatrix,
     Frozen,
     InvalidInputError,
     anti_diagonal_matrix,
@@ -48,7 +74,6 @@ __all__ = [
 class VerdictStatus(Enum):
     DISTINGUISHED = "DISTINGUISHED"
     NOT_DISTINGUISHED = "NOT_DISTINGUISHED"
-    INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class DistinctionVerdict(Frozen):
@@ -85,64 +110,56 @@ class DistinctionVerdict(Frozen):
         }
 
 
+def _decide(
+    case: CaseTag, m: int, d: int, chi: ChiToken
+) -> tuple[VerdictStatus, Iterator[SupportReport]]:
+    """The status of the decision, read from at most two support
+    reports, and an iterator over its trace.
+
+    The iterator computes the report of each coarsening as it is
+    reached, and yields the two deciding reports again instead of
+    computing them twice; a caller that needs only the status leaves it
+    unstarted."""
+    validate_m_d(case, m, d)
+    s0 = anti_diagonal_matrix(minimal_partition(case, m), case)
+    first = orbit_supports(s0, chi)
+    if not first.feasible:
+        return VerdictStatus.NOT_DISTINGUISHED, iter((first,))
+    n = s0.size
+    middle = orbit_supports(coarsen(s0, n // 2), chi) if n % 2 == 0 else None
+    killed = middle is not None and middle.feasible
+    status = VerdictStatus.NOT_DISTINGUISHED if killed else VerdictStatus.DISTINGUISHED
+    return status, _trace(s0, chi, first, middle)
+
+
+def _trace(
+    s0: CosetMatrix, chi: ChiToken, first: SupportReport, middle: SupportReport | None
+) -> Iterator[SupportReport]:
+    yield first
+    n = s0.size
+    for k in range(1, n):
+        yield middle if 2 * k == n else orbit_supports(coarsen(s0, k), chi)
+
+
 def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> DistinctionVerdict:
     """Decide distinction of the twisted Steinberg representation.
 
-    Steps: (1) the anti-diagonal orbit on the minimal partition must
-    support the character, else NOT_DISTINGUISHED; (2) across every
-    next-to-minimal partition, a supporting coarsening of the open orbit
-    kills distinction (the invariant form restricts non-trivially to the
-    corresponding induced space), while any other supporting orbit is
-    INCONCLUSIVE; (3) otherwise DISTINGUISHED with multiplicity one.
+    Steps: (1) the anti-diagonal orbit s0 on the minimal partition must
+    support the character, else NOT_DISTINGUISHED; (2) at even degree
+    n, the coarsening of s0 at n/2 supporting it kills distinction (the
+    invariant form restricts non-trivially to the corresponding induced
+    space), and by the coarsening lemma of the module docstring no other
+    next-to-minimal orbit supports any character; (3) otherwise
+    DISTINGUISHED with multiplicity one.
 
-    Step (2) visits the orbits ``supporting_coset_matrices`` generates,
-    in canonical order, and the coarsening of the open orbit, sorted in
-    only when they lack it (no set is built); each is reported through
-    ``orbit_supports``, and a generated orbit it rejects raises
-    RuntimeError.  The trace is the one the brute-force oracle gives:
-    every supporting orbit and the coarsening, canonical per partition.
+    The trace is s0's report and, when s0 supports the character, the
+    report of coarsen(s0, k) for k = 1, ..., n - 1: every supporting
+    next-to-minimal orbit and every coarsening of the open orbit, one
+    per partition, as the brute-force oracle lists them.
     """
-    validate_m_d(case, m, d)
-    n = 2 * m if case is CaseTag.EVEN else m
-    minimal = minimal_partition(case, m)
-    s0 = anti_diagonal_matrix(minimal, case)
-    open_report = orbit_supports(s0, chi)
-    trace = [open_report]
-    if not open_report.feasible:
-        return DistinctionVerdict(
-            case, m, d, chi, VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
-        )
-
-    killed = False
-    stray_support = False
-    for k in range(1, n):
-        coarse_open = coarsen(s0, k)
-        orbits = supporting_coset_matrices(coarse_open.partition, case, chi)
-        if coarse_open not in orbits:
-            # one shape per partition: the rows compare as the flattening does
-            orbits = sorted([coarse_open, *orbits], key=attrgetter("entries"), reverse=True)
-        for s in orbits:
-            report = orbit_supports(s, chi)
-            trace.append(report)
-            if s == coarse_open:
-                killed = killed or report.feasible
-            elif report.feasible:
-                stray_support = True
-            else:
-                raise RuntimeError(
-                    f"generated orbit {s.to_json()} does not support {chi.value}"
-                )
-    if killed:
-        return DistinctionVerdict(
-            case, m, d, chi, VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
-        )
-    if stray_support:
-        return DistinctionVerdict(
-            case, m, d, chi, VerdictStatus.INCONCLUSIVE, 0, tuple(trace)
-        )
-    return DistinctionVerdict(
-        case, m, d, chi, VerdictStatus.DISTINGUISHED, 1, tuple(trace)
-    )
+    status, trace = _decide(case, m, d, chi)
+    multiplicity = 1 if status is VerdictStatus.DISTINGUISHED else 0
+    return DistinctionVerdict(case, m, d, chi, status, multiplicity, tuple(trace))
 
 
 def exponent_parity_formula(m: int, d: int) -> ChiToken:
@@ -162,7 +179,8 @@ def cross_check(
 
     d enters a verdict only through the parity check, so ``decided``
     maps (case, m, chi) to a status decided for another d of the case:
-    a sweep passes one dict and decides each (case, m, chi) once.
+    a sweep passes one dict and decides each (case, m, chi) once.  Only
+    the status is decided; no trace is built.
     """
     validate_m_d(case, m, d)
     expected = exponent_parity_formula(m, d)
@@ -172,17 +190,8 @@ def cross_check(
     for chi in ChiToken:
         status = decided.get((case, m, chi))
         if status is None:
-            status = steinberg_decision(case, m, d, chi).status
-            decided[(case, m, chi)] = status
-        if status is VerdictStatus.INCONCLUSIVE:
-            import logging  # only here, so that importing the engine does not load it
-
-            logging.getLogger(__name__).warning(
-                "cross_check: INCONCLUSIVE verdict for case=%s m=%d d=%d chi=%s",
-                case.value, m, d, chi.value,
-            )
-            ok = False
-        elif chi is expected:
+            status = decided[(case, m, chi)] = _decide(case, m, d, chi)[0]
+        if chi is expected:
             ok = ok and status is VerdictStatus.DISTINGUISHED
         else:
             ok = ok and status is VerdictStatus.NOT_DISTINGUISHED

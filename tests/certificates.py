@@ -17,11 +17,15 @@ cell-by-cell enumerator and validation loop that
 ``reference_fine_layout`` and ``reference_coarsen`` are the cell-by-cell
 loops that ``fine_layout`` and ``coarsen`` are checked against, and
 ``reference_open_mask`` the dominance scan that ``open_mask``'s closed
-form is checked against.
+form is checked against.  ``supporting_coset_matrices`` generates the
+orbits of a partition that support a character; the tests run it at
+every step of the decision to check the coarsening lemma the engine
+rests on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import prod
@@ -171,6 +175,69 @@ def reference_open_mask(matrices: list[CosetMatrix]) -> list[bool]:
             opens[i] = True
             tops.append(r)
     return opens
+
+
+def supporting_coset_matrices(
+    partition: Partition, case: CaseTag, chi: ChiToken
+) -> list[CosetMatrix]:
+    """Coset matrices whose orbits support ``chi``, in canonical order.
+
+    Equal to filtering ``enumerate_coset_matrices`` through
+    ``orbit_supports``, which stays the brute-force oracle, but only the
+    supporting matrices are generated.  Support holds iff the row-major
+    fine layout mirrors itself: the block (i, j) of size k and its
+    partner (j, i) satisfy start(i, j) + start(j, i) + k = n + 2 with
+    1-based starts (a diagonal block is centred), and ``eta`` admits no
+    diagonal block.  The upper triangle is filled row by row as in the
+    enumeration, larger value first; when cell (i, j) is reached both
+    starts are already fixed by the row sums and the placed entries, so
+    the rule leaves one nonzero value for the cell.  Backtracking runs
+    on an explicit stack of placed cells, not on recursion.
+    """
+    if not isinstance(partition, Partition):
+        raise InvalidInputError("partition must be a Partition")
+    t = len(partition)
+    n = partition.total
+    # ends[x] - remaining[x] positions precede the next free unit of row x
+    ends = list(itertools.accumulate(partition.parts))
+    remaining = list(partition.parts)
+    entries = [[0] * t for _ in range(t)]
+    step = 2 if case is CaseTag.EVEN else 1
+    results: list[CosetMatrix] = []
+    placed: list[tuple[int, int]] = []
+    i = j = 0
+    while True:
+        if i < t and remaining[i] == 0:
+            i = j = i + 1  # the rest of the row stays zero
+            continue
+        if i == t:
+            results.append(
+                CosetMatrix(case, partition, tuple(tuple(row) for row in entries))
+            )
+        elif j < t:
+            k = n - (ends[i] - remaining[i]) - (ends[j] - remaining[j])
+            # k only shrinks along the row, so k < 1 leaves row i unfillable
+            if k >= 1:
+                if k <= min(remaining[i], remaining[j]) and (
+                    i != j or (chi is ChiToken.TRIV and k % step == 0)
+                ):
+                    entries[i][j] = entries[j][i] = k
+                    remaining[i] -= k
+                    if i != j:
+                        remaining[j] -= k
+                    placed.append((i, j))
+                j += 1
+                continue
+        # complete or dead end: empty the last placed cell and move past it
+        if not placed:
+            return results
+        i, j = placed.pop()
+        k = entries[i][j]
+        entries[i][j] = entries[j][i] = 0
+        remaining[i] += k
+        if i != j:
+            remaining[j] += k
+        j += 1
 
 
 def compose(*perms: Permutation) -> Permutation:

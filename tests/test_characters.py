@@ -9,7 +9,6 @@ from steinberg_distinction.characters import (
     SupportRule,
     doubled_exponents,
     orbit_supports,
-    supporting_coset_matrices,
 )
 from steinberg_distinction.cosets import (
     CaseTag,
@@ -23,7 +22,7 @@ from steinberg_distinction.cosets import (
     fine_layout,
 )
 
-from certificates import minimal_orbit_analysis
+from certificates import minimal_orbit_analysis, supporting_coset_matrices
 from conftest import compositions, delta_half_exponents, reference_report
 
 

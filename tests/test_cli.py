@@ -25,6 +25,7 @@ from steinberg_distinction.cosets import (
     enumerate_coset_matrices,
     open_mask,
 )
+from steinberg_distinction.engine import exponent_parity_formula
 from steinberg_distinction.lfactor import MAX_RESIDUE_SIZE
 from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.finite_field import QuadraticExtension
@@ -277,6 +278,13 @@ class TestMatricesJson:
         assert (code, out) == (0, want + "\n")
 
 
+def verdict_json(v, trace=None):
+    """`cli._verdict_json` of a verdict's fields, and of its trace or
+    ``trace``."""
+    head = (v.case, v.m, v.d, v.chi, v.status, v.multiplicity)
+    return cli._verdict_json(*head, v.trace if trace is None else trace)
+
+
 class TestVerdictJson:
     """`steinberg --format json` lays out its verdict from one template
     per command; `_dumps` of `verdict.to_json()` is the reference."""
@@ -295,7 +303,7 @@ class TestVerdictJson:
         # and verdicts with violations: odd m, eta, stops at the open orbit
         assert any(v.case is CaseTag.ODD and v.trace[-1].violations for v in verdicts)
         for v in verdicts:
-            assert "".join(cli._verdict_json(v)) == cli._dumps(v.to_json()), (v.case, v.m, v.chi)
+            assert "".join(verdict_json(v)) == cli._dumps(v.to_json()), (v.case, v.m, v.chi)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
     def test_blocks_join_at_any_size(self, size, monkeypatch):
@@ -303,15 +311,39 @@ class TestVerdictJson:
         for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.ETA), (CaseTag.EVEN, 3, 2, ChiToken.TRIV),
                                 (CaseTag.ODD, 3, 1, ChiToken.ETA)]:
             v = engine.steinberg_decision(case, m, d, chi)
-            blocks = list(cli._verdict_json(v))
+            blocks = list(verdict_json(v))
+            assert len(blocks) == -(-len(v.trace) // size), (case, m, size)
+            assert "".join(blocks) == cli._dumps(v.to_json()), (case, m, size)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_streamed_trace_joins_at_any_size(self, size, monkeypatch):
+        """The trace iterator of the engine, read a block at a time: no
+        block is yielded more than one block ahead of the reports."""
+        monkeypatch.setattr(cli, "TRACE_ENTRIES_PER_BLOCK", size)
+        for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.TRIV), (CaseTag.EVEN, 3, 2, ChiToken.ETA),
+                                (CaseTag.ODD, 9, 1, ChiToken.TRIV), (CaseTag.ODD, 3, 1, ChiToken.ETA)]:
+            v = engine.steinberg_decision(case, m, d, chi)
+            status, trace = engine._decide(case, m, d, chi)
+            assert status is v.status
+            drawn = []
+
+            def reading(trace=trace):
+                for report in trace:
+                    drawn.append(report)
+                    yield report
+
+            blocks = []
+            for block in verdict_json(v, reading()):
+                assert len(drawn) <= (len(blocks) + 2) * size, (case, m, size)
+                blocks.append(block)
             assert len(blocks) == -(-len(v.trace) // size), (case, m, size)
             assert "".join(blocks) == cli._dumps(v.to_json()), (case, m, size)
 
     def test_empty_trace(self):
         v = engine.DistinctionVerdict(
-            CaseTag.ODD, 1, 1, ChiToken.TRIV, engine.VerdictStatus.INCONCLUSIVE, 0, ()
+            CaseTag.ODD, 1, 1, ChiToken.TRIV, engine.VerdictStatus.NOT_DISTINGUISHED, 0, ()
         )
-        assert "".join(cli._verdict_json(v)) == cli._dumps(v.to_json())
+        assert "".join(verdict_json(v)) == cli._dumps(v.to_json())
 
     def test_steinberg_writes_a_block_at_a_time(self, monkeypatch):
         # odd m = 40: 40 trace entries in blocks of 16 are three writes
@@ -390,13 +422,13 @@ class TestSweepAndLfactor:
         for fmt in ("table", "json"):
             expected[fmt] = run(capsys, *argv, "--format", fmt)
         calls = []
-        decide = engine.steinberg_decision
+        decide = engine._decide
 
         def counting(case, m, d, chi, *rest):
             calls.append((case, m, d, chi))
             return decide(case, m, d, chi, *rest)
 
-        monkeypatch.setattr(engine, "steinberg_decision", counting)
+        monkeypatch.setattr(engine, "_decide", counting)
         for fmt in ("table", "json"):
             calls.clear()
             assert run(capsys, *argv, "--format", fmt) == expected[fmt]
@@ -1158,9 +1190,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, estimate",
         [
-            ("steinberg --case odd --m 201 --d 1 --chi triv", 201**3),
-            ("steinberg --case even --m 101 --d 2 --chi eta", 202**3),
-            ("steinberg --case odd --m 100000 --d 1 --chi triv", 100000**3),
+            ("steinberg --case odd --m 201 --d 1 --chi triv --format json", 201**3),
+            ("steinberg --case even --m 101 --d 2 --chi eta --format json", 202**3),
+            ("steinberg --case odd --m 100000 --d 1 --chi triv --format json", 100000**3),
             ("sweep --max-m 101 --max-d 2", 202**3),
             ("sweep --max-m 201 --max-d 1", 201**3),
             ("sweep --max-m 100000", 200000**3),
@@ -1173,21 +1205,54 @@ class TestUsageErrors:
         def undecided(*args, **kwargs):
             raise AssertionError("decision started")
 
-        monkeypatch.setattr(cli, "steinberg_decision", undecided)
+        monkeypatch.setattr(cli, "_decide", undecided)
         monkeypatch.setattr(cli, "cross_check", undecided)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == f"error: decision trace cell count {estimate} exceeds budget 8000000\n"
 
     @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            ("steinberg --case odd --m 1001 --d 1 --chi triv", 1001**2),
+            ("steinberg --case even --m 501 --d 2 --chi eta", 1002**2),
+            ("steinberg --case odd --m 100000 --d 1 --chi triv", 100000**2),
+        ],
+        ids=["odd-1001", "even-501", "odd-100000"],
+    )
+    def test_status_size_refused_before_any_work(self, capsys, monkeypatch, argv, estimate):
+        # table output reads the status off two reports of n^2 cells
+        def undecided(*args, **kwargs):
+            raise AssertionError("decision started")
+
+        monkeypatch.setattr(cli, "_decide", undecided)
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: decision report cell count {estimate} exceeds budget 1000000\n"
+
+    @pytest.mark.parametrize("case, m, d", [("odd", 1000, 1), ("even", 500, 2)])
+    def test_status_at_the_largest_admitted_size(self, capsys, case, m, d):
+        # a status from two reports of 10^6 cells each: about 0.3 s from
+        # the shell on a 2-core VM
+        expected = exponent_parity_formula(m, d)
+        for chi in ChiToken:
+            start = time.monotonic()
+            code, out, _ = run(capsys, "steinberg", "--case", case, "--m", str(m), "--d", str(d), "--chi", chi.value)
+            assert time.monotonic() - start < 10
+            status = "DISTINGUISHED (multiplicity 1)" if chi is expected else "NOT_DISTINGUISHED (multiplicity 0)"
+            assert (code, out) == (0, f"case={case} m={m} d={d} chi={chi.value}: {status}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
-            "steinberg --case odd --m 200 --d 1 --chi triv",
-            "steinberg --case even --m 100 --d 2 --chi eta",
+            "steinberg --case odd --m 200 --d 1 --chi triv --format json",
+            "steinberg --case even --m 100 --d 2 --chi eta --format json",
+            "steinberg --case odd --m 1000 --d 1 --chi triv",
+            "steinberg --case even --m 500 --d 2 --chi eta",
             "sweep --max-m 100 --max-d 2",
             "sweep --max-m 200 --max-d 1",
         ],
-        ids=["odd-200", "even-100", "sweep-even-100", "sweep-odd-200"],
+        ids=["odd-200", "even-100", "odd-1000-table", "even-500-table", "sweep-even-100", "sweep-odd-200"],
     )
     def test_decision_size_admits_the_scale_points(self, capsys, monkeypatch, argv):
         class Decided(Exception):
@@ -1196,7 +1261,7 @@ class TestUsageErrors:
         def decided(*args, **kwargs):
             raise Decided
 
-        monkeypatch.setattr(cli, "steinberg_decision", decided)
+        monkeypatch.setattr(cli, "_decide", decided)
         monkeypatch.setattr(cli, "cross_check", decided)
         with pytest.raises(Decided):
             main(argv.split())
@@ -1259,7 +1324,7 @@ class TestUsageErrors:
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr(cli, "steinberg_decision", broken)
+        monkeypatch.setattr(cli, "_decide", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta"])
 

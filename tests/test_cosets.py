@@ -441,6 +441,63 @@ class TestAgainstCellLoops:
                 merge(s, k)
 
 
+def checked(s):
+    """``s`` rebuilt through the checks of ``CosetMatrix.__init__``, with
+    its entries as tuples of tuples."""
+    return CosetMatrix(s.case, Partition(s.partition.parts), tuple(map(tuple, s.entries)))
+
+
+class TestTrustedConstructor:
+    """The generators build their matrices without the constructor's
+    checks; each matrix must be what the checked constructor gives."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumerate(self, n):
+        for partition in compositions(n):
+            for case in CaseTag:
+                for s in enumerate_coset_matrices(partition, case):
+                    assert s == checked(s), s
+
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    def test_every_coarsening_of_the_open_orbit(self, case):
+        top = 15 if case is CaseTag.EVEN else 30
+        for m in range(1, top + 1):
+            n = 2 * m if case is CaseTag.EVEN else m
+            s0 = anti_diagonal_matrix(Partition((1,) * n), case)
+            assert s0 == checked(s0)
+            for k in range(1, n):
+                coarse = coarsen(s0, k)
+                assert coarse == checked(coarse), (m, k)
+                # and a coarsening of a coarsening
+                if k > 1:
+                    again = coarsen(coarse, k - 1)
+                    assert again == checked(again), (m, k)
+
+    def test_anti_diagonal_on_symmetric_partitions(self):
+        for n in range(1, 9):
+            for partition in compositions(n):
+                if partition.parts != partition.parts[::-1]:
+                    continue
+                for case in CaseTag:
+                    t = len(partition)
+                    if case is CaseTag.EVEN and t % 2 and partition.parts[t // 2] % 2:
+                        with pytest.raises(InvalidInputError, match="even"):
+                            anti_diagonal_matrix(partition, case)
+                    else:
+                        s = anti_diagonal_matrix(partition, case)
+                        assert s == checked(s), (partition, case)
+
+    def test_anti_diagonal_refuses_an_asymmetric_partition(self):
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            anti_diagonal_matrix(Partition((1, 2)), CaseTag.ODD)
+
+    def test_outside_input_is_still_checked(self):
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            CosetMatrix(CaseTag.ODD, Partition((1, 1)), ((1, 0), (1, 0)))
+        with pytest.raises(InvalidInputError, match="even"):
+            CosetMatrix(CaseTag.EVEN, Partition((1,)), ((1,),))
+
+
 class TestClosure:
     def test_open_antidiagonal_minimal(self):
         for n in range(1, 6):

@@ -1,13 +1,11 @@
-import logging
 import sys
 
 import pytest
 
 from steinberg_distinction import engine
-from steinberg_distinction.characters import ChiToken, SupportReport, orbit_supports
+from steinberg_distinction.characters import ChiToken, orbit_supports
 from steinberg_distinction.cosets import (
     CaseTag,
-    CosetMatrix,
     InvalidInputError,
     Partition,
     anti_diagonal_matrix,
@@ -20,6 +18,8 @@ from steinberg_distinction.engine import (
     exponent_parity_formula,
     steinberg_decision,
 )
+
+from certificates import supporting_coset_matrices
 
 
 class TestParityFormula:
@@ -107,26 +107,21 @@ class TestCrossCheck:
                 case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
                 assert cross_check(case, m, d)
 
-    def test_inconclusive_verdict_fails_with_one_warning(self, monkeypatch, caplog):
-        # no verdict in reach is INCONCLUSIVE, so a stub decides eta;
-        # triv comes decided from the dict, as in a sweep
-        def inconclusive(case, m, d, chi):
-            return engine.DistinctionVerdict(case, m, d, chi, VerdictStatus.INCONCLUSIVE, 0, ())
-
-        monkeypatch.setattr(engine, "steinberg_decision", inconclusive)
-        decided = {(CaseTag.ODD, 3, ChiToken.TRIV): VerdictStatus.DISTINGUISHED}
+    def test_a_status_against_the_parity_fails_quietly(self, caplog):
+        # triv comes decided from the dict, as in a sweep, and against
+        # the parity; eta is decided by the engine and stored
+        decided = {(CaseTag.ODD, 3, ChiToken.TRIV): VerdictStatus.NOT_DISTINGUISHED}
         assert cross_check(CaseTag.ODD, 3, 1, decided) is False
-        assert decided[(CaseTag.ODD, 3, ChiToken.ETA)] is VerdictStatus.INCONCLUSIVE
-        assert caplog.record_tuples == [(
-            "steinberg_distinction.engine",
-            logging.WARNING,
-            "cross_check: INCONCLUSIVE verdict for case=odd m=3 d=1 chi=eta",
-        )]
+        assert decided[(CaseTag.ODD, 3, ChiToken.ETA)] is VerdictStatus.NOT_DISTINGUISHED
+        assert cross_check(CaseTag.ODD, 3, 1) is True
+        assert caplog.record_tuples == []
 
 
 def reference_decision(case, m, chi):
     """The decision by enumerating every next-to-minimal orbit and
-    filtering it through the support solver: the engine's oracle."""
+    filtering it through the support solver: the engine's oracle.  A
+    supporting orbit other than the coarsening of the open orbit, which
+    the coarsening lemma rules out, gives a status no verdict has."""
     n = 2 * m if case is CaseTag.EVEN else m
     minimal = Partition((1,) * n)
     s0 = anti_diagonal_matrix(minimal, case)
@@ -146,7 +141,7 @@ def reference_decision(case, m, chi):
     if killed:
         return VerdictStatus.NOT_DISTINGUISHED, 0, tuple(trace)
     if stray_support:
-        return VerdictStatus.INCONCLUSIVE, 0, tuple(trace)
+        return "INCONCLUSIVE", 0, tuple(trace)
     return VerdictStatus.DISTINGUISHED, 1, tuple(trace)
 
 
@@ -162,13 +157,32 @@ class TestAgainstReference:
         expected = reference_decision(case, m, chi)
         assert (verdict.status, verdict.multiplicity, verdict.trace) == expected
 
-    def test_generated_orbit_without_support_raises(self, monkeypatch):
-        diagonal = CosetMatrix(
-            CaseTag.ODD, Partition((2, 1, 1)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))
-        )
-        monkeypatch.setattr(engine, "supporting_coset_matrices", lambda *_: [diagonal])
-        with pytest.raises(RuntimeError):
-            steinberg_decision(CaseTag.ODD, 4, 1, ChiToken.ETA)
+    def test_no_report_is_computed_twice(self, monkeypatch):
+        """A trace computes one report per entry, the two deciding ones
+        included, and a status alone at most those two."""
+        computed = []
+
+        def counting(s, chi):
+            computed.append(s)
+            return orbit_supports(s, chi)
+
+        monkeypatch.setattr(engine, "orbit_supports", counting)
+        for case, m, d in [(CaseTag.ODD, 7, 1), (CaseTag.ODD, 8, 1), (CaseTag.EVEN, 4, 2)]:
+            for chi in ChiToken:
+                computed.clear()
+                verdict = steinberg_decision(case, m, d, chi)
+                # each entry once, the two deciding ones first
+                assert len(computed) == len(verdict.trace), (case, m, chi)
+                assert set(computed) == {report.s for report in verdict.trace}, (case, m, chi)
+                computed.clear()
+                status, _ = engine._decide(case, m, d, chi)
+                assert status is verdict.status
+                first = verdict.trace[0]
+                n = first.s.size
+                deciding = [first.s]
+                if first.feasible and n % 2 == 0:
+                    deciding.append(coarsen(first.s, n // 2))
+                assert computed == deciding, (case, m, chi)
 
 
 class TestLargeM:
@@ -185,19 +199,45 @@ class TestLargeM:
         assert sys.getrecursionlimit() == limit
 
 
-def test_orbits_of_a_step_are_traced_in_canonical_order(monkeypatch):
-    """With every orbit of each coarsening reported as supporting, the
-    trace lists them in the canonical, descending order of
-    ``enumerate_coset_matrices``, so the sort of each step is seen."""
-    monkeypatch.setattr(
-        engine, "supporting_coset_matrices", lambda partition, case, chi: enumerate_coset_matrices(partition, case)
-    )
-    monkeypatch.setattr(
-        engine, "orbit_supports", lambda s, chi: SupportReport(s=s, chi=chi, feasible=True, violations=())
-    )
-    for case, m, d in ((CaseTag.ODD, 4, 1), (CaseTag.EVEN, 2, 2)):
-        verdict = steinberg_decision(case, m, d, ChiToken.TRIV)
-        s0 = verdict.trace[0].s
-        steps = [enumerate_coset_matrices(coarsen(s0, k).partition, case) for k in range(1, s0.partition.total)]
-        assert [report.s for report in verdict.trace] == [s0] + [s for step in steps for s in step]
-        assert max(map(len, steps)) > 1
+def test_trace_is_the_open_orbit_then_each_coarsening():
+    """The trace reports s0 and, when s0 supports the character,
+    coarsen(s0, k) for k = 1, ..., n - 1, in that order."""
+    for case, m, d in ((CaseTag.ODD, 1, 1), (CaseTag.ODD, 6, 1), (CaseTag.ODD, 7, 1), (CaseTag.EVEN, 3, 2)):
+        n = 2 * m if case is CaseTag.EVEN else m
+        s0 = anti_diagonal_matrix(Partition((1,) * n), case)
+        for chi in ChiToken:
+            verdict = steinberg_decision(case, m, d, chi)
+            want = [s0] + [coarsen(s0, k) for k in range(1, n)] if verdict.trace[0].feasible else [s0]
+            assert [report.s for report in verdict.trace] == want, (case, m, chi)
+            assert all(report.chi is chi for report in verdict.trace)
+
+
+class TestCoarseningLemma:
+    """At every step k of the decision for odd m <= 60 and even m <= 30,
+    the only next-to-minimal orbit that supports a character is
+    coarsen(s0, n/2), for ``triv``, at k = n/2; so the status read from
+    two reports is the status of the whole trace."""
+
+    @pytest.mark.parametrize("case", list(CaseTag))
+    def test_only_the_middle_coarsening_supports(self, case):
+        top = 30 if case is CaseTag.EVEN else 60
+        for m in range(1, top + 1):
+            n = 2 * m if case is CaseTag.EVEN else m
+            s0 = anti_diagonal_matrix(Partition((1,) * n), case)
+            for k in range(1, n):
+                coarse = coarsen(s0, k)
+                for chi in ChiToken:
+                    want = [coarse] if 2 * k == n and chi is ChiToken.TRIV else []
+                    assert supporting_coset_matrices(coarse.partition, case, chi) == want, (case, m, k, chi)
+
+    @pytest.mark.parametrize("case", list(CaseTag))
+    def test_status_is_read_off_the_whole_trace(self, case):
+        top = 30 if case is CaseTag.EVEN else 60
+        d = 2 if case is CaseTag.EVEN else 1
+        for m in range(1, top + 1):
+            for chi in ChiToken:
+                verdict = steinberg_decision(case, m, d, chi)
+                trace = verdict.trace
+                killed = not trace[0].feasible or any(report.feasible for report in trace[1:])
+                want = VerdictStatus.NOT_DISTINGUISHED if killed else VerdictStatus.DISTINGUISHED
+                assert verdict.status is want, (case, m, chi)
