@@ -57,8 +57,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # the JSON trace of a decision at degree n (n = m odd, 2 m even) has
-# about n^3 cells; the bound admits odd m <= 200 and even m <= 100.  A
-# sweep, whose cost is a sum over m, keeps it too
+# about n^3 cells, written one entry at a time, so the bound is on time
+# and output size (137 MB at odd m = 200), not on memory; it admits odd
+# m <= 200 and even m <= 100.  A sweep, whose cost is a sum over m,
+# keeps it too
 MAX_TRACE_CELLS = 200**3
 # a status alone is read from at most two reports of n^2 dense cells; the
 # bound admits odd m <= 1000 and even m <= 500 in table output
@@ -70,11 +72,6 @@ MAX_SWEEP_ROWS = 10_000
 # at most 9,496 orbits (those of 1^10), 252 pivot sets per level and
 # stabiliser conditions in 100 unknowns; (1^10) takes about 40 s
 MAX_FLAG_N = 10
-# enumerate --format json writes its text a block at a time, so that it
-# is never held whole: (1^10) odd, 16 MB, goes out in 10 writes
-MATRICES_PER_BLOCK = 1024
-# and steinberg's a block of trace entries at a time: odd m = 200, 137 MB, in 13
-TRACE_ENTRIES_PER_BLOCK = 16
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -127,25 +124,42 @@ def _dumps(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
+def _records_json(head: str, texts: Iterator[str]) -> Iterator[str]:
+    """A JSON object whose last member is a list: ``head``, ending in the
+    list's ``[``, then each record of ``texts`` on its own line followed
+    by its separator, then the tail; ``texts`` is drawn one ahead."""
+    pad = "\n    "  # a record
+    yield head
+    text = next(texts, None)
+    if text is None:
+        yield "]\n}"
+        return
+    for following in texts:
+        yield pad + text + ","
+        text = following
+    yield pad + text
+    yield "\n  ]\n}"
+
+
 def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> Iterator[str]:
     """``_dumps({"count": ..., "matrices": [{**s.to_json(), "open": o}, ...]})``
     for the coset matrices of one partition and case and their
-    ``open_mask``, in blocks of ``MATRICES_PER_BLOCK`` matrices, built
+    ``open_mask``, one matrix at a time (``_records_json``), built
     without a dict per matrix.
 
     The matrices share their case and partition, so the text of a
     matrix up to its first row, and after its last row the two tails
     (open or not), are laid out once; rows repeat from matrix to matrix,
     so each distinct row is laid out once."""
+    head = '{\n  "count": ' + str(len(matrices)) + ',\n  "matrices": ['
     if not matrices:
-        yield _dumps({"count": 0, "matrices": []})
-        return
+        return _records_json(head, iter(()))
     first = matrices[0]
     pad = "\n    "  # a matrix
     key = pad + "  "  # its keys
     row = key + "  "  # its rows
     cell = row + "  "  # their cells
-    head = (
+    start = (
         "{" + key + '"case": ' + _dumps(first.case.value, key)
         + "," + key + '"partition": ' + _dumps(list(first.partition.parts), key)
         + "," + key + '"entries": [' + row
@@ -156,33 +170,25 @@ def _matrices_json(matrices: list[CosetMatrix], opens: list[bool]) -> Iterator[s
         for r in set(itertools.chain.from_iterable(s.entries for s in matrices))
     }
     row_sep = "," + row
-    text = '{\n  "count": ' + str(len(matrices)) + ',\n  "matrices": ['
-    for start in range(0, len(matrices), MATRICES_PER_BLOCK):
-        if start:
-            yield text
-            text = ","
-        stop = start + MATRICES_PER_BLOCK
-        text += pad + ("," + pad).join(
-            head + row_sep.join(map(texts.__getitem__, s.entries)) + tails[o]
-            for s, o in zip(matrices[start:stop], opens[start:stop])
-        )
-    yield text + "\n  ]\n}"
+    return _records_json(head, (
+        start + row_sep.join(map(texts.__getitem__, s.entries)) + tails[o]
+        for s, o in zip(matrices, opens)
+    ))
 
 
 def _verdict_json(
-    case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus, multiplicity: int,
+    case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus,
     trace: Iterable[SupportReport],
 ) -> Iterator[str]:
     """``_dumps(DistinctionVerdict(case, ..., tuple(trace)).to_json())``
     for a trace whose every entry has the verdict's case and chi token,
-    in blocks of ``TRACE_ENTRIES_PER_BLOCK`` entries, built without a
-    dict per entry.  ``trace`` is read a block at a time, so an iterator
-    that computes its reports as they are reached is never held whole.
-    Each entry fills one template laid out once per command, and each
-    distinct partition and row of a block is laid out once."""
-    text = _dumps({
+    one trace entry at a time (``_records_json``), built without a dict
+    per entry, so a lazy ``trace`` is never held whole.  Each entry fills
+    one template, and each distinct row (about 2n at degree n) is laid
+    out once per command."""
+    head = _dumps({
         "case": case.value, "m": m, "d": d, "chi": chi.value,
-        "status": status.value, "multiplicity": multiplicity,
+        "status": status.value, "multiplicity": status.multiplicity,
     })[:-2] + ',\n  "trace": ['
     pad = "\n    "  # a trace entry
     key = pad + "  "  # its keys
@@ -198,28 +204,19 @@ def _verdict_json(
         + report + '"violations": %s' + key + "}" + pad + "}"
     )
     rules = {v: "," + row + '"rule": ' + _encode_str(v.value) + matrix + "}" for v in SupportRule}
-    trace = iter(trace)
-    traced = False
-    for reports in iter(lambda: list(itertools.islice(trace, TRACE_ENTRIES_PER_BLOCK)), []):
-        if traced:
-            yield text
-            text = ","
-        traced = True
-        parts = {p: (_dumps(p, key), _dumps(p, matrix)) for p in {r.s.partition.parts for r in reports}}
-        rows = set(itertools.chain.from_iterable(r.s.entries for r in reports))
-        rows = {e: "[" + cell + ("," + cell).join(map(str, e)) + row + "]" for e in rows}
-        text += pad + ("," + pad).join(
-            template % (
-                *parts[r.s.partition.parts],
-                ("," + row).join(map(rows.__getitem__, r.s.entries)),
-                "true" if r.feasible else "false",
-                "[" + matrix + ("," + matrix).join(
-                    "{" + row + '"block": ' + str(b) + rules[v] for b, v in r.violations
-                ) + report + "]" if r.violations else "[]",
-            )
-            for r in reports
+    row_text = functools.cache(lambda e: "[" + cell + ("," + cell).join(map(str, e)) + row + "]")
+    return _records_json(head, (
+        template % (
+            _dumps(r.s.partition.parts, key),
+            _dumps(r.s.partition.parts, matrix),
+            ("," + row).join(map(row_text, r.s.entries)),
+            "true" if r.feasible else "false",
+            "[" + matrix + ("," + matrix).join(
+                "{" + row + '"block": ' + str(b) + rules[v] for b, v in r.violations
+            ) + report + "]" if r.violations else "[]",
         )
-    yield text + ("\n  ]\n}" if traced else "]\n}")
+        for r in trace
+    ))
 
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
@@ -255,8 +252,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     matrices = enumerate_coset_matrices(partition, case)
     opens = open_mask(matrices)
     if args.format == "json":
-        for block in _matrices_json(matrices, opens):
-            sys.stdout.write(block)
+        sys.stdout.writelines(_matrices_json(matrices, opens))
         # the newline in a write of its own, as print wrote it
         print()
         return EXIT_OK
@@ -293,14 +289,13 @@ def cmd_steinberg(args: argparse.Namespace) -> int:
     case, chi = CaseTag(args.case), ChiToken(args.chi)
     _refuse_large_decision(case, args.m, args.format == "json")
     status, trace = _decide(case, args.m, args.d, chi)
-    multiplicity = 1 if status is VerdictStatus.DISTINGUISHED else 0
     if args.format == "json":
-        sys.stdout.writelines(_verdict_json(case, args.m, args.d, chi, status, multiplicity, trace))
+        sys.stdout.writelines(_verdict_json(case, args.m, args.d, chi, status, trace))
         print()
     else:
         print(
             f"case={args.case} m={args.m} d={args.d} chi={args.chi}: "
-            f"{status.value} (multiplicity {multiplicity})"
+            f"{status.value} (multiplicity {status.multiplicity})"
         )
     return EXIT_OK
 

@@ -155,18 +155,7 @@ class CosetMatrix(Frozen):
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "entries", entries)
-        # Whole-matrix checks first: matching row sums mean t rows, none
-        # empty, and a matrix equal to its transpose is square and
-        # symmetric.  Only a matrix they reject is checked cell by cell,
-        # for the first fault's message.
         e = entries
-        if (
-            tuple(map(sum, e)) == partition.parts
-            and tuple(zip(*e)) == e
-            and min(map(min, e)) >= 0
-            and (case is CaseTag.ODD or not any(row[i] % 2 for i, row in enumerate(e)))
-        ):
-            return
         t = len(partition)
         if len(e) != t or any(len(r) != t for r in e):
             raise InvalidInputError("entries must be a t x t matrix")

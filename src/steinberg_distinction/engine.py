@@ -75,6 +75,12 @@ class VerdictStatus(Enum):
     DISTINGUISHED = "DISTINGUISHED"
     NOT_DISTINGUISHED = "NOT_DISTINGUISHED"
 
+    @property
+    def multiplicity(self) -> int:
+        """The dimension of the invariant forms: one when distinguished
+        (step (3)), else none."""
+        return 1 if self is VerdictStatus.DISTINGUISHED else 0
+
 
 class DistinctionVerdict(Frozen):
     __slots__ = ("case", "m", "d", "chi", "status", "multiplicity", "trace")
@@ -83,10 +89,9 @@ class DistinctionVerdict(Frozen):
         self, case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus,
         multiplicity: int, trace: tuple[SupportReport, ...],
     ) -> None:
-        if status is VerdictStatus.DISTINGUISHED and multiplicity != 1:
-            raise InvalidInputError("distinguished verdicts have multiplicity 1")
-        if status is VerdictStatus.NOT_DISTINGUISHED and multiplicity != 0:
-            raise InvalidInputError("negative verdicts have multiplicity 0")
+        if multiplicity != status.multiplicity:
+            kind = "distinguished" if status is VerdictStatus.DISTINGUISHED else "negative"
+            raise InvalidInputError(f"{kind} verdicts have multiplicity {status.multiplicity}")
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "d", d)
@@ -158,8 +163,7 @@ def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> Distinct
     per partition, as the brute-force oracle lists them.
     """
     status, trace = _decide(case, m, d, chi)
-    multiplicity = 1 if status is VerdictStatus.DISTINGUISHED else 0
-    return DistinctionVerdict(case, m, d, chi, status, multiplicity, tuple(trace))
+    return DistinctionVerdict(case, m, d, chi, status, status.multiplicity, tuple(trace))
 
 
 def exponent_parity_formula(m: int, d: int) -> ChiToken:

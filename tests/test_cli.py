@@ -37,15 +37,43 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-# runs cli.main on its arguments, then writes its peak RSS in kB (Linux
-# ru_maxrss) to stderr
+# runs cli.main on its arguments, then writes its peak RSS in kB to
+# stderr: Linux's VmHWM, which starts afresh at exec, where ru_maxrss
+# keeps the peak of the forking process (the test run's, often larger)
 PEAK_RSS_CHILD = (
-    "import resource, sys\n"
+    "import sys\n"
     "from steinberg_distinction.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "with open('/proc/self/status') as status:\n"
+    "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+
+
+def peak_mb(*argv):
+    """The peak RSS in MB of a child process running ``cli.main`` on
+    ``argv``, with its output discarded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr) / 1024
+
+
+class Sink(io.TextIOBase):
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
 
 
 def edit_orbits(change):
@@ -218,52 +246,33 @@ class TestMatricesJson:
             matrices, opens, want = dict_payload(partition, case)
             assert "".join(cli._matrices_json(matrices, opens)) == want, partition
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 7])
-    def test_blocks_join_at_any_size(self, size, monkeypatch):
-        monkeypatch.setattr(cli, "MATRICES_PER_BLOCK", size)
-        for partition, case in [(Partition((1, 2, 1)), CaseTag.ODD), (Partition((2, 2)), CaseTag.EVEN)]:
+    def test_one_piece_per_matrix(self):
+        # the head, each matrix with its separator, the tail; the even
+        # case at an odd total has no matrix, so a head and a tail
+        for partition, case in [(Partition((1, 2, 1)), CaseTag.ODD), (Partition((2, 2)), CaseTag.EVEN),
+                                (Partition((3,)), CaseTag.ODD), (Partition((1, 2)), CaseTag.EVEN)]:
             matrices, opens, want = dict_payload(partition, case)
-            blocks = list(cli._matrices_json(matrices, opens))
-            assert len(blocks) == -(-len(matrices) // size), (partition, size)
-            assert "".join(blocks) == want, (partition, size)
+            pieces = list(cli._matrices_json(matrices, opens))
+            assert len(pieces) == len(matrices) + 2, partition
+            assert "".join(pieces) == want, partition
 
-    def test_enumerate_writes_a_block_at_a_time(self, monkeypatch):
+    def test_enumerate_writes_a_matrix_at_a_time(self, monkeypatch):
         # (1^7) odd, the largest output of the benchmark's enumerate
-        # workload, is one write of text and one of its newline; (1^8)
-        # odd in blocks of 100 is eight and the newline
-        writes = []
-
-        class Sink:
-            def write(self, text):
-                writes.append(len(text))
-
-        monkeypatch.setattr(sys, "stdout", Sink())
+        # workload: a write per matrix, one of the head, one of the tail
+        # and one of the newline
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
         assert main(["enumerate", "--case", "odd", "--partition", "1,1,1,1,1,1,1", "--format", "json"]) == 0
-        assert len(writes) == 2
-        writes.clear()
-        monkeypatch.setattr(cli, "MATRICES_PER_BLOCK", 100)
-        assert main(["enumerate", "--case", "odd", "--partition", "1,1,1,1,1,1,1,1", "--format", "json"]) == 0
-        assert len(writes) == 9
-        _, _, want = dict_payload(Partition((1,) * 8), CaseTag.ODD)
-        assert sum(writes) == len(want) + 1
+        matrices, _, want = dict_payload(Partition((1,) * 7), CaseTag.ODD)
+        assert len(sink.writes) == len(matrices) + 3
+        assert "".join(sink.writes) == want + "\n"
 
     def test_json_peak_is_near_the_table_peak(self):
         # (1^10) odd: 16 MB of JSON, never held whole, peaked 39 MB above
-        # the table output when the text went out in one string
-        def peak_mb(*fmt):
-            proc = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_CHILD, "enumerate", "--case", "odd",
-                 "--partition", ",".join(["1"] * 10), *fmt],
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                text=True,
-                timeout=60,
-            )
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stderr) / 1024
-
-        assert peak_mb("--format", "json") - peak_mb() < 10
+        # the table output when the text went out in one string, and
+        # 6.6 MB above it in blocks of 1,024 matrices
+        argv = ["enumerate", "--case", "odd", "--partition", ",".join(["1"] * 10)]
+        assert peak_mb(*argv, "--format", "json") - peak_mb(*argv) < 2
 
     def test_enumerate_builds_no_dict_per_matrix(self, capsys, monkeypatch):
         _, _, want = dict_payload(Partition((1, 2, 1, 2)), CaseTag.ODD)
@@ -281,7 +290,7 @@ class TestMatricesJson:
 def verdict_json(v, trace=None):
     """`cli._verdict_json` of a verdict's fields, and of its trace or
     ``trace``."""
-    head = (v.case, v.m, v.d, v.chi, v.status, v.multiplicity)
+    head = (v.case, v.m, v.d, v.chi, v.status)
     return cli._verdict_json(*head, v.trace if trace is None else trace)
 
 
@@ -296,30 +305,25 @@ class TestVerdictJson:
             for m in range(1, top + 1)
             for chi in ChiToken
         ]
-        size = cli.TRACE_ENTRIES_PER_BLOCK
-        lengths = {len(v.trace) for v in verdicts}
-        # a trace one below, at and one above a multiple of the block size
-        assert {size - 1, size, size + 1} <= lengths
-        # and verdicts with violations: odd m, eta, stops at the open orbit
+        # traces of one entry and of many, and verdicts with violations:
+        # odd m, eta, stops at the open orbit
+        assert {1, 40} <= {len(v.trace) for v in verdicts}
         assert any(v.case is CaseTag.ODD and v.trace[-1].violations for v in verdicts)
         for v in verdicts:
             assert "".join(verdict_json(v)) == cli._dumps(v.to_json()), (v.case, v.m, v.chi)
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 7])
-    def test_blocks_join_at_any_size(self, size, monkeypatch):
-        monkeypatch.setattr(cli, "TRACE_ENTRIES_PER_BLOCK", size)
+    def test_one_piece_per_entry(self):
+        # the head, each trace entry with its separator, the tail
         for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.ETA), (CaseTag.EVEN, 3, 2, ChiToken.TRIV),
-                                (CaseTag.ODD, 3, 1, ChiToken.ETA)]:
+                                (CaseTag.ODD, 3, 1, ChiToken.ETA), (CaseTag.ODD, 1, 1, ChiToken.TRIV)]:
             v = engine.steinberg_decision(case, m, d, chi)
-            blocks = list(verdict_json(v))
-            assert len(blocks) == -(-len(v.trace) // size), (case, m, size)
-            assert "".join(blocks) == cli._dumps(v.to_json()), (case, m, size)
+            pieces = list(verdict_json(v))
+            assert len(pieces) == len(v.trace) + 2, (case, m, chi)
+            assert "".join(pieces) == cli._dumps(v.to_json()), (case, m, chi)
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 7])
-    def test_streamed_trace_joins_at_any_size(self, size, monkeypatch):
-        """The trace iterator of the engine, read a block at a time: no
-        block is yielded more than one block ahead of the reports."""
-        monkeypatch.setattr(cli, "TRACE_ENTRIES_PER_BLOCK", size)
+    def test_streamed_trace_is_drawn_one_report_ahead(self):
+        """The trace iterator of the engine is never drawn more than one
+        report ahead of the entries whose text is already yielded."""
         for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.TRIV), (CaseTag.EVEN, 3, 2, ChiToken.ETA),
                                 (CaseTag.ODD, 9, 1, ChiToken.TRIV), (CaseTag.ODD, 3, 1, ChiToken.ETA)]:
             v = engine.steinberg_decision(case, m, d, chi)
@@ -332,34 +336,39 @@ class TestVerdictJson:
                     drawn.append(report)
                     yield report
 
-            blocks = []
-            for block in verdict_json(v, reading()):
-                assert len(drawn) <= (len(blocks) + 2) * size, (case, m, size)
-                blocks.append(block)
-            assert len(blocks) == -(-len(v.trace) // size), (case, m, size)
-            assert "".join(blocks) == cli._dumps(v.to_json()), (case, m, size)
+            pieces = []
+            for piece in verdict_json(v, reading()):
+                # the pieces before this one are the head and an entry each
+                assert len(drawn) <= len(pieces) + 1, (case, m, len(pieces))
+                pieces.append(piece)
+            assert drawn == list(v.trace), (case, m)
+            assert len(pieces) == len(v.trace) + 2, (case, m)
+            assert "".join(pieces) == cli._dumps(v.to_json()), (case, m)
 
     def test_empty_trace(self):
         v = engine.DistinctionVerdict(
             CaseTag.ODD, 1, 1, ChiToken.TRIV, engine.VerdictStatus.NOT_DISTINGUISHED, 0, ()
         )
-        assert "".join(verdict_json(v)) == cli._dumps(v.to_json())
+        pieces = list(verdict_json(v))
+        assert len(pieces) == 2
+        assert "".join(pieces) == cli._dumps(v.to_json())
 
-    def test_steinberg_writes_a_block_at_a_time(self, monkeypatch):
-        # odd m = 40: 40 trace entries in blocks of 16 are three writes
-        # of text and one of its newline
-        writes = []
-
-        class Sink(io.TextIOBase):
-            def write(self, text):
-                writes.append(text)
-
-        monkeypatch.setattr(sys, "stdout", Sink())
+    def test_steinberg_writes_an_entry_at_a_time(self, monkeypatch):
+        # odd m = 40: a write per trace entry, one of the head, one of
+        # the tail and one of the newline
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
         argv = ["steinberg", "--case", "odd", "--m", "40", "--d", "1", "--chi", "triv", "--format", "json"]
         assert main(argv) == 0
         v = engine.steinberg_decision(CaseTag.ODD, 40, 1, ChiToken.TRIV)
-        assert len(writes) == 4
-        assert "".join(writes) == cli._dumps(v.to_json()) + "\n"
+        assert len(sink.writes) == len(v.trace) + 3 == 43
+        assert "".join(sink.writes) == cli._dumps(v.to_json()) + "\n"
+
+    def test_json_peak_is_near_the_table_peak(self):
+        # odd m = 100: 17 MB of JSON peaked 6.3 MB above the table output
+        # in blocks of 16 trace entries
+        argv = ["steinberg", "--case", "odd", "--m", "100", "--d", "1", "--chi", "triv"]
+        assert peak_mb(*argv, "--format", "json") - peak_mb(*argv) < 2
 
     def test_steinberg_builds_no_dicts(self, capsys, monkeypatch):
         want = cli._dumps(engine.steinberg_decision(CaseTag.EVEN, 3, 2, ChiToken.ETA).to_json())
@@ -1448,8 +1457,8 @@ def test_closed_pipe_exits_1_silently():
 
 
 def test_closed_pipe_mid_matrices_exits_1_silently():
-    # (1^10) odd writes 16 MB in 10 blocks, each more than a pipe buffer
-    # holds, so a block written after the reader closes its end fails
+    # (1^10) odd writes 16 MB a matrix at a time, far more than a pipe
+    # buffer holds, so the writes after the reader closes its end fail
     # whether or not a write follows the last one
     proc = subprocess.Popen(
         [sys.executable, "-m", "steinberg_distinction", "enumerate", "--case", "odd",
@@ -1466,9 +1475,9 @@ def test_closed_pipe_mid_matrices_exits_1_silently():
 
 
 def test_closed_pipe_mid_trace_exits_1_silently():
-    # odd m = 60 writes 3.8 MB in four blocks, each more than a pipe
-    # buffer holds, so a block written after the reader closes its end
-    # fails whether or not a write follows the last one
+    # odd m = 60 writes 3.8 MB a trace entry at a time, far more than a
+    # pipe buffer holds, so the writes after the reader closes its end
+    # fail whether or not a write follows the last one
     proc = subprocess.Popen(
         [sys.executable, "-m", "steinberg_distinction", "steinberg", "--case", "odd",
          "--m", "60", "--d", "1", "--chi", "triv", "--format", "json"],

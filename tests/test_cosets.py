@@ -150,8 +150,8 @@ class TestEnumeration:
     @given(candidate_matrices())
     @settings(max_examples=500, deadline=None)
     def test_validation_matches_reference_loop(self, candidate):
-        # the whole-matrix checks accept exactly what the cell-by-cell
-        # loop accepts, and a rejected matrix gets the loop's message
+        # the checks accept exactly what the reference loop accepts, and
+        # a rejected matrix gets the loop's message
         case, partition, entries = candidate
         want = got = None
         try:
