@@ -246,15 +246,18 @@ class TestMatricesJson:
             matrices, opens, want = dict_payload(partition, case)
             assert "".join(cli._matrices_json(matrices, opens)) == want, partition
 
-    def test_one_piece_per_matrix(self):
+    @pytest.mark.parametrize(
+        "parts, case",
+        [((1, 2, 1), CaseTag.ODD), ((2, 2), CaseTag.EVEN), ((3,), CaseTag.ODD), ((1, 2), CaseTag.EVEN)],
+        ids=lambda x: x.value if isinstance(x, CaseTag) else ",".join(map(str, x)),
+    )
+    def test_one_piece_per_matrix(self, parts, case):
         # the head, each matrix with its separator, the tail; the even
         # case at an odd total has no matrix, so a head and a tail
-        for partition, case in [(Partition((1, 2, 1)), CaseTag.ODD), (Partition((2, 2)), CaseTag.EVEN),
-                                (Partition((3,)), CaseTag.ODD), (Partition((1, 2)), CaseTag.EVEN)]:
-            matrices, opens, want = dict_payload(partition, case)
-            pieces = list(cli._matrices_json(matrices, opens))
-            assert len(pieces) == len(matrices) + 2, partition
-            assert "".join(pieces) == want, partition
+        matrices, opens, want = dict_payload(Partition(parts), case)
+        pieces = list(cli._matrices_json(matrices, opens))
+        assert len(pieces) == len(matrices) + 2
+        assert "".join(pieces) == want
 
     def test_enumerate_writes_a_matrix_at_a_time(self, monkeypatch):
         # (1^7) odd, the largest output of the benchmark's enumerate
@@ -312,38 +315,46 @@ class TestVerdictJson:
         for v in verdicts:
             assert "".join(verdict_json(v)) == cli._dumps(v.to_json()), (v.case, v.m, v.chi)
 
-    def test_one_piece_per_entry(self):
+    @pytest.mark.parametrize(
+        "case, m, d, chi",
+        [(CaseTag.ODD, 8, 1, ChiToken.ETA), (CaseTag.EVEN, 3, 2, ChiToken.TRIV),
+         (CaseTag.ODD, 3, 1, ChiToken.ETA), (CaseTag.ODD, 1, 1, ChiToken.TRIV)],
+        ids=["odd-m8-eta", "even-m3-triv", "odd-m3-eta", "odd-m1-triv"],
+    )
+    def test_one_piece_per_entry(self, case, m, d, chi):
         # the head, each trace entry with its separator, the tail
-        for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.ETA), (CaseTag.EVEN, 3, 2, ChiToken.TRIV),
-                                (CaseTag.ODD, 3, 1, ChiToken.ETA), (CaseTag.ODD, 1, 1, ChiToken.TRIV)]:
-            v = engine.steinberg_decision(case, m, d, chi)
-            pieces = list(verdict_json(v))
-            assert len(pieces) == len(v.trace) + 2, (case, m, chi)
-            assert "".join(pieces) == cli._dumps(v.to_json()), (case, m, chi)
+        v = engine.steinberg_decision(case, m, d, chi)
+        pieces = list(verdict_json(v))
+        assert len(pieces) == len(v.trace) + 2
+        assert "".join(pieces) == cli._dumps(v.to_json())
 
-    def test_streamed_trace_is_drawn_one_report_ahead(self):
+    @pytest.mark.parametrize(
+        "case, m, d, chi",
+        [(CaseTag.ODD, 8, 1, ChiToken.TRIV), (CaseTag.EVEN, 3, 2, ChiToken.ETA),
+         (CaseTag.ODD, 9, 1, ChiToken.TRIV), (CaseTag.ODD, 3, 1, ChiToken.ETA)],
+        ids=["odd-m8-triv", "even-m3-eta", "odd-m9-triv", "odd-m3-eta"],
+    )
+    def test_streamed_trace_is_drawn_one_report_ahead(self, case, m, d, chi):
         """The trace iterator of the engine is never drawn more than one
         report ahead of the entries whose text is already yielded."""
-        for case, m, d, chi in [(CaseTag.ODD, 8, 1, ChiToken.TRIV), (CaseTag.EVEN, 3, 2, ChiToken.ETA),
-                                (CaseTag.ODD, 9, 1, ChiToken.TRIV), (CaseTag.ODD, 3, 1, ChiToken.ETA)]:
-            v = engine.steinberg_decision(case, m, d, chi)
-            status, trace = engine._decide(case, m, d, chi)
-            assert status is v.status
-            drawn = []
+        v = engine.steinberg_decision(case, m, d, chi)
+        status, trace = engine._decide(case, m, d, chi)
+        assert status is v.status
+        drawn = []
 
-            def reading(trace=trace):
-                for report in trace:
-                    drawn.append(report)
-                    yield report
+        def reading():
+            for report in trace:
+                drawn.append(report)
+                yield report
 
-            pieces = []
-            for piece in verdict_json(v, reading()):
-                # the pieces before this one are the head and an entry each
-                assert len(drawn) <= len(pieces) + 1, (case, m, len(pieces))
-                pieces.append(piece)
-            assert drawn == list(v.trace), (case, m)
-            assert len(pieces) == len(v.trace) + 2, (case, m)
-            assert "".join(pieces) == cli._dumps(v.to_json()), (case, m)
+        pieces = []
+        for piece in verdict_json(v, reading()):
+            # the pieces before this one are the head and an entry each
+            assert len(drawn) <= len(pieces) + 1, len(pieces)
+            pieces.append(piece)
+        assert drawn == list(v.trace)
+        assert len(pieces) == len(v.trace) + 2
+        assert "".join(pieces) == cli._dumps(v.to_json())
 
     def test_empty_trace(self):
         v = engine.DistinctionVerdict(
