@@ -25,7 +25,6 @@ from .cosets import (
     is_open,
 )
 from .engine import (
-    DistinctionVerdict,
     VerdictStatus,
     cross_check,
     exponent_parity_formula,
@@ -64,7 +63,6 @@ __all__ = [
     "SupportReport",
     "orbit_supports",
     "VerdictStatus",
-    "DistinctionVerdict",
     "steinberg_decision",
     "exponent_parity_formula",
     "cross_check",

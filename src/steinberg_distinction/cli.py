@@ -27,8 +27,9 @@ from .cosets import (
     enumerate_coset_matrices,
     involution_count,
     open_mask,
+    validate_m_d,
 )
-from .engine import VerdictStatus, _decide, cross_check, exponent_parity_formula
+from .engine import VerdictStatus, cross_check, exponent_parity_formula, steinberg_decision
 from .lfactor import (
     LFactorError,
     RamificationTag,
@@ -180,10 +181,11 @@ def _verdict_json(
     case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus,
     trace: Iterable[SupportReport],
 ) -> Iterator[str]:
-    """``_dumps(DistinctionVerdict(case, ..., tuple(trace)).to_json())``
-    for a trace whose every entry has the verdict's case and chi token,
-    one trace entry at a time (``_records_json``), built without a dict
-    per entry, so a lazy ``trace`` is never held whole.  Each entry fills
+    """The ``_dumps`` text of a decision: its case, m, d, chi, status,
+    multiplicity and trace, each entry a partition and its report, for a
+    trace whose every entry has the decision's case and chi token; one
+    trace entry at a time (``_records_json``), built without a dict per
+    entry, so a lazy ``trace`` is never held whole.  Each entry fills
     one template, and each distinct row (about 2n at degree n) is laid
     out once per command."""
     head = _dumps({
@@ -288,7 +290,8 @@ def _refuse_large_decision(case: CaseTag, m: int, traced: bool) -> None:
 def cmd_steinberg(args: argparse.Namespace) -> int:
     case, chi = CaseTag(args.case), ChiToken(args.chi)
     _refuse_large_decision(case, args.m, args.format == "json")
-    status, trace = _decide(case, args.m, args.d, chi)
+    validate_m_d(case, args.m, args.d)
+    status, trace = steinberg_decision(case, args.m, chi)
     if args.format == "json":
         sys.stdout.writelines(_verdict_json(case, args.m, args.d, chi, status, trace))
         print()

@@ -55,7 +55,6 @@ from .characters import (
 from .cosets import (
     CaseTag,
     CosetMatrix,
-    Frozen,
     InvalidInputError,
     anti_diagonal_matrix,
     coarsen,
@@ -64,7 +63,6 @@ from .cosets import (
 
 __all__ = [
     "VerdictStatus",
-    "DistinctionVerdict",
     "steinberg_decision",
     "exponent_parity_formula",
     "cross_check",
@@ -82,50 +80,22 @@ class VerdictStatus(Enum):
         return 1 if self is VerdictStatus.DISTINGUISHED else 0
 
 
-class DistinctionVerdict(Frozen):
-    __slots__ = ("case", "m", "d", "chi", "status", "multiplicity", "trace")
-
-    def __init__(
-        self, case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus,
-        multiplicity: int, trace: tuple[SupportReport, ...],
-    ) -> None:
-        if multiplicity != status.multiplicity:
-            kind = "distinguished" if status is VerdictStatus.DISTINGUISHED else "negative"
-            raise InvalidInputError(f"{kind} verdicts have multiplicity {status.multiplicity}")
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "trace", trace)
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case.value,
-            "m": self.m,
-            "d": self.d,
-            "chi": self.chi.value,
-            "status": self.status.value,
-            "multiplicity": self.multiplicity,
-            "trace": [
-                {"partition": list(rep.s.partition.parts), "report": rep.to_json()}
-                for rep in self.trace
-            ],
-        }
-
-
-def _decide(
-    case: CaseTag, m: int, d: int, chi: ChiToken
+def steinberg_decision(
+    case: CaseTag, m: int, chi: ChiToken
 ) -> tuple[VerdictStatus, Iterator[SupportReport]]:
-    """The status of the decision, read from at most two support
-    reports, and an iterator over its trace.
+    """Decide distinction of the twisted Steinberg representation: the
+    status, read from at most two support reports by steps (1) to (3) of
+    the module docstring, and a lazy iterator over the trace, s0's report
+    and, when s0 supports the character, coarsen(s0, k)'s for
+    k = 1, ..., n - 1.  The iterator computes each report as it is
+    reached and yields the two deciding ones again; a caller that needs
+    only the status leaves it unstarted.
 
-    The iterator computes the report of each coarsening as it is
-    reached, and yields the two deciding reports again instead of
-    computing them twice; a caller that needs only the status leaves it
-    unstarted."""
-    validate_m_d(case, m, d)
+    d reaches a verdict only through its parity, which the case carries;
+    a caller with a d checks it with ``validate_m_d``.
+    """
+    if m < 1:
+        raise InvalidInputError("m must be positive")
     s0 = anti_diagonal_matrix(minimal_partition(case, m), case)
     first = orbit_supports(s0, chi)
     if not first.feasible:
@@ -144,26 +114,6 @@ def _trace(
     n = s0.size
     for k in range(1, n):
         yield middle if 2 * k == n else orbit_supports(coarsen(s0, k), chi)
-
-
-def steinberg_decision(case: CaseTag, m: int, d: int, chi: ChiToken) -> DistinctionVerdict:
-    """Decide distinction of the twisted Steinberg representation.
-
-    Steps: (1) the anti-diagonal orbit s0 on the minimal partition must
-    support the character, else NOT_DISTINGUISHED; (2) at even degree
-    n, the coarsening of s0 at n/2 supporting it kills distinction (the
-    invariant form restricts non-trivially to the corresponding induced
-    space), and by the coarsening lemma of the module docstring no other
-    next-to-minimal orbit supports any character; (3) otherwise
-    DISTINGUISHED with multiplicity one.
-
-    The trace is s0's report and, when s0 supports the character, the
-    report of coarsen(s0, k) for k = 1, ..., n - 1: every supporting
-    next-to-minimal orbit and every coarsening of the open orbit, one
-    per partition, as the brute-force oracle lists them.
-    """
-    status, trace = _decide(case, m, d, chi)
-    return DistinctionVerdict(case, m, d, chi, status, status.multiplicity, tuple(trace))
 
 
 def exponent_parity_formula(m: int, d: int) -> ChiToken:
@@ -194,7 +144,7 @@ def cross_check(
     for chi in ChiToken:
         status = decided.get((case, m, chi))
         if status is None:
-            status = decided[(case, m, chi)] = _decide(case, m, d, chi)[0]
+            status = decided[(case, m, chi)] = steinberg_decision(case, m, chi)[0]
         if chi is expected:
             ok = ok and status is VerdictStatus.DISTINGUISHED
         else:

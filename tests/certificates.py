@@ -11,16 +11,17 @@ Levi roots under that involution; ``minimal_orbit_analysis`` filters
 every orbit on the minimal partition through ``orbit_supports``;
 ``flag_pair_dim`` and ``stabiliser_order`` give the stabiliser of a
 representative flag in closed form, for the mass formula.
-``reference_coset_matrices`` and ``reference_validate`` are the
-cell-by-cell enumerator and validation loop that
-``enumerate_coset_matrices`` and ``CosetMatrix`` are checked against;
+``reference_coset_matrices`` is the cell-by-cell enumerator that
+``enumerate_coset_matrices`` and ``CosetMatrix``'s checks are held to;
 ``reference_fine_layout`` and ``reference_coarsen`` are the cell-by-cell
 loops that ``fine_layout`` and ``coarsen`` are checked against, and
 ``reference_open_mask`` the dominance scan that ``open_mask``'s closed
 form is checked against.  ``supporting_coset_matrices`` generates the
 orbits of a partition that support a character; the tests run it at
 every step of the decision to check the coarsening lemma the engine
-rests on.
+rests on.  ``decision`` draws a decision's trace whole, and
+``verdict_dict`` is the dict whose ``json.dumps`` text ``steinberg
+--format json`` must write.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from math import prod
 from operator import le
 from typing import Iterator
 
-from steinberg_distinction.characters import ChiToken, minimal_partition, orbit_supports
+from steinberg_distinction.characters import (
+    ChiToken,
+    SupportReport,
+    minimal_partition,
+    orbit_supports,
+)
 from steinberg_distinction.cosets import (
     CaseTag,
     CosetMatrix,
@@ -47,6 +53,7 @@ from steinberg_distinction.cosets import (
     fine_layout,
     validate_m_d,
 )
+from steinberg_distinction.engine import VerdictStatus, steinberg_decision
 from steinberg_distinction.lfactor import RationalFunc
 
 
@@ -96,25 +103,32 @@ def reference_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetM
     return results
 
 
-def reference_validate(case: CaseTag, partition: Partition, entries) -> None:
-    """The cell-by-cell checks of a coset matrix, raising the
-    ``InvalidInputError`` that ``CosetMatrix`` raises for the first
-    fault met."""
-    t = len(partition)
-    if len(entries) != t or any(len(r) != t for r in entries):
-        raise InvalidInputError("entries must be a t x t matrix")
-    if any(e < 0 for row in entries for e in row):
-        raise InvalidInputError("entries must be non-negative")
-    for i in range(t):
-        for j in range(t):
-            if entries[i][j] != entries[j][i]:
-                raise InvalidInputError("entries must be symmetric")
-        if sum(entries[i]) != partition.parts[i]:
-            raise InvalidInputError(
-                f"row {i} sums to {sum(entries[i])}, expected {partition.parts[i]}"
-            )
-        if case is CaseTag.EVEN and entries[i][i] % 2:
-            raise InvalidInputError("diagonal entries must be even in the even case")
+def decision(
+    case: CaseTag, m: int, chi: ChiToken
+) -> tuple[VerdictStatus, tuple[SupportReport, ...]]:
+    """``steinberg_decision`` with its trace drawn whole."""
+    status, trace = steinberg_decision(case, m, chi)
+    return status, tuple(trace)
+
+
+def verdict_dict(
+    case: CaseTag, m: int, d: int, chi: ChiToken, status: VerdictStatus, trace
+) -> dict:
+    """A decision as the dict whose ``json.dumps(..., indent=2)`` text
+    ``steinberg --format json`` writes: each trace entry names its
+    partition, then holds the report."""
+    return {
+        "case": case.value,
+        "m": m,
+        "d": d,
+        "chi": chi.value,
+        "status": status.value,
+        "multiplicity": status.multiplicity,
+        "trace": [
+            {"partition": list(rep.s.partition.parts), "report": rep.to_json()}
+            for rep in trace
+        ],
+    }
 
 
 def reference_fine_layout(s: CosetMatrix) -> FineLayout:

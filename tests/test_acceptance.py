@@ -68,13 +68,13 @@ def test_criterion_1_theorem_sweep():
             case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
             expected = exponent_parity_formula(m, d)
             for chi in ChiToken:
-                verdict = steinberg_decision(case, m, d, chi)
+                status, _ = steinberg_decision(case, m, chi)
                 if chi is expected:
-                    ok = ok and verdict.status is VerdictStatus.DISTINGUISHED
-                    ok = ok and verdict.multiplicity == 1
+                    ok = ok and status is VerdictStatus.DISTINGUISHED
+                    ok = ok and status.multiplicity == 1
                 else:
-                    ok = ok and verdict.status is VerdictStatus.NOT_DISTINGUISHED
-                    ok = ok and verdict.multiplicity == 0
+                    ok = ok and status is VerdictStatus.NOT_DISTINGUISHED
+                    ok = ok and status.multiplicity == 0
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10
     report(1, ok, f"verdict sweep m<=4 d<=4 matches parity, {elapsed:.2f}s")

@@ -31,6 +31,7 @@ from steinberg_distinction.oracles import flags as flags_module
 from steinberg_distinction.oracles.finite_field import QuadraticExtension
 from steinberg_distinction.oracles.flags import DEFAULT_BUDGET
 
+from certificates import decision, verdict_dict
 from conftest import compositions
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -290,30 +291,36 @@ class TestMatricesJson:
         assert (code, out) == (0, want + "\n")
 
 
-def verdict_json(v, trace=None):
-    """`cli._verdict_json` of a verdict's fields, and of its trace or
-    ``trace``."""
-    head = (v.case, v.m, v.d, v.chi, v.status)
-    return cli._verdict_json(*head, v.trace if trace is None else trace)
+def verdict(case, m, d, chi):
+    """A decision as the arguments of `cli._verdict_json` and of
+    `certificates.verdict_dict`: (case, m, d, chi, status, trace), its
+    trace drawn whole."""
+    return (case, m, d, chi, *decision(case, m, chi))
+
+
+def reference_text(v):
+    """The text `steinberg --format json` writes for a decision ``v``."""
+    return json.dumps(verdict_dict(*v), indent=2)
 
 
 class TestVerdictJson:
     """`steinberg --format json` lays out its verdict from one template
-    per command; `_dumps` of `verdict.to_json()` is the reference."""
+    per command; ``json.dumps`` of `certificates.verdict_dict` is the
+    reference."""
 
     def test_matches_dumps(self):
         verdicts = [
-            engine.steinberg_decision(CaseTag(case), m, d, chi)
+            verdict(CaseTag(case), m, d, chi)
             for case, d, top in (("odd", 1, 40), ("even", 2, 20))
             for m in range(1, top + 1)
             for chi in ChiToken
         ]
         # traces of one entry and of many, and verdicts with violations:
         # odd m, eta, stops at the open orbit
-        assert {1, 40} <= {len(v.trace) for v in verdicts}
-        assert any(v.case is CaseTag.ODD and v.trace[-1].violations for v in verdicts)
+        assert {1, 40} <= {len(trace) for *_, trace in verdicts}
+        assert any(case is CaseTag.ODD and trace[-1].violations for case, *_, trace in verdicts)
         for v in verdicts:
-            assert "".join(verdict_json(v)) == cli._dumps(v.to_json()), (v.case, v.m, v.chi)
+            assert "".join(cli._verdict_json(*v)) == reference_text(v), v[:4]
 
     @pytest.mark.parametrize(
         "case, m, d, chi",
@@ -323,10 +330,10 @@ class TestVerdictJson:
     )
     def test_one_piece_per_entry(self, case, m, d, chi):
         # the head, each trace entry with its separator, the tail
-        v = engine.steinberg_decision(case, m, d, chi)
-        pieces = list(verdict_json(v))
-        assert len(pieces) == len(v.trace) + 2
-        assert "".join(pieces) == cli._dumps(v.to_json())
+        v = verdict(case, m, d, chi)
+        pieces = list(cli._verdict_json(*v))
+        assert len(pieces) == len(v[-1]) + 2
+        assert "".join(pieces) == reference_text(v)
 
     @pytest.mark.parametrize(
         "case, m, d, chi",
@@ -337,9 +344,9 @@ class TestVerdictJson:
     def test_streamed_trace_is_drawn_one_report_ahead(self, case, m, d, chi):
         """The trace iterator of the engine is never drawn more than one
         report ahead of the entries whose text is already yielded."""
-        v = engine.steinberg_decision(case, m, d, chi)
-        status, trace = engine._decide(case, m, d, chi)
-        assert status is v.status
+        v = verdict(case, m, d, chi)
+        status, trace = engine.steinberg_decision(case, m, chi)
+        assert status is v[4]
         drawn = []
 
         def reading():
@@ -348,21 +355,19 @@ class TestVerdictJson:
                 yield report
 
         pieces = []
-        for piece in verdict_json(v, reading()):
+        for piece in cli._verdict_json(case, m, d, chi, status, reading()):
             # the pieces before this one are the head and an entry each
             assert len(drawn) <= len(pieces) + 1, len(pieces)
             pieces.append(piece)
-        assert drawn == list(v.trace)
-        assert len(pieces) == len(v.trace) + 2
-        assert "".join(pieces) == cli._dumps(v.to_json())
+        assert drawn == list(v[-1])
+        assert len(pieces) == len(v[-1]) + 2
+        assert "".join(pieces) == reference_text(v)
 
     def test_empty_trace(self):
-        v = engine.DistinctionVerdict(
-            CaseTag.ODD, 1, 1, ChiToken.TRIV, engine.VerdictStatus.NOT_DISTINGUISHED, 0, ()
-        )
-        pieces = list(verdict_json(v))
+        v = (CaseTag.ODD, 1, 1, ChiToken.TRIV, engine.VerdictStatus.NOT_DISTINGUISHED, ())
+        pieces = list(cli._verdict_json(*v))
         assert len(pieces) == 2
-        assert "".join(pieces) == cli._dumps(v.to_json())
+        assert "".join(pieces) == reference_text(v)
 
     def test_steinberg_writes_an_entry_at_a_time(self, monkeypatch):
         # odd m = 40: a write per trace entry, one of the head, one of
@@ -371,9 +376,9 @@ class TestVerdictJson:
         monkeypatch.setattr(sys, "stdout", sink)
         argv = ["steinberg", "--case", "odd", "--m", "40", "--d", "1", "--chi", "triv", "--format", "json"]
         assert main(argv) == 0
-        v = engine.steinberg_decision(CaseTag.ODD, 40, 1, ChiToken.TRIV)
-        assert len(sink.writes) == len(v.trace) + 3 == 43
-        assert "".join(sink.writes) == cli._dumps(v.to_json()) + "\n"
+        v = verdict(CaseTag.ODD, 40, 1, ChiToken.TRIV)
+        assert len(sink.writes) == len(v[-1]) + 3 == 43
+        assert "".join(sink.writes) == reference_text(v) + "\n"
 
     def test_json_peak_is_near_the_table_peak(self):
         # odd m = 100: 17 MB of JSON peaked 6.3 MB above the table output
@@ -382,12 +387,12 @@ class TestVerdictJson:
         assert peak_mb(*argv, "--format", "json") - peak_mb(*argv) < 2
 
     def test_steinberg_builds_no_dicts(self, capsys, monkeypatch):
-        want = cli._dumps(engine.steinberg_decision(CaseTag.EVEN, 3, 2, ChiToken.ETA).to_json())
+        want = reference_text(verdict(CaseTag.EVEN, 3, 2, ChiToken.ETA))
 
         def refuse(self):
             raise AssertionError("steinberg built a to_json dict")
 
-        for cls in (engine.DistinctionVerdict, SupportReport, CosetMatrix):
+        for cls in (SupportReport, CosetMatrix):
             monkeypatch.setattr(cls, "to_json", refuse)
         code, out, _ = run(
             capsys, "steinberg", "--case", "even", "--m", "3", "--d", "2", "--chi", "eta", "--format", "json"
@@ -417,15 +422,31 @@ class TestSupportAndSteinberg:
         )
         assert code == 0
         data = json.loads(out)
+        assert list(data) == ["case", "m", "d", "chi", "status", "multiplicity", "trace"]
         assert data["status"] == "DISTINGUISHED"
         assert data["multiplicity"] == 1
 
-    def test_steinberg_parity_mismatch(self, capsys):
-        code, _, err = run(
-            capsys, "steinberg", "--case", "even", "--m", "2", "--d", "3", "--chi", "eta"
-        )
-        assert code == 2
-        assert "error" in err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--case even --m 2 --d 3 --chi eta", "even case requires even d"),
+            ("--case even --m 2 --d 3 --chi eta --format json", "even case requires even d"),
+            ("--case odd --m 2 --d 2 --chi eta", "odd case requires odd d"),
+            ("--case odd --m 0 --d 1 --chi triv", "m and d must be positive"),
+            ("--case odd --m 2 --d 0 --chi triv", "m and d must be positive"),
+            # the size refusal comes before the parity check
+            ("--case even --m 1000 --d 3 --chi eta",
+             "decision report cell count 4000000 exceeds budget 1000000"),
+        ],
+        ids=["even-odd-d", "even-odd-d-json", "odd-even-d", "m-0", "d-0", "budget-before-parity"],
+    )
+    def test_steinberg_input_errors(self, capsys, monkeypatch, argv, message):
+        def undecided(*args, **kwargs):
+            raise AssertionError("decision started")
+
+        monkeypatch.setattr(cli, "steinberg_decision", undecided)
+        code, out, err = run(capsys, "steinberg", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSweepAndLfactor:
@@ -442,18 +463,17 @@ class TestSweepAndLfactor:
         for fmt in ("table", "json"):
             expected[fmt] = run(capsys, *argv, "--format", fmt)
         calls = []
-        decide = engine._decide
+        decide = engine.steinberg_decision
 
-        def counting(case, m, d, chi, *rest):
-            calls.append((case, m, d, chi))
-            return decide(case, m, d, chi, *rest)
+        def counting(case, m, chi):
+            calls.append((case, m, chi))
+            return decide(case, m, chi)
 
-        monkeypatch.setattr(engine, "_decide", counting)
+        monkeypatch.setattr(engine, "steinberg_decision", counting)
         for fmt in ("table", "json"):
             calls.clear()
             assert run(capsys, *argv, "--format", fmt) == expected[fmt]
-            assert len(calls) == 16
-            assert len({(case, m, chi) for case, m, _, chi in calls}) == 16
+            assert len(calls) == len(set(calls)) == 16
         # the per-(m, d) check, deciding both tokens for every d, agrees
         rows = []
         for m in range(1, 5):
@@ -1225,7 +1245,7 @@ class TestUsageErrors:
         def undecided(*args, **kwargs):
             raise AssertionError("decision started")
 
-        monkeypatch.setattr(cli, "_decide", undecided)
+        monkeypatch.setattr(cli, "steinberg_decision", undecided)
         monkeypatch.setattr(cli, "cross_check", undecided)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
@@ -1245,7 +1265,7 @@ class TestUsageErrors:
         def undecided(*args, **kwargs):
             raise AssertionError("decision started")
 
-        monkeypatch.setattr(cli, "_decide", undecided)
+        monkeypatch.setattr(cli, "steinberg_decision", undecided)
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err == f"error: decision report cell count {estimate} exceeds budget 1000000\n"
@@ -1281,7 +1301,7 @@ class TestUsageErrors:
         def decided(*args, **kwargs):
             raise Decided
 
-        monkeypatch.setattr(cli, "_decide", decided)
+        monkeypatch.setattr(cli, "steinberg_decision", decided)
         monkeypatch.setattr(cli, "cross_check", decided)
         with pytest.raises(Decided):
             main(argv.split())
@@ -1344,7 +1364,7 @@ class TestUsageErrors:
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr(cli, "_decide", broken)
+        monkeypatch.setattr(cli, "steinberg_decision", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["steinberg", "--case", "odd", "--m", "2", "--d", "1", "--chi", "eta"])
 

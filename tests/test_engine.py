@@ -19,7 +19,7 @@ from steinberg_distinction.engine import (
     steinberg_decision,
 )
 
-from certificates import supporting_coset_matrices
+from certificates import decision, supporting_coset_matrices
 
 
 class TestParityFormula:
@@ -43,54 +43,41 @@ class TestParityFormula:
 
 class TestDecision:
     def test_even_m1_eta_distinguished(self):
-        verdict = steinberg_decision(CaseTag.EVEN, 1, 2, ChiToken.ETA)
-        assert verdict.status is VerdictStatus.DISTINGUISHED
-        assert verdict.multiplicity == 1
+        status, _ = steinberg_decision(CaseTag.EVEN, 1, ChiToken.ETA)
+        assert status is VerdictStatus.DISTINGUISHED
+        assert status.multiplicity == 1
 
     def test_odd_m3_eta_not_distinguished(self):
-        verdict = steinberg_decision(CaseTag.ODD, 3, 1, ChiToken.ETA)
-        assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
-        assert verdict.multiplicity == 0
+        status, trace = decision(CaseTag.ODD, 3, ChiToken.ETA)
+        assert status is VerdictStatus.NOT_DISTINGUISHED
+        assert status.multiplicity == 0
         # killed already on the minimal partition
-        assert not verdict.trace[0].feasible
+        assert len(trace) == 1 and not trace[0].feasible
 
     def test_odd_m2_triv_killed_by_middle_merge(self):
-        verdict = steinberg_decision(CaseTag.ODD, 2, 1, ChiToken.TRIV)
-        assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
-        feasible_coarse = [report.s for report in verdict.trace[1:] if report.feasible]
+        status, trace = decision(CaseTag.ODD, 2, ChiToken.TRIV)
+        assert status is VerdictStatus.NOT_DISTINGUISHED
+        feasible_coarse = [report.s for report in trace[1:] if report.feasible]
         assert feasible_coarse
         assert all(s.partition == Partition((2,)) for s in feasible_coarse)
 
     def test_distinguished_trace_single_minimal_support(self):
-        verdict = steinberg_decision(CaseTag.ODD, 2, 1, ChiToken.ETA)
-        assert verdict.status is VerdictStatus.DISTINGUISHED
+        status, trace = decision(CaseTag.ODD, 2, ChiToken.ETA)
+        assert status is VerdictStatus.DISTINGUISHED
         minimal = Partition((1, 1))
         supports = [
             report.s
-            for report in verdict.trace
+            for report in trace
             if report.s.partition == minimal and report.feasible
         ]
         assert supports == [anti_diagonal_matrix(minimal, CaseTag.ODD)]
 
-    def test_parity_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            steinberg_decision(CaseTag.EVEN, 2, 3, ChiToken.ETA)
-        with pytest.raises(InvalidInputError):
-            steinberg_decision(CaseTag.ODD, 2, 2, ChiToken.ETA)
-
-    def test_json_schema(self):
-        data = steinberg_decision(CaseTag.ODD, 2, 1, ChiToken.ETA).to_json()
-        assert set(data) == {
-            "case",
-            "m",
-            "d",
-            "chi",
-            "status",
-            "multiplicity",
-            "trace",
-        }
-        assert data["status"] == "DISTINGUISHED"
-        assert data["multiplicity"] == 1
+    @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_1_is_refused(self, case, m):
+        for chi in ChiToken:
+            with pytest.raises(InvalidInputError, match="^m must be positive$"):
+                steinberg_decision(case, m, chi)
 
 
 class TestCrossCheck:
@@ -106,6 +93,17 @@ class TestCrossCheck:
             for d in range(1, 5):
                 case = CaseTag.EVEN if d % 2 == 0 else CaseTag.ODD
                 assert cross_check(case, m, d)
+
+    def test_d_is_checked(self):
+        # the decision takes no d; the callers that have one check it
+        for case, m, d, message in [
+            (CaseTag.EVEN, 2, 3, "even case requires even d"),
+            (CaseTag.ODD, 2, 2, "odd case requires odd d"),
+            (CaseTag.ODD, 2, 0, "m and d must be positive"),
+            (CaseTag.EVEN, 0, 2, "m and d must be positive"),
+        ]:
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                cross_check(case, m, d)
 
     def test_a_status_against_the_parity_fails_quietly(self, caplog):
         # triv comes decided from the dict, as in a sweep, and against
@@ -147,15 +145,14 @@ def reference_decision(case, m, chi):
 
 class TestAgainstReference:
     @pytest.mark.parametrize(
-        "case,m,d",
-        [(CaseTag.EVEN, m, 2) for m in range(1, 6)]
-        + [(CaseTag.ODD, m, 1) for m in range(1, 10)],
+        "case,m",
+        [(CaseTag.EVEN, m) for m in range(1, 6)] + [(CaseTag.ODD, m) for m in range(1, 10)],
     )
     @pytest.mark.parametrize("chi", list(ChiToken))
-    def test_same_verdict_and_trace(self, case, m, d, chi):
-        verdict = steinberg_decision(case, m, d, chi)
+    def test_same_verdict_and_trace(self, case, m, chi):
+        status, trace = decision(case, m, chi)
         expected = reference_decision(case, m, chi)
-        assert (verdict.status, verdict.multiplicity, verdict.trace) == expected
+        assert (status, status.multiplicity, trace) == expected
 
     def test_no_report_is_computed_twice(self, monkeypatch):
         """A trace computes one report per entry, the two deciding ones
@@ -167,17 +164,16 @@ class TestAgainstReference:
             return orbit_supports(s, chi)
 
         monkeypatch.setattr(engine, "orbit_supports", counting)
-        for case, m, d in [(CaseTag.ODD, 7, 1), (CaseTag.ODD, 8, 1), (CaseTag.EVEN, 4, 2)]:
+        for case, m in [(CaseTag.ODD, 7), (CaseTag.ODD, 8), (CaseTag.EVEN, 4)]:
             for chi in ChiToken:
                 computed.clear()
-                verdict = steinberg_decision(case, m, d, chi)
+                status, trace = decision(case, m, chi)
                 # each entry once, the two deciding ones first
-                assert len(computed) == len(verdict.trace), (case, m, chi)
-                assert set(computed) == {report.s for report in verdict.trace}, (case, m, chi)
+                assert len(computed) == len(trace), (case, m, chi)
+                assert set(computed) == {report.s for report in trace}, (case, m, chi)
                 computed.clear()
-                status, _ = engine._decide(case, m, d, chi)
-                assert status is verdict.status
-                first = verdict.trace[0]
+                assert steinberg_decision(case, m, chi)[0] is status
+                first = trace[0]
                 n = first.s.size
                 deciding = [first.s]
                 if first.feasible and n % 2 == 0:
@@ -191,25 +187,25 @@ class TestLargeM:
         limit = sys.getrecursionlimit()
         expected = exponent_parity_formula(m, d)
         for chi in ChiToken:
-            verdict = steinberg_decision(case, m, d, chi)
+            status, _ = decision(case, m, chi)
             if chi is expected:
-                assert verdict.status is VerdictStatus.DISTINGUISHED
+                assert status is VerdictStatus.DISTINGUISHED
             else:
-                assert verdict.status is VerdictStatus.NOT_DISTINGUISHED
+                assert status is VerdictStatus.NOT_DISTINGUISHED
         assert sys.getrecursionlimit() == limit
 
 
 def test_trace_is_the_open_orbit_then_each_coarsening():
     """The trace reports s0 and, when s0 supports the character,
     coarsen(s0, k) for k = 1, ..., n - 1, in that order."""
-    for case, m, d in ((CaseTag.ODD, 1, 1), (CaseTag.ODD, 6, 1), (CaseTag.ODD, 7, 1), (CaseTag.EVEN, 3, 2)):
+    for case, m in ((CaseTag.ODD, 1), (CaseTag.ODD, 6), (CaseTag.ODD, 7), (CaseTag.EVEN, 3)):
         n = 2 * m if case is CaseTag.EVEN else m
         s0 = anti_diagonal_matrix(Partition((1,) * n), case)
         for chi in ChiToken:
-            verdict = steinberg_decision(case, m, d, chi)
-            want = [s0] + [coarsen(s0, k) for k in range(1, n)] if verdict.trace[0].feasible else [s0]
-            assert [report.s for report in verdict.trace] == want, (case, m, chi)
-            assert all(report.chi is chi for report in verdict.trace)
+            _, trace = decision(case, m, chi)
+            want = [s0] + [coarsen(s0, k) for k in range(1, n)] if trace[0].feasible else [s0]
+            assert [report.s for report in trace] == want, (case, m, chi)
+            assert all(report.chi is chi for report in trace)
 
 
 class TestCoarseningLemma:
@@ -233,11 +229,9 @@ class TestCoarseningLemma:
     @pytest.mark.parametrize("case", list(CaseTag))
     def test_status_is_read_off_the_whole_trace(self, case):
         top = 30 if case is CaseTag.EVEN else 60
-        d = 2 if case is CaseTag.EVEN else 1
         for m in range(1, top + 1):
             for chi in ChiToken:
-                verdict = steinberg_decision(case, m, d, chi)
-                trace = verdict.trace
+                status, trace = decision(case, m, chi)
                 killed = not trace[0].feasible or any(report.feasible for report in trace[1:])
                 want = VerdictStatus.NOT_DISTINGUISHED if killed else VerdictStatus.DISTINGUISHED
-                assert verdict.status is want, (case, m, chi)
+                assert status is want, (case, m, chi)

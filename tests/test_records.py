@@ -7,6 +7,7 @@ pickle, which rebuild it through its ``__init__``."""
 import copy
 import dataclasses
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from steinberg_distinction.cosets import (
     Permutation,
     SymbolicRepMatrix,
 )
-from steinberg_distinction.engine import DistinctionVerdict, VerdictStatus
 from steinberg_distinction.lfactor import (
     NonvanishingReport,
     QuadraticValue,
@@ -36,10 +36,6 @@ from steinberg_distinction.oracles.quaternion import QuaternionCheckReport, Quat
 
 def matrix():
     return CosetMatrix(CaseTag.ODD, Partition((1, 2)), ((0, 1), (1, 1)))
-
-
-def report():
-    return SupportReport(matrix(), ChiToken.ETA, False, ((3, SupportRule.FIXED_SIGN_OBSTRUCTION),))
 
 
 # (class, its fields in declaration order, a builder of fresh field values)
@@ -55,8 +51,6 @@ RECORDS = [
     (SymbolicRepMatrix, ("entries",), lambda: ((("0", "l"), ("-l", "1")),)),
     (SupportReport, ("s", "chi", "feasible", "violations"),
      lambda: (matrix(), ChiToken.ETA, False, ((3, SupportRule.FIXED_SIGN_OBSTRUCTION),))),
-    (DistinctionVerdict, ("case", "m", "d", "chi", "status", "multiplicity", "trace"),
-     lambda: (CaseTag.ODD, 2, 1, ChiToken.ETA, VerdictStatus.NOT_DISTINGUISHED, 0, (report(),))),
     (QuadraticValue, ("a", "b", "r"), lambda: (Fraction(1, 2), Fraction(-3), 5)),
     (RationalFunc, ("num", "den"), lambda: (((1,), (0, 2)), ((1,),))),
     (NonvanishingReport, ("value_at_t1", "samples", "nonvanishing"),
@@ -82,7 +76,7 @@ def as_dataclass(cls, fields, values):
 
 def test_every_record_is_listed():
     listed = {cls for cls, _, _ in RECORDS}
-    assert len(listed) == len(RECORDS) == 14
+    assert len(listed) == len(RECORDS) == 13
     assert set(Frozen.__subclasses__()) == listed
 
 
@@ -160,9 +154,29 @@ def test_checks_run_in_init_with_their_messages():
         Permutation((1, 1))
     with pytest.raises(InvalidInputError, match="feasible must mean no violations"):
         SupportReport(matrix(), ChiToken.TRIV, True, ((1, SupportRule.PAIR_SUM_NONZERO),))
-    with pytest.raises(InvalidInputError, match="distinguished verdicts have multiplicity 1"):
-        DistinctionVerdict(CaseTag.ODD, 1, 1, ChiToken.TRIV, VerdictStatus.DISTINGUISHED, 0, ())
     with pytest.raises(InvalidInputError, match="basis dimensions"):
         Flag(Partition((2,)), (((1, 0),),))
-    with pytest.raises(InvalidInputError, match="row 1 sums to 1, expected 2"):
-        CosetMatrix(CaseTag.ODD, Partition((1, 2)), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "case, parts, entries, message",
+    [
+        (CaseTag.ODD, (1, 2), ((0, 1),), "entries must be a t x t matrix"),
+        (CaseTag.ODD, (1, 2), ((0, 1), (1, 1), (0, 0)), "entries must be a t x t matrix"),
+        (CaseTag.ODD, (1, 2), ((0, 1), (1,)), "entries must be a t x t matrix"),
+        (CaseTag.ODD, (1, 2), ((0, 1), (1, 1, 0)), "entries must be a t x t matrix"),
+        (CaseTag.ODD, (1, 2), ((2, -1), (0, 2)), "entries must be non-negative"),
+        (CaseTag.ODD, (1, 2), ((0, 1), (0, 2)), "entries must be symmetric"),
+        (CaseTag.ODD, (1, 1, 3), ((0, 0, 0), (0, 0, 1), (0, 0, 3)), "row 0 sums to 0, expected 1"),
+        (CaseTag.ODD, (1, 2), ((0, 1), (1, 0)), "row 1 sums to 1, expected 2"),
+        (CaseTag.EVEN, (2, 1), ((1, 0), (0, 1)), "row 0 sums to 1, expected 2"),
+        (CaseTag.EVEN, (1, 2), ((1, 0), (0, 1)), "diagonal entries must be even in the even case"),
+    ],
+    ids=["missing-row", "extra-row", "short-row", "long-row", "negative", "asymmetric",
+         "row-sum-before-later-asymmetry", "row-sum", "row-sum-before-odd-diagonal", "odd-diagonal"],
+)
+def test_coset_matrix_names_its_first_fault(case, parts, entries, message):
+    # the shape, then non-negative entries, then row by row: symmetry,
+    # the row sum and, in the even case, an even diagonal entry
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        CosetMatrix(case, Partition(parts), entries)
