@@ -15,9 +15,11 @@ only their nonzero terms, and divides out their exact gcd.  When either
 side is a single term that gcd is a term too, read off the lowest powers
 of t and v; otherwise a primitive pseudo-remainder sequence over Z[v][t]
 finds it, with contents that are gcds in Z[v], found the same way over
-Z.  Values at v = sqrt(q) are exact elements a + b sqrt(r) of
-Q(sqrt(q)), with r squarefree, computed in integers by Horner's rule and
-divided once at the end.
+Z.  Tate and Godement-Jacquet factors skip that arithmetic: each
+denominator, a product of binomials 1 -/+ v^a t^s, is expanded once in
+integers and normalised once.  Values at v = sqrt(q) are exact elements
+a + b sqrt(r) of Q(sqrt(q)), with r squarefree, computed in integers by
+Horner's rule and divided once at the end.
 """
 
 from __future__ import annotations
@@ -251,10 +253,10 @@ MAX_RESIDUE_SIZE = 10**15
 MAX_VALUE_DIGITS = 4000
 
 # Factors whose denominator would have more dense coefficients than this
-# are refused.  Their cost grows about as the 1.4th power of that count:
-# with Python 3.11 on a 2-core VM, gj k = 25, d = 1 (8,164) takes 0.02 s
-# and k = 40 (32,841) 0.15 s.  Sparse factors, with a large d or s
-# coefficient, are counted the same way, although they cost less.
+# are refused.  Their cost grows about as that count to the power 1.3:
+# with Python 3.11 on a 2-core Xeon VM, gj k = 25, d = 1 (8,164) takes
+# 0.003 s and k = 40 (32,841) 0.017 s.  Sparse factors, with a large d or
+# s coefficient, are counted the same way, although they cost less.
 MAX_FACTOR_SIZE = 10_000
 
 
@@ -506,6 +508,37 @@ def _check_size(t_degree: int, v_span: int) -> None:
         )
 
 
+def _v_span(b: int, d: int, k: int) -> int:
+    """The sum of |b - 2 d i| over i < k, for d >= 1, in closed form: the
+    first p terms are non-negative, the rest negative."""
+    p = min(k, max(0, b // (2 * d) + 1))
+    return (2 * p - k) * b + d * (k * (k - 1) - 2 * p * (p - 1))
+
+
+def _binomials(exps: list[int], sign: int, s_coeff: int) -> Poly:
+    """The product of 1 + sign v^a t^s_coeff over the v exponents a in
+    ``exps``, expanded in integers: its coefficient of t^(j s_coeff) is
+    sign^j times the j-th elementary symmetric polynomial of the v^a,
+    each kept as a {v exponent: coefficient} dict and grown by one
+    factor at a time."""
+    elementary: list[dict[int, int]] = [{0: 1}]
+    for a in exps:
+        elementary.append({})
+        for j in range(len(elementary) - 1, 0, -1):
+            row = elementary[j]
+            get = row.get
+            for v, c in elementary[j - 1].items():
+                v += a
+                row[v] = get(v, 0) + c
+    out: Poly = {}
+    for j, row in enumerate(elementary):
+        c_sign = sign**j
+        for v, c in row.items():
+            key = (v, j * s_coeff)
+            out[key] = out.get(key, 0) + c_sign * c
+    return out
+
+
 def tate_L(
     char: TateChar,
     ram: RamificationTag,
@@ -526,9 +559,8 @@ def tate_L(
         return RationalFunc.one()
     v_exp = int(-2 * shift)
     _check_size(s_coeff, abs(v_exp))
-    den = {(0, 0): 1}
-    den[v_exp, s_coeff] = den.get((v_exp, s_coeff), 0) + (-1 if char is TateChar.TRIV_F else 1)
-    return RationalFunc.from_expr({(0, 0): 1}, den)
+    sign = -1 if char is TateChar.TRIV_F else 1
+    return RationalFunc.from_expr({(0, 0): 1}, _binomials([v_exp], sign, s_coeff))
 
 
 def tate_L_quadratic_ext(
@@ -550,18 +582,21 @@ def gj_L_trivial(k: int, d: int, shift: Fraction, s_coeff: int) -> RationalFunc:
     division algebra of index d, via the inductivity chain.
 
     Factorizes into k shifted division-algebra factors, each of which is
-    a base-field Tate factor shifted by (d - 1)/2.
+    a base-field Tate factor shifted by (d - 1)/2; the product of their
+    denominators is expanded once, in integers.
     """
     if k < 1 or d < 1:
         raise LFactorError("k and d must be positive")
     shift = Fraction(shift)
     _check_half_integer(shift)
-    shifts = [shift + Fraction(2 * i - (k - 1), 2) * d + Fraction(d - 1, 2) for i in range(k)]
-    _check_size(k * s_coeff, sum(abs(int(2 * c)) for c in shifts))
-    result = RationalFunc.one()
-    for c_i in shifts:
-        result = result * tate_L(TateChar.TRIV_F, RamificationTag.UNRAMIFIED, c_i, s_coeff)
-    return result
+    if s_coeff < 0:
+        raise LFactorError("s coefficient must be non-negative")
+    # factor i sits at shift + (2i - (k - 1)) d / 2 + (d - 1) / 2, so
+    # its power of v is b - 2 d i
+    b = int(-2 * shift) + (k - 1) * d - (d - 1)
+    _check_size(k * s_coeff, _v_span(b, d, k))
+    exps = [b - 2 * d * i for i in range(k)]
+    return RationalFunc.from_expr({(0, 0): 1}, _binomials(exps, -1, s_coeff))
 
 
 def i2_ratio(d: int, ram: RamificationTag) -> RationalFunc:

@@ -251,18 +251,27 @@ def test_criterion_10_multiplicity_one_count():
     # lambda of n, with sign (-1)^(n - len(lambda)); the double cosets of
     # lambda are its odd-case coset matrices, so their alternating count
     # is dim Hom_H(St, 1), which is 1.  One matrix lost or repeated in
-    # any composition moves the sum.
+    # any composition moves the sum.  In the even case G = GL_n(F_q),
+    # n = 2m, and H = GL_m(F_{q^2}); the even coset matrices index the
+    # double cosets, and the Steinberg representation of G has no
+    # H-invariant form, so the sum is 0 for every even n.
     start = time.monotonic()
-    sums = [
-        sum(
-            (-1) ** (n - len(partition.parts)) * count_coset_matrices(partition, CaseTag.ODD)
+
+    def alternating_count(n, case):
+        return sum(
+            (-1) ** (n - len(partition.parts)) * count_coset_matrices(partition, case)
             for partition in compositions(n)
         )
-        for n in range(1, 13)
-    ]
+
+    odd = [alternating_count(n, CaseTag.ODD) for n in range(1, 13)]
+    even = [alternating_count(n, CaseTag.EVEN) for n in range(2, 13, 2)]
     elapsed = time.monotonic() - start
-    ok = sums == [1] * 12
-    report(10, ok, f"alternating coset matrix counts are 1 for every n<=12 (odd), {elapsed:.2f}s")
+    ok = odd == [1] * 12 and even == [0] * 6
+    report(
+        10, ok,
+        f"alternating coset matrix counts are 1 for every n<=12 (odd)"
+        f" and 0 for every even n<=12 (even), {elapsed:.2f}s",
+    )
     assert ok
 
 

@@ -1089,6 +1089,11 @@ class TestUsageErrors:
                 "factor would have 505101 dense coefficients (t-degree 100, v-span 5000)",
             ),
             (
+                "lfactor --kind gj --k 100000000 --d 1",
+                "factor would have 500000005000000100000001 dense coefficients"
+                " (t-degree 100000000, v-span 5000000000000000)",
+            ),
+            (
                 "lfactor --kind tate --shift=-100000000",
                 "factor would have 400000002 dense coefficients (t-degree 1, v-span 200000000)",
             ),
@@ -1101,7 +1106,7 @@ class TestUsageErrors:
                 "factor would have 4004001 dense coefficients (t-degree 2000, v-span 2000)",
             ),
         ],
-        ids=["eval-q", "gj-k40", "gj-k60", "gj-k30-d50", "gj-k100", "tate-shift", "tate-s", "i2"],
+        ids=["eval-q", "gj-k40", "gj-k60", "gj-k30-d50", "gj-k100", "gj-k1e8", "tate-shift", "tate-s", "i2"],
     )
     def test_lfactor_refuses_what_would_take_seconds(self, capsys, argv, message):
         # refused from a size estimate, before any work that could take

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -21,7 +23,14 @@ from steinberg_distinction.lfactor import (
     tate_L,
     tate_L_quadratic_ext,
 )
-from steinberg_distinction.lfactor import _ZVT, _reduced, _split_square, _terms, _to_dense
+from steinberg_distinction.lfactor import (
+    _ZVT,
+    _reduced,
+    _split_square,
+    _terms,
+    _to_dense,
+    _v_span,
+)
 
 # -- sympy-backed reference --------------------------------------------------
 # The rational-function arithmetic as it was built on sympy expression
@@ -238,6 +247,51 @@ class TestInductivity:
                 TateChar.TRIV_F, RamificationTag.UNRAMIFIED, Fraction(-d), 2 * d
             ) * tate_L(TateChar.TRIV_F, RamificationTag.UNRAMIFIED, Fraction(0), 2 * d)
             assert lhs == rhs
+
+    def test_expansion_equals_the_fold_of_tate_factors(self):
+        # the chain as it was built before the binomial expansion: one
+        # multiplication per shifted Tate factor.  Each factor is also
+        # checked against 1 / (1 - v^a t^s) built from a single dict, so
+        # that a fault the expansion shares with tate_L cannot cancel.
+        # s coefficient 0 makes a factor with v exponent 0 vanish, which
+        # both sides must refuse with the same text.
+        def outcome(build, *args):
+            try:
+                return build(*args)
+            except LFactorError as exc:
+                return str(exc)
+
+        def one_dict_factor(shift, s_coeff):
+            key = (int(-2 * shift), s_coeff)
+            den = {(0, 0): 1}
+            den[key] = den.get(key, 0) - 1
+            return RationalFunc.from_expr({(0, 0): 1}, den)
+
+        def fold(k, d, shift, s_coeff):
+            factors = []
+            for i in range(k):
+                c_i = shift + Fraction(2 * i - (k - 1), 2) * d + Fraction(d - 1, 2)
+                factor = tate_L(TateChar.TRIV_F, RamificationTag.UNRAMIFIED, c_i, s_coeff)
+                assert factor == one_dict_factor(c_i, s_coeff), (c_i, s_coeff)
+                factors.append(factor)
+            return functools.reduce(operator.mul, factors, RationalFunc.one())
+
+        refused = 0
+        for k in range(1, 9):
+            for d in range(1, 4):
+                for two_shift in range(-4, 5):
+                    for s_coeff in range(4):
+                        point = (k, d, Fraction(two_shift, 2), s_coeff)
+                        got = outcome(gj_L_trivial, *point)
+                        assert got == outcome(fold, *point), point
+                        refused += isinstance(got, str)
+        assert refused > 0
+
+    def test_v_span_closed_form(self):
+        for b in range(-30, 31):
+            for d in range(1, 5):
+                for k in range(1, 20):
+                    assert _v_span(b, d, k) == sum(abs(b - 2 * d * i) for i in range(k)), (b, d, k)
 
     def test_factor_size_is_bounded(self):
         # 27 x 339 dense coefficients are built quickly; 28 x 366 are
