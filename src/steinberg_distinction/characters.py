@@ -20,19 +20,9 @@ from .cosets import (
     CosetMatrix,
     FineLayout,
     Frozen,
-    InvalidInputError,
     Partition,
     fine_layout,
 )
-
-__all__ = [
-    "ChiToken",
-    "SupportRule",
-    "SupportReport",
-    "doubled_exponents",
-    "orbit_supports",
-    "minimal_partition",
-]
 
 
 class ChiToken(Enum):
@@ -52,18 +42,19 @@ class SupportRule(Enum):
 class SupportReport(Frozen):
     """Verdict of the per-orbit character equation."""
 
-    __slots__ = ("s", "chi", "feasible", "violations")
+    __slots__ = ("s", "chi", "violations")
 
     def __init__(
-        self, s: CosetMatrix, chi: ChiToken, feasible: bool,
-        violations: tuple[tuple[int, SupportRule], ...],
+        self, s: CosetMatrix, chi: ChiToken, violations: tuple[tuple[int, SupportRule], ...],
     ) -> None:
-        if feasible != (not violations):
-            raise InvalidInputError("feasible must mean no violations")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "feasible", feasible)
         object.__setattr__(self, "violations", violations)
+
+    @property
+    def feasible(self) -> bool:
+        """The orbit supports the character: no rule is violated."""
+        return not self.violations
 
     def to_json(self) -> dict:
         return {
@@ -85,7 +76,7 @@ def doubled_exponents(layout: FineLayout) -> tuple[int, ...]:
     normalisation, so an exponent is zero, and two exponents cancel,
     exactly when their integers do.
     """
-    n = layout.sub_partition.total
+    n = layout.start_pos[-1] + layout.blocks[-1][2] - 1
     return tuple(
         n + 2 - 2 * start - k
         for start, (_, _, k) in zip(layout.start_pos, layout.blocks)
@@ -117,9 +108,7 @@ def orbit_supports(s: CosetMatrix, chi: ChiToken) -> SupportReport:
                 violations.append((b + 1, SupportRule.FIXED_SIGN_OBSTRUCTION))
         elif i < j and delta[b] + delta[index[(j, i)]]:
             violations.append((b + 1, SupportRule.PAIR_SUM_NONZERO))
-    return SupportReport(
-        s=s, chi=chi, feasible=not violations, violations=tuple(violations)
-    )
+    return SupportReport(s=s, chi=chi, violations=tuple(violations))
 
 
 def minimal_partition(case: CaseTag, m: int) -> Partition:

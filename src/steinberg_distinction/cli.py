@@ -25,6 +25,7 @@ from .cosets import (
     Partition,
     count_coset_matrices,
     enumerate_coset_matrices,
+    int_text,
     involution_count,
     open_mask,
     validate_m_d,
@@ -73,6 +74,10 @@ MAX_SWEEP_ROWS = 10_000
 # at most 9,496 orbits (those of 1^10), 252 pivot sets per level and
 # stabiliser conditions in 100 unknowns; (1^10) takes about 40 s
 MAX_FLAG_N = 10
+# a ``support`` matrix entry has at most this many digits, so that the
+# row sums, its parts, stay within the interpreter's 4,300-digit limit
+# on int-to-str conversion and print in JSON output
+MAX_ENTRY_DIGITS = 4000
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -229,9 +234,17 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
             print(line)
 
 
+def _matrix_int(text: str) -> int:
+    """json ``parse_int`` of a matrix entry: its digits are counted
+    before it is converted."""
+    if len(text.lstrip("-")) > MAX_ENTRY_DIGITS:
+        raise InvalidInputError(f"matrix entries must have at most {MAX_ENTRY_DIGITS} digits")
+    return int(text)
+
+
 def _parse_matrix(text: str) -> list[list[int]]:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_matrix_int)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
@@ -365,7 +378,7 @@ def cmd_oracle_flags(args: argparse.Namespace) -> int:
     partition = Partition.parse(args.partition)
     if partition.total != args.n:
         raise InvalidInputError(
-            f"partition {args.partition} sums to {partition.total}, not to n = {args.n}"
+            f"partition {args.partition} sums to {int_text(partition.total)}, not to n = {args.n}"
         )
     if args.n > MAX_FLAG_N:
         raise BudgetExceededError(args.n, MAX_FLAG_N, "flag space dimension")

@@ -19,35 +19,21 @@ import operator
 from collections.abc import Iterator
 from enum import Enum
 
-__all__ = [
-    "CaseTag",
-    "Partition",
-    "CosetMatrix",
-    "FineLayout",
-    "BlockInvolution",
-    "Permutation",
-    "SymbolicRepMatrix",
-    "ClosureRelation",
-    "InvalidInputError",
-    "Frozen",
-    "validate_m_d",
-    "COUNT_LIMIT",
-    "count_coset_matrices",
-    "involution_count",
-    "enumerate_coset_matrices",
-    "fine_layout",
-    "block_involution",
-    "build_us_odd",
-    "coarsen",
-    "closure_compare",
-    "is_open",
-    "open_mask",
-    "anti_diagonal_matrix",
-]
-
 
 class InvalidInputError(ValueError):
     """Raised when arguments violate a documented precondition."""
+
+
+def int_text(x: int) -> str:
+    """``str(x)`` for x >= 0, or "over 10^k" when its decimal text would
+    pass the interpreter's limit on int-to-str conversion (4,300 digits
+    by default), so that writing a size or a sum in a refusal cannot
+    raise."""
+    try:
+        return str(x)
+    except ValueError:
+        # x >= 2^(bits - 1) > 10^k, as 0.30102 < log10(2)
+        return f"over 10^{(x.bit_length() - 1) * 30102 // 100000}"
 
 
 class Frozen:
@@ -56,7 +42,8 @@ class Frozen:
     A record lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``object.__setattr__``.  Records are equal when
     they are of one class with equal fields, hash as the tuple of their
-    fields and print as ``Name(field=value, ...)``.
+    fields and print as ``Name(field=value, ...)``.  What follows from
+    the fields is a property, not a field.
     """
 
     __slots__ = ()
@@ -211,15 +198,13 @@ class FineLayout(Frozen):
     The block sizes form the refining sub-partition.
     """
 
-    __slots__ = ("blocks", "start_pos", "sub_partition")
+    __slots__ = ("blocks", "start_pos")
 
     def __init__(
-        self, blocks: tuple[tuple[int, int, int], ...], start_pos: tuple[int, ...],
-        sub_partition: Partition,
+        self, blocks: tuple[tuple[int, int, int], ...], start_pos: tuple[int, ...]
     ) -> None:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "start_pos", start_pos)
-        object.__setattr__(self, "sub_partition", sub_partition)
 
 
 class Permutation(Frozen):
@@ -470,9 +455,7 @@ def fine_layout(s: CosetMatrix) -> FineLayout:
     )
     sizes = tuple(filter(None, itertools.chain.from_iterable(s.entries)))
     return FineLayout(
-        blocks=blocks,
-        start_pos=tuple(itertools.accumulate(sizes[:-1], initial=1)),
-        sub_partition=Partition(sizes),
+        blocks=blocks, start_pos=tuple(itertools.accumulate(sizes[:-1], initial=1))
     )
 
 

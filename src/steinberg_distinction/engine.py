@@ -61,13 +61,6 @@ from .cosets import (
     validate_m_d,
 )
 
-__all__ = [
-    "VerdictStatus",
-    "steinberg_decision",
-    "exponent_parity_formula",
-    "cross_check",
-]
-
 
 class VerdictStatus(Enum):
     DISTINGUISHED = "DISTINGUISHED"

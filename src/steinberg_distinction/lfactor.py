@@ -31,24 +31,7 @@ from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 
-from .cosets import Frozen
-
-__all__ = [
-    "Poly",
-    "Rows",
-    "RationalFunc",
-    "QuadraticValue",
-    "RamificationTag",
-    "TateChar",
-    "LFactorError",
-    "tate_L",
-    "tate_L_quadratic_ext",
-    "gj_L_trivial",
-    "i2_ratio",
-    "SampleStatus",
-    "NonvanishingReport",
-    "eval_nonvanishing_at_s0",
-]
+from .cosets import Frozen, int_text
 
 # {(v exponent, t exponent): coefficient}; v exponents may be negative.
 Poly = dict[tuple[int, int], int]
@@ -371,9 +354,6 @@ class RationalFunc(Frozen):
             raise LFactorError("division by zero")
         return _reduced(_ZVT.mul(self.num, other.den), _ZVT.mul(self.den, other.num))
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def subs_t1(self) -> "RationalFunc":
         """Specialize t to 1 (the point s = 0)."""
         den = functools.reduce(_ZV.add, self.den, [])
@@ -503,8 +483,9 @@ def _check_size(t_degree: int, v_span: int) -> None:
     size = (t_degree + 1) * (v_span + 1)
     if size > MAX_FACTOR_SIZE:
         raise LFactorError(
-            f"factor would have {size} dense coefficients (t-degree {t_degree},"
-            f" v-span {v_span}), more than {MAX_FACTOR_SIZE}"
+            f"factor would have {int_text(size)} dense coefficients"
+            f" (t-degree {int_text(t_degree)}, v-span {int_text(v_span)}),"
+            f" more than {MAX_FACTOR_SIZE}"
         )
 
 
@@ -628,15 +609,19 @@ class SampleStatus(Enum):
 
 
 class NonvanishingReport(Frozen):
-    __slots__ = ("value_at_t1", "samples", "nonvanishing")
+    __slots__ = ("value_at_t1", "samples")
 
     def __init__(
         self, value_at_t1: RationalFunc | None,
-        samples: tuple[tuple[int, SampleStatus, str], ...], nonvanishing: bool,
+        samples: tuple[tuple[int, SampleStatus, str], ...],
     ) -> None:
         object.__setattr__(self, "value_at_t1", value_at_t1)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "nonvanishing", nonvanishing)
+
+    @property
+    def nonvanishing(self) -> bool:
+        """Every sample is finite and nonzero."""
+        return all(status is SampleStatus.NONZERO for _, status, _ in self.samples)
 
     def to_json(self) -> dict:
         return {
@@ -663,17 +648,12 @@ def eval_nonvanishing_at_s0(
     except LFactorError:
         at_t1 = None
     samples = []
-    ok = True
     for q in q_samples:
         value = rf.eval_exact(q, t_value=1)
         if value is None:
             samples.append((q, SampleStatus.POLE, "pole"))
-            ok = False
         elif value == 0:
             samples.append((q, SampleStatus.ZERO, "0"))
-            ok = False
         else:
             samples.append((q, SampleStatus.NONZERO, str(value)))
-    return NonvanishingReport(
-        value_at_t1=at_t1, samples=tuple(samples), nonvanishing=ok
-    )
+    return NonvanishingReport(value_at_t1=at_t1, samples=tuple(samples))

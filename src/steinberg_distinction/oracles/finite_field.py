@@ -27,9 +27,7 @@ import functools
 import itertools
 import operator
 
-from ..cosets import InvalidInputError
-
-__all__ = ["QuadraticExtension", "Elt", "Vec", "MAX_TABLE_ENTRIES", "require_small_odd_prime"]
+from ..cosets import InvalidInputError, int_text
 
 Elt = int
 Vec = tuple[Elt, ...]
@@ -75,7 +73,7 @@ def require_small_odd_prime(p: int) -> None:
     is checked first, so a large p is refused without trial division."""
     if p > 2 and p**4 > MAX_TABLE_ENTRIES:
         raise InvalidInputError(
-            f"q = {p} is too large: its field tables would hold q^4 = {p**4}"
+            f"q = {p} is too large: its field tables would hold q^4 = {int_text(p**4)}"
             f" entries, more than {MAX_TABLE_ENTRIES}"
         )
     if not _is_prime(p) or p == 2:
@@ -139,9 +137,6 @@ class QuadraticExtension:
     # -- elements ---------------------------------------------------------
     def in_base(self, x: Elt) -> bool:
         return x % self.p == 0
-
-    def elements(self) -> list[Elt]:
-        return list(range(self.p * self.p))
 
     # -- vectors and subspaces ---------------------------------------------
     def vec_frob(self, v: Vec) -> Vec:

@@ -35,26 +35,9 @@ from ..cosets import (
     Partition,
     build_us_odd,
     enumerate_coset_matrices,
+    int_text,
 )
 from .finite_field import QuadraticExtension, Vec, pivot
-
-__all__ = [
-    "Flag",
-    "BudgetExceededError",
-    "CertificationError",
-    "gaussian_binomial",
-    "count_flags",
-    "enumerate_flags",
-    "profile_histogram",
-    "flag_profile",
-    "graded_pieces",
-    "representative_flag",
-    "reduce_to_representative",
-    "reduction_fault",
-    "sample_stride",
-    "translate",
-    "FlagCache",
-]
 
 # graded piece S_{i,j} of a flag, keyed by (i, j)
 GradedPieces = dict[tuple[int, int], tuple[Vec, ...]]
@@ -72,7 +55,7 @@ class BudgetExceededError(RuntimeError):
     """Enumeration refused; carries the size estimate."""
 
     def __init__(self, estimate: int, budget: int, what: str = "flag count"):
-        super().__init__(f"{what} {estimate} exceeds budget {budget}")
+        super().__init__(f"{what} {int_text(estimate)} exceeds budget {budget}")
         self.estimate = estimate
         self.budget = budget
 
@@ -389,15 +372,15 @@ def representative_flag(s: CosetMatrix, field: QuadraticExtension) -> Flag:
     return Flag(s.partition, tuple(field.rref(cols[:dim]) for dim in dims))
 
 
-def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
-    """The graded pieces S_{i,j} of the twist decomposition.
+def _pieces(flag: Flag, field: QuadraticExtension, table: Table) -> GradedPieces:
+    """The graded pieces S_{i,j} of the twist decomposition of ``flag``,
+    given ``table``, the ``_rank_rows`` of its bases V_1, ..., V_{t - 1}.
 
     S_{i,j} completes w = meet[i][j - 1] + meet[i - 1][j] to the corner
     meet[i][j] = V_i meet theta V_j, as the vectors of the corner's
     reduced basis that ``extend_to_complement`` picks.  For i < j the
     Frobenius image of S_{i,j} is used at (j, i); the diagonal pieces
-    are Frobenius-stable.  V_t is F^n, and the other bases must be
-    row-reduced, as ``flag_profile`` reads the same rank table.
+    are Frobenius-stable.  V_t is F^n.
 
     The rank table r[i][j] = dim meet[i][j] of ``_rank_rows`` settles
     most of this without a reduction, and every short cut gives the
@@ -420,10 +403,6 @@ def graded_pieces(flag: Flag, field: QuadraticExtension) -> GradedPieces:
     fixed points, so the pieces are chosen inside them, and a diagonal
     span with another entry raises ``InvalidInputError``.
     """
-    return _pieces(flag, field, _rank_rows(field, flag.bases[:-1]))
-
-
-def _pieces(flag: Flag, field: QuadraticExtension, table: Table) -> GradedPieces:
     parts = flag.partition.parts
     t, n = len(parts), flag.partition.total
     # V_t = F^n, as the identity rows

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from ..cosets import Frozen, InvalidInputError
 
-__all__ = ["QuaternionElem", "QuaternionAlgebra", "QuaternionCheckReport", "quaternion_model_check"]
-
 EElt = tuple[Fraction, Fraction]  # a + b i
 EMat = tuple[tuple[EElt, EElt], tuple[EElt, EElt]]
 
@@ -67,13 +65,6 @@ class QuaternionAlgebra:
                 x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
             )
         )
-
-    def conj(self, x: QuaternionElem) -> QuaternionElem:
-        x0, x1, x2, x3 = x.coords
-        return QuaternionElem((x0, -x1, -x2, -x3))
-
-    def norm(self, x: QuaternionElem) -> Fraction:
-        return self.mul(x, self.conj(x)).coords[0]
 
     # -- the quadratic field E = Q(i) inside the algebra --------------------
     def e_mul(self, x: EElt, y: EElt) -> EElt:
@@ -149,23 +140,30 @@ class QuaternionAlgebra:
 
 class QuaternionCheckReport(Frozen):
     __slots__ = (
-        "alpha", "beta", "ok", "homomorphism", "involution", "orders_agree",
+        "alpha", "beta", "homomorphism", "involution", "orders_agree",
         "fixes_first_factor", "semilinear", "error",
     )
 
     def __init__(
-        self, alpha: Fraction, beta: Fraction, ok: bool, homomorphism: bool, involution: bool,
+        self, alpha: Fraction, beta: Fraction, homomorphism: bool, involution: bool,
         orders_agree: bool, fixes_first_factor: bool, semilinear: bool, error: str | None = None,
     ) -> None:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "homomorphism", homomorphism)
         object.__setattr__(self, "involution", involution)
         object.__setattr__(self, "orders_agree", orders_agree)
         object.__setattr__(self, "fixes_first_factor", fixes_first_factor)
         object.__setattr__(self, "semilinear", semilinear)
         object.__setattr__(self, "error", error)
+
+    @property
+    def ok(self) -> bool:
+        """All five identities hold."""
+        return (
+            self.homomorphism and self.involution and self.orders_agree
+            and self.fixes_first_factor and self.semilinear
+        )
 
     def to_json(self) -> dict:
         return {
@@ -192,7 +190,7 @@ def quaternion_model_check(alpha, beta) -> QuaternionCheckReport:
     alpha, beta = Fraction(alpha), Fraction(beta)
     if _is_rational_square(alpha):
         return QuaternionCheckReport(
-            alpha, beta, False, False, False, False, False, False,
+            alpha, beta, False, False, False, False, False,
             error="alpha is a rational square: the quadratic field degenerates",
         )
     alg = QuaternionAlgebra(alpha, beta)
@@ -224,7 +222,4 @@ def quaternion_model_check(alpha, beta) -> QuaternionCheckReport:
         alg.sigma(alg.m_mul(x, z_mat)) == alg.m_mul(alg.sigma(x), zbar_mat)
         for x in images
     )
-    ok = hom and involution and orders and fixes and semilinear
-    return QuaternionCheckReport(
-        alpha, beta, ok, hom, involution, orders, fixes, semilinear
-    )
+    return QuaternionCheckReport(alpha, beta, hom, involution, orders, fixes, semilinear)

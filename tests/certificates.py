@@ -144,11 +144,7 @@ def reference_fine_layout(s: CosetMatrix) -> FineLayout:
     for _, _, k in blocks:
         starts.append(pos)
         pos += k
-    return FineLayout(
-        blocks=tuple(blocks),
-        start_pos=tuple(starts),
-        sub_partition=Partition(tuple(k for _, _, k in blocks)),
-    )
+    return FineLayout(blocks=tuple(blocks), start_pos=tuple(starts))
 
 
 def reference_coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
@@ -338,21 +334,22 @@ def build_ws_even(s: CosetMatrix) -> Permutation:
 
 
 def _inverse(a: list[list[RationalFunc]], zero: RationalFunc, one: RationalFunc) -> list[list[RationalFunc]]:
-    """Gauss-Jordan inverse of a square matrix over Q(l); zero entries are skipped."""
+    """Gauss-Jordan inverse of a square matrix over Q(l); zero entries (no
+    numerator) are skipped."""
     n = len(a)
     rows = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, n) if rows[r][col].num), None)
         if pivot is None:
             raise InvalidInputError("representative matrix is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         p = rows[col][col]
         if p != one:
-            rows[col] = [x if x.is_zero() else x / p for x in rows[col]]
+            rows[col] = [x if not x.num else x / p for x in rows[col]]
         for r in range(n):
             f = rows[r][col]
-            if r != col and not f.is_zero():
-                rows[r] = [x if y.is_zero() else x - f * y for x, y in zip(rows[r], rows[col])]
+            if r != col and f.num:
+                rows[r] = [x if not y.num else x - f * y for x, y in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
 
 
@@ -376,9 +373,9 @@ def extract_permutation_odd(s: CosetMatrix) -> Permutation:
         for row in range(n):
             w = zero
             for k in range(n):
-                if not m[row][k].is_zero() and not inv[k][col].is_zero():
+                if m[row][k].num and inv[k][col].num:
                     w = w + m[row][k] * inv[k][col]
-            if not w.is_zero():
+            if w.num:
                 hits.append((row, w))
         if len(hits) != 1 or hits[0][1] != one:
             raise InvalidInputError(

@@ -35,11 +35,20 @@ from steinberg_distinction.oracles.flags import (
 )
 
 
+def field_elements(field) -> list:
+    """The elements of F_{q^2} in order: the codes 0, ..., q^2 - 1 of a
+    ``QuadraticExtension``, or the coordinate pairs of the tests'
+    ``PairExtension``."""
+    if isinstance(field, QuadraticExtension):
+        return list(range(field.p * field.p))
+    return field.elements()
+
+
 def _enumerate_rref(field: QuadraticExtension, n: int, k: int) -> Iterator[tuple[Vec, ...]]:
     """All reduced row echelon bases of k-dimensional subspaces of F^n,
     by pivot columns and then by the values of the free cells."""
     for pivots, cells in _rref_blocks(n, k):
-        for values in itertools.product(field.elements(), repeat=len(cells)):
+        for values in itertools.product(field_elements(field), repeat=len(cells)):
             yield _rref(field, n, pivots, cells, values)
 
 

@@ -105,6 +105,19 @@ class TestOrbitSupports:
         assert not report.feasible
         assert all(rule is SupportRule.FIXED_EXPONENT_NONZERO for _, rule in report.violations)
 
+    def test_feasible_is_no_violations(self):
+        # on every coset matrix with n <= 6, for both tokens
+        seen = set()
+        for n in range(1, 7):
+            for partition in compositions(n):
+                for case in CaseTag:
+                    for s in enumerate_coset_matrices(partition, case):
+                        for chi in ChiToken:
+                            report = orbit_supports(s, chi)
+                            assert report.feasible is (not report.violations), s.to_json()
+                            seen.add(report.feasible)
+        assert seen == {True, False}
+
     def test_report_json(self):
         s = anti_diagonal_matrix(Partition((1, 1, 1)), CaseTag.ODD)
         data = orbit_supports(s, ChiToken.ETA).to_json()

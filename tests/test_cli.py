@@ -37,6 +37,9 @@ from conftest import compositions
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
+# 10^k - 1, the k-digit number of nines, for the k that tests use
+NINES = {k: 10**k - 1 for k in (2200, 4000, 4300)}
+
 
 # runs cli.main on its arguments, then writes its peak RSS in kB to
 # stderr: Linux's VmHWM, which starts afresh at exec, where ru_maxrss
@@ -1359,6 +1362,70 @@ class TestUsageErrors:
         code, _, err = run(capsys, "support", "--case", "odd", "--matrix", matrix, "--chi", "eta")
         assert code == 2
         assert "integers" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                f"steinberg --case odd --m {NINES[2200]} --d 1 --chi triv",
+                "decision report cell count over 10^4399 exceeds budget 1000000",
+            ),
+            (
+                f"sweep --max-m {NINES[4000]} --max-d 1",
+                "decision trace cell count over 10^11999 exceeds budget 8000000",
+            ),
+            (
+                f"lfactor --kind gj --k {NINES[4000]} --d 1",
+                f"factor would have over 10^11999 dense coefficients (t-degree {NINES[4000]},"
+                " v-span over 10^7999), more than 10000",
+            ),
+            (
+                f"lfactor --kind i2 --d {NINES[2200]}",
+                f"factor would have over 10^4400 dense coefficients (t-degree {2 * NINES[2200]},"
+                f" v-span {2 * NINES[2200]}), more than 10000",
+            ),
+            (
+                f"lfactor --kind tate --shift=-{NINES[4300]}",
+                "factor would have over 10^4300 dense coefficients (t-degree 1,"
+                " v-span over 10^4300), more than 10000",
+            ),
+            (
+                f"oracle-flags --n 1 --q {NINES[2200]} --partition 1",
+                f"q = {NINES[2200]} is too large: its field tables would hold q^4 = over 10^8799"
+                " entries, more than 1000000",
+            ),
+            (
+                f"oracle-flags --n 1 --q 3 --partition {NINES[4300]},{NINES[4300]}",
+                f"partition {NINES[4300]},{NINES[4300]} sums to over 10^4300, not to n = 1",
+            ),
+        ],
+        ids=["steinberg-m", "sweep-max-m", "gj-k", "i2-d", "tate-shift", "flags-q", "flags-partition-sum"],
+    )
+    def test_estimate_past_the_int_digit_limit_is_refused(self, capsys, argv, message):
+        # each estimate or sum has more than the 4,300 digits that str()
+        # of an int allows, so it is written as a power of ten
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "entry, fmt",
+        [("9" * 4301, "table"), ("9" * 4300, "json"), ("-" + "9" * 4001, "table")],
+        ids=["4301-digits", "4300-digits-json", "negative-4001-digits"],
+    )
+    def test_matrix_entry_digits_are_bounded(self, capsys, entry, fmt):
+        # once a ValueError traceback: json.loads of an entry past 4,300
+        # digits, or the 4,301-digit row sums of a 2 x 2 matrix in JSON
+        matrix = f"[[{entry}, {entry}], [{entry}, {entry}]]"
+        code, out, err = run(capsys, "support", "--case", "odd", "--matrix", matrix, "--chi", "triv", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: matrix entries must have at most 4000 digits\n")
+
+    def test_matrix_entry_digit_bound_is_admitted(self, capsys):
+        # 4,000-digit entries have 4,001-digit row sums, which print
+        entry = NINES[4000]
+        matrix = json.dumps([[entry, entry], [entry, entry]])
+        code, out, _ = run(capsys, "support", "--case", "odd", "--matrix", matrix, "--chi", "triv", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["s"]["partition"] == [2 * entry, 2 * entry]
 
     def test_rational_arguments_parsed(self, capsys):
         code, out, _ = run(capsys, "lfactor", "--kind", "gj", "--shift=-1/2")

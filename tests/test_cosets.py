@@ -659,3 +659,21 @@ class TestRootAction:
             for s in enumerate_coset_matrices(partition, CaseTag.ODD):
                 report = root_action(s)
                 assert report.fine_internal_flips == ()
+
+
+class TestIntText:
+    @pytest.mark.parametrize("x", [0, 7, 10**4299, 10**4300 - 1], ids=["0", "7", "10^4299", "10^4300-1"])
+    def test_within_the_limit_in_full(self, x):
+        assert cosets.int_text(x) == str(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [10**4300, 10**4300 + 1, 2**20000, 10**12000 - 1, 3**30000],
+        ids=["10^4300", "10^4300+1", "2^20000", "10^12000-1", "3^30000"],
+    )
+    def test_past_the_limit_a_tight_power_of_ten_below(self, x):
+        # the decimal text of x would raise, so 10^k is compared as an int
+        text = cosets.int_text(x)
+        assert text.startswith("over 10^")
+        k = int(text.removeprefix("over 10^"))
+        assert 10**k < x < 10 ** (k + 2)

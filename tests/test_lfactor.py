@@ -345,6 +345,21 @@ class TestNonvanishing:
     def test_constant_one(self):
         assert eval_nonvanishing_at_s0(RationalFunc.one(), [2, 9]).nonvanishing
 
+    def test_no_samples_is_nonvanishing(self):
+        pole = RationalFunc.from_expr({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
+        report = eval_nonvanishing_at_s0(pole, [])
+        assert report.samples == () and report.nonvanishing
+        assert report.to_json()["nonvanishing"] is True
+
+    def test_one_zero_sample_vanishes(self):
+        # v^2 - 4 is q - 4: zero at q = 4 only
+        rf = RationalFunc.from_expr({(2, 0): 1, (0, 0): -4}, {(0, 0): 1})
+        report = eval_nonvanishing_at_s0(rf, [2, 4, 9])
+        assert [status for _, status, _ in report.samples] == [
+            SampleStatus.NONZERO, SampleStatus.ZERO, SampleStatus.NONZERO
+        ]
+        assert not report.nonvanishing
+
     def test_pole_detected(self):
         pole = RationalFunc.from_expr({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
         report = eval_nonvanishing_at_s0(pole, [3])
@@ -374,8 +389,8 @@ def both(pair):
     return RationalFunc.from_expr(poly(num), poly(den)), RefRationalFunc.from_fraction(num, den)
 
 
-# The sympy normal form spelled zero with a zero coefficient, so that its
-# is_zero() was False, it rendered as "-0" and division by it raised
+# The sympy normal form spelled zero with a zero coefficient, so that it
+# was not the empty numerator, it rendered as "-0" and division by it raised
 # TypeError.  Zero is now the empty numerator over 1.
 REF_ZERO = ((0, 0, 0),)
 
@@ -383,7 +398,7 @@ REF_ZERO = ((0, 0, 0),)
 def assert_same(new, ref):
     if ref.num == REF_ZERO:
         assert (new.to_json(), new.render()) == ({"num": [], "den": [[1, 0, 0]]}, "0")
-        assert new.is_zero()
+        assert new.num == ()
         return
     assert new.render() == ref.render()
     assert new.to_json() == ref.to_json()
@@ -408,7 +423,7 @@ class TestAgainstSympyReference:
         assert_same(a, ra)
         assert_same(b, rb)
         for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
-            if op == "__truediv__" and b.is_zero():
+            if op == "__truediv__" and not b.num:
                 with pytest.raises(LFactorError):
                     a / b
                 continue
@@ -650,7 +665,7 @@ class TestIntegerEvaluation:
 
     def test_zero_numerator(self):
         zero = RationalFunc.from_expr({}, {(0, 0): 1, (1, 2): 3})
-        assert zero.is_zero()
+        assert zero.num == ()
         assert_values_equal(zero)
         assert zero.eval_exact(2, Fraction(-2, 3)) == 0
 

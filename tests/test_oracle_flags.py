@@ -41,7 +41,6 @@ from steinberg_distinction.oracles.flags import (
     enumerate_flags,
     flag_profile,
     gaussian_binomial,
-    graded_pieces,
     profile_histogram,
     reduce_to_representative,
     reduction_fault,
@@ -53,9 +52,15 @@ import reference_walk
 from certificates import flag_pair_dim
 from conftest import compositions, swapped_line_tables
 from pair_extension import PairExtension, decode, decode_rows, encode
-from reference_walk import _enumerate_rref, _walk, walk_histogram
+from reference_walk import _enumerate_rref, _walk, field_elements, walk_histogram
 
 FIELD = QuadraticExtension(3)
+
+
+def graded_pieces(flag, field):
+    """The graded pieces of ``flag``, on the rank table the reduction reads."""
+    return flags_module._pieces(flag, field, flags_module._rank_rows(field, flag.bases[:-1]))
+
 
 # Every composition of n <= 3 at q = 3 and q = 5, plus the q = 7 points of
 # the benchmark.
@@ -153,7 +158,7 @@ def damaged_bases(field, basis, rng):
     rows = list(basis)
     n = len(rows[0])
     out = {"zero-row": tuple(rows + [(field.zero,) * n])}
-    scale = rng.choice([x for x in field.elements() if x not in (field.zero, field.one)])
+    scale = rng.choice([x for x in field_elements(field) if x not in (field.zero, field.one)])
     k = rng.randrange(len(rows))
     out["pivot-scaled"] = tuple(
         vec_scale(field, scale, row) if r == k else row for r, row in enumerate(rows)
@@ -165,7 +170,7 @@ def damaged_bases(field, basis, rng):
         r, other = rng.sample(range(len(rows)), 2)
         col = rows[other].index(field.one)
         row = list(rows[r])
-        row[col] = rng.choice(field.elements()[1:])
+        row[col] = rng.choice(field_elements(field)[1:])
         out["pivot-column-entry"] = tuple(tuple(row) if i == r else x for i, x in enumerate(rows))
     return out
 
@@ -267,7 +272,7 @@ def random_reduced_flag(field, n, rng):
     """A flag of a random composition of n from the rows of a random
     invertible matrix; entries come from the base field, from {0, 1, l}
     or from all of F_{q^2}, so that every kind of orbit turns up."""
-    elements = field.elements()
+    elements = field_elements(field)
     pool = rng.choice([
         [x for x in elements if field.in_base(x)],
         [field.zero, field.one, field.lam],
@@ -346,7 +351,7 @@ def reference_complements(flag, field):
 
 def random_matrices(q, rng):
     """300 random matrices over F_{q^2}, many of them rank-deficient."""
-    elements = QuadraticExtension(q).elements()
+    elements = field_elements(QuadraticExtension(q))
     for _ in range(300):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         # pools of zero alone or zero and l give rank-deficient matrices
@@ -422,7 +427,7 @@ def spanning_rows(field, n, rng):
     """n or n + 1 random rows over F_{q^2} that span F^n."""
     while True:
         rows = tuple(
-            tuple(rng.choice(field.elements()) for _ in range(n))
+            tuple(rng.choice(field_elements(field)) for _ in range(n))
             for _ in range(n + rng.randint(0, 1))
         )
         if field.rank(list(rows)) == n:
@@ -443,15 +448,15 @@ def apply_matrix(field, h, flag):
 
 class TestFieldArithmetic:
     def test_inverse(self):
-        for x in FIELD.elements():
+        for x in field_elements(FIELD):
             if x == FIELD.zero:
                 continue
             assert FIELD.mul_table[x][FIELD.inv_table[x]] == FIELD.one
 
     def test_frobenius_is_field_automorphism(self):
         frob, mul = FIELD.frob_table, FIELD.mul_table
-        for x in FIELD.elements():
-            for y in FIELD.elements():
+        for x in field_elements(FIELD):
+            for y in field_elements(FIELD):
                 assert frob[mul[x][y]] == mul[frob[x]][frob[y]]
 
     def test_lambda_antifixed(self):
@@ -468,21 +473,21 @@ class TestFieldArithmetic:
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_coding_is_an_order_preserving_bijection(self, q):
         field, ref = QuadraticExtension(q), PairExtension(q)
-        assert [encode(q, x) for x in ref.elements()] == field.elements()
-        assert [decode(q, x) for x in field.elements()] == ref.elements()
+        assert [encode(q, x) for x in ref.elements()] == field_elements(field)
+        assert [decode(q, x) for x in field_elements(field)] == ref.elements()
         assert sorted(map(tuple, ref.elements())) == ref.elements()
         assert [encode(q, x) for x in (ref.zero, ref.one, ref.lam)] == [
             field.zero, field.one, field.lam
         ]
         assert field.nonsquare == ref.nonsquare
-        assert [x for x in field.elements() if field.in_base(x)] == [
+        assert [x for x in field_elements(field) if field.in_base(x)] == [
             encode(q, ref.scalar(a)) for a in range(q)
         ]
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_tables_match_pair_formulas(self, q):
         field, ref = QuadraticExtension(q), PairExtension(q)
-        for x in field.elements():
+        for x in field_elements(field):
             px = decode(q, x)
             assert decode(q, field.neg_table[x]) == ref.neg(px)
             assert decode(q, field.frob_table[x]) == ref.frob(px)
@@ -491,7 +496,7 @@ class TestFieldArithmetic:
                 assert decode(q, field.inv_table[x]) == ref.inv(px)
             else:
                 assert field.inv_table[x] is None
-            for y in field.elements():
+            for y in field_elements(field):
                 py = decode(q, y)
                 assert decode(q, field.add_table[x][y]) == ref.add(px, py)
                 assert decode(q, field.sub_table[x][y]) == ref.sub(px, py)
@@ -503,7 +508,7 @@ class TestFieldArithmetic:
         tables = (field.add_table, field.sub_table, field.mul_table)
         assert all(type(t) is list and all(type(row) is list for row in t) for t in tables)
         assert all(len(t) == q * q and {len(row) for row in t} == {q * q} for t in tables)
-        for x in field.elements():
+        for x in field_elements(field):
             px = decode(q, x)
             assert decode(q, field.neg_table[x]) == ref.neg(px)
             assert decode(q, field.frob_table[x]) == ref.frob(px)
@@ -511,9 +516,9 @@ class TestFieldArithmetic:
                 assert decode(q, field.inv_table[x]) == ref.inv(px)
         rng = random.Random(31)
         special = [field.zero, field.lam, field.one, q * q - 1]
-        for x in special + rng.sample(field.elements(), 40):
+        for x in special + rng.sample(field_elements(field), 40):
             px = decode(q, x)
-            for y in field.elements():
+            for y in field_elements(field):
                 py = decode(q, y)
                 assert decode(q, field.add_table[x][y]) == ref.add(px, py)
                 assert decode(q, field.sub_table[x][y]) == ref.sub(px, py)
@@ -711,7 +716,7 @@ class TestAgainstReference:
         rng = random.Random(20261024)
         for q in (3, 5, 7):
             field = QuadraticExtension(q)
-            elements = field.elements()
+            elements = field_elements(field)
             for _ in range(300):
                 n = rng.randint(1, 4)
                 u = [rng.choice(elements) for _ in range(n)]
@@ -1351,7 +1356,7 @@ class TestProfiles:
         # a flag whose V_1 has two rows, both with nonzero free entries
         flag = next(f for f in flags if all(sum(map(bool, row)) > 1 for row in f.bases[0]))
         u, v = flag.bases[0]
-        c = rng.choice([x for x in FIELD.elements() if x not in (FIELD.zero, FIELD.one)])
+        c = rng.choice([x for x in field_elements(FIELD) if x not in (FIELD.zero, FIELD.one)])
         rows = {
             "scaled-row": (vec_scale(FIELD, c, u), v),
             "row-added": (u, vec_add(FIELD, v, u)),

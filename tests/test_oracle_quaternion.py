@@ -6,6 +6,7 @@ import pytest
 from steinberg_distinction.cosets import InvalidInputError
 from steinberg_distinction.oracles.quaternion import (
     QuaternionAlgebra,
+    QuaternionCheckReport,
     QuaternionElem,
     _is_rational_square,
     quaternion_model_check,
@@ -13,6 +14,18 @@ from steinberg_distinction.oracles.quaternion import (
 
 # beyond the 53-bit mantissa, where a float square root misses
 BIG = 3**40 + 7
+
+
+def conj(x):
+    x0, x1, x2, x3 = x.coords
+    return QuaternionElem((x0, -x1, -x2, -x3))
+
+
+def norm(alg, x):
+    """The reduced norm x0^2 - a x1^2 - b x2^2 + a b x3^2, in closed form."""
+    x0, x1, x2, x3 = x.coords
+    a, b = alg.alpha, alg.beta
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
 
 class TestArithmetic:
@@ -32,7 +45,8 @@ class TestArithmetic:
         for _ in range(30):
             x = QuaternionElem.of(*(rng.randint(-3, 3) for _ in range(4)))
             y = QuaternionElem.of(*(rng.randint(-3, 3) for _ in range(4)))
-            assert alg.norm(alg.mul(x, y)) == alg.norm(x) * alg.norm(y)
+            assert alg.mul(x, conj(x)) == QuaternionElem.of(norm(alg, x))
+            assert norm(alg, alg.mul(x, y)) == norm(alg, x) * norm(alg, y)
 
     def test_zero_parameters_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -64,6 +78,17 @@ class TestModelCheck:
             report = quaternion_model_check(alpha, 1)
             assert not report.ok
             assert report.error is not None
+
+    def test_ok_is_all_five_checks(self):
+        report = quaternion_model_check(-1, 3)
+        assert report.ok is True
+        checks = list(report.to_json()["checks"].values())
+        assert checks == [True] * 5
+        for k in range(5):
+            flags = [True] * 5
+            flags[k] = False
+            failed = QuaternionCheckReport(report.alpha, report.beta, *flags)
+            assert failed.ok is False and failed.to_json()["ok"] is False
 
     def test_huge_square_alpha_rejected(self):
         report = quaternion_model_check(Fraction(BIG**2), 1)
