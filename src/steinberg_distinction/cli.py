@@ -357,14 +357,15 @@ def cmd_lfactor(args: argparse.Namespace) -> int:
         rf = gj_L_trivial(args.k, args.d, args.shift, args.s_coeff)
     else:
         rf = i2_ratio(args.d, RamificationTag(args.ram))
-    payload: dict = {"factor": rf.to_json(), "rendered": rf.render()}
-    lines = [rf.render()]
+    rendered = rf.render()
+    payload: dict = {"factor": rf.to_json(), "rendered": rendered}
+    lines = [rendered]
     code = EXIT_OK
     if args.eval_q:
         report = eval_nonvanishing_at_s0(rf, args.eval_q)
         payload["nonvanishing"] = report.to_json()
-        rendered = report.value_at_t1.render() if report.value_at_t1 else "pole"
-        lines.append(f"value at t=1: {rendered}")
+        at_t1 = report.value_at_t1.render() if report.value_at_t1 else "pole"
+        lines.append(f"value at t=1: {at_t1}")
         for q, status, value in report.samples:
             lines.append(f"  q={q}: {status.value} ({value})")
         lines.append(f"nonvanishing: {report.nonvanishing}")

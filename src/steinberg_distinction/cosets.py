@@ -275,26 +275,29 @@ def _fillings(owed: tuple[int, ...], step: int) -> Iterator[tuple[int, ...]]:
     """Each way to fill the first row of rows owing ``owed`` (ascending),
     entry by entry: what the later rows still owe, ascending and without
     zeros.  The diagonal is a multiple of ``step``.  Depth first on an
-    explicit stack that skips the later rows paid nothing."""
+    explicit stack that skips the later rows paid nothing, one diagonal
+    value at a time, largest first, so that no list grows with the part
+    sizes."""
     first, rest = owed[0], owed[1:]
     # room[j]: the most that rows j onward can take
     room = list(itertools.accumulate(reversed(rest), initial=0))[::-1]
     low = max(0, first - room[0])
-    # (first later row not yet paid, amount still due, (row, payment)s)
-    stack = [(0, first - diag, ()) for diag in range(low + low % step, first + 1, step)]
-    while stack:
-        i, due, paid = stack.pop()
-        if not due:
-            after = list(rest)
-            for j, v in paid:
-                after[j] -= v
-            yield tuple(sorted(filter(None, after)))
-            continue
-        for j in range(i, len(rest)):
-            if room[j] < due:
-                break
-            for v in range(max(1, due - room[j + 1]), min(due, rest[j]) + 1):
-                stack.append((j + 1, due - v, paid + ((j, v),)))
+    for diag in reversed(range(low + low % step, first + 1, step)):
+        # (first later row not yet paid, amount still due, (row, payment)s)
+        stack = [(0, first - diag, ())]
+        while stack:
+            i, due, paid = stack.pop()
+            if not due:
+                after = list(rest)
+                for j, v in paid:
+                    after[j] -= v
+                yield tuple(sorted(filter(None, after)))
+                continue
+            for j in range(i, len(rest)):
+                if room[j] < due:
+                    break
+                for v in range(max(1, due - room[j + 1]), min(due, rest[j]) + 1):
+                    stack.append((j + 1, due - v, paid + ((j, v),)))
 
 
 def count_coset_matrices(partition: Partition, case: CaseTag) -> int | None:

@@ -200,6 +200,27 @@ class TestEnumerate:
         assert out.startswith(f"{count} coset matrices")
         assert out.count(" open\n") == 1
 
+    def test_huge_parts_are_refused_in_bounded_memory(self):
+        # the count fills the diagonal of a row one value at a time, so
+        # two parts of 10^8 are refused within 256 MB of address space
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from steinberg_distinction.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["enumerate", "--case", "odd", "--partition", "99999999,99999999,1"]
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: coset matrix count over 50000 exceeds budget 10000\n"
+
     def test_eleven_points_are_counted(self, capsys):
         # 11 points have 35,696 involutions, above the budget: counted and refused
         code, out, err = run(capsys, "enumerate", "--case", "odd", "--partition", ",".join(["1"] * 11))
@@ -503,6 +524,28 @@ class TestSweepAndLfactor:
         assert code == 0
         assert "(1 + t^2)/(1 - v^2 t^2)" in out
         assert "nonvanishing: True" in out
+
+    @pytest.mark.parametrize("ram", ["unramified", "ramified"])
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ("0", "d must be positive"),
+            # d = 35 to 49 pass the trivial Tate factor's size and are
+            # refused by the chain's gj factor; from d = 50 on the Tate
+            # factor is refused first
+            ("35", "factor would have 10011 dense coefficients (t-degree 140, v-span 70), more than 10000"),
+            ("49", "factor would have 19503 dense coefficients (t-degree 196, v-span 98), more than 10000"),
+            ("50", "factor would have 10201 dense coefficients (t-degree 100, v-span 100), more than 10000"),
+            (
+                "10000000000",
+                "factor would have 400000000040000000001 dense coefficients"
+                " (t-degree 20000000000, v-span 20000000000), more than 10000",
+            ),
+        ],
+    )
+    def test_lfactor_i2_refusals(self, capsys, d, message, ram):
+        code, out, err = run(capsys, "lfactor", "--kind", "i2", "--d", d, "--ram", ram)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 DIGESTS_PATH = Path(__file__).with_name("cli_digests.json")

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from steinberg_distinction import lfactor
 from steinberg_distinction.lfactor import (
     MAX_RESIDUE_SIZE,
     LFactorError,
@@ -319,10 +320,46 @@ class TestI2Ratio:
     def test_d1_ramified(self):
         assert i2_ratio(1, RamificationTag.RAMIFIED).render() == "(1)/(1 - v^2 t^2)"
 
-    def test_chain_identity_d_up_to_5(self):
-        for d in range(1, 6):
+    def test_chain_identity_every_admitted_d(self):
+        for d in range(1, 35):
             for ram in RamificationTag:
                 i2_ratio(d, ram)  # internal chain assertion must not raise
+        for ram in RamificationTag:
+            with pytest.raises(LFactorError, match="10011 dense coefficients"):
+                i2_ratio(35, ram)
+
+    @pytest.mark.parametrize("ram", list(RamificationTag), ids=lambda r: r.value)
+    def test_closed_form_is_the_quotient_of_tate_factors(self, ram):
+        # the definition, through the gcd of RationalFunc division, and
+        # the chain it is checked against, divided out the same way
+        for d in range(1, 35):
+            got = i2_ratio(d, ram)
+            assert got == tate_L(TateChar.TRIV_F, ram, Fraction(-d), 2 * d) / tate_L(
+                TateChar.ETA, ram, Fraction(0), 2 * d
+            ), d
+            assert got == gj_L_trivial(2, d, Fraction(1 - 2 * d, 2), 2 * d) / tate_L_quadratic_ext(
+                Fraction(0), 2 * d, ram
+            ), d
+
+    @pytest.mark.parametrize("ram", list(RamificationTag), ids=lambda r: r.value)
+    @pytest.mark.parametrize("wrong", ["gj", "quadratic"])
+    def test_wrong_chain_factor_is_caught(self, monkeypatch, ram, wrong):
+        # each factor of the chain, replaced by a wrong one, fails the
+        # cross-multiplication
+        if wrong == "gj":
+            gj = lfactor.gj_L_trivial
+            monkeypatch.setattr(
+                lfactor, "gj_L_trivial", lambda k, d, shift, s_coeff: gj(k, d, shift + 1, s_coeff)
+            )
+        else:
+            other = next(r for r in RamificationTag if r is not ram)
+            quadratic = lfactor.tate_L_quadratic_ext
+            monkeypatch.setattr(
+                lfactor, "tate_L_quadratic_ext", lambda shift, s_coeff, _: quadratic(shift, s_coeff, other)
+            )
+        for d in (1, 2, 34):
+            with pytest.raises(LFactorError, match="inductivity chain disagrees"):
+                i2_ratio(d, ram)
 
 
 class TestNonvanishing:
