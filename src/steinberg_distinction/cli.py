@@ -279,9 +279,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_support(args: argparse.Namespace) -> int:
-    entries = _parse_matrix(args.matrix)
-    parts = Partition(tuple(sum(row) for row in entries))
-    s = CosetMatrix(CaseTag(args.case), parts, tuple(tuple(r) for r in entries))
+    rows = tuple(map(tuple, _parse_matrix(args.matrix)))
+    sums = tuple(map(sum, rows))
+    # the matrix checks its shape, signs and symmetry before its row sums
+    # are checked as the parts of a partition
+    s = CosetMatrix(CaseTag(args.case), Partition._unchecked(sums), rows)
+    Partition(sums)
     report = orbit_supports(s, ChiToken(args.chi))
     lines = [f"feasible: {report.feasible}"]
     for block, rule in report.violations:
@@ -537,9 +540,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _option_table(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand of ``parser``: its option strings mapped to their
+    actions (those of one value or of ``nargs="*"``), the namespace
+    ``parse_args`` starts from (``command``, the defaults, a str one
+    through its option's type, and ``set_defaults``) and the required
+    actions."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, p in sub.choices.items():
+        options, start = {}, {"command": name}
+        for a in p._actions:
+            if type(a) is argparse._StoreAction and a.nargs in (None, "*"):
+                options.update(dict.fromkeys(a.option_strings, a))
+            if a.default is not argparse.SUPPRESS:
+                start[a.dest] = a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+        required = frozenset(a for a in p._actions if a.required)
+        table[name] = (options, {**start, **p._defaults}, required)
+    return table
+
+
+def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, in one pass, for
+    a subcommand followed by options, none given twice and every
+    required one present, each an exact option string and then values
+    that do not start with "-" (one, or any number for ``nargs="*"``),
+    or ``--option=value`` for an option of one value, every value
+    passing its option's type and choices; None for any other argv."""
+    spec = _option_table(build_parser()).get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options, start, required = spec
+    values = dict(start)
+    seen = set()
+    i, end = 1, len(argv)
+    while i < end:
+        action = options.get(argv[i])
+        if action is None:
+            name, eq, value = argv[i].partition("=")
+            action = options.get(name)
+            if not eq or action is None or action.nargs is not None:
+                return None
+            given = [value]
+            i += 1
+        else:
+            first = i = i + 1
+            while i < end and not argv[i].startswith("-"):
+                i += 1
+            given = argv[first:i]
+            if action.nargs is None and len(given) != 1:
+                return None
+        if action in seen:
+            return None
+        seen.add(action)
+        if action.type:
+            try:
+                given = [action.type(v) for v in given]
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and not all(v in action.choices for v in given):
+            return None
+        values[action.dest] = given if action.nargs else given[0]
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, ``argv`` or else ``sys.argv[1:]``, and return its
+    exit code.  A well-formed argv (exact option strings, each given
+    once, no value token that starts with "-"; see ``_fast_parse``) is
+    parsed in one pass; argparse parses every other one and writes every
+    usage error and all help, raising ``SystemExit``."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, InvalidInputError, LFactorError) as exc:

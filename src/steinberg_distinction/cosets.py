@@ -107,6 +107,14 @@ class Partition(Frozen):
             raise InvalidInputError("partition parts must be positive")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """The parts with no check, for a caller that checks them later
+        with ``Partition(parts)``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
+
     @property
     def total(self) -> int:
         return sum(self.parts)

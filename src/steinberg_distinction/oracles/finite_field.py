@@ -12,13 +12,13 @@ so building them costs no Python arithmetic per entry and no new int
 object.  The arithmetic Frobenius x -> x^q fixes F_q and negates l, so
 it sends a + b l to a - b l.
 
-Subspaces are tuples of row-reduced rows; every operation but ``rank``
-is one ``rref``: the sum reduces both bases together, the intersection
-is Zassenhaus's reduction of (a, a) over (b, 0), a complement is read
-off the pivot columns of the vectors taken as columns, and ``solve``
-reads h with h src = dst off the reduction of (src, dst).
-``is_reduced`` checks the definition of a reduced basis instead of
-reducing it.
+Subspaces are tuples of row-reduced rows.  The sum reduces both bases
+together, the intersection is Zassenhaus's reduction of (a, a) over
+(b, 0), and ``solve`` reads h with h src = dst off the reduction of
+(src, dst).  A complement is read off the coordinates of the inner
+vectors in the outer basis, reduced from the right, and ``rank``
+eliminates on the nonzero entries.  ``is_reduced`` checks the
+definition of a reduced basis instead of reducing it.
 """
 
 from __future__ import annotations
@@ -232,12 +232,30 @@ class QuadraticExtension:
     def extend_to_complement(
         self, inner: tuple[Vec, ...], outer: tuple[Vec, ...]
     ) -> tuple[Vec, ...]:
-        """Vectors of ``outer`` completing ``inner`` to span ``outer``,
-        each one outside the span of ``inner`` and the vectors chosen
-        before it: the pivot columns of the reduced matrix whose columns
-        are ``inner`` and then ``outer``."""
-        red = self.rref(list(zip(*inner, *outer)))
-        return tuple(outer[p - len(inner)] for p in map(pivot, red) if p >= len(inner))
+        """Vectors of ``outer``, a reduced basis whose span holds
+        ``inner``, completing ``inner`` to span ``outer``, each one
+        outside the span of ``inner`` and the vectors chosen before it.
+
+        Row i of ``inner`` is sum_j c_ij outer_j, with c_ij its entry at
+        the pivot column of outer_j, and outer_j is left out exactly when
+        some combination of the rows c ends at column j: nonzero there
+        and zero after it.  The rows reduced from the right, each kept
+        at a column where no kept row ends, end at those columns; a
+        single row needs no reduction."""
+        mul, sub, inv = self.mul_table, self.sub_table, self.inv_table
+        cols = [pivot(u) for u in outer]
+        kept: dict[int, list[Elt]] = {}
+        for w in inner:
+            row = [w[c] for c in cols]
+            while any(row):
+                end = max(itertools.compress(range(len(row)), row))
+                if end not in kept:
+                    kept[end] = row
+                    break
+                k = kept[end]
+                scale = mul[mul[row[end]][inv[k[end]]]]
+                row = [sub[x][scale[y]] for x, y in zip(row, k)]
+        return tuple(u for j, u in enumerate(outer) if j not in kept)
 
     def solve(self, src: list[Vec], dst: list[Vec]) -> list[Vec]:
         """The matrix h with h src[c] = dst[c] for every c, the vectors

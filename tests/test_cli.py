@@ -1407,6 +1407,24 @@ class TestUsageErrors:
         assert "integers" in err
 
     @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ("[[1,-1],[-1,1]]", "entries must be non-negative"),
+            ("[[1],[0]]", "entries must be a t x t matrix"),
+            ("[[0,1],[1,0],[0,0]]", "entries must be a t x t matrix"),
+            ("[[0,1],[2,0]]", "entries must be symmetric"),
+            ("[[0,0],[0,1]]", "partition parts must be positive"),
+            ("[]", "partition must be nonempty"),
+        ],
+        ids=["negative", "column", "three-by-two", "asymmetric", "zero-row", "empty"],
+    )
+    def test_matrix_refused_in_the_constructor_order(self, capsys, matrix, message):
+        # ``support`` takes no partition: the matrix's shape, signs and
+        # symmetry are checked before its row sums as parts
+        code, out, err = run(capsys, "support", "--case", "odd", "--matrix", matrix, "--chi", "eta")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (

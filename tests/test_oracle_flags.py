@@ -10,6 +10,7 @@ import zlib
 
 import pytest
 
+from steinberg_distinction.cli import main
 from steinberg_distinction.cosets import (
     CaseTag,
     InvalidInputError,
@@ -325,6 +326,14 @@ def reference_extend_to_complement(field, inner, outer):
     return tuple(chosen)
 
 
+def rref_extend_to_complement(field, inner, outer):
+    """Vectors of ``outer`` completing ``inner``, read off the pivot
+    columns of the reduced matrix whose columns are ``inner`` and then
+    ``outer``."""
+    red = field.rref(list(zip(*inner, *outer)))
+    return tuple(outer[p - len(inner)] for p in map(pivot, red) if p >= len(inner))
+
+
 def reference_complements(flag, field):
     """The graded pieces from three intersections per corner (i, j)."""
     t = len(flag.partition)
@@ -566,7 +575,9 @@ class TestAgainstReference:
             for inner, outer in zip(mats, mats[1:]):
                 if len(inner[0]) != len(outer[0]):
                     continue
+                # the outer basis is reduced and holds the inner span
                 inner = field.rref(inner)
+                outer = field.sum_spaces(inner, outer)
                 assert field.extend_to_complement(inner, outer) == (
                     reference_extend_to_complement(field, inner, outer)
                 )
@@ -582,9 +593,11 @@ class TestAgainstReference:
                     ra, rb = field.rref(a), field.rref(b)
                     pra, prb = ref.rref(list(pa)), ref.rref(list(pb))
                     assert decode_rows(q, field.intersect(ra, rb)) == ref.intersect(pra, prb)
-                    assert decode_rows(q, field.sum_spaces(ra, rb)) == ref.sum_spaces(pra, prb)
-                    assert decode_rows(q, field.extend_to_complement(ra, b)) == (
-                        ref.extend_to_complement(pra, pb)
+                    total, ptotal = field.sum_spaces(ra, rb), ref.sum_spaces(pra, prb)
+                    assert decode_rows(q, total) == ptotal
+                    # the complement of a in a + b, a reduced basis holding a
+                    assert decode_rows(q, field.extend_to_complement(ra, total)) == (
+                        ref.extend_to_complement(pra, ptotal)
                     )
                     # the fixed points of the Frobenius-stable span a + theta a
                     stable = field.sum_spaces(ra, tuple(map(field.vec_frob, ra)))
@@ -779,6 +792,34 @@ class TestAgainstReference:
 ENUMERATION_GRID = [
     (q, partition) for q in (3, 5, 7) for n in range(1, 4) for partition in compositions(n)
 ] + [(3, Partition((1, 1, 2)))]
+
+
+class TestComplementOnTheOraclePairs:
+    def test_matches_the_rref_route(self, capsys, monkeypatch):
+        """Every (w, u) that the oracle completes at the benchmark's 10
+        flag points and at (1^6), q = 3, gets the vectors that the pivot
+        columns of the reduced matrix (w | u) pick."""
+        met = []
+        complement = QuadraticExtension.extend_to_complement
+
+        def recording(field, inner, outer):
+            met.append((field, inner, outer))
+            return complement(field, inner, outer)
+
+        monkeypatch.setattr(QuadraticExtension, "extend_to_complement", recording)
+        points = [
+            (2, 3, "1,1"), (2, 5, "1,1"), (2, 7, "1,1"), (3, 3, "1,1,1"), (3, 3, "2,1"),
+            (3, 3, "1,2"), (3, 3, "3"), (3, 5, "2,1"), (3, 5, "1,2"), (3, 7, "2,1"),
+            (6, 3, "1,1,1,1,1,1"),
+        ]
+        for n, q, parts in points:
+            assert main(["oracle-flags", "--n", str(n), "--q", str(q), "--partition", parts]) == 0
+        capsys.readouterr()
+        # 34 pairs at the 10 points and 62 at (1^6), dim w from 1 to 5
+        assert len(met) == 96
+        assert {len(w) for _, w, _ in met} == {1, 2, 3, 4, 5}
+        for field, inner, outer in met:
+            assert complement(field, inner, outer) == rref_extend_to_complement(field, inner, outer)
 
 
 class TestEnumerateFlags:

@@ -13,7 +13,10 @@ import io
 from steinberg_distinction import cli
 
 # Every subcommand, with usage errors, help, input errors and a
-# defaulted list option (``--eval-q``) both given and left out.
+# defaulted list option (``--eval-q``) both given and left out.  Most
+# take ``cli._fast_parse``; the forms it leaves to argparse (an
+# abbreviation, a repeat, a negative value as a token of its own,
+# ``--eval-q=2``, help after other options and ``--``) come last.
 SEQUENCE = [
     ["enumerate", "--case", "odd", "--partition", "1,2", "--format", "json"],
     ["sweep", "--max-m", "0"],
@@ -33,6 +36,12 @@ SEQUENCE = [
     ["lfactor", "--kind", "i2", "--d", "1", "--eval-q", "2", "9", "--format", "json"],
     ["lfactor", "--kind", "i2", "--d", "1", "--format", "json"],
     [],
+    ["enumerate", "--case", "odd", "--part", "1,2"],
+    ["steinberg", "--case", "odd", "--case", "even", "--m", "2", "--d", "2", "--chi", "eta"],
+    ["steinberg", "--case", "odd", "--m", "-3", "--d", "1", "--chi", "eta"],
+    ["lfactor", "--kind", "i2", "--d", "1", "--eval-q=2"],
+    ["sweep", "--max-m", "2", "--help"],
+    ["sweep", "--max-m", "2", "--"],
 ]
 
 
