@@ -295,8 +295,9 @@ def cmd_support(args: argparse.Namespace) -> int:
 
 def _refuse_large_decision(case: CaseTag, m: int, traced: bool) -> None:
     """Refuse a decision whose reports, or with ``traced`` its trace,
-    would exceed their cell bound, before anything is built."""
-    n = 2 * m if case is CaseTag.EVEN else m
+    would exceed their cell bound, before anything is built.  An m below
+    1 is left to ``validate_m_d``."""
+    n = max(0, 2 * m if case is CaseTag.EVEN else m)
     if traced and n**3 > MAX_TRACE_CELLS:
         raise BudgetExceededError(n**3, MAX_TRACE_CELLS, "decision trace cell count")
     if n**2 > MAX_REPORT_CELLS:

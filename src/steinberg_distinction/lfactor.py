@@ -1,33 +1,34 @@
 """Exact rational-function arithmetic for local L-factors.
 
-All arithmetic happens in one Laurent ring with v the square root of
-the residue cardinality and t the inverse power q^(-s): half-integer
-shifts of q coming from the inductivity chain become integer powers of
-v, and the s-line becomes integer powers of t.  Fractions are kept in a
+All arithmetic happens in one ring with v the square root of the
+residue cardinality and t the inverse power q^(-s): half-integer shifts
+of q coming from the inductivity chain become integer powers of v, and
+the s-line becomes integer powers of t.  Numerator and denominator are
+dense polynomials in Z[v][t], one row of v-coefficients per power of t,
+and ``RationalFunc.from_expr`` brings any pair of them to one
 deterministic reduced normal form: no negative powers of v, integer
 coefficients with joint content 1, no common polynomial factor, and the
 denominator's lowest (t, v) term positive.
 
-Everything is exact integer arithmetic in plain Python.  Numerator and
-denominator are stored as dense polynomials in Z[v][t]: one row of
-v-coefficients per power of t.  Arithmetic runs on the rows, multiplying
-only their nonzero terms, and divides out their exact gcd.  When either
-side is a single term that gcd is a term too, read off the lowest powers
-of t and v; otherwise a primitive pseudo-remainder sequence over Z[v][t]
-finds it, with contents that are gcds in Z[v], found the same way over
-Z.  No command reaches that arithmetic: it stays for the tests and the
-benchmark tracer's ``lfactor.RationalFunc.arith`` span.  Tate and
-Godement-Jacquet factors expand each denominator, a product of binomials
-1 -/+ v^a t^s, once in integers and normalise it once; the i2 ratio is
-built in closed form and checked against the inductivity chain by
-cross-multiplication, with no gcd.  Values at v = sqrt(q) are exact elements
-a + b sqrt(r) of Q(sqrt(q)), with r squarefree, computed in integers by
-Horner's rule and divided once at the end.
+Everything is exact integer arithmetic in plain Python.  When either
+side is a single term, the gcd that ``from_expr`` divides out is a term
+too, read off the lowest powers of t and v; otherwise a primitive
+pseudo-remainder sequence over Z[v][t] finds it, with contents that are
+gcds in Z[v], found the same way over Z.  No command reaches that
+sequence: it stays for the tests and the benchmark tracer's
+``lfactor.RationalFunc.arith`` span.  Tate and Godement-Jacquet factors
+expand each denominator, a product of binomials 1 -/+ v^a t^s, once in
+integers straight into its rows; the i2 ratio is built in closed form
+and checked against the inductivity chain by cross-multiplication, with
+no gcd.  Values exist only at s = 0, that is t = 1: at v = sqrt(q) they
+are exact elements a + b sqrt(r) of Q(sqrt(q)), with r squarefree,
+computed in integers by Horner's rule on the sum of the rows and divided
+once at the end.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -35,9 +36,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .cosets import Frozen, int_text
-
-# {(v exponent, t exponent): coefficient}; v exponents may be negative.
-Poly = dict[tuple[int, int], int]
 
 # A polynomial in Z[v][t]: its rows of v-coefficients, one per power of
 # t, both lowest degree first and with no trailing zero; () is zero.
@@ -205,20 +203,6 @@ _ZV = _Dense(_Integers)
 _ZVT = _Dense(_ZV)
 
 
-def _to_dense(p: Poly, low: int) -> list[list[int]]:
-    """p times v^-low as a polynomial in Z[v][t]: out[t][v]."""
-    out: list[list[int]] = [[] for _ in range(1 + max((t for _, t in p), default=-1))]
-    for (v, t), c in p.items():
-        if t < 0:
-            raise LFactorError("t exponents must be non-negative")
-        row = out[t]
-        v -= low
-        if len(row) <= v:
-            row.extend([0] * (v + 1 - len(row)))
-        row[v] = c
-    return out
-
-
 def _terms(rows: Rows) -> Iterator[tuple[int, int, int]]:
     """(coefficient, v exponent, t exponent) of each nonzero term, by t
     exponent, then by v exponent."""
@@ -266,24 +250,22 @@ def _split_square(q: int) -> tuple[int, int]:
     return s, r * q
 
 
-def _evaluate(rows: Rows, q: int, s: int, r: int, t: Fraction, top: int) -> tuple[int, int]:
-    """(a, b) with d^top times the polynomial at v = s sqrt(r) = sqrt(q)
-    equal to a + b sqrt(r), for t = n/d and top at least its t-degree."""
-    n, d = t.numerator, t.denominator
+def _at_t1(rows: Rows) -> list[int]:
+    """The v-coefficients of the polynomial at t = 1: the sum of its rows."""
+    return _trim([sum(col) for col in itertools.zip_longest(*rows, fillvalue=0)])
+
+
+def _evaluate(rows: Rows, q: int, s: int, r: int) -> tuple[int, int]:
+    """(a, b) with the polynomial at t = 1 and v = s sqrt(r) = sqrt(q)
+    equal to a + b sqrt(r)."""
+    row = _at_t1(rows)
     a = b = 0
-    scale = d ** (top + 1 - len(rows))
-    # Horner in t from the top row down, the row of t^i scaled by
-    # d^(top - i), and in q on each row's even and odd v-coefficients:
-    # v^(2k) = q^k and v^(2k + 1) = q^k s sqrt(r)
-    for row in reversed(rows):
-        even = odd = 0
-        for c in reversed(row[0::2]):
-            even = even * q + c
-        for c in reversed(row[1::2]):
-            odd = odd * q + c
-        a = a * n + even * scale
-        b = b * n + odd * scale
-        scale *= d
+    # Horner in q on the even and odd v-coefficients: v^(2k) = q^k and
+    # v^(2k + 1) = q^k s sqrt(r)
+    for c in reversed(row[0::2]):
+        a = a * q + c
+    for c in reversed(row[1::2]):
+        b = b * q + c
     return (a + b * s, 0) if r == 1 else (a, b * s)
 
 
@@ -318,8 +300,8 @@ _ONE: Rows = ((1,),)
 
 
 class RationalFunc(Frozen):
-    """Reduced fraction of Laurent polynomials in v and t, kept as the
-    dense rows of its numerator and denominator; zero is () over 1."""
+    """Reduced fraction of polynomials in v and t, kept as the dense
+    rows of its numerator and denominator; zero is () over 1."""
 
     __slots__ = ("num", "den")
 
@@ -328,12 +310,33 @@ class RationalFunc(Frozen):
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def from_expr(cls, num: Poly, den: Poly) -> "RationalFunc":
-        """The normal form of num / den."""
-        num = {key: c for key, c in num.items() if c}
-        den = {key: c for key, c in den.items() if c}
-        low = min((v for v, _ in (*num, *den)), default=0)
-        return _reduced(_to_dense(num, low), _to_dense(den, low))
+    def from_expr(cls, num: list, den: list) -> "RationalFunc":
+        """The normal form of num / den, given as dense polynomials in
+        Z[v][t]: their gcd divided out, joint content 1, and the
+        denominator's lowest (t, v) term positive."""
+        if not den:
+            raise LFactorError("denominator vanishes")
+        if not num:
+            return cls(num=(), den=_ONE)
+        if _is_term(num) or _is_term(den):
+            # the gcd is then a term too: the lowest power of t and of v in
+            # either side, times the joint content divided out below
+            low_t = min(_low(num), _low(den))
+            low_v = min(_low(row) for p in (num, den) for row in p if row)
+            if low_t or low_v:
+                num = [row[low_v:] for row in num[low_t:]]
+                den = [row[low_v:] for row in den[low_t:]]
+        else:
+            g = _ZVT.gcd(num, den)
+            if not _ZVT.is_unit(g):
+                num, den = _ZVT.divexact(num, g), _ZVT.divexact(den, g)
+        content = math.gcd(*(c for p in (num, den) for row in p for c in row))
+        if next(c for row in den for c in row if c) < 0:
+            content = -content
+        return cls(
+            num=tuple(tuple(c // content for c in row) for row in num),
+            den=tuple(tuple(c // content for c in row) for row in den),
+        )
 
     @classmethod
     def one(cls) -> "RationalFunc":
@@ -347,26 +350,26 @@ class RationalFunc(Frozen):
 
     def _sum(self, other: "RationalFunc", op) -> "RationalFunc":
         num = op(_ZVT.mul(self.num, other.den), _ZVT.mul(other.num, self.den))
-        return _reduced(num, _ZVT.mul(self.den, other.den))
+        return RationalFunc.from_expr(num, _ZVT.mul(self.den, other.den))
 
     def __mul__(self, other: "RationalFunc") -> "RationalFunc":
-        return _reduced(_ZVT.mul(self.num, other.num), _ZVT.mul(self.den, other.den))
+        return RationalFunc.from_expr(_ZVT.mul(self.num, other.num), _ZVT.mul(self.den, other.den))
 
     def __truediv__(self, other: "RationalFunc") -> "RationalFunc":
         if not other.num:
             raise LFactorError("division by zero")
-        return _reduced(_ZVT.mul(self.num, other.den), _ZVT.mul(self.den, other.num))
+        return RationalFunc.from_expr(_ZVT.mul(self.num, other.den), _ZVT.mul(self.den, other.num))
 
     def subs_t1(self) -> "RationalFunc":
         """Specialize t to 1 (the point s = 0)."""
-        den = functools.reduce(_ZV.add, self.den, [])
+        den = _at_t1(self.den)
         if not den:
             raise LFactorError("pole at t = 1")
-        num = functools.reduce(_ZV.add, self.num, [])
-        return _reduced([num] if num else [], [den])
+        num = _at_t1(self.num)
+        return RationalFunc.from_expr([num] if num else [], [den])
 
-    def eval_exact(self, q: int, t_value=1) -> Fraction | QuadraticValue | None:
-        """Exact value at v = sqrt(q) and rational t; None signals a pole.
+    def eval_exact(self, q: int) -> Fraction | QuadraticValue | None:
+        """Exact value at v = sqrt(q) and t = 1; None signals a pole.
         ``q`` runs from 1 to ``MAX_RESIDUE_SIZE``, and a value of more
         than about ``MAX_VALUE_DIGITS`` digits is refused.
 
@@ -377,29 +380,20 @@ class RationalFunc(Frozen):
             raise LFactorError(f"residue size {q} must be positive")
         if q > MAX_RESIDUE_SIZE:
             raise LFactorError(f"residue size {q} exceeds {MAX_RESIDUE_SIZE}")
-        t = Fraction(t_value)
         # the value's integers have about twice the bits of the largest
         # term; ceil(log2(x)) is (x - 1).bit_length(), and log10(2) 0.30103
-        q_bits = (q - 1).bit_length()
-        t_bits = (max(abs(t.numerator), t.denominator) - 1).bit_length()
-        bits = max(
-            (len(row) - 1) * q_bits // 2 + t_exp * t_bits
-            for p in (self.num, self.den)
-            for t_exp, row in enumerate(p)
-        )
-        digits = 2 * bits * 30103 // 100_000
+        width = max(len(row) for p in (self.num, self.den) for row in p)
+        digits = 2 * ((width - 1) * (q - 1).bit_length() // 2) * 30103 // 100_000
         if digits > MAX_VALUE_DIGITS:
             raise LFactorError(
                 f"value at residue size {q} would have about {digits} digits,"
                 f" more than {MAX_VALUE_DIGITS}"
             )
         s, r = _split_square(q)
-        # one scale d^top for both sides, which cancels in their ratio
-        top = max(len(self.num), len(self.den)) - 1
-        da, db = _evaluate(self.den, q, s, r, t, top)
+        da, db = _evaluate(self.den, q, s, r)
         if not da and not db:
             return None
-        na, nb = _evaluate(self.num, q, s, r, t, top)
+        na, nb = _evaluate(self.num, q, s, r)
         norm = da * da - db * db * r
         a = Fraction(na * da - nb * db * r, norm)
         b = nb * da - na * db
@@ -416,35 +410,6 @@ class RationalFunc(Frozen):
             "num": [list(term) for term in _terms(self.num)],
             "den": [list(term) for term in _terms(self.den)],
         }
-
-
-def _reduced(num: list, den: list) -> RationalFunc:
-    """The normal form of num / den, given as polynomials in Z[v][t]:
-    their gcd divided out, joint content 1, and the denominator's lowest
-    (t, v) term positive."""
-    if not den:
-        raise LFactorError("denominator vanishes")
-    if not num:
-        return RationalFunc(num=(), den=_ONE)
-    if _is_term(num) or _is_term(den):
-        # the gcd is then a term too: the lowest power of t and of v in
-        # either side, times the joint content divided out below
-        low_t = min(_low(num), _low(den))
-        low_v = min(_low(row) for p in (num, den) for row in p if row)
-        if low_t or low_v:
-            num = [row[low_v:] for row in num[low_t:]]
-            den = [row[low_v:] for row in den[low_t:]]
-    else:
-        g = _ZVT.gcd(num, den)
-        if not _ZVT.is_unit(g):
-            num, den = _ZVT.divexact(num, g), _ZVT.divexact(den, g)
-    content = math.gcd(*(c for p in (num, den) for row in p for c in row))
-    if next(c for row in den for c in row if c) < 0:
-        content = -content
-    return RationalFunc(
-        num=tuple(tuple(c // content for c in row) for row in num),
-        den=tuple(tuple(c // content for c in row) for row in den),
-    )
 
 
 def _is_term(p) -> bool:
@@ -499,13 +464,16 @@ def _v_span(b: int, d: int, k: int) -> int:
     return (2 * p - k) * b + d * (k * (k - 1) - 2 * p * (p - 1))
 
 
-def _binomials(exps: list[int], sign: int, s_coeff: int) -> Poly:
-    """The product of 1 + sign v^a t^s_coeff over the v exponents a in
-    ``exps``, expanded in integers: its coefficient of t^(j s_coeff) is
-    sign^j times the j-th elementary symmetric polynomial of the v^a,
-    each kept as a {v exponent: coefficient} dict and grown by one
-    factor at a time."""
-    elementary: list[dict[int, int]] = [{0: 1}]
+def _binomials(exps: list[int], sign: int, s_coeff: int) -> RationalFunc:
+    """1 over the product of 1 + sign v^a t^s_coeff over the v exponents a
+    in ``exps``, both sides times v^-low, low the sum of the negative a,
+    so that no exponent is negative.  The product is expanded in
+    integers: its coefficient of t^(j s_coeff) is sign^j times the j-th
+    elementary symmetric polynomial of the v^a, each kept as a dict from
+    v exponent minus low to coefficient, grown by one factor at a time
+    and then written into its dense row."""
+    low = sum(a for a in exps if a < 0)
+    elementary: list[dict[int, int]] = [{-low: 1}]
     for a in exps:
         elementary.append({})
         for j in range(len(elementary) - 1, 0, -1):
@@ -514,13 +482,15 @@ def _binomials(exps: list[int], sign: int, s_coeff: int) -> Poly:
             for v, c in elementary[j - 1].items():
                 v += a
                 row[v] = get(v, 0) + c
-    out: Poly = {}
-    for j, row in enumerate(elementary):
+    # s coefficient 0 sums every row into the first, where terms may cancel
+    den: list[list[int]] = [[] for _ in range(len(exps) * s_coeff + 1)]
+    for j, terms in enumerate(elementary):
+        row = den[j * s_coeff]
+        row.extend([0] * (max(terms) + 1 - len(row)))
         c_sign = sign**j
-        for v, c in row.items():
-            key = (v, j * s_coeff)
-            out[key] = out.get(key, 0) + c_sign * c
-    return out
+        for v, c in terms.items():
+            row[v] += c_sign * c
+    return RationalFunc.from_expr([[0] * -low + [1]], _trim([_trim(row) for row in den]))
 
 
 def tate_L(
@@ -544,7 +514,7 @@ def tate_L(
     v_exp = int(-2 * shift)
     _check_size(s_coeff, abs(v_exp))
     sign = -1 if char is TateChar.TRIV_F else 1
-    return RationalFunc.from_expr({(0, 0): 1}, _binomials([v_exp], sign, s_coeff))
+    return _binomials([v_exp], sign, s_coeff)
 
 
 def tate_L_quadratic_ext(
@@ -579,8 +549,7 @@ def gj_L_trivial(k: int, d: int, shift: Fraction, s_coeff: int) -> RationalFunc:
     # its power of v is b - 2 d i
     b = int(-2 * shift) + (k - 1) * d - (d - 1)
     _check_size(k * s_coeff, _v_span(b, d, k))
-    exps = [b - 2 * d * i for i in range(k)]
-    return RationalFunc.from_expr({(0, 0): 1}, _binomials(exps, -1, s_coeff))
+    return _binomials([b - 2 * d * i for i in range(k)], -1, s_coeff)
 
 
 def i2_ratio(d: int, ram: RamificationTag) -> RationalFunc:
@@ -660,7 +629,7 @@ def eval_nonvanishing_at_s0(
         at_t1 = None
     samples = []
     for q in q_samples:
-        value = rf.eval_exact(q, t_value=1)
+        value = rf.eval_exact(q)
         if value is None:
             samples.append((q, SampleStatus.POLE, "pole"))
         elif value == 0:

@@ -361,9 +361,9 @@ def extract_permutation_odd(s: CosetMatrix) -> Permutation:
     matrix; its permutation is returned.
     """
     u = build_us_odd(s)
-    zero, one = RationalFunc.from_expr({}, {(0, 0): 1}), RationalFunc.one()
-    lam = RationalFunc.from_expr({(1, 0): 1}, {(0, 0): 1})
-    neg = RationalFunc.from_expr({(1, 0): -1}, {(0, 0): 1})
+    zero, one = RationalFunc.from_expr([], [[1]]), RationalFunc.one()
+    lam = RationalFunc.from_expr([[0, 1]], [[1]])
+    neg = RationalFunc.from_expr([[0, -1]], [[1]])
     m = u.substitute(zero, one, lam, neg)
     inv = _inverse(u.substitute(zero, one, neg, lam), zero, one)
     n = s.n

@@ -461,8 +461,16 @@ class TestSupportAndSteinberg:
             # the size refusal comes before the parity check
             ("--case even --m 1000 --d 3 --chi eta",
              "decision report cell count 4000000 exceeds budget 1000000"),
+            # a negative m has no size: its square is not a cell count
+            ("--case odd --m -2000 --d 1 --chi triv", "m and d must be positive"),
+            ("--case odd --m -1001 --d 1 --chi triv --format json", "m and d must be positive"),
+            ("--case even --m -501 --d 2 --chi triv", "m and d must be positive"),
+            ("--case even --m -501 --d 3 --chi triv --format json", "m and d must be positive"),
         ],
-        ids=["even-odd-d", "even-odd-d-json", "odd-even-d", "m-0", "d-0", "budget-before-parity"],
+        ids=[
+            "even-odd-d", "even-odd-d-json", "odd-even-d", "m-0", "d-0", "budget-before-parity",
+            "odd-m-negative", "odd-m-negative-json", "even-m-negative", "even-m-negative-json",
+        ],
     )
     def test_steinberg_input_errors(self, capsys, monkeypatch, argv, message):
         def undecided(*args, **kwargs):
@@ -601,6 +609,15 @@ def pinned_commands() -> list[str]:
         f"lfactor --kind i2 --d {d} --ram {ram} --eval-q 6 7 8"
         for d in range(1, 6)
         for ram in ("unramified", "ramified")
+    ]
+    # two or more negative v exponents at once, and the cancellations of
+    # s coefficient 0
+    lfactor += [
+        f"lfactor --kind gj --k {k} --d {d} --shift={shift} --s-coeff {e} --eval-q 1 2 5 8 9"
+        for k in (4, 5, 6)
+        for d in (1, 2, 3)
+        for shift in ("1/2", "3/2", "5/2")
+        for e in (0, 3)
     ]
     commands += [f"{c}{fmt}" for c in lfactor for fmt in ("", " --format json")]
     # the benchmark's enumerate workload

@@ -24,14 +24,7 @@ from steinberg_distinction.lfactor import (
     tate_L,
     tate_L_quadratic_ext,
 )
-from steinberg_distinction.lfactor import (
-    _ZVT,
-    _reduced,
-    _split_square,
-    _terms,
-    _to_dense,
-    _v_span,
-)
+from steinberg_distinction.lfactor import _ZVT, _split_square, _terms, _v_span
 
 # -- sympy-backed reference --------------------------------------------------
 # The rational-function arithmetic as it was built on sympy expression
@@ -110,8 +103,8 @@ class RefRationalFunc:
             raise LFactorError("pole at t = 1")
         return RefRationalFunc.from_expr(_ref_terms_to_expr(self.num).subs(T, 1) / den)
 
-    def eval_exact(self, q, t_value=1):
-        subs = {V: sympy.sqrt(sympy.Integer(q)), T: t_value}
+    def eval_exact(self, q):
+        subs = {V: sympy.sqrt(sympy.Integer(q)), T: 1}
         den = sympy.simplify(_ref_terms_to_expr(self.den).subs(subs))
         if den == 0:
             return None
@@ -153,18 +146,37 @@ def _ref_render_poly(terms):
 
 
 def poly(terms):
-    """The sum of the terms as `from_expr` takes it."""
+    """The sum of the terms as a {(v exponent, t exponent): coefficient} dict."""
     out = {}
     for c, ev, et in terms:
         out[ev, et] = out.get((ev, et), 0) + c
     return out
 
 
+def rows(p, low=0):
+    """The dict p times v^-low as dense rows of Z[v][t], as `from_expr`
+    takes them: its zero coefficients dropped, exponents at least 0."""
+    out = [[] for _ in range(1 + max((t for (_, t), c in p.items() if c), default=-1))]
+    for (v, t), c in p.items():
+        if c:
+            row = out[t]
+            row.extend([0] * (v - low + 1 - len(row)))
+            row[v - low] = c
+    return out
+
+
+def laurent(num, den):
+    """num / den from dicts whose v exponents may be negative: both sides
+    times the power of v that makes every exponent at least 0."""
+    low = min((v for p in (num, den) for (v, _), c in p.items() if c), default=0)
+    return RationalFunc.from_expr(rows(num, low), rows(den, low))
+
+
 monomials = st.tuples(st.integers(-5, 5), st.integers(-4, 4), st.integers(0, 4))
 
 
 def rf(terms):
-    return RationalFunc.from_expr(poly(terms), {(0, 0): 1})
+    return laurent(poly(terms), {(0, 0): 1})
 
 
 rationals = st.lists(monomials, min_size=1, max_size=3).map(rf)
@@ -172,9 +184,9 @@ rationals = st.lists(monomials, min_size=1, max_size=3).map(rf)
 
 class TestRationalFunc:
     def test_normal_form_idempotent(self):
-        a = RationalFunc.from_expr({(0, 0): 1, (0, 1): 1}, {(0, 0): 2, (0, 1): 2})
+        a = laurent({(0, 0): 1, (0, 1): 1}, {(0, 0): 2, (0, 1): 2})
         # cancels to 1/2
-        assert a == RationalFunc.one() / RationalFunc.from_expr({(0, 0): 2}, {(0, 0): 1})
+        assert a == RationalFunc.one() / laurent({(0, 0): 2}, {(0, 0): 1})
 
     @given(rationals, rationals, rationals)
     @settings(max_examples=40, deadline=None)
@@ -197,12 +209,8 @@ class TestRationalFunc:
         zero = a - a
         assert (zero.num, zero.den) == ((), ((1,),))
         # a common power of v is divided out of the stored rows
-        b = RationalFunc.from_expr({(3, 1): 2}, {(1, 0): 4, (2, 1): 6})
+        b = laurent({(3, 1): 2}, {(1, 0): 4, (2, 1): 6})
         assert (b.num, b.den) == (((), (0, 0, 1)), ((2,), (0, 3)))
-
-    def test_negative_t_exp_rejected(self):
-        with pytest.raises(LFactorError):
-            RationalFunc.from_expr({(0, -1): 1}, {(0, 0): 1})
 
 
 class TestTateFactors:
@@ -266,7 +274,7 @@ class TestInductivity:
             key = (int(-2 * shift), s_coeff)
             den = {(0, 0): 1}
             den[key] = den.get(key, 0) - 1
-            return RationalFunc.from_expr({(0, 0): 1}, den)
+            return laurent({(0, 0): 1}, den)
 
         def fold(k, d, shift, s_coeff):
             factors = []
@@ -302,15 +310,6 @@ class TestInductivity:
         assert time.monotonic() - start < 1
         with pytest.raises(LFactorError, match="10248 dense coefficients"):
             gj_L_trivial(27, 1, Fraction(-1, 2), 1)
-
-    def test_numeric_spot_check(self):
-        out = gj_L_trivial(2, 1, Fraction(-1, 2), 2)
-        # at q = 4, s such that t = q^{-1} = 1/4
-        value = out.eval_exact(4, t_value=Fraction(1, 4))
-        expected = (1 / (1 - Fraction(1, 4) ** 2)) * (
-            1 / (1 - 4 * Fraction(1, 4) ** 2)
-        )
-        assert value - expected == 0
 
 
 class TestI2Ratio:
@@ -383,14 +382,14 @@ class TestNonvanishing:
         assert eval_nonvanishing_at_s0(RationalFunc.one(), [2, 9]).nonvanishing
 
     def test_no_samples_is_nonvanishing(self):
-        pole = RationalFunc.from_expr({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
+        pole = laurent({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
         report = eval_nonvanishing_at_s0(pole, [])
         assert report.samples == () and report.nonvanishing
         assert report.to_json()["nonvanishing"] is True
 
     def test_one_zero_sample_vanishes(self):
         # v^2 - 4 is q - 4: zero at q = 4 only
-        rf = RationalFunc.from_expr({(2, 0): 1, (0, 0): -4}, {(0, 0): 1})
+        rf = laurent({(2, 0): 1, (0, 0): -4}, {(0, 0): 1})
         report = eval_nonvanishing_at_s0(rf, [2, 4, 9])
         assert [status for _, status, _ in report.samples] == [
             SampleStatus.NONZERO, SampleStatus.ZERO, SampleStatus.NONZERO
@@ -398,7 +397,7 @@ class TestNonvanishing:
         assert not report.nonvanishing
 
     def test_pole_detected(self):
-        pole = RationalFunc.from_expr({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
+        pole = laurent({(0, 0): 1}, {(0, 0): 1, (0, 1): -1})
         report = eval_nonvanishing_at_s0(pole, [3])
         assert not report.nonvanishing
         assert report.samples[0][1] is SampleStatus.POLE
@@ -407,7 +406,6 @@ class TestNonvanishing:
 # -- differential checks against the sympy reference -------------------------
 
 Q_GRID = [2, 3, 4, 5, 6, 7, 8, 9, 12, 18, 27, 50, 72, 98]
-T_GRID = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)]
 
 
 def _nonzero(terms):
@@ -423,7 +421,7 @@ fractions_ = st.tuples(
 
 def both(pair):
     num, den = tuple(pair[0]), tuple(pair[1])
-    return RationalFunc.from_expr(poly(num), poly(den)), RefRationalFunc.from_fraction(num, den)
+    return laurent(poly(num), poly(den)), RefRationalFunc.from_fraction(num, den)
 
 
 # The sympy normal form spelled zero with a zero coefficient, so that it
@@ -481,13 +479,11 @@ class TestAgainstSympyReference:
         else:
             assert_same(new, ref)
 
-    @given(fractions_, st.sampled_from(Q_GRID), st.sampled_from(T_GRID))
+    @given(fractions_, st.sampled_from(Q_GRID))
     @settings(max_examples=80, deadline=None)
-    def test_eval_exact_strings(self, x, q, t):
+    def test_eval_exact_strings(self, x, q):
         a, ra = both(x)
-        new = a.eval_exact(q, t_value=t)
-        ref = ra.eval_exact(q, t_value=sympy.Rational(t.numerator, t.denominator))
-        assert eval_str(new) == eval_str(ref)
+        assert eval_str(a.eval_exact(q)) == eval_str(ra.eval_exact(q))
 
     def test_eval_exact_strings_on_factors(self):
         factors = [
@@ -500,9 +496,7 @@ class TestAgainstSympyReference:
             data = rf.to_json()
             ref = RefRationalFunc(*(tuple(map(tuple, data[key])) for key in ("num", "den")))
             for q in Q_GRID:
-                for t in T_GRID:
-                    expected = ref.eval_exact(q, sympy.Rational(t.numerator, t.denominator))
-                    assert eval_str(rf.eval_exact(q, t)) == eval_str(expected), (rf.render(), q, t)
+                assert eval_str(rf.eval_exact(q)) == eval_str(ref.eval_exact(q)), (rf.render(), q)
 
 
 class TestExactValues:
@@ -526,8 +520,9 @@ class TestExactValues:
 
     def test_square_q_is_rational(self):
         rf = gj_L_trivial(1, 1, Fraction(-1, 2), 1)  # 1/(1 - v t)
-        assert rf.eval_exact(9, Fraction(1, 2)) == Fraction(-2)
-        assert rf.eval_exact(8, Fraction(1, 2)) == QuadraticValue(Fraction(-1), Fraction(-1), 2)
+        assert rf.eval_exact(9) == Fraction(-1, 2)
+        # 1/(1 - 2 sqrt(2)) = (1 + 2 sqrt(2))/(1 - 8)
+        assert rf.eval_exact(8) == QuadraticValue(Fraction(-1, 7), Fraction(-2, 7), 2)
 
     def test_nonpositive_q_rejected(self):
         with pytest.raises(LFactorError):
@@ -538,21 +533,23 @@ class TestExactValues:
         # the largest prime allowed takes the longest trial division
         prime = sympy.prevprime(MAX_RESIDUE_SIZE)
         start = time.monotonic()
-        assert rf.eval_exact(prime, 0) == 1
-        assert rf.eval_exact(MAX_RESIDUE_SIZE, 0) == 1
+        # 1/(1 - sqrt(q)) = (1 + sqrt(q))/(1 - q), and 10^15 = (10^7)^2 10
+        assert rf.eval_exact(prime) == QuadraticValue(Fraction(1, 1 - prime), Fraction(1, 1 - prime), prime)
+        big = Fraction(1, 1 - MAX_RESIDUE_SIZE)
+        assert rf.eval_exact(MAX_RESIDUE_SIZE) == QuadraticValue(big, 10**7 * big, 10)
         assert time.monotonic() - start < 1
         with pytest.raises(LFactorError, match=f"exceeds {MAX_RESIDUE_SIZE}"):
             rf.eval_exact(MAX_RESIDUE_SIZE + 1)
 
 
 # -- the exact arithmetic before its short cuts -------------------------------
-# `_reduced` and `_evaluate` as they were before a single-term side took
+# `from_expr` and `_evaluate` as they were before a single-term side took
 # its gcd in closed form and values were taken in integers, kept as the
 # references of the fast paths.
 
 
 def reduced_by_prs(num, den):
-    """`_reduced` with the primitive pseudo-remainder sequence on every pair."""
+    """`from_expr` with the primitive pseudo-remainder sequence on every pair."""
     if not den:
         raise LFactorError("denominator vanishes")
     if not num:
@@ -569,11 +566,11 @@ def reduced_by_prs(num, den):
     )
 
 
-def evaluate_in_fractions(rows, s, r, t):
-    """(a, b) with the polynomial at v = s sqrt(r) equal to a + b sqrt(r)."""
+def evaluate_in_fractions(rows, s, r):
+    """(a, b) with the polynomial at t = 1 and v = s sqrt(r) equal to a + b sqrt(r)."""
     a = b = Fraction(0)
-    for coeff, v_exp, t_exp in _terms(rows):
-        c = coeff * Fraction(s) ** v_exp * Fraction(r) ** (v_exp // 2) * t**t_exp
+    for coeff, v_exp, _ in _terms(rows):
+        c = coeff * Fraction(s) ** v_exp * Fraction(r) ** (v_exp // 2)
         if v_exp % 2:
             b += c
         else:
@@ -581,14 +578,13 @@ def evaluate_in_fractions(rows, s, r, t):
     return (a + b, Fraction(0)) if r == 1 else (a, b)
 
 
-def eval_in_fractions(rf, q, t_value):
+def eval_in_fractions(rf, q):
     """`eval_exact` on `evaluate_in_fractions`, without its size checks."""
-    t = Fraction(t_value)
     s, r = _split_square(q)
-    da, db = evaluate_in_fractions(rf.den, s, r, t)
+    da, db = evaluate_in_fractions(rf.den, s, r)
     if not da and not db:
         return None
-    na, nb = evaluate_in_fractions(rf.num, s, r, t)
+    na, nb = evaluate_in_fractions(rf.num, s, r)
     norm = da * da - db * db * r
     a = (na * da - nb * db * r) / norm
     b = (nb * da - na * db) / norm
@@ -597,7 +593,7 @@ def eval_in_fractions(rf, q, t_value):
 
 def dense(terms):
     """The terms, with exponents at least 0, as rows of Z[v][t]."""
-    return _to_dense({key: c for key, c in poly(terms).items() if c}, 0)
+    return rows(poly(terms))
 
 
 def times(terms, term):
@@ -623,7 +619,7 @@ class TestTermGcd:
         one, many = times([term], common), times(other, common)
         assume(any(poly(many).values()))
         num, den = (dense(one), dense(many)) if term_over else (dense(many), dense(one))
-        assert _reduced(num, den) == reduced_by_prs(num, den)
+        assert RationalFunc.from_expr(num, den) == reduced_by_prs(num, den)
 
     @pytest.mark.parametrize(
         "num, den, want",
@@ -651,28 +647,26 @@ class TestTermGcd:
     )
     def test_lowest_powers_from_either_side(self, num, den, want):
         num, den = dense(num), dense(den)
-        got = _reduced(num, den)
+        got = RationalFunc.from_expr(num, den)
         assert (got.num, got.den) == want
         assert got == reduced_by_prs(num, den)
 
     def test_arguments_untouched(self):
         num, den = dense([(2, 4, 1)]), dense([(6, 5, 3), (4, 2, 4)])
         before = repr((num, den))
-        _reduced(num, den)
+        RationalFunc.from_expr(num, den)
         assert repr((num, den)) == before
 
 
-# t = 0 and a negative t with a denominator; q = 1, squares (4, 9), and
-# non-squares with a square factor s > 1 (12, 50, 72, 98 and 10^15)
+# q = 1, squares (4, 9), and non-squares with a square factor s > 1
+# (12, 50, 72, 98 and 10^15)
 EVAL_Q = [1, *Q_GRID, MAX_RESIDUE_SIZE]
-EVAL_T = [*T_GRID, Fraction(0), Fraction(-2, 3)]
 
 
 def assert_values_equal(rf):
     for q in EVAL_Q:
-        for t in EVAL_T:
-            got, want = rf.eval_exact(q, t), eval_in_fractions(rf, q, t)
-            assert (type(got), got, str(got)) == (type(want), want, str(want)), (rf.render(), q, t)
+        got, want = rf.eval_exact(q), eval_in_fractions(rf, q)
+        assert (type(got), got, str(got)) == (type(want), want, str(want)), (rf.render(), q)
 
 
 class TestIntegerEvaluation:
@@ -687,7 +681,7 @@ class TestIntegerEvaluation:
     @settings(max_examples=60, deadline=None)
     def test_random_fractions(self, x):
         num, den = x
-        assert_values_equal(RationalFunc.from_expr(poly(num), poly(den)))
+        assert_values_equal(laurent(poly(num), poly(den)))
 
     def test_factors(self):
         for rf in [
@@ -701,25 +695,25 @@ class TestIntegerEvaluation:
             assert_values_equal(rf)
 
     def test_zero_numerator(self):
-        zero = RationalFunc.from_expr({}, {(0, 0): 1, (1, 2): 3})
+        zero = laurent({}, {(0, 0): 1, (1, 2): 3})
         assert zero.num == ()
         assert_values_equal(zero)
-        assert zero.eval_exact(2, Fraction(-2, 3)) == 0
+        assert zero.eval_exact(2) == 0
 
     @pytest.mark.parametrize(
-        "den, q, t",
+        "den, q",
         [
-            ({(0, 0): 1, (1, 1): -1}, 4, Fraction(1, 2)),  # 1 - v t at v = 2
-            ({(0, 0): 1, (2, 1): -1}, 2, Fraction(1, 2)),  # 1 - v^2 t at v^2 = 2
-            ({(0, 0): 8, (2, 2): -9}, 2, Fraction(-2, 3)),  # 8 - 9 v^2 t^2 at t^2 = 4/9
-            ({(3, 1): 1, (1, 0): -2}, 2, Fraction(1)),  # v^3 t - 2 v, all of it in sqrt(2)
-            ({(0, 0): 1, (0, 1): -1}, 1, Fraction(1)),  # 1 - t at q = 1
-            ({(1, 0): 1}, 1, Fraction(0)),  # v at t = 0: no pole
+            ({(0, 0): 2, (1, 1): -1}, 4),  # 2 - v t at v = 2
+            ({(0, 0): 2, (2, 1): -1}, 2),  # 2 - v^2 t at v^2 = 2
+            ({(0, 0): 8, (2, 2): -2}, 4),  # 8 - 2 v^2 t^2 at v^2 = 4
+            ({(3, 1): 1, (1, 0): -2}, 2),  # v^3 t - 2 v, all of it in sqrt(2)
+            ({(0, 0): 1, (0, 1): -1}, 1),  # 1 - t at q = 1
+            ({(1, 0): 1}, 1),  # v at q = 1: no pole
         ],
     )
-    def test_poles(self, den, q, t):
-        rf = RationalFunc.from_expr({(0, 0): 1, (3, 1): 1}, den)
-        want = eval_in_fractions(rf, q, t)
-        assert rf.eval_exact(q, t) == want
+    def test_poles(self, den, q):
+        rf = laurent({(0, 0): 1, (3, 1): 1}, den)
+        want = eval_in_fractions(rf, q)
+        assert rf.eval_exact(q) == want
         assert (want is None) == (den != {(1, 0): 1})
         assert_values_equal(rf)
