@@ -2,27 +2,21 @@
 
 The half modulus character of a fine parabolic is a power of the
 positive norm character, one rational exponent per fine block; the
-support test reads them as integers (``doubled_exponents``).  The
-character equation against it on the fixed group of the twisted
-diagonal Levi reduces to convention-invariant conditions: paired
-exponents must cancel, fixed blocks must carry exponent zero, and a
-fixed block obstructs the quadratic token outright because the half
-modulus is positive-valued while the quadratic token takes negative
-values on it.
+support test reads each exponent as an integer, in one walk over each
+row's nonzero cells (``orbit_supports``).  The character equation
+against it on the fixed group of the twisted diagonal Levi reduces to
+convention-invariant conditions: paired exponents must cancel, fixed
+blocks must carry exponent zero, and a fixed block obstructs the
+quadratic token outright because the half modulus is positive-valued
+while the quadratic token takes negative values on it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import compress
 
-from .cosets import (
-    CaseTag,
-    CosetMatrix,
-    FineLayout,
-    Frozen,
-    Partition,
-    fine_layout,
-)
+from .cosets import CaseTag, CosetMatrix, Frozen, Partition
 
 
 class ChiToken(Enum):
@@ -67,22 +61,6 @@ class SupportReport(Frozen):
         }
 
 
-def doubled_exponents(layout: FineLayout) -> tuple[int, ...]:
-    """Half modulus exponents of the fine parabolic, doubled: one
-    integer per block.
-
-    Block b gets (sum of later sizes) - (sum of earlier sizes); its half
-    modulus exponent is a positive multiple of half that, whatever the
-    normalisation, so an exponent is zero, and two exponents cancel,
-    exactly when their integers do.
-    """
-    n = layout.start_pos[-1] + layout.blocks[-1][2] - 1
-    return tuple(
-        n + 2 - 2 * start - k
-        for start, (_, _, k) in zip(layout.start_pos, layout.blocks)
-    )
-
-
 def orbit_supports(s: CosetMatrix, chi: ChiToken) -> SupportReport:
     """Decide whether the orbit of ``s`` can support the character.
 
@@ -92,22 +70,33 @@ def orbit_supports(s: CosetMatrix, chi: ChiToken) -> SupportReport:
     trivial; a fixed block sees the base-field restriction through the
     reduced norm, so only ``eta`` leaves a sign there
     (FIXED_SIGN_OBSTRUCTION).  Block indices in violations are 1-based.
-    The exponents are the integers of ``doubled_exponents``.  Block
-    (i, j) is paired with block (j, i), which comes later in the
-    row-major layout when i < j; a diagonal block is fixed.
-    """
-    layout = fine_layout(s)
-    delta = doubled_exponents(layout)
-    index = {(i, j): b for b, (i, j, _) in enumerate(layout.blocks)}
+
+    The blocks are the nonzero cells in row-major order, read in one
+    walk over each row's nonzero cells; block (i, j) is paired with the
+    later block (j, i) when i < j, and a diagonal block is fixed.  A block
+    of size k at 1-based position a has a - 1 units before it and
+    n + 1 - a - k after it, so its half modulus exponent, (kappa/2)(later
+    sizes - earlier sizes) for a normalisation kappa > 0, is
+    (kappa/2)(n + 2 - (2a + k)).  So the walk keeps 2a + k: an exponent is
+    zero exactly when that is n + 2, and two cancel exactly when theirs
+    sum to 2(n + 2), whatever kappa is."""
+    # (row, column) -> 2 start + size, in row-major order
+    cols, blocks, start = range(s.size), {}, 1
+    for i, row in enumerate(s.entries):
+        for j in compress(cols, row):
+            k = row[j]
+            blocks[i, j] = 2 * start + k
+            start += k
+    centre, pair, eta = start + 1, 2 * start + 2, chi is ChiToken.ETA  # start is n + 1
     violations: list[tuple[int, SupportRule]] = []
-    for b, (i, j, _) in enumerate(layout.blocks):
+    for b, ((i, j), x) in enumerate(blocks.items(), 1):
         if i == j:
-            if delta[b]:
-                violations.append((b + 1, SupportRule.FIXED_EXPONENT_NONZERO))
-            if chi is ChiToken.ETA:
-                violations.append((b + 1, SupportRule.FIXED_SIGN_OBSTRUCTION))
-        elif i < j and delta[b] + delta[index[(j, i)]]:
-            violations.append((b + 1, SupportRule.PAIR_SUM_NONZERO))
+            if x != centre:
+                violations.append((b, SupportRule.FIXED_EXPONENT_NONZERO))
+            if eta:
+                violations.append((b, SupportRule.FIXED_SIGN_OBSTRUCTION))
+        elif i < j and x + blocks[j, i] != pair:
+            violations.append((b, SupportRule.PAIR_SUM_NONZERO))
     return SupportReport(s=s, chi=chi, violations=tuple(violations))
 
 

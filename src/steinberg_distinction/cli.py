@@ -191,8 +191,9 @@ def _verdict_json(
     trace whose every entry has the decision's case and chi token; one
     trace entry at a time (``_records_json``), built without a dict per
     entry, so a lazy ``trace`` is never held whole.  Each entry fills
-    one template, and each distinct row (about 2n at degree n) is laid
-    out once per command."""
+    one template, its partition is one join at each of its two indents,
+    and each distinct row (about 2n at degree n) is laid out once per
+    command, in ``rows``."""
     head = _dumps({
         "case": case.value, "m": m, "d": d, "chi": chi.value,
         "status": status.value, "multiplicity": status.multiplicity,
@@ -211,12 +212,13 @@ def _verdict_json(
         + report + '"violations": %s' + key + "}" + pad + "}"
     )
     rules = {v: "," + row + '"rule": ' + _encode_str(v.value) + matrix + "}" for v in SupportRule}
-    row_text = functools.cache(lambda e: "[" + cell + ("," + cell).join(map(str, e)) + row + "]")
+    report_sep, row_sep, cell_sep, rows = "," + report, "," + row, "," + cell, {}
     return _records_json(head, (
         template % (
-            _dumps(r.s.partition.parts, key),
-            _dumps(r.s.partition.parts, matrix),
-            ("," + row).join(map(row_text, r.s.entries)),
+            "[" + report + report_sep.join(map(str, r.s.partition.parts)) + key + "]",
+            "[" + row + row_sep.join(map(str, r.s.partition.parts)) + matrix + "]",
+            row_sep.join([rows.get(e) or rows.setdefault(e, "[" + cell + cell_sep.join(map(str, e)) + row + "]")
+                          for e in r.s.entries]),
             "true" if r.feasible else "false",
             "[" + matrix + ("," + matrix).join(
                 "{" + row + '"block": ' + str(b) + rules[v] for b, v in r.violations

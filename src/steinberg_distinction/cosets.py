@@ -110,7 +110,8 @@ class Partition(Frozen):
     @classmethod
     def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
         """The parts with no check, for a caller that checks them later
-        with ``Partition(parts)``."""
+        with ``Partition(parts)`` or whose parts are positive by
+        construction."""
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
         return p
@@ -264,15 +265,6 @@ class SymbolicRepMatrix(Frozen):
 
     def __init__(self, entries: tuple[tuple[str, ...], ...]) -> None:
         object.__setattr__(self, "entries", entries)
-
-    def substitute(self, zero, one, lam, neg):
-        """Instantiate over an arbitrary coefficient domain.
-
-        ``zero``/``one``/``lam``/``neg`` are the images of the four
-        symbols; returns a list-of-lists matrix.
-        """
-        table = {SYM_ZERO: zero, SYM_ONE: one, SYM_LAM: lam, SYM_NEG_LAM: neg}
-        return [[table[e] for e in row] for row in self.entries]
 
 
 # `count_coset_matrices` gives up only on a count proven above this.
@@ -539,13 +531,14 @@ def coarsen(s: CosetMatrix, merge_index: int) -> CosetMatrix:
         raise InvalidInputError(f"merge index {k} out of range for size {t}")
     k -= 1
     e = s.entries
-    rows = e[:k] + (tuple(map(operator.add, e[k], e[k + 1])),) + e[k + 2 :]
+    merged = tuple(map(operator.add, e[k], e[k + 1]))
     parts = s.partition.parts
-    # the merge of a coset matrix is one: row sums, symmetry and parity hold
+    # the merge of a coset matrix is one: row sums, symmetry and parity
+    # hold, and a sum of two positive parts is positive
     return CosetMatrix._trusted(
         s.case,
-        Partition(parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]),
-        tuple(row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in rows),
+        Partition._unchecked(parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]),
+        tuple([row[:k] + (row[k] + row[k + 1],) + row[k + 2 :] for row in (*e[:k], merged, *e[k + 2 :])]),
     )
 
 

@@ -33,8 +33,8 @@ from ..cosets import (
     Frozen,
     InvalidInputError,
     Partition,
-    build_us_odd,
     enumerate_coset_matrices,
+    fine_layout,
     int_text,
 )
 from .finite_field import QuadraticExtension, Vec, pivot
@@ -361,15 +361,31 @@ def _profile_from_rows(parts: tuple[int, ...], rows: Table) -> CosetMatrix:
 
 
 def representative_flag(s: CosetMatrix, field: QuadraticExtension) -> Flag:
-    """Canonical flag with the given profile, from the symbolic
-    representative instantiated at the field's square root of a
-    nonsquare."""
+    """Canonical flag with the given profile: V_N spans the first N
+    columns of the inverse of the odd-case representative, which is
+    [[1, -l], [1, l]] on each position p of a block (i, j), i < j, and its
+    partner q, the position of the same offset in block (j, i), and 1
+    elsewhere on the diagonal.  Columns p and q of the inverse span e_p
+    and e_q, and column p alone spans e_p - e_q / l, so V_N has the
+    reduced basis e_c, c < N, save e_c - e_q / l where c pairs with q >= N."""
     if s.case is not CaseTag.ODD:
         raise InvalidInputError("representative flags exist in the odd case only")
-    us = build_us_odd(s).substitute(field.zero, field.one, field.lam, field.neg_table[field.lam])
-    cols = list(zip(*field.matrix_inv([tuple(row) for row in us])))
-    dims = itertools.accumulate(s.partition.parts)
-    return Flag(s.partition, tuple(field.rref(cols[:dim]) for dim in dims))
+    layout = fine_layout(s)
+    start = dict(zip([(i, j) for i, j, _ in layout.blocks], layout.start_pos))
+    partner = {  # 0-based positions
+        a + x: start[j, i] + x for (i, j, k), a in zip(layout.blocks, layout.start_pos)
+        if i < j for x in range(-1, k - 1)}
+    coefficient = field.neg_table[field.inv_table[field.lam]]  # -1/l
+
+    def row(c: int, dim: int) -> Vec:
+        v = [field.zero] * s.n
+        v[c] = field.one
+        if c in partner and partner[c] >= dim:
+            v[partner[c]] = coefficient
+        return tuple(v)
+
+    levels = itertools.accumulate(s.partition.parts)
+    return Flag(s.partition, tuple(tuple(row(c, dim) for c in range(dim)) for dim in levels))
 
 
 def _pieces(flag: Flag, field: QuadraticExtension, table: Table) -> GradedPieces:

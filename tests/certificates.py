@@ -16,10 +16,13 @@ representative flag in closed form, for the mass formula.
 ``reference_fine_layout`` and ``reference_coarsen`` are the cell-by-cell
 loops that ``fine_layout`` and ``coarsen`` are checked against, and
 ``reference_open_mask`` the dominance scan that ``open_mask``'s closed
-form is checked against.  ``supporting_coset_matrices`` generates the
-orbits of a partition that support a character; the tests run it at
-every step of the decision to check the coarsening lemma the engine
-rests on.  ``decision`` draws a decision's trace whole, and
+form is checked against.  ``doubled_exponents`` gives the integer half
+modulus exponents of a fine layout, and ``reference_representative_flag``
+the canonical flag by inverting the symbolic representative
+(``substitute``), which ``representative_flag``'s closed form is
+checked against.  ``supporting_coset_matrices`` generates the orbits of
+a partition that support a character; the tests run it at every step
+of the decision to check the coarsening lemma the engine rests on.  ``decision`` draws a decision's trace whole, and
 ``verdict_dict`` is the dict whose ``json.dumps`` text ``steinberg
 --format json`` must write.
 """
@@ -46,6 +49,11 @@ from steinberg_distinction.cosets import (
     InvalidInputError,
     Partition,
     Permutation,
+    SYM_LAM,
+    SYM_NEG_LAM,
+    SYM_ONE,
+    SYM_ZERO,
+    SymbolicRepMatrix,
     _rank_table,
     block_involution,
     build_us_odd,
@@ -55,6 +63,8 @@ from steinberg_distinction.cosets import (
 )
 from steinberg_distinction.engine import VerdictStatus, steinberg_decision
 from steinberg_distinction.lfactor import RationalFunc
+from steinberg_distinction.oracles.finite_field import QuadraticExtension
+from steinberg_distinction.oracles.flags import Flag
 
 
 def reference_coset_matrices(partition: Partition, case: CaseTag) -> list[CosetMatrix]:
@@ -129,6 +139,18 @@ def verdict_dict(
             for rep in trace
         ],
     }
+
+
+def doubled_exponents(layout: FineLayout) -> tuple[int, ...]:
+    """Half modulus exponents of the fine parabolic, doubled and at
+    kappa = 1: one integer per block, (sum of later sizes) - (sum of
+    earlier sizes).  ``orbit_supports`` reads the same integer as
+    n + 2 - (2 start + size)."""
+    n = layout.start_pos[-1] + layout.blocks[-1][2] - 1
+    return tuple(
+        n + 2 - 2 * start - k
+        for start, (_, _, k) in zip(layout.start_pos, layout.blocks)
+    )
 
 
 def reference_fine_layout(s: CosetMatrix) -> FineLayout:
@@ -333,6 +355,23 @@ def build_ws_even(s: CosetMatrix) -> Permutation:
     return ws
 
 
+def substitute(u: SymbolicRepMatrix, zero, one, lam, neg) -> list[list]:
+    """The symbolic matrix ``u`` over a coefficient domain, given the
+    images of its four symbols 0, 1, l and -l; a list of rows."""
+    table = {SYM_ZERO: zero, SYM_ONE: one, SYM_LAM: lam, SYM_NEG_LAM: neg}
+    return [[table[e] for e in row] for row in u.entries]
+
+
+def reference_representative_flag(s: CosetMatrix, field: QuadraticExtension) -> Flag:
+    """``representative_flag`` by inversion: level N spans the first N
+    columns of the inverse of ``build_us_odd(s)`` at the field's l,
+    reduced by ``rref``."""
+    us = substitute(build_us_odd(s), field.zero, field.one, field.lam, field.neg_table[field.lam])
+    cols = list(zip(*field.matrix_inv([tuple(row) for row in us])))
+    dims = itertools.accumulate(s.partition.parts)
+    return Flag(s.partition, tuple(field.rref(cols[:dim]) for dim in dims))
+
+
 def _inverse(a: list[list[RationalFunc]], zero: RationalFunc, one: RationalFunc) -> list[list[RationalFunc]]:
     """Gauss-Jordan inverse of a square matrix over Q(l); zero entries (no
     numerator) are skipped."""
@@ -364,8 +403,8 @@ def extract_permutation_odd(s: CosetMatrix) -> Permutation:
     zero, one = RationalFunc.from_expr([], [[1]]), RationalFunc.one()
     lam = RationalFunc.from_expr([[0, 1]], [[1]])
     neg = RationalFunc.from_expr([[0, -1]], [[1]])
-    m = u.substitute(zero, one, lam, neg)
-    inv = _inverse(u.substitute(zero, one, neg, lam), zero, one)
+    m = substitute(u, zero, one, lam, neg)
+    inv = _inverse(substitute(u, zero, one, neg, lam), zero, one)
     n = s.n
     images = [0] * n
     for col in range(n):

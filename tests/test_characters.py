@@ -7,7 +7,6 @@ import pytest
 from steinberg_distinction.characters import (
     ChiToken,
     SupportRule,
-    doubled_exponents,
     orbit_supports,
 )
 from steinberg_distinction.cosets import (
@@ -22,7 +21,7 @@ from steinberg_distinction.cosets import (
     fine_layout,
 )
 
-from certificates import minimal_orbit_analysis, supporting_coset_matrices
+from certificates import doubled_exponents, minimal_orbit_analysis, supporting_coset_matrices
 from conftest import compositions, delta_half_exponents, reference_report
 
 
@@ -64,8 +63,9 @@ class TestDeltaExponents:
 @pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
 def test_orbit_supports_matches_rational_reference(case):
     """The integer rule gives the rational reference's report, feasible
-    flag and violations alike, for four weights kappa, on every coset
-    matrix with n <= 8: kappa changes no verdict, so it is no argument."""
+    flag and violations alike, for four weights kappa and for the doubled
+    integer exponents, on every coset matrix with n <= 8: kappa changes
+    no verdict, so it is no argument."""
     kappas = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(3, 7)]
     checked = 0
     for n in range(1, 9):
@@ -73,13 +73,34 @@ def test_orbit_supports_matches_rational_reference(case):
             for s in enumerate_coset_matrices(partition, case):
                 # the reference rule, with the layout and involution built once
                 layout, invol = fine_layout(s), block_involution(s)
-                for kappa in kappas:
-                    delta = delta_half_exponents(layout, kappa)
+                deltas = [doubled_exponents(layout)]
+                deltas += [delta_half_exponents(layout, kappa) for kappa in kappas]
+                for delta in deltas:
                     for chi in ChiToken:
                         expected = reference_report(s, chi, invol, delta)
                         assert orbit_supports(s, chi) == expected, s.to_json()
                         checked += 1
-    assert checked == 8 * {CaseTag.ODD: 14256, CaseTag.EVEN: 2376}[case]
+    assert checked == 10 * {CaseTag.ODD: 14256, CaseTag.EVEN: 2376}[case]
+
+
+@pytest.mark.parametrize("case", list(CaseTag), ids=lambda c: c.value)
+def test_orbit_supports_on_the_trace_matches_reference(case):
+    """The matrices a decision trace reports, s0 on 1^n and each
+    coarsen(s0, k), get the rational reference's report for both tokens
+    at every n <= 60 of the case (even m <= 30): the engine's step (2)
+    and its trace read these reports alone."""
+    checked, step = 0, 2 if case is CaseTag.EVEN else 1
+    for n in range(step, 61, step):
+        s0 = anti_diagonal_matrix(Partition((1,) * n), case)
+        for s in [s0] + [coarsen(s0, k) for k in range(1, n)]:
+            invol = block_involution(s)
+            delta = delta_half_exponents(fine_layout(s))
+            for chi in ChiToken:
+                expected = reference_report(s, chi, invol, delta)
+                assert orbit_supports(s, chi) == expected, s.to_json()
+                checked += 1
+    # n matrices at each n: 1 + ... + 60 odd, 2 + 4 + ... + 60 even
+    assert checked == 2 * {CaseTag.ODD: 1830, CaseTag.EVEN: 930}[case]
 
 
 class TestOrbitSupports:

@@ -50,7 +50,7 @@ from steinberg_distinction.oracles.flags import (
 )
 
 import reference_walk
-from certificates import flag_pair_dim
+from certificates import flag_pair_dim, reference_representative_flag
 from conftest import compositions, swapped_line_tables
 from pair_extension import PairExtension, decode, decode_rows, encode
 from reference_walk import _enumerate_rref, _walk, field_elements, walk_histogram
@@ -1476,6 +1476,21 @@ class TestRepresentativesAndReduction:
             for partition in compositions(n):
                 for s in enumerate_coset_matrices(partition, CaseTag.ODD):
                     assert flag_profile(representative_flag(s, FIELD), FIELD) == s
+
+    def test_representative_matches_inversion(self):
+        """The flag read off s equals the one the inverse of the symbolic
+        representative spans, on all 3,393 (s, q) pairs: every coset
+        matrix with n <= 7 at q = 3 and n <= 5 at q = 5 and 7."""
+        checked = 0
+        for q, top in ((3, 7), (5, 5), (7, 5)):
+            field = QuadraticExtension(q)
+            for n in range(1, top + 1):
+                for partition in compositions(n):
+                    for s in enumerate_coset_matrices(partition, CaseTag.ODD):
+                        expected = reference_representative_flag(s, field)
+                        assert representative_flag(s, field) == expected, (q, s.entries)
+                        checked += 1
+        assert checked == 3393
 
     def test_reduction_every_full_flag_n2(self):
         self._check_all_reductions(Partition((1, 1)))

@@ -6,9 +6,10 @@ reached when some ``src/`` code outside its own body names it, as a
 bare name or as an attribute; an import or an ``__all__`` entry is no
 use.  The unreached defs must be exactly the spans of
 ``bench/tracing.py`` that ``src/`` never calls: today ``is_open``,
-``block_involution``, ``enumerate_flags`` and ``flag_profile``.  When
-the benchmark drops one of those spans, this test names the function
-to delete with it.
+``block_involution``, ``build_us_odd``, ``enumerate_flags``,
+``flag_profile`` and ``QuadraticExtension.matrix_inv``.  When the
+benchmark drops one of those spans, this test names the function to
+delete with it.
 """
 
 import ast
