@@ -74,10 +74,12 @@ MAX_SWEEP_ROWS = 10_000
 # at most 9,496 orbits (those of 1^10), 252 pivot sets per level and
 # stabiliser conditions in 100 unknowns; (1^10) takes about 40 s
 MAX_FLAG_N = 10
-# a ``support`` matrix entry has at most this many digits, so that the
-# row sums, its parts, stay within the interpreter's 4,300-digit limit
-# on int-to-str conversion and print in JSON output
+# a ``support`` matrix entry, and the numerator and the denominator of a
+# rational argument, have at most this many digits, so that the row sums
+# (a matrix's parts) and a rational's text stay within the interpreter's
+# 4,300-digit limit on int-to-str conversion and print in JSON output
 MAX_ENTRY_DIGITS = 4000
+_ENTRY_BOUND = 10**MAX_ENTRY_DIGITS
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -440,8 +442,6 @@ def cmd_oracle_quaternion(args: argparse.Namespace) -> int:
     from .oracles.quaternion import quaternion_model_check
 
     report = quaternion_model_check(args.alpha, args.beta)
-    if report.error:
-        raise InvalidInputError(report.error)
     lines = [
         f"alpha={report.alpha} beta={report.beta}",
         f"  homomorphism:       {report.homomorphism}",
@@ -458,9 +458,12 @@ def cmd_oracle_quaternion(args: argparse.Namespace) -> int:
 def _rational(text: str) -> Fraction:
     """argparse type of a rational argument such as -1/2."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from None
+    if abs(value.numerator) >= _ENTRY_BOUND or value.denominator >= _ENTRY_BOUND:
+        raise argparse.ArgumentTypeError(f"invalid rational {text!r}: a part has more than {MAX_ENTRY_DIGITS} digits")
+    return value
 
 
 def _positive_int(text: str) -> int:

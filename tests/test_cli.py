@@ -649,6 +649,16 @@ def pinned_commands() -> list[str]:
         "oracle-quaternion --alpha -1 --beta 3 --format json",
         "oracle-quaternion --alpha 4 --beta 1 --format json",
     ]
+    # the five pairs of criterion 8 and a fractional one; then the
+    # refusals: square alphas, 0 among them, and beta = 0
+    quaternion = [
+        f"oracle-quaternion --alpha={alpha} --beta={beta}"
+        for alpha, beta in (
+            (-1, -1), (-1, 2), (-1, 3), (2, 3), (-2, -5), ("-1/2", "5/3"),
+            (4, 1), (1, 1), ("9/4", 1), (0, 1), (-1, 0),
+        )
+    ]
+    commands += [f"{c}{fmt}" for c in quaternion for fmt in ("", " --format json")]
     return commands
 
 
@@ -659,8 +669,9 @@ def test_output_bytes_pinned():
     and every `lfactor` command of the benchmark plus a small grid, the
     last two as table and JSON; and as JSON, `enumerate` on every
     composition of 4, 5 and 6 and on 1^7, `oracle-flags` at the
-    benchmark's 10 points without a cache, a few `support` orbits and
-    two `oracle-quaternion` pairs, one refused.  The steinberg and sweep
+    benchmark's 10 points without a cache, a few `support` orbits and,
+    as table and JSON, `oracle-quaternion` at criterion 8's five pairs,
+    at (-1/2, 5/3) and at five refused pairs.  The steinberg and sweep
     digests were recorded before the support test moved from rational
     to integer exponents, the lfactor ones before `RationalFunc` moved
     to dense rows, and the JSON ones added with them before `_dumps`
@@ -1091,6 +1102,14 @@ class TestUsageErrors:
             ["oracle-quaternion", "--alpha", "-1", "--beta", "1/0"],
             ["oracle-quaternion", "--alpha", "1/0", "--beta", "3"],
             ["oracle-quaternion", "--alpha", "-1", "--beta", "abc"],
+            # a numerator or denominator past 4,000 digits, which str()
+            # could not print
+            ["lfactor", "--kind", "gj", "--shift=1e-5000"],
+            ["lfactor", "--kind", "tate", "--shift=1e-5000"],
+            ["oracle-quaternion", "--alpha", "1e5001", "--beta", "3"],
+            ["oracle-quaternion", "--alpha", "1e-5001", "--beta", "3"],
+            ["oracle-quaternion", "--alpha", "2", "--beta", "1e-5000", "--format", "json"],
+            ["lfactor", "--kind", "tate", f"--shift=-{NINES[4300]}"],
         ],
     )
     def test_bad_rational_exits_2(self, capsys, argv):
@@ -1098,6 +1117,18 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "invalid rational" in capsys.readouterr().err
+
+    def test_rational_parts_up_to_4000_digits(self, capsys):
+        # 2 * 10^3999 is no square; both parts print in the JSON report
+        alpha, beta = "2" + "0" * 3999, "-1/" + "7" * 4000
+        code, out, err = run(capsys, "oracle-quaternion", f"--alpha={alpha}", f"--beta={beta}", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["alpha"] == alpha and json.loads(out)["beta"] == beta
+        for argv in (["--alpha=1" + "0" * 4000, "--beta=3"], ["--alpha=-1", "--beta=1/" + "7" * 4001]):
+            with pytest.raises(SystemExit) as exc:
+                main(["oracle-quaternion", *argv])
+            assert exc.value.code == 2
+            assert "a part has more than 4000 digits" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1462,10 +1493,12 @@ class TestUsageErrors:
                 f"factor would have over 10^4400 dense coefficients (t-degree {2 * NINES[2200]},"
                 f" v-span {2 * NINES[2200]}), more than 10000",
             ),
+            # a shift has at most 4,000 digits a part, so here the s
+            # coefficient is what is large
             (
-                f"lfactor --kind tate --shift=-{NINES[4300]}",
-                "factor would have over 10^4300 dense coefficients (t-degree 1,"
-                " v-span over 10^4300), more than 10000",
+                f"lfactor --kind tate --s-coeff {NINES[4300]}",
+                f"factor would have over 10^4299 dense coefficients (t-degree {NINES[4300]},"
+                " v-span 0), more than 10000",
             ),
             (
                 f"oracle-flags --n 1 --q {NINES[2200]} --partition 1",
@@ -1477,7 +1510,7 @@ class TestUsageErrors:
                 f"partition {NINES[4300]},{NINES[4300]} sums to over 10^4300, not to n = 1",
             ),
         ],
-        ids=["steinberg-m", "sweep-max-m", "gj-k", "i2-d", "tate-shift", "flags-q", "flags-partition-sum"],
+        ids=["steinberg-m", "sweep-max-m", "gj-k", "i2-d", "tate-s", "flags-q", "flags-partition-sum"],
     )
     def test_estimate_past_the_int_digit_limit_is_refused(self, capsys, argv, message):
         # each estimate or sum has more than the 4,300 digits that str()

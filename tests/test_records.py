@@ -31,7 +31,7 @@ from steinberg_distinction.lfactor import (
     SampleStatus,
 )
 from steinberg_distinction.oracles.flags import Flag
-from steinberg_distinction.oracles.quaternion import QuaternionCheckReport, QuaternionElem
+from steinberg_distinction.oracles.quaternion import QuaternionCheckReport
 
 
 def matrix():
@@ -56,12 +56,10 @@ RECORDS = [
     (NonvanishingReport, ("value_at_t1", "samples"),
      lambda: (RationalFunc(((2,),), ((1,),)), ((2, SampleStatus.NONZERO, "2"),))),
     (Flag, ("partition", "bases"), lambda: (Partition((1, 1)), (((1, 0),), ((1, 0), (0, 1))))),
-    (QuaternionElem, ("coords",),
-     lambda: ((Fraction(1), Fraction(0), Fraction(-2), Fraction(1, 3)),)),
     (QuaternionCheckReport,
      ("alpha", "beta", "homomorphism", "involution", "orders_agree",
-      "fixes_first_factor", "semilinear", "error"),
-     lambda: (Fraction(-1), Fraction(3), True, True, True, True, True, None)),
+      "fixes_first_factor", "semilinear"),
+     lambda: (Fraction(-1), Fraction(3), True, True, True, True, True)),
 ]
 
 parametrize = pytest.mark.parametrize(
@@ -76,7 +74,7 @@ def as_dataclass(cls, fields, values):
 
 def test_every_record_is_listed():
     listed = {cls for cls, _, _ in RECORDS}
-    assert len(listed) == len(RECORDS) == 13
+    assert len(listed) == len(RECORDS) == 12
     assert set(Frozen.__subclasses__()) == listed
 
 
@@ -140,9 +138,6 @@ def test_keyword_construction_used_by_the_package():
     assert RationalFunc(num=(), den=((1,),)).num == ()
     r = SupportReport(s=matrix(), chi=ChiToken.TRIV, violations=())
     assert r.feasible and r.s == matrix()
-    assert QuaternionCheckReport(Fraction(4), Fraction(1), *[False] * 5).error is None
-    refused = QuaternionCheckReport(Fraction(4), Fraction(1), *[False] * 5, error="square")
-    assert refused.error == "square" and refused.to_json()["error"] == "square"
 
 
 def test_checks_run_in_init_with_their_messages():
